@@ -7,14 +7,7 @@
 //! owned, and every process computes the same order with no shared
 //! state — exactly the property a restarting router needs.
 
-/// SplitMix64: a well-mixed stateless hash (same finalizer the retry
-/// jitter uses), here applied to `(key, shard)` pairs.
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use viralcast_serve::client::splitmix64;
 
 /// The rendezvous score of `key` on `shard`.
 pub fn score(key: u64, shard: usize) -> u64 {

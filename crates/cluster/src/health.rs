@@ -188,7 +188,7 @@ impl Drop for Prober {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{Read as _, Write as _};
+    use viralcast_serve::{listen, ListenerConfig, Response};
 
     #[test]
     fn board_tracks_marks_and_maxima() {
@@ -215,23 +215,12 @@ mod tests {
         probe_shard(&board, 0, &dead, Duration::from_millis(200));
         assert!(!board.is_healthy(0));
 
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let body = r#"{"status":"ok","nodes":42,"snapshot_version":7}"#;
-        let reply = format!(
-            "HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        );
-        let server = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            // Drain the request head before replying: closing with
-            // unread data pending would RST the probe's read.
-            let mut buf = [0u8; 1024];
-            let _ = stream.read(&mut buf);
-            let _ = stream.write_all(reply.as_bytes());
-        });
-        probe_shard(&board, 0, &addr, Duration::from_secs(2));
-        server.join().unwrap();
+        let server = listen(ListenerConfig::new("127.0.0.1:0", "fake"), |_, _| {
+            Response::text(200, r#"{"status":"ok","nodes":42,"snapshot_version":7}"#)
+        })
+        .unwrap();
+        probe_shard(&board, 0, &server.local_addr(), Duration::from_secs(2));
+        server.shutdown();
         assert!(board.is_healthy(0));
         assert_eq!(board.nodes(0), 42);
         assert_eq!(board.max_version(), 7);

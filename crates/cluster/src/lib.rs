@@ -18,20 +18,20 @@
 //! - [`merge`] — the streaming top-k merge of shard-local rankings
 //!   (exact for disjoint row blocks: the merged top-k is byte-identical
 //!   to the single-box ranking);
-//! - [`fanout`] — a bounded worker pool the router scatters on;
 //! - [`health`] — background `/healthz` probing and per-shard
 //!   reachability state;
-//! - [`router`] — the HTTP front door: terminates client connections,
-//!   routes ingests to the owning shard, fans reads out with per-shard
-//!   deadlines, and degrades to `"partial": true` responses instead of
-//!   failing when shards are down.
+//! - [`router`] — the cluster's handler table behind the serve crate's
+//!   listener ([`serve::listener::listen`], the same front door the
+//!   daemon uses): routes ingests to the owning shard, fans reads out
+//!   on a [`serve::BoundedPool`] with per-shard deadlines, and degrades
+//!   to `"partial": true` responses instead of failing when shards are
+//!   down.
 //!
 //! Like the serve crate, this crate depends on nothing outside the
 //! workspace and the standard library.
 
 #![warn(missing_docs)]
 
-pub mod fanout;
 pub mod hashing;
 pub mod health;
 pub mod manifest;
@@ -39,7 +39,6 @@ pub mod merge;
 pub mod placement;
 pub mod router;
 
-pub use fanout::FanoutPool;
 pub use manifest::{ClusterManifest, Placement, ShardSpec, MANIFEST_FORMAT};
 pub use merge::{merge_topk, Ranked};
 pub use router::{start_router, RouterConfig, RouterHandle};

@@ -24,28 +24,26 @@
 //! followers refuse writes with a 409 redirect.
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, TrySendError};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use viralcast_obs::{self as obs, JsonValue};
 use viralcast_serve::client::{self, RetryPolicy};
-use viralcast_serve::http::{self, HttpError, HttpLimits, Request, Response};
+use viralcast_serve::http::{HttpLimits, Request, Response};
 use viralcast_serve::json;
-use viralcast_serve::router::endpoint_label;
-use viralcast_serve::trace;
+use viralcast_serve::listener::{listen, Listener, ListenerConfig};
+use viralcast_serve::pool::BoundedPool;
 
-use crate::fanout::FanoutPool;
 use crate::hashing;
 use crate::health::{HealthBoard, Prober};
 use crate::manifest::ClusterManifest;
 use crate::merge::{merge_topk, Ranked};
 
-/// How long the acceptor sleeps when no connection is pending.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
+/// One shard's share of a scatter, run on the fan-out pool.
+type ScatterJob = Box<dyn FnOnce() + Send>;
 
 /// Router configuration.
 #[derive(Clone, Debug)]
@@ -94,7 +92,6 @@ impl Default for RouterConfig {
 struct Site {
     shard: usize,
     addr: SocketAddr,
-    leader: bool,
 }
 
 /// Everything a router worker touches.
@@ -105,7 +102,10 @@ struct RouterState {
     sites: Vec<Site>,
     /// Per-shard site slots, leader first.
     shard_slots: Vec<Vec<usize>>,
-    pool: FanoutPool,
+    /// Bounds the scatter: a flood of reads degrades into queueing
+    /// (and per-shard deadline misses, i.e. partial responses), never
+    /// into thread exhaustion.
+    pool: BoundedPool<ScatterJob>,
     shard_timeout: Duration,
     retry: RetryPolicy,
     started: Instant,
@@ -124,20 +124,13 @@ impl RouterState {
     /// different replicas, then believed-down sites as a last resort
     /// (the belief may be stale in either direction).
     fn read_order(&self, shard: usize, spread: usize) -> Vec<usize> {
-        let slots = &self.shard_slots[shard];
-        let healthy: Vec<usize> = slots
+        let (mut order, down): (Vec<usize>, Vec<usize>) = self.shard_slots[shard]
             .iter()
-            .copied()
-            .filter(|&s| self.board.is_healthy(s))
-            .collect();
-        let mut order: Vec<usize> = (0..healthy.len())
-            .map(|i| healthy[(spread + i) % healthy.len()])
-            .collect();
-        let down: Vec<usize> = slots
-            .iter()
-            .copied()
-            .filter(|s| !order.contains(s))
-            .collect();
+            .partition(|&&s| self.board.is_healthy(s));
+        if !order.is_empty() {
+            let start = spread % order.len();
+            order.rotate_left(start);
+        }
         order.extend(down);
         order
     }
@@ -146,58 +139,34 @@ impl RouterState {
 /// A running router. Call [`RouterHandle::shutdown`] to stop it;
 /// dropping the handle does not.
 pub struct RouterHandle {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    threads: Vec<JoinHandle<()>>,
-    prober: Option<Prober>,
+    listener: Listener,
+    prober: Prober,
 }
 
 impl RouterHandle {
     /// The address the listener actually bound (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.local_addr()
     }
 
-    /// Asks every thread to wind down (returns immediately).
-    pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-    }
-
-    /// Waits for all threads to exit. Call after `request_shutdown`.
-    pub fn join(mut self) {
-        for handle in self.threads.drain(..) {
-            let _ = handle.join();
-        }
-        self.prober.take(); // stops and joins the probe loop
-    }
-
-    /// Graceful stop: request shutdown, then join.
+    /// Graceful stop: the listener first, then the probe loop.
     pub fn shutdown(self) {
-        self.request_shutdown();
-        self.join();
+        self.listener.shutdown();
+        drop(self.prober); // stops and joins the probe loop
     }
 }
 
-/// Binds the listener and spawns acceptor, workers, fan-out pool, and
-/// the health prober.
+/// Builds the site table, starts the health prober and the fan-out
+/// pool, and listens with [`route`] as the handler.
 pub fn start_router(manifest: ClusterManifest, config: RouterConfig) -> io::Result<RouterHandle> {
     let shard_count = manifest.shard_count();
     let mut sites = Vec::new();
     let mut shard_slots = vec![Vec::new(); shard_count];
     for (shard, slots) in shard_slots.iter_mut().enumerate() {
-        slots.push(sites.len());
-        sites.push(Site {
-            shard,
-            addr: manifest.addr_of(shard),
-            leader: true,
-        });
-        for &addr in manifest.followers_of(shard) {
+        let leader = manifest.addr_of(shard);
+        for &addr in std::iter::once(&leader).chain(manifest.followers_of(shard)) {
             slots.push(sites.len());
-            sites.push(Site {
-                shard,
-                addr,
-                leader: false,
-            });
+            sites.push(Site { shard, addr });
         }
     }
     let board = HealthBoard::new(sites.len());
@@ -208,154 +177,29 @@ pub fn start_router(manifest: ClusterManifest, config: RouterConfig) -> io::Resu
         config.shard_timeout,
     );
 
-    let listener = TcpListener::bind(&config.addr)?;
-    listener.set_nonblocking(true)?;
-    let addr = listener.local_addr()?;
-
-    let state = Arc::new(RouterState {
+    let state = RouterState {
         manifest,
         board,
         sites,
         shard_slots,
-        pool: FanoutPool::new(config.fanout_workers.max(1)),
+        pool: BoundedPool::new("fanout", config.fanout_workers, |job: ScatterJob| job())?,
         shard_timeout: config.shard_timeout,
         retry: config.retry,
         started: Instant::now(),
         cursor: AtomicU64::new(0),
-    });
-
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let workers = config.workers.max(1);
-    let (tx, rx) = mpsc::sync_channel::<TcpStream>(workers * 4);
-    let rx = Arc::new(Mutex::new(rx));
-
-    let mut threads = Vec::with_capacity(workers + 1);
-    for i in 0..workers {
-        let rx = Arc::clone(&rx);
-        let state = Arc::clone(&state);
-        let limits = config.limits;
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("router-worker-{i}"))
-                .spawn(move || worker_loop(&rx, &state, &limits))?,
-        );
-    }
-    {
-        let shutdown = Arc::clone(&shutdown);
-        let read_timeout = config.read_timeout;
-        let write_timeout = config.write_timeout;
-        threads.push(
-            std::thread::Builder::new()
-                .name("router-acceptor".into())
-                .spawn(move || {
-                    accept_loop(&listener, &tx, &shutdown, read_timeout, write_timeout);
-                    // `tx` drops here; workers unblock from `recv` and exit.
-                })?,
-        );
-    }
-
-    obs::info(
-        "router",
-        &format!("listening on {addr} fronting {shard_count} shard(s) with {workers} workers"),
-        &[],
-    );
-    Ok(RouterHandle {
-        addr,
-        shutdown,
-        threads,
-        prober: Some(prober),
-    })
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    tx: &mpsc::SyncSender<TcpStream>,
-    shutdown: &AtomicBool,
-    read_timeout: Duration,
-    write_timeout: Duration,
-) {
-    while !shutdown.load(Ordering::SeqCst) {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-                continue;
-            }
-            Err(e) => {
-                obs::warn("router", &format!("accept failed: {e}"), &[]);
-                std::thread::sleep(ACCEPT_POLL);
-                continue;
-            }
-        };
-        if stream.set_nonblocking(false).is_err()
-            || stream.set_read_timeout(Some(read_timeout)).is_err()
-            || stream.set_write_timeout(Some(write_timeout)).is_err()
-        {
-            continue;
-        }
-        match tx.try_send(stream) {
-            Ok(()) => {}
-            Err(TrySendError::Full(mut stream)) => {
-                obs::metrics().counter("router.http.overload").incr(1);
-                let _ = Response::error(503, "router overloaded; retry later")
-                    .with_header("X-Request-Id", trace::generate_trace_id())
-                    .write_to(&mut stream);
-            }
-            Err(TrySendError::Disconnected(_)) => break,
-        }
-    }
-}
-
-fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, state: &RouterState, limits: &HttpLimits) {
-    loop {
-        let next = {
-            let guard = rx.lock().unwrap_or_else(|e| e.into_inner());
-            guard.recv()
-        };
-        match next {
-            Ok(mut stream) => handle_connection(&mut stream, state, limits),
-            Err(_) => break, // acceptor gone: shutdown
-        }
-    }
-}
-
-fn handle_connection(stream: &mut TcpStream, state: &RouterState, limits: &HttpLimits) {
-    let started = Instant::now();
-    obs::metrics().counter("router.http.requests").incr(1);
-    let (response, trace_id) = match http::read_request(stream, limits) {
-        Ok(req) => {
-            let trace_id = trace::trace_id_for(&req);
-            let response = route(&req, state, &trace_id);
-            obs::metrics()
-                .histogram_exponential(
-                    &format!("router.http.latency_ms.{}", endpoint_label(&req.path)),
-                    0.25,
-                    2.0,
-                    12,
-                )
-                .record(started.elapsed().as_secs_f64() * 1e3);
-            (response, trace_id)
-        }
-        Err(e) => {
-            let response = match e {
-                HttpError::BadRequest(m) => Response::error(400, m),
-                HttpError::HeadTooLarge(limit) => {
-                    Response::error(431, format!("request head exceeds {limit} bytes"))
-                }
-                HttpError::BodyTooLarge(limit) => {
-                    Response::error(413, format!("request body exceeds {limit} bytes"))
-                }
-                HttpError::Io(_) | HttpError::ConnectionClosed => return,
-            };
-            (response, trace::generate_trace_id())
-        }
     };
-    if response.status >= 400 {
-        obs::metrics().counter("router.http.errors").incr(1);
-    }
-    let _ = response
-        .with_header("X-Request-Id", trace_id)
-        .write_to(stream);
+    let listener = listen(
+        ListenerConfig {
+            workers: config.workers,
+            read_timeout: config.read_timeout,
+            write_timeout: config.write_timeout,
+            limits: config.limits,
+            shed_message: "router overloaded; retry later",
+            ..ListenerConfig::new(config.addr, "router")
+        },
+        move |req, trace_id| route(req, &state, trace_id),
+    )?;
+    Ok(RouterHandle { listener, prober })
 }
 
 /// Dispatches one client request.
@@ -391,7 +235,7 @@ fn healthz(state: &RouterState) -> Response {
                 .all(|&slot| board.is_healthy(slot))
         })
         .count();
-    let followers_total = state.sites.iter().filter(|s| !s.leader).count();
+    let followers_total = state.sites.len() - total;
     let shards: Vec<JsonValue> = state
         .manifest
         .shards
@@ -480,27 +324,19 @@ fn ingest(req: &Request, state: &RouterState, trace_id: &str) -> Response {
         Err(e) => return Response::error(400, format!("malformed JSON body: {e}")),
     };
     let key = seed_site(&body).unwrap_or_else(|| state.cursor.fetch_add(1, Ordering::Relaxed));
-    let order = hashing::rendezvous_order(key, state.manifest.shard_count());
     // Writes go to leaders only — followers answer ingest with a 409
-    // redirect. Two passes over the failover order: believed-healthy
-    // leaders first, then the rest (the belief may be stale in either
-    // direction).
-    let leader_healthy = |&&s: &&usize| state.board.is_healthy(state.leader_slot(s));
-    let attempts = order
-        .iter()
-        .filter(leader_healthy)
-        .chain(order.iter().filter(|s| !leader_healthy(s)));
-    for &shard in attempts {
-        let slot = state.leader_slot(shard);
-        match try_forward(state, slot, "POST", "/v1/ingest", Some(text), trace_id) {
-            Some(response) => {
-                obs::metrics().counter("router.ingest.routed").incr(1);
-                return response;
-            }
-            None => continue,
+    // redirect.
+    let leaders: Vec<usize> = hashing::rendezvous_order(key, state.manifest.shard_count())
+        .into_iter()
+        .map(|shard| state.leader_slot(shard))
+        .collect();
+    match forward_first(state, &leaders, "POST", "/v1/ingest", Some(text), trace_id) {
+        Some(response) => {
+            obs::metrics().counter("router.ingest.routed").incr(1);
+            response
         }
+        None => Response::error(503, "no shard reachable for ingest"),
     }
-    Response::error(503, "no shard reachable for ingest")
 }
 
 /// Forwards a request to any healthy site (round-robin over leaders and
@@ -514,44 +350,56 @@ fn forward_any(req: &Request, state: &RouterState, trace_id: &str) -> Response {
     let total = state.sites.len();
     let start = state.cursor.fetch_add(1, Ordering::Relaxed) as usize;
     let order: Vec<usize> = (0..total).map(|i| (start + i) % total).collect();
-    let attempts = order
-        .iter()
-        .filter(|&&s| state.board.is_healthy(s))
-        .chain(order.iter().filter(|&&s| !state.board.is_healthy(s)));
     let body = if text.is_empty() { None } else { Some(text) };
-    for &slot in attempts {
-        if let Some(response) = try_forward(state, slot, &req.method, &req.path, body, trace_id) {
-            return response;
-        }
-    }
-    Response::error(503, "no shard reachable")
+    forward_first(state, &order, &req.method, &req.path, body, trace_id)
+        .unwrap_or_else(|| Response::error(503, "no shard reachable"))
 }
 
-/// One forwarding attempt with retry; `None` means the site could not
-/// be reached at all (and has been marked unhealthy).
-fn try_forward(
+/// Forwards, with retry, to the first of `slots` that can be reached at
+/// all: two passes over the given order, believed-healthy sites first,
+/// then the rest (the belief may be stale in either direction).
+fn forward_first(
     state: &RouterState,
-    slot: usize,
+    slots: &[usize],
     method: &str,
     target: &str,
     body: Option<&str>,
     trace_id: &str,
 ) -> Option<Response> {
-    let site = state.sites[slot];
+    let healthy = |slot: &&usize| state.board.is_healthy(**slot);
     let headers = [("X-Request-Id", trace_id)];
-    match client::request_with_retry(&site.addr, method, target, body, &headers, &state.retry) {
-        Ok(out) => {
-            state.board.mark_up(slot);
+    slots
+        .iter()
+        .filter(healthy)
+        .chain(slots.iter().filter(|slot| !healthy(slot)))
+        .find_map(|&slot| {
+            let site = state.sites[slot];
+            let sent = client::request_with_retry(
+                &site.addr,
+                method,
+                target,
+                body,
+                &headers,
+                &state.retry,
+            );
+            let out = settle(&state.board, slot, site.shard, sent).ok()?;
             Some(forward(&out.response))
-        }
+        })
+}
+
+/// Records one exchange with site `slot` of `shard` on the board: up on
+/// success; down, plus a `router.shard.errors.{shard}` count, on error.
+fn settle<T>(board: &HealthBoard, slot: usize, shard: usize, sent: io::Result<T>) -> io::Result<T> {
+    match &sent {
+        Ok(_) => board.mark_up(slot),
         Err(_) => {
-            state.board.mark_down(slot);
+            board.mark_down(slot);
             obs::metrics()
-                .counter(&format!("router.shard.errors.{}", site.shard))
+                .counter(&format!("router.shard.errors.{shard}"))
                 .incr(1);
-            None
         }
     }
+    sent
 }
 
 /// Re-frames a shard's response for the client. Shard bodies are the
@@ -577,7 +425,7 @@ fn scatter(
     target: &str,
     body: Option<&str>,
     trace_id: &str,
-) -> Vec<(usize, client::ClientResponse)> {
+) -> Vec<client::ClientResponse> {
     let (tx, rx) = mpsc::channel();
     let mut dispatched = 0usize;
     let spread = state.cursor.fetch_add(1, Ordering::Relaxed) as usize;
@@ -592,11 +440,11 @@ fn scatter(
         let body = body.map(str::to_string);
         let trace_id = trace_id.to_string();
         let timeout = state.shard_timeout;
-        let accepted = state.pool.try_submit(move || {
+        let job: ScatterJob = Box::new(move || {
             let started = Instant::now();
             let mut last = Err(io::Error::new(io::ErrorKind::NotConnected, "no sites"));
             for (slot, addr) in addrs {
-                let result = client::request_with_options(
+                let sent = client::request_with_options(
                     &addr,
                     &method,
                     &target,
@@ -604,24 +452,14 @@ fn scatter(
                     &[("X-Request-Id", &trace_id)],
                     timeout,
                 );
-                match result {
-                    Ok(response) => {
-                        board.mark_up(slot);
-                        last = Ok(response);
-                        break;
-                    }
-                    Err(e) => {
-                        board.mark_down(slot);
-                        obs::metrics()
-                            .counter(&format!("router.shard.errors.{shard}"))
-                            .incr(1);
-                        last = Err(e);
-                    }
+                last = settle(&board, slot, shard, sent);
+                if last.is_ok() {
+                    break;
                 }
             }
             let _ = tx.send((shard, started.elapsed(), last));
         });
-        if accepted {
+        if state.pool.try_submit(job).is_ok() {
             dispatched += 1;
         } else {
             // Pool saturated: the shard is simply not responding to
@@ -637,15 +475,11 @@ fn scatter(
         let remaining = deadline.saturating_duration_since(Instant::now());
         match rx.recv_timeout(remaining) {
             Ok((shard, elapsed, Ok(response))) => {
+                let name = format!("router.shard.latency_ms.{shard}");
                 obs::metrics()
-                    .histogram_exponential(
-                        &format!("router.shard.latency_ms.{shard}"),
-                        0.25,
-                        2.0,
-                        12,
-                    )
+                    .histogram_exponential(&name, 0.25, 2.0, 12)
                     .record(elapsed.as_secs_f64() * 1e3);
-                replies.push((shard, response));
+                replies.push(response);
             }
             Ok((_, _, Err(_))) => {} // every site down; counted already
             Err(_) => break,         // gather deadline: stragglers count as down
@@ -674,57 +508,37 @@ fn ranked_list(body: &JsonValue, key: &str, score_field: &str) -> Vec<Ranked> {
         .unwrap_or_default()
 }
 
-/// The gathered scatter responses, split for merging: parsed 200-bodies
-/// plus the first client-error response, if any shard sent one.
-struct Gathered {
-    bodies: Vec<JsonValue>,
-    client_error: Option<Response>,
-}
-
-fn gather(replies: Vec<(usize, client::ClientResponse)>) -> Gathered {
-    let mut bodies = Vec::with_capacity(replies.len());
-    let mut client_error = None;
-    for (_, response) in replies {
-        if response.status == 200 {
-            if let Ok(v) = json::parse(&response.body) {
-                bodies.push(v);
-            }
-        } else if (400..500).contains(&response.status) && client_error.is_none() {
-            // Every shard validates against the same full universe, so
-            // one shard's 4xx is the whole cluster's verdict.
-            client_error = Some(forward(&response));
-        }
-    }
-    Gathered {
-        bodies,
-        client_error,
-    }
-}
-
-/// Merges `key` rankings from the gathered bodies into one partial-aware
-/// envelope. Extra fields (e.g. `topic`) named in `carry` are copied
-/// from the first body that has them.
+/// Merges `key` rankings from the gathered 200-bodies into one
+/// partial-aware envelope. Extra fields (e.g. `topic`) named in `carry`
+/// are copied from the first body that has them.
 fn merged_response(
     state: &RouterState,
-    gathered: Gathered,
+    replies: Vec<client::ClientResponse>,
     key: &'static str,
     score_field: &str,
     k: usize,
     carry: &[&'static str],
 ) -> Response {
-    if let Some(error) = gathered.client_error {
-        return error;
+    let mut bodies = Vec::with_capacity(replies.len());
+    for response in replies {
+        if response.status == 200 {
+            if let Ok(v) = json::parse(&response.body) {
+                bodies.push(v);
+            }
+        } else if (400..500).contains(&response.status) {
+            // Every shard validates against the same full universe, so
+            // one shard's 4xx is the whole cluster's verdict.
+            return forward(&response);
+        }
     }
     let total = state.manifest.shard_count();
-    let responding = gathered.bodies.len();
-    let version = gathered
-        .bodies
+    let responding = bodies.len();
+    let version = bodies
         .iter()
         .filter_map(|b| json::get(b, "snapshot_version").and_then(json::as_u64))
         .max()
         .unwrap_or(0);
-    let lists: Vec<Vec<Ranked>> = gathered
-        .bodies
+    let lists: Vec<Vec<Ranked>> = bodies
         .iter()
         .map(|b| ranked_list(b, key, score_field))
         .collect();
@@ -735,7 +549,7 @@ fn merged_response(
     }
     let mut fields = vec![("snapshot_version", JsonValue::from(version))];
     for &name in carry {
-        if let Some(value) = gathered.bodies.iter().find_map(|b| json::get(b, name)) {
+        if let Some(value) = bodies.iter().find_map(|b| json::get(b, name)) {
             fields.push((name, value.clone()));
         }
     }
@@ -759,31 +573,15 @@ fn predict(req: &Request, state: &RouterState, trace_id: &str) -> Response {
     };
     let k = json::get(&body, "top").and_then(json::as_u64).unwrap_or(10) as usize;
     let replies = scatter(state, "POST", "/v1/predict", Some(text), trace_id);
-    merged_response(
-        state,
-        gather(replies),
-        "candidates",
-        "rate",
-        k,
-        &["observed"],
-    )
+    merged_response(state, replies, "candidates", "rate", k, &["observed"])
 }
 
 fn influencers(req: &Request, state: &RouterState, trace_id: &str) -> Response {
-    let k = match req.query_param("top") {
-        None => 10,
-        // Malformed values still scatter: the shards produce the 400.
-        Some(raw) => raw.parse::<usize>().unwrap_or(10),
-    };
+    // Malformed values still scatter: the shards produce the 400.
+    let top = req.query_param("top").and_then(|raw| raw.parse().ok());
+    let k = top.unwrap_or(10);
     let replies = scatter(state, "GET", &target_of(req), None, trace_id);
-    merged_response(
-        state,
-        gather(replies),
-        "influencers",
-        "score",
-        k,
-        &["topic"],
-    )
+    merged_response(state, replies, "influencers", "score", k, &["topic"])
 }
 
 /// Rebuilds the request target (path + query string) for forwarding.
@@ -808,7 +606,6 @@ fn target_of(req: &Request) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{Read as _, Write as _};
 
     #[test]
     fn target_rebuilds_the_query_string() {
@@ -856,50 +653,14 @@ mod tests {
         assert_eq!(seed_site(&json::parse("{}").unwrap()), None);
     }
 
-    /// A canned shard: answers every request on its listener with the
-    /// same 200 body. Runs until the test process exits.
+    /// A canned shard: the real listener answering every request with
+    /// the same 200 body. Runs until the test process exits.
     fn fake_shard(body: &'static str) -> SocketAddr {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        std::thread::spawn(move || {
-            for stream in listener.incoming().flatten() {
-                let mut stream = stream;
-                let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-                // Drain the whole request (head plus Content-Length
-                // body) before answering: replying with unread bytes
-                // still pending would RST the connection and destroy
-                // the response mid-flight.
-                let mut request = Vec::new();
-                let mut buf = [0u8; 4096];
-                while let Ok(n) = stream.read(&mut buf) {
-                    if n == 0 {
-                        break;
-                    }
-                    request.extend_from_slice(&buf[..n]);
-                    if let Some(head_end) = request
-                        .windows(4)
-                        .position(|w| w == b"\r\n\r\n")
-                        .map(|p| p + 4)
-                    {
-                        let head = String::from_utf8_lossy(&request[..head_end]).to_lowercase();
-                        let length = head
-                            .lines()
-                            .find_map(|l| l.strip_prefix("content-length:"))
-                            .and_then(|v| v.trim().parse::<usize>().ok())
-                            .unwrap_or(0);
-                        if request.len() >= head_end + length {
-                            break;
-                        }
-                    }
-                }
-                let reply = format!(
-                    "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-                    body.len()
-                );
-                let _ = stream.write_all(reply.as_bytes());
-            }
-        });
-        addr
+        listen(ListenerConfig::new("127.0.0.1:0", "fake"), move |_, _| {
+            Response::text(200, body)
+        })
+        .unwrap()
+        .local_addr()
     }
 
     /// A dead address: a distinct port in the reserved low range, where

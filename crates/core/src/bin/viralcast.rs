@@ -699,6 +699,40 @@ fn parse_shard_flag(flags: &Flags) -> Result<Option<(usize, usize)>, CliError> {
     }
 }
 
+/// Resolves `--shard I/N` with `--cluster-manifest FILE` (both or
+/// neither) into the loaded manifest plus the shard's position, after
+/// checking the manifest plans the backend this daemon runs — `running`
+/// words where that backend came from for the mismatch error.
+fn resolve_cluster(
+    flags: &Flags,
+    backend: &str,
+    running: &str,
+) -> Result<Option<(viralcast::cluster::ClusterManifest, usize, usize)>, CliError> {
+    let (path, (i, n)) = match (flags.opt_path("cluster-manifest"), parse_shard_flag(flags)?) {
+        (Some(path), Some(shard)) => (path, shard),
+        (None, None) => return Ok(None),
+        _ => {
+            return Err(usage_err(
+                "--shard and --cluster-manifest must be given together",
+            ))
+        }
+    };
+    let manifest = viralcast::cluster::ClusterManifest::load(&path).map_err(runtime_err)?;
+    if manifest.backend != backend {
+        return Err(runtime_err(format!(
+            "the cluster manifest plans a {:?} cluster but {running}",
+            manifest.backend
+        )));
+    }
+    if manifest.shard_count() != n {
+        return Err(runtime_err(format!(
+            "--shard {i}/{n} disagrees with the manifest's {} shard(s)",
+            manifest.shard_count()
+        )));
+    }
+    Ok(Some((manifest, i, n)))
+}
+
 fn serve_cmd(flags: &Flags) -> Result<Attrs, CliError> {
     use viralcast::model::{CascadeModel, EmbeddingBackend, NetInfBackend, NetInfConfig, BACKENDS};
     use viralcast::serve;
@@ -718,33 +752,11 @@ fn serve_cmd(flags: &Flags) -> Result<Attrs, CliError> {
             BACKENDS.join(", ")
         )));
     }
-    let shard_index = parse_shard_flag(flags)?;
-    let manifest_path = flags.opt_path("cluster-manifest");
-    if shard_index.is_some() != manifest_path.is_some() {
-        return Err(usage_err(
-            "--shard and --cluster-manifest must be given together",
-        ));
-    }
-    let cluster = match (manifest_path, shard_index) {
-        (Some(path), Some((i, n))) => {
-            let manifest = viralcast::cluster::ClusterManifest::load(&path).map_err(runtime_err)?;
-            if manifest.backend != backend {
-                return Err(runtime_err(format!(
-                    "the cluster manifest plans a {:?} cluster but this shard \
-                     was started with --backend {backend:?}",
-                    manifest.backend
-                )));
-            }
-            if manifest.shard_count() != n {
-                return Err(runtime_err(format!(
-                    "--shard {i}/{n} disagrees with the manifest's {} shard(s)",
-                    manifest.shard_count()
-                )));
-            }
-            Some((manifest, i, n))
-        }
-        _ => None,
-    };
+    let cluster = resolve_cluster(
+        flags,
+        backend,
+        &format!("this shard was started with --backend {backend:?}"),
+    )?;
     let addr = match (flags.get("addr"), &cluster) {
         (Some(a), _) => a.to_string(),
         (None, Some((manifest, i, _))) => manifest.addr_of(*i).to_string(),
@@ -952,91 +964,43 @@ fn serve_follow_cmd(flags: &Flags) -> Result<Attrs, CliError> {
         ));
     }
 
-    // The shard row block needs the model's node count before the serve
-    // stack exists, so fetch the leader's snapshot shape up front
-    // (retrying — the leader may still be booting).
-    let boot = {
-        let deadline = std::time::Instant::now() + defaults.boot_timeout;
-        let mut wait = std::time::Duration::from_millis(50);
-        loop {
-            match replica::poll_snapshot(&leader, None, defaults.fetch_timeout) {
-                Ok(replica::Poll::Snapshot(snap)) => break snap,
-                Ok(replica::Poll::NotModified { version }) => {
-                    return Err(runtime_err(format!(
-                        "leader {leader} answered 304 (v{version}) to an \
-                         unconditional snapshot fetch"
-                    )));
-                }
-                Err(e) => {
-                    if std::time::Instant::now() + wait > deadline {
-                        return Err(runtime_err(format!(
-                            "no boot snapshot from leader {leader} within {:.0}s: {e}",
-                            defaults.boot_timeout.as_secs_f64()
-                        )));
-                    }
-                    std::thread::sleep(wait);
-                    wait = (wait * 2).min(std::time::Duration::from_secs(2));
-                }
-            }
-        }
-    };
-    let (nodes, topics) = (boot.model.node_count(), boot.model.topic_count());
-
-    let shard_index = parse_shard_flag(flags)?;
-    let manifest_path = flags.opt_path("cluster-manifest");
-    if shard_index.is_some() != manifest_path.is_some() {
-        return Err(usage_err(
-            "--shard and --cluster-manifest must be given together",
-        ));
-    }
-    let cluster = match (manifest_path, shard_index) {
-        (Some(path), Some((i, n))) => {
-            let manifest = viralcast::cluster::ClusterManifest::load(&path).map_err(runtime_err)?;
-            if manifest.backend != boot.backend {
-                return Err(runtime_err(format!(
-                    "the cluster manifest plans a {:?} cluster but the leader \
-                     streams {:?} snapshots",
-                    manifest.backend, boot.backend
-                )));
-            }
-            if manifest.shard_count() != n {
-                return Err(runtime_err(format!(
-                    "--shard {i}/{n} disagrees with the manifest's {} shard(s)",
-                    manifest.shard_count()
-                )));
-            }
-            Some((manifest, i, n))
-        }
-        _ => None,
-    };
-    let shard_block = match &cluster {
-        Some((manifest, i, _)) => Some(manifest.row_block(*i, nodes).map_err(runtime_err)?),
-        None => None,
-    };
-
-    let config = replica::FollowerConfig {
+    let mut config = replica::FollowerConfig {
         poll_interval: std::time::Duration::from_secs_f64(poll_interval),
         serve: serve::ServeConfig {
             addr: flags.get("addr").unwrap_or("127.0.0.1:8080").to_string(),
             workers: flags.usize("workers", 4)?,
             ingest_capacity: flags.usize("ingest-capacity", 4096)?,
             access_log: flags.opt_path("access-log"),
-            shard: shard_block.clone(),
             ..serve::ServeConfig::default()
         },
         ..defaults
     };
-    let handle = replica::start_follower(config).map_err(runtime_err)?;
+
+    // The shard row block needs the model's node count before the serve
+    // stack exists, so fetch the boot snapshot first and start from it.
+    let boot = replica::fetch_boot_snapshot(&config).map_err(runtime_err)?;
+    let (backend, boot_version) = (boot.backend.clone(), boot.version);
+    let (nodes, topics) = (boot.model.node_count(), boot.model.topic_count());
+
+    let cluster = resolve_cluster(
+        flags,
+        &backend,
+        &format!("the leader streams {backend:?} snapshots"),
+    )?;
+    let shard_block = match &cluster {
+        Some((manifest, i, _)) => Some(manifest.row_block(*i, nodes).map_err(runtime_err)?),
+        None => None,
+    };
+    config.serve.shard = shard_block.clone();
+    let handle = replica::start_follower_from(boot, config).map_err(runtime_err)?;
     let bound = handle.local_addr();
     println!(
         "viralcast-serve listening on http://{bound} \
-         ({} backend, {nodes} nodes × {topics} topics)",
-        boot.backend
+         ({backend} backend, {nodes} nodes × {topics} topics)"
     );
     println!(
-        "following leader http://{leader}: booted from snapshot v{}, \
-         polling every {poll_interval:.2}s (writes are refused with a leader redirect)",
-        boot.version
+        "following leader http://{leader}: booted from snapshot v{boot_version}, \
+         polling every {poll_interval:.2}s (writes are refused with a leader redirect)"
     );
     if let (Some((_, i, n)), Some(block)) = (&cluster, &shard_block) {
         println!(
@@ -1058,11 +1022,11 @@ fn serve_follow_cmd(flags: &Flags) -> Result<Attrs, CliError> {
     println!("stopped at applied snapshot v{applied} ({lag} version(s) behind the leader)");
     let mut attrs: Attrs = vec![
         ("addr".into(), bound.to_string().into()),
-        ("backend".into(), boot.backend.clone().into()),
+        ("backend".into(), backend.into()),
         ("nodes".into(), nodes.into()),
         ("topics".into(), topics.into()),
         ("leader".into(), leader.to_string().into()),
-        ("boot_snapshot_version".into(), boot.version.into()),
+        ("boot_snapshot_version".into(), boot_version.into()),
         ("applied_snapshot_version".into(), applied.into()),
         ("replica_lag_versions".into(), lag.into()),
     ];

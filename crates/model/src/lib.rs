@@ -180,11 +180,13 @@ impl std::error::Error for BackendMismatch {}
 
 /// The one ranking comparator every backend and every layer shares:
 /// score descending, node id ascending on ties, truncated to `top`.
-/// Scores must not be NaN (backends produce finite non-negative
-/// scores). Shard rankings merged under this comparator exactly equal
-/// the single-box ranking — the property the router relies on.
+/// Backends produce finite non-negative scores; should a corrupt model
+/// yield a non-finite one, IEEE total order places it (NaN and +∞
+/// first) instead of panicking the request thread. Shard rankings
+/// merged under this comparator exactly equal the single-box ranking —
+/// the property the router relies on.
 pub fn sort_and_truncate(mut scored: Vec<(NodeId, f64)>, top: usize) -> Vec<(NodeId, f64)> {
-    scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+    scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
     scored.truncate(top);
     scored
 }
@@ -206,6 +208,24 @@ mod tests {
             ranked,
             vec![(NodeId(1), 2.0), (NodeId(2), 1.0), (NodeId(3), 1.0)]
         );
+    }
+
+    #[test]
+    fn non_finite_scores_sort_deterministically_without_panicking() {
+        let scored = vec![
+            (NodeId(4), 1.0),
+            (NodeId(3), f64::NAN),
+            (NodeId(2), f64::INFINITY),
+            (NodeId(1), f64::NAN),
+            (NodeId(0), f64::NEG_INFINITY),
+        ];
+        let mut reversed = scored.clone();
+        reversed.reverse();
+        let nodes = |ranked: Vec<(NodeId, f64)>| ranked.iter().map(|r| r.0 .0).collect::<Vec<_>>();
+        // NaN first (ties by node id), then +∞, finite scores, -∞ —
+        // whatever order the entries arrived in.
+        assert_eq!(nodes(sort_and_truncate(scored, 5)), vec![1, 3, 2, 4, 0]);
+        assert_eq!(nodes(sort_and_truncate(reversed, 5)), vec![1, 3, 2, 4, 0]);
     }
 
     #[test]

@@ -191,45 +191,72 @@ impl FollowerHandle {
     }
 }
 
-/// Boots a follower: fetches the leader's snapshot (retrying with
-/// capped backoff until `boot_timeout`), starts the serve stack in
-/// follower role at the leader's version, and spawns the poll loop.
+/// Fetches the leader's current snapshot for a follower boot, retrying
+/// with capped backoff (doubling from `poll_interval`) because the
+/// leader may still be booting itself.
 ///
 /// # Errors
 /// Fails with `TimedOut` when no snapshot could be fetched within
-/// `boot_timeout`, plus the usual serve bind failures.
+/// `boot_timeout`; the message carries the last fetch error.
+pub fn fetch_boot_snapshot(config: &FollowerConfig) -> io::Result<FetchedSnapshot> {
+    let leader = config.leader;
+    let deadline = Instant::now() + config.boot_timeout;
+    let mut backoff = config.poll_interval;
+    loop {
+        let error = match poll_snapshot(&leader, None, config.fetch_timeout) {
+            Ok(Poll::Snapshot(snapshot)) => return Ok(snapshot),
+            Ok(Poll::NotModified { version }) => {
+                format!("leader {leader} answered 304 (v{version}) to an unconditional fetch")
+            }
+            Err(e) => e,
+        };
+        obs::metrics().counter("replica.poll_errors").incr(1);
+        obs::warn("replica", &format!("boot fetch failed: {error}"), &[]);
+        if Instant::now() + backoff > deadline {
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                format!(
+                    "no snapshot from leader {leader} within {:?}: {error}",
+                    config.boot_timeout
+                ),
+            ));
+        }
+        std::thread::sleep(backoff);
+        backoff = (backoff * 2).min(config.max_backoff);
+    }
+}
+
+/// Boots a follower: [`fetch_boot_snapshot`], then
+/// [`start_follower_from`] it.
+///
+/// # Errors
+/// `TimedOut` when no snapshot arrives within `boot_timeout`, plus the
+/// usual serve bind failures.
 pub fn start_follower(config: FollowerConfig) -> io::Result<FollowerHandle> {
+    let boot = fetch_boot_snapshot(&config)?;
+    start_follower_from(boot, config)
+}
+
+/// Starts the serve stack in follower role at `boot`'s version and
+/// spawns the poll loop. Callers that need the snapshot's shape before
+/// the serve stack exists (a shard's row block depends on the node
+/// count) fetch it themselves and hand it over here, so the payload
+/// crosses the wire once.
+///
+/// # Errors
+/// The usual serve bind failures.
+pub fn start_follower_from(
+    boot: FetchedSnapshot,
+    config: FollowerConfig,
+) -> io::Result<FollowerHandle> {
     let FollowerConfig {
         leader,
         poll_interval,
         max_backoff,
-        boot_timeout,
+        boot_timeout: _,
         fetch_timeout,
         serve: mut serve_config,
     } = config;
-
-    let deadline = Instant::now() + boot_timeout;
-    let mut backoff = poll_interval;
-    let boot = loop {
-        match poll_snapshot(&leader, None, fetch_timeout) {
-            Ok(Poll::Snapshot(snapshot)) => break snapshot,
-            Ok(Poll::NotModified { .. }) => {
-                // Unreachable without `have`, but harmless: retry.
-            }
-            Err(e) => {
-                obs::metrics().counter("replica.poll_errors").incr(1);
-                obs::warn("replica", &format!("boot fetch failed: {e}"), &[]);
-            }
-        }
-        if Instant::now() + backoff > deadline {
-            return Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                format!("no snapshot from leader {leader} within {boot_timeout:?}"),
-            ));
-        }
-        std::thread::sleep(backoff);
-        backoff = (backoff * 2).min(max_backoff);
-    };
 
     let role = ReplicaRole::new(leader, boot.version);
     let status = Arc::clone(&role.status);

@@ -354,7 +354,10 @@ impl RetryPolicy {
     }
 }
 
-fn splitmix64(seed: u64) -> u64 {
+/// SplitMix64's finalizer: a well-mixed stateless hash. Seeds the retry
+/// jitter and the endpoint rotation here, and scores `(key, shard)`
+/// pairs in the cluster's rendezvous hashing.
+pub fn splitmix64(seed: u64) -> u64 {
     let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -531,22 +534,12 @@ mod tests {
 
     #[test]
     fn retry_rotates_across_endpoints_to_find_a_live_one() {
-        use std::io::{Read as _, Write as _};
         // One dead port, one live listener that answers a fixed 200.
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let live = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            // Drain the request head before replying; closing with
-            // unread bytes pending would RST the connection and destroy
-            // the response on the wire.
-            let mut head = Vec::new();
-            let mut byte = [0u8; 1];
-            while !head.ends_with(b"\r\n\r\n") && stream.read(&mut byte).is_ok_and(|n| n > 0) {
-                head.push(byte[0]);
-            }
-            let _ = stream.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok");
-        });
+        let server = crate::listen(crate::ListenerConfig::new("127.0.0.1:0", "fake"), |_, _| {
+            crate::Response::text(200, "ok")
+        })
+        .unwrap();
+        let live = server.local_addr();
         let eps = Endpoints::parse(&format!("127.0.0.1:9,{live}"))
             .unwrap()
             .with_rotation_offset(0);
@@ -560,7 +553,7 @@ mod tests {
         assert_eq!(out.response.status, 200);
         assert_eq!(out.response.body, "ok");
         assert_eq!(out.attempts, 2, "first attempt hits the dead port");
-        server.join().unwrap();
+        server.shutdown();
     }
 
     #[test]

@@ -23,11 +23,20 @@
 //!   lives in `viralcast-replica`);
 //! - [`api`] — endpoint codecs and model evaluation, socket-free;
 //! - [`trace`] — request-scoped trace IDs (accepted or generated);
-//! - [`router`] — `(method, path)` dispatch over [`router::AppState`];
+//! - [`pool`] — the one bounded worker pool (`try_submit` hands the
+//!   item back when the queue is full);
+//! - [`listener`] — the one HTTP front door, [`listener::listen`]: accept
+//!   loop, 503 shed, error mapping, trace stamping, `{prefix}.http.*`
+//!   metrics, access log and shutdown, around a handler
+//!   `Fn(&Request, &str) -> Response`. The cluster router and the test
+//!   fakes listen through it too;
+//! - [`router`] — the daemon's handler table: `(method, path)` dispatch
+//!   over [`router::AppState`];
 //! - [`trainer`] — the retraining thread (the learner is injected as a
 //!   [`trainer::RetrainFn`], keeping this crate independent of the
 //!   `viralcast` facade);
-//! - [`server`] — listener, worker pool, and the [`server::ServerHandle`]
+//! - [`server`] — the daemon: durable recovery, `AppState`, trainer,
+//!   "listen with `router::route`", and the [`server::ServerHandle`]
 //!   lifecycle;
 //! - [`signal`] / [`client`] — ctrl-c plumbing and a tiny test client.
 //!
@@ -40,6 +49,8 @@ pub mod client;
 pub mod http;
 pub mod ingest;
 pub mod json;
+pub mod listener;
+pub mod pool;
 pub mod replica;
 pub mod router;
 pub mod server;
@@ -55,6 +66,8 @@ pub use client::{
 };
 pub use http::{HttpLimits, Request, Response};
 pub use ingest::{DrainedBatch, IngestBuffer, IngestReceipt, TraceMark};
+pub use listener::{listen, Listener, ListenerConfig};
+pub use pool::BoundedPool;
 pub use replica::{ReplicaRole, ReplicaStatus};
 pub use router::DegradeThresholds;
 pub use server::{start, BootRecovery, ServeConfig, ServerHandle};

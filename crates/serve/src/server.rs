@@ -1,17 +1,11 @@
-//! The daemon: listener, bounded worker pool, and lifecycle handle.
-//!
-//! The acceptor thread polls a non-blocking listener so it can notice
-//! shutdown promptly, and feeds accepted connections into a bounded
-//! channel. When every worker is busy and the channel is full the
-//! acceptor answers 503 directly instead of queueing without bound.
-//! Workers parse one request per connection, dispatch through the
-//! router, and record per-endpoint latency histograms.
+//! The daemon: durable recovery, request state, trainer, and the
+//! lifecycle handle. Sockets and worker threads belong to
+//! [`crate::listener`]; the daemon listens with [`router::route`] as
+//! its handler.
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -19,21 +13,12 @@ use viralcast_model::{BackendMismatch, CascadeModel};
 use viralcast_obs as obs;
 use viralcast_store::{EventStore, WalOptions};
 
-use crate::http::{self, HttpError, HttpLimits, Response};
+use crate::http::HttpLimits;
 use crate::ingest::IngestBuffer;
+use crate::listener::{listen, Listener, ListenerConfig};
 use crate::router::{self, AppState};
 use crate::snapshot::SnapshotStore;
-use crate::trace;
 use crate::trainer::{self, RetrainFn, TrainerConfig};
-
-/// How long the acceptor sleeps when no connection is pending.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
-
-/// Per-endpoint latency histogram: exponential bounds from 250µs to
-/// ~0.5s (12 doublings), resolution tracking magnitude.
-fn latency_histogram(label: &str) -> std::sync::Arc<obs::Histogram> {
-    obs::metrics().histogram_exponential(&format!("serve.http.latency_ms.{label}"), 0.25, 2.0, 12)
-}
 
 /// Daemon configuration.
 #[derive(Clone, Debug)]
@@ -109,21 +94,21 @@ pub struct BootRecovery {
 }
 
 /// A running daemon. Dropping the handle does **not** stop the server;
-/// call [`ServerHandle::shutdown`] (or `request_shutdown` + `join`).
+/// call [`ServerHandle::shutdown`].
 pub struct ServerHandle {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    listener: Listener,
+    /// `None` on a follower, which never trains.
+    trainer: Option<JoinHandle<()>>,
     snapshots: Arc<SnapshotStore>,
     ingest: Arc<IngestBuffer>,
     event_store: Option<Arc<Mutex<EventStore>>>,
     recovery: Option<BootRecovery>,
-    threads: Vec<JoinHandle<()>>,
 }
 
 impl ServerHandle {
     /// The address the listener actually bound (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.local_addr()
     }
 
     /// The snapshot store the daemon serves from.
@@ -136,30 +121,22 @@ impl ServerHandle {
         Arc::clone(&self.ingest)
     }
 
-    /// The durable event store, when booted with a data directory.
-    pub fn event_store(&self) -> Option<Arc<Mutex<EventStore>>> {
-        self.event_store.clone()
-    }
-
     /// What boot recovered from the data directory (`None` without one).
     pub fn recovery(&self) -> Option<BootRecovery> {
         self.recovery
     }
 
-    /// Asks every thread to wind down (returns immediately).
-    pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-    }
-
-    /// Waits for all threads to exit. Call after `request_shutdown`.
+    /// Graceful stop: raises the shutdown flag the listener and the
+    /// trainer share, and waits for both.
     ///
-    /// Joining the trainer first means an in-flight checkpoint finishes
-    /// before this returns; the final WAL sync then closes the window an
+    /// Joining the trainer means an in-flight checkpoint finishes before
+    /// this returns; the final WAL sync then closes the window an
     /// `FsyncPolicy::Interval` log leaves between the last acked batch
     /// and its fsync — a graceful stop must never lose acked records.
-    pub fn join(mut self) {
-        for handle in self.threads.drain(..) {
-            let _ = handle.join();
+    pub fn shutdown(self) {
+        self.listener.shutdown();
+        if let Some(trainer) = self.trainer {
+            let _ = trainer.join();
         }
         if let Some(store) = &self.event_store {
             let mut guard = store.lock().unwrap_or_else(|e| e.into_inner());
@@ -168,15 +145,9 @@ impl ServerHandle {
             }
         }
     }
-
-    /// Graceful stop: request shutdown, then join.
-    pub fn shutdown(self) {
-        self.request_shutdown();
-        self.join();
-    }
 }
 
-/// Binds the listener and spawns acceptor, workers, and trainer.
+/// Recovers durable state, then starts the listener and the trainer.
 ///
 /// `retrain` is invoked by the trainer with the current model and a
 /// fresh cascade batch; pass `CascadeModel::update` wrapped in a closure
@@ -244,11 +215,6 @@ pub fn start(
         None => None,
     };
 
-    let listener = TcpListener::bind(&config.addr)?;
-    listener.set_nonblocking(true)?;
-    let addr = listener.local_addr()?;
-
-    let shutdown = Arc::new(AtomicBool::new(false));
     let snapshots = Arc::new(SnapshotStore::with_version(boot_model, boot_version));
     let ingest = Arc::new(IngestBuffer::new(config.ingest_capacity));
     if !pending.is_empty() {
@@ -257,210 +223,61 @@ pub fn start(
         ingest.preload(pending);
     }
     let access_log = match &config.access_log {
-        Some(path) => Some(Arc::new(obs::AccessLog::create(path)?)),
+        Some(path) => Some((
+            Arc::new(obs::AccessLog::create(path)?),
+            Arc::clone(&snapshots),
+        )),
         None => None,
     };
-    let state = Arc::new(AppState {
+    let state = AppState {
         snapshots: Arc::clone(&snapshots),
         ingest: Arc::clone(&ingest),
         store: event_store.clone(),
         shed_retry_after_ms: config.trainer.interval.as_millis().max(1) as u64,
         started: Instant::now(),
-        access_log,
         degrade: config.degrade,
         shard: config.shard.clone().map(Arc::new),
         replica: config.replica.clone(),
-    });
-
-    let workers = config.workers.max(1);
-    let (tx, rx) = mpsc::sync_channel::<TcpStream>(workers * 4);
-    let rx = Arc::new(Mutex::new(rx));
-
-    let mut threads = Vec::with_capacity(workers + 2);
-    for i in 0..workers {
-        let rx = Arc::clone(&rx);
-        let state = Arc::clone(&state);
-        let limits = config.limits;
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("viralcast-worker-{i}"))
-                .spawn(move || worker_loop(&rx, &state, &limits))?,
-        );
-    }
+    };
+    let listener = listen(
+        ListenerConfig {
+            workers: config.workers,
+            read_timeout: config.read_timeout,
+            write_timeout: config.write_timeout,
+            limits: config.limits,
+            access_log,
+            ..ListenerConfig::new(config.addr, "serve")
+        },
+        move |req, trace_id| router::route(req, &state, trace_id),
+    )?;
 
     // Followers never train: their snapshots arrive from the leader,
     // and a local trainer would fork the version lineage.
-    if config.replica.is_none() {
-        threads.push(trainer::spawn(
+    let trainer = config.replica.is_none().then(|| {
+        trainer::spawn(
             Arc::clone(&snapshots),
             Arc::clone(&ingest),
             event_store.clone(),
             retrain,
             config.trainer,
-            Arc::clone(&shutdown),
-        ));
-    }
-
-    {
-        let shutdown = Arc::clone(&shutdown);
-        let state = Arc::clone(&state);
-        let read_timeout = config.read_timeout;
-        let write_timeout = config.write_timeout;
-        threads.push(
-            std::thread::Builder::new()
-                .name("viralcast-acceptor".into())
-                .spawn(move || {
-                    accept_loop(
-                        &listener,
-                        &tx,
-                        &state,
-                        &shutdown,
-                        read_timeout,
-                        write_timeout,
-                    );
-                    // `tx` drops here; workers unblock from `recv` and exit.
-                })?,
-        );
-    }
-
-    obs::info(
-        "serve",
-        &format!("listening on {addr} with {workers} workers"),
-        &[],
-    );
+            listener.shutdown_flag(),
+        )
+    });
     Ok(ServerHandle {
-        addr,
-        shutdown,
+        listener,
+        trainer,
         snapshots,
         ingest,
         event_store,
         recovery: recovery_summary,
-        threads,
     })
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    tx: &mpsc::SyncSender<TcpStream>,
-    state: &AppState,
-    shutdown: &AtomicBool,
-    read_timeout: Duration,
-    write_timeout: Duration,
-) {
-    while !shutdown.load(Ordering::SeqCst) {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-                continue;
-            }
-            Err(e) => {
-                obs::warn("serve", &format!("accept failed: {e}"), &[]);
-                std::thread::sleep(ACCEPT_POLL);
-                continue;
-            }
-        };
-        // The listener is non-blocking; per-connection I/O must not be.
-        if stream.set_nonblocking(false).is_err()
-            || stream.set_read_timeout(Some(read_timeout)).is_err()
-            || stream.set_write_timeout(Some(write_timeout)).is_err()
-        {
-            continue;
-        }
-        match tx.try_send(stream) {
-            Ok(()) => {}
-            Err(TrySendError::Full(mut stream)) => {
-                obs::metrics().counter("serve.http.overload").incr(1);
-                // The request was never read; the shed still gets a
-                // trace ID and an access-log line so overload is
-                // attributable from the client side.
-                let trace_id = trace::generate_trace_id();
-                let _ = Response::error(503, "server overloaded; retry later")
-                    .with_header("X-Request-Id", trace_id.clone())
-                    .write_to(&mut stream);
-                if let Some(log) = &state.access_log {
-                    log.append(&obs::AccessRecord {
-                        method: "-",
-                        path: "-",
-                        status: 503,
-                        snapshot_version: state.snapshots.version(),
-                        latency_us: 0,
-                        trace_id: &trace_id,
-                    });
-                }
-            }
-            Err(TrySendError::Disconnected(_)) => break,
-        }
-    }
-}
-
-fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, state: &AppState, limits: &HttpLimits) {
-    loop {
-        // Take the lock only to dequeue; handling runs unlocked so slow
-        // clients don't serialise the pool.
-        let next = {
-            let guard = rx.lock().unwrap_or_else(|e| e.into_inner());
-            guard.recv()
-        };
-        match next {
-            Ok(mut stream) => handle_connection(&mut stream, state, limits),
-            Err(_) => break, // acceptor gone: shutdown
-        }
-    }
-}
-
-/// Reads one request, routes it, writes the response (stamped with the
-/// request's trace ID), records metrics, and appends the access-log
-/// line.
-fn handle_connection(stream: &mut TcpStream, state: &AppState, limits: &HttpLimits) {
-    let started = Instant::now();
-    obs::metrics().counter("serve.http.requests").incr(1);
-    // (method, path) survive for the access log even on routing errors;
-    // a request too malformed to parse logs placeholders.
-    let (response, trace_id, method, path) = match http::read_request(stream, limits) {
-        Ok(req) => {
-            let trace_id = trace::trace_id_for(&req);
-            let response = router::route(&req, state, &trace_id);
-            let label = router::endpoint_label(&req.path);
-            latency_histogram(label).record(started.elapsed().as_secs_f64() * 1e3);
-            (response, trace_id, req.method, req.path)
-        }
-        Err(e) => {
-            let response = match e {
-                HttpError::BadRequest(m) => Response::error(400, m),
-                HttpError::HeadTooLarge(limit) => {
-                    Response::error(431, format!("request head exceeds {limit} bytes"))
-                }
-                HttpError::BodyTooLarge(limit) => {
-                    Response::error(413, format!("request body exceeds {limit} bytes"))
-                }
-                // Nothing sensible to answer on a dead transport.
-                HttpError::Io(_) | HttpError::ConnectionClosed => return,
-            };
-            (response, trace::generate_trace_id(), "-".into(), "-".into())
-        }
-    };
-    if response.status >= 400 {
-        obs::metrics().counter("serve.http.errors").incr(1);
-    }
-    let response = response.with_header("X-Request-Id", trace_id.clone());
-    let _ = response.write_to(stream);
-    if let Some(log) = &state.access_log {
-        log.append(&obs::AccessRecord {
-            method: &method,
-            path: &path,
-            status: response.status,
-            snapshot_version: state.snapshots.version(),
-            latency_us: started.elapsed().as_micros() as u64,
-            trace_id: &trace_id,
-        });
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client;
+    use std::net::TcpListener;
 
     fn config() -> ServeConfig {
         ServeConfig {
@@ -673,17 +490,5 @@ mod tests {
         assert_eq!(mismatch.expected, "netinf");
         assert_eq!(mismatch.found, "embed");
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn malformed_requests_get_http_errors() {
-        use std::io::{Read, Write};
-        let handle = start(embeddings(), identity_retrain(), config()).unwrap();
-        let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
-        stream.write_all(b"BOGUS\r\n\r\n").unwrap();
-        let mut out = String::new();
-        stream.read_to_string(&mut out).unwrap();
-        assert!(out.starts_with("HTTP/1.1 400"), "{out}");
-        handle.shutdown();
     }
 }

@@ -527,6 +527,13 @@ smoke_replica() {
     echo "replica smoke test OK (leader port $lport, follower port $fport survived the kill)"
 }
 
+# Builds and unit-tests benchmark/ as is against the workspace sources.
+# cargo must stand inside benchmark/, whose own .cargo/config.toml and
+# Cargo.lock apply there.
+bench_contract() {
+    (cd benchmark && cargo build --release --offline && cargo test --release --offline)
+}
+
 run cargo fmt --all --check
 run cargo clippy --workspace --all-targets -- -D warnings
 if [ "$build" -eq 1 ]; then
@@ -539,6 +546,10 @@ if [ "$build" -eq 1 ]; then
 fi
 run cargo test -q --workspace
 if [ "$build" -eq 1 ]; then
+    # viralbench is its own package and its sources may not change with
+    # the code they measure, so an API break against it would otherwise
+    # surface only when the benchmark pipeline runs.
+    run bench_contract
     run smoke_serve
     run smoke_backends
     run smoke_chaos
