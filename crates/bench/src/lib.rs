@@ -1,70 +1,16 @@
 //! Shared plumbing for the figure-reproduction harnesses.
 //!
 //! Every binary in `src/bin/` regenerates one figure of the paper's
-//! evaluation. They share: flag parsing (`viralnews`-style, duplicated
-//! here to keep the bench crate self-contained), table printing, timing
-//! helpers, a standard SBM world builder, and a JSON sidecar format so
-//! that `fig13_speedup` can reuse `fig10_time_vs_cores` measurements
-//! instead of re-running the sweep.
+//! evaluation. They share: flag parsing ([`viralcast::cli::Flags`],
+//! re-exported here), table printing, timing helpers, a standard SBM
+//! world builder, and a JSON sidecar format so that `fig13_speedup` can
+//! reuse `fig10_time_vs_cores` measurements instead of re-running the
+//! sweep.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::path::PathBuf;
+pub use viralcast::cli::Flags;
 use viralcast::prelude::*;
-
-/// `--flag value` parser (mirror of `viralnews::cli::Flags`; duplicated
-/// so the bench crate does not depend on the workspace root package).
-#[derive(Clone, Debug, Default)]
-pub struct Flags {
-    values: HashMap<String, String>,
-}
-
-impl Flags {
-    /// Parses the process arguments.
-    pub fn from_env() -> Self {
-        let mut values = HashMap::new();
-        let mut iter = std::env::args().skip(1).peekable();
-        while let Some(arg) = iter.next() {
-            if let Some(key) = arg.strip_prefix("--") {
-                let value = match iter.peek() {
-                    Some(v) if !v.starts_with("--") => iter.next().unwrap(),
-                    _ => "true".to_string(),
-                };
-                values.insert(key.to_string(), value);
-            }
-        }
-        Flags { values }
-    }
-
-    /// A `usize` flag with a default.
-    pub fn usize(&self, key: &str, default: usize) -> usize {
-        self.values
-            .get(key)
-            .map(|v| v.parse().unwrap_or_else(|_| panic!("bad --{key}: {v}")))
-            .unwrap_or(default)
-    }
-
-    /// A `u64` flag with a default.
-    pub fn u64(&self, key: &str, default: u64) -> u64 {
-        self.values
-            .get(key)
-            .map(|v| v.parse().unwrap_or_else(|_| panic!("bad --{key}: {v}")))
-            .unwrap_or(default)
-    }
-
-    /// An `f64` flag with a default.
-    pub fn f64(&self, key: &str, default: f64) -> f64 {
-        self.values
-            .get(key)
-            .map(|v| v.parse().unwrap_or_else(|_| panic!("bad --{key}: {v}")))
-            .unwrap_or(default)
-    }
-
-    /// Whether a bare flag is present.
-    pub fn has(&self, key: &str) -> bool {
-        self.values.contains_key(key)
-    }
-}
 
 /// Prints an aligned text table.
 pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {

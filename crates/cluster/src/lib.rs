@@ -12,7 +12,7 @@
 //!   stable way `/v1/ingest` picks the shard that owns a seed site;
 //! - [`placement`] — membership vectors: round-robin, or SLPA
 //!   communities greedily bin-packed onto shards;
-//! - [`manifest`] — the `viralcast-cluster-manifest/v1` file every
+//! - [`manifest`] — the `viralcast-cluster-manifest/v2` file every
 //!   shard and the router boot from, and the [`serve::RowBlock`] each
 //!   shard derives from it;
 //! - [`merge`] — the streaming top-k merge of shard-local rankings

@@ -14,13 +14,12 @@ use viralcast_obs::JsonValue;
 use viralcast_serve::json;
 use viralcast_serve::shard::RowBlock;
 
-/// The format tag every manifest must carry.
-pub const MANIFEST_FORMAT: &str = "viralcast-cluster-manifest/v1";
+/// The format tag every manifest is written with: shards may carry
+/// follower addresses.
+pub const MANIFEST_FORMAT: &str = "viralcast-cluster-manifest/v2";
 
-/// The v2 format tag: shards may carry follower addresses. Written only
-/// when a manifest actually names followers, so follower-free manifests
-/// stay readable by v1 deployments.
-pub const MANIFEST_FORMAT_V2: &str = "viralcast-cluster-manifest/v2";
+/// The follower-less predecessor; still parsed, never written.
+const MANIFEST_FORMAT_V1: &str = "viralcast-cluster-manifest/v1";
 
 /// How nodes map onto shards.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -134,7 +133,7 @@ impl ClusterManifest {
     }
 
     /// Attaches follower addresses per shard (`followers[i]` replicates
-    /// shard `i`'s leader), upgrading the manifest to v2 on save.
+    /// shard `i`'s leader).
     ///
     /// # Errors
     /// The outer vector must have exactly one entry per shard, and every
@@ -187,12 +186,6 @@ impl ClusterManifest {
         &self.shards[shard].followers
     }
 
-    /// Whether any shard names a follower (i.e. the manifest serializes
-    /// with the v2 format tag).
-    pub fn has_followers(&self) -> bool {
-        self.shards.iter().any(|s| !s.followers.is_empty())
-    }
-
     /// Derives the candidate row block shard `shard` owns for a model
     /// with `node_count` rows.
     ///
@@ -219,10 +212,10 @@ impl ClusterManifest {
     pub fn parse(text: &str) -> Result<ClusterManifest, String> {
         let doc = json::parse(text).map_err(|e| format!("malformed manifest JSON: {e}"))?;
         match json::get(&doc, "format") {
-            Some(JsonValue::Str(tag)) if tag == MANIFEST_FORMAT || tag == MANIFEST_FORMAT_V2 => {}
+            Some(JsonValue::Str(tag)) if tag == MANIFEST_FORMAT || tag == MANIFEST_FORMAT_V1 => {}
             Some(JsonValue::Str(tag)) => {
                 return Err(format!(
-                    "unsupported manifest format {tag:?} (expected {MANIFEST_FORMAT:?} or {MANIFEST_FORMAT_V2:?})"
+                    "unsupported manifest format {tag:?} (expected {MANIFEST_FORMAT:?} or {MANIFEST_FORMAT_V1:?})"
                 ))
             }
             _ => return Err(format!("missing \"format\" tag {MANIFEST_FORMAT:?}")),
@@ -317,17 +310,10 @@ impl ClusterManifest {
         }
     }
 
-    /// The manifest's JSON document. Follower-free manifests keep the
-    /// v1 tag (older readers stay compatible); naming any follower
-    /// upgrades the tag to v2.
+    /// The manifest's JSON document, always under the v2 tag.
     pub fn to_json(&self) -> JsonValue {
-        let format = if self.has_followers() {
-            MANIFEST_FORMAT_V2
-        } else {
-            MANIFEST_FORMAT
-        };
         let mut fields = vec![
-            ("format", JsonValue::from(format)),
+            ("format", JsonValue::from(MANIFEST_FORMAT)),
             ("backend", JsonValue::from(self.backend.as_str())),
             (
                 "placement",
@@ -404,7 +390,7 @@ mod tests {
         let m = ClusterManifest::round_robin(&addrs(3)).unwrap();
         assert_eq!(m.backend, "embed");
         let text = m.to_json().render();
-        assert!(text.contains("\"format\":\"viralcast-cluster-manifest/v1\""));
+        assert!(text.contains("\"format\":\"viralcast-cluster-manifest/v2\""));
         assert!(text.contains("\"backend\":\"embed\""));
         assert!(text.contains("\"placement\":\"round-robin\""));
         let back = ClusterManifest::parse(&text).unwrap();
@@ -539,7 +525,6 @@ mod tests {
             .unwrap()
             .with_followers(followers)
             .unwrap();
-        assert!(m.has_followers());
         assert_eq!(m.followers_of(0).len(), 1);
         assert_eq!(m.followers_of(1)[1].port(), 8003);
 
@@ -551,14 +536,14 @@ mod tests {
         let back = ClusterManifest::parse(&text).unwrap();
         assert_eq!(back, m);
 
-        // A v2 tag without followers is accepted; a follower-less
-        // manifest keeps writing the v1 tag.
+        // A follower-less manifest is written as v2 too, and the v1
+        // document older `cluster-plan`s wrote for it parses to the same.
         let plain = ClusterManifest::round_robin(&addrs(2)).unwrap();
-        assert!(!plain.has_followers());
         let plain_text = plain.to_json().render();
-        assert!(plain_text.contains("\"format\":\"viralcast-cluster-manifest/v1\""));
-        let v2_plain = plain_text.replace("manifest/v1", "manifest/v2");
-        assert_eq!(ClusterManifest::parse(&v2_plain).unwrap(), plain);
+        assert!(plain_text.contains("\"format\":\"viralcast-cluster-manifest/v2\""));
+        assert_eq!(ClusterManifest::parse(&plain_text).unwrap(), plain);
+        let v1 = r#"{"format":"viralcast-cluster-manifest/v1","backend":"embed","placement":"round-robin","shards":[{"id":0,"addr":"127.0.0.1:7001"},{"id":1,"addr":"127.0.0.1:7002"}]}"#;
+        assert_eq!(ClusterManifest::parse(v1).unwrap(), plain);
     }
 
     #[test]
@@ -611,5 +596,38 @@ mod tests {
         m.save(&path).unwrap();
         assert_eq!(ClusterManifest::load(&path).unwrap(), m);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The every-cut idiom of `crates/store/tests/codec_props.rs`: a
+    /// valid v2 manifest cut at every byte, and with every byte flipped
+    /// once, parses or is refused with a message — it never panics, and
+    /// whatever parses is a manifest `parse` would write back unchanged.
+    #[test]
+    fn every_cut_and_every_flip_never_panics() {
+        let valid = ClusterManifest::with_membership(&addrs(2), vec![0, 1, 1, 0])
+            .unwrap()
+            .with_followers(vec![vec!["127.0.0.1:8001".parse().unwrap()], vec![]])
+            .unwrap()
+            .to_json()
+            .render();
+        let check = |bytes: &[u8], what: &str| {
+            let Ok(text) = std::str::from_utf8(bytes) else {
+                return; // `load` refuses non-UTF-8 before `parse` sees it
+            };
+            if let Ok(m) = ClusterManifest::parse(text) {
+                let again = ClusterManifest::parse(&m.to_json().render());
+                assert_eq!(again.as_ref(), Ok(&m), "{what}");
+            }
+        };
+        for cut in 0..valid.len() {
+            check(&valid.as_bytes()[..cut], &format!("cut {cut}"));
+        }
+        for mask in [0x01u8, 0x04, 0x10, 0xff] {
+            for at in 0..valid.len() {
+                let mut flipped = valid.clone().into_bytes();
+                flipped[at] ^= mask;
+                check(&flipped, &format!("flip {at} ^ {mask:#x}"));
+            }
+        }
     }
 }

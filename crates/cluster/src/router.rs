@@ -16,7 +16,7 @@
 //! `shards_total` — a cluster with every shard down still answers
 //! HTTP 200 with an empty, clearly-partial ranking, never a 5xx.
 //!
-//! With a v2 manifest naming followers, each shard becomes a replica
+//! With a manifest naming followers, each shard becomes a replica
 //! set of dialable *sites* (leader first). Reads spread across a
 //! shard's healthy sites round-robin and fail over site-by-site inside
 //! one scatter task, so a dead leader degrades that shard's reads to

@@ -111,9 +111,6 @@ fn run() -> Result<(), CliError> {
             "cluster-plan" => cluster_plan_cmd(&flags)?,
             "router" => router_cmd(&flags)?,
             "loadgen" => loadgen_cmd(&flags)?,
-            "bench-hotpath" => bench_hotpath_cmd(&flags)?,
-            "bench-backends" => bench_backends_cmd(&flags)?,
-            "bench-replica" => bench_replica_cmd(&flags)?,
             "chaos" => chaos_cmd(&flags)?,
             _ => unreachable!("validated by command_flags"),
         }
@@ -161,12 +158,6 @@ USAGE:
   viralcast loadgen        --addr HOST:PORT[,HOST:PORT…] [--workers N]
                            [--duration SECS] [--warmup SECS] [--mix SPEC]
                            [--scenario flash-crowd] [--seed S] [--out FILE]
-  viralcast bench-hotpath  [--nodes N] [--topics K] [--iterations I]
-                           [--seed S] [--out FILE]
-  viralcast bench-backends [--nodes N] [--cascades C] [--topics K] [--top K]
-                           [--scan-iterations I] [--seed S] [--out FILE]
-  viralcast bench-replica  [--nodes N] [--topics K] [--shards N] [--followers M]
-                           [--workers N] [--duration SECS] [--seed S] [--out FILE]
   viralcast chaos          --embeddings FILE --data-dir DIR [--workers N]
                            [--backend embed|netinf] [--corpus FILE]
                            [--cycles C] [--steady SECS] [--cluster N]
@@ -214,7 +205,7 @@ SERVE:
 
 CLUSTER:
   cluster-plan writes a shard manifest (schema
-  viralcast-cluster-manifest/v1) assigning every embedding row to one of
+  viralcast-cluster-manifest/v2) assigning every embedding row to one of
   the --shards addresses: round-robin by default, community-aligned when
   --corpus is given (each shard then owns whole SLPA communities, so
   scatter answers cluster by community). Each shard is an ordinary serve
@@ -226,9 +217,8 @@ CLUSTER:
   clusters cannot form.
 
   --followers records snapshot-replica followers per shard in the
-  manifest (schema upgrades to viralcast-cluster-manifest/v2):
-  ';'-separated per-shard groups of comma-separated HOST:PORT, one
-  group per shard, empty groups allowed. Each follower is a serve
+  manifest: ';'-separated per-shard groups of comma-separated HOST:PORT,
+  one group per shard, empty groups allowed. Each follower is a serve
   daemon started with --follow LEADER (plus the same --shard flags as
   its leader); the router fans reads across leader and followers and
   keeps a shard's reads non-partial when only its leader dies, while
@@ -245,6 +235,8 @@ CLUSTER:
   shards_responding, never a 5xx.
 
 LOADGEN:
+  (Speed is measured by viralbench, the package under benchmark/;
+  loadgen is the driver for a daemon or router running elsewhere.)
   Drives a running daemon with a closed-loop weighted traffic mix
   (--mix, default predict=4,hazard=2,influencers=1,ingest=1) from
   --workers concurrent connections (default 4). After --warmup seconds
@@ -263,30 +255,6 @@ LOADGEN:
   /v1/ingest at their scheduled instants (fc-<worker>-<seq> trace IDs).
   The report gains a scenario block with baseline vs burst arrival
   rates.
-
-BENCH-HOTPATH:
-  Times the hazard candidate scan (the serving hot path) against a
-  synthetic --nodes × --topics model (default 2000×8) for --iterations
-  scans (default 400); --out FILE (default BENCH_hotpath.json) gets the
-  report, including a determinism checksum.
-
-BENCH-BACKENDS:
-  Fits every registered backend (embed, netinf) on the same synthetic
-  SBM corpus (--nodes × --cascades, default 200×300, split 2/3 train)
-  and scores each on the same held-out split: fit_seconds, hit_at_top
-  (next-adopter accuracy at --top, default 10) and ns_per_rate_op
-  (candidate-scan cost over --scan-iterations full scans, default 50).
-  --out FILE (default BENCH_backends.json) gets one scorecard per
-  backend. Deterministic given --seed.
-
-BENCH-REPLICA:
-  Measures follower read scaling: the same --shards cluster (synthetic
-  --nodes × --topics embeddings, default 200×4 over 2 shards) is booted
-  in-process twice — leader-only, then with --followers replicas per
-  shard (default 1) — and each leg is driven through a scatter-gather
-  router by --workers read-only workers (default 4) for --duration
-  seconds (default 5). --out FILE (default BENCH_replica.json) gets
-  per-leg throughput/latency and the read_speedup ratio.
 
 CHAOS:
   Spawns a durable serve child over --data-dir (must be empty), drives
@@ -309,8 +277,8 @@ CHAOS:
   gains partial_responses and non_partial_5xx.
 
   --followers M (with --cluster) also boots M serve --follow replicas
-  per shard leader under a v2 manifest and *strengthens* the assertion:
-  while a leader is down its followers must keep reads fully answered —
+  per shard leader, named in the manifest, and *strengthens* the
+  assertion: while a leader is down its followers must keep reads fully answered —
   every probe must stay \"partial\": false, and any degraded read fails
   the run (reported as degraded_reads).
 
@@ -402,32 +370,6 @@ fn command_flags(command: &str) -> Option<Vec<FlagSpec>> {
             ("warmup", true),
             ("mix", true),
             ("scenario", true),
-            ("seed", true),
-            ("out", true),
-        ],
-        "bench-hotpath" => &[
-            ("nodes", true),
-            ("topics", true),
-            ("iterations", true),
-            ("seed", true),
-            ("out", true),
-        ],
-        "bench-backends" => &[
-            ("nodes", true),
-            ("cascades", true),
-            ("topics", true),
-            ("top", true),
-            ("scan-iterations", true),
-            ("seed", true),
-            ("out", true),
-        ],
-        "bench-replica" => &[
-            ("nodes", true),
-            ("topics", true),
-            ("shards", true),
-            ("followers", true),
-            ("workers", true),
-            ("duration", true),
             ("seed", true),
             ("out", true),
         ],
@@ -1300,130 +1242,6 @@ fn loadgen_cmd(flags: &Flags) -> Result<Attrs, CliError> {
     ];
     attrs.extend(summary.attrs());
     save_bench_report("loadgen", &attrs, &out)?;
-    println!("bench report written to {}", out.display());
-    Ok(attrs)
-}
-
-fn bench_hotpath_cmd(flags: &Flags) -> Result<Attrs, CliError> {
-    use viralcast::hotpath;
-
-    let defaults = hotpath::HotpathConfig::default();
-    let config = hotpath::HotpathConfig {
-        nodes: flags.usize("nodes", defaults.nodes)?,
-        topics: flags.usize("topics", defaults.topics)?,
-        iterations: flags.usize("iterations", defaults.iterations)?,
-        seed: flags.u64("seed", defaults.seed)?,
-    };
-    let out = flags
-        .opt_path("out")
-        .unwrap_or_else(|| PathBuf::from("BENCH_hotpath.json"));
-    println!(
-        "scanning {} candidates × {} topics, {} iterations…",
-        config.nodes, config.topics, config.iterations
-    );
-    let summary = {
-        let _span = Span::enter("bench_hotpath");
-        hotpath::run(&config).map_err(usage_err)?
-    };
-    println!(
-        "{:.1} ns per rate op — scan p50 {:.1} µs, p99 {:.1} µs (checksum {:.3})",
-        summary.ns_per_rate_op, summary.scan_p50_us, summary.scan_p99_us, summary.checksum
-    );
-    let attrs: Attrs = summary.attrs();
-    save_bench_report("bench-hotpath", &attrs, &out)?;
-    println!("bench report written to {}", out.display());
-    Ok(attrs)
-}
-
-fn bench_backends_cmd(flags: &Flags) -> Result<Attrs, CliError> {
-    use viralcast::backends;
-
-    let defaults = backends::BackendsBenchConfig::default();
-    let config = backends::BackendsBenchConfig {
-        nodes: flags.usize("nodes", defaults.nodes)?,
-        cascades: flags.usize("cascades", defaults.cascades)?,
-        topics: flags.usize("topics", defaults.topics)?,
-        top: flags.usize("top", defaults.top)?,
-        scan_iterations: flags.usize("scan-iterations", defaults.scan_iterations)?,
-        seed: flags.u64("seed", defaults.seed)?,
-    };
-    let out = flags
-        .opt_path("out")
-        .unwrap_or_else(|| PathBuf::from("BENCH_backends.json"));
-    println!(
-        "fitting every backend on {} nodes × {} cascades, \
-         scoring next-adopter hit@{}…",
-        config.nodes, config.cascades, config.top
-    );
-    let summary = {
-        let _span = Span::enter("bench_backends");
-        backends::run(&config).map_err(usage_err)?
-    };
-    for report in &summary.backends {
-        println!(
-            "{:>7}: fit {:.3}s, hit@{} {:.3} ({}/{}), {:.1} ns per rate op",
-            report.backend,
-            report.fit_seconds,
-            summary.top,
-            report.hit_at_top,
-            report.hits,
-            report.evaluated,
-            report.ns_per_rate_op
-        );
-    }
-    let attrs: Attrs = summary.attrs();
-    save_bench_report("bench-backends", &attrs, &out)?;
-    println!("bench report written to {}", out.display());
-    Ok(attrs)
-}
-
-fn bench_replica_cmd(flags: &Flags) -> Result<Attrs, CliError> {
-    use viralcast::replica_bench;
-
-    let defaults = replica_bench::ReplicaBenchConfig::default();
-    let duration = flags.f64("duration", defaults.duration.as_secs_f64())?;
-    if !duration.is_finite() || duration <= 0.0 {
-        return Err(usage_err("--duration must be a positive number of seconds"));
-    }
-    let config = replica_bench::ReplicaBenchConfig {
-        nodes: flags.usize("nodes", defaults.nodes)?,
-        topics: flags.usize("topics", defaults.topics)?,
-        shards: flags.usize("shards", defaults.shards)?,
-        followers: flags.usize("followers", defaults.followers)?,
-        workers: flags.usize("workers", defaults.workers)?,
-        duration: std::time::Duration::from_secs_f64(duration),
-        seed: flags.u64("seed", defaults.seed)?,
-    };
-    let out = flags
-        .opt_path("out")
-        .unwrap_or_else(|| PathBuf::from("BENCH_replica.json"));
-    println!(
-        "read scaling over {} shard(s): {} worker(s) for {duration:.1}s per leg, \
-         0 vs {} follower(s) per shard…",
-        config.shards, config.workers, config.followers
-    );
-    let summary = {
-        let _span = Span::enter("bench_replica");
-        replica_bench::run(&config).map_err(usage_err)?
-    };
-    let cell = |v: Option<f64>| v.map_or("-".to_string(), |ms| format!("{ms:.2}"));
-    for leg in &summary.legs {
-        println!(
-            "{} follower(s)/shard: {:.1} req/s ({} reads, {} errors), \
-             p50 {} ms, p99 {} ms",
-            leg.followers,
-            leg.throughput_rps,
-            leg.requests,
-            leg.errors,
-            cell(leg.p50_ms),
-            cell(leg.p99_ms)
-        );
-    }
-    if let Some(speedup) = summary.read_speedup {
-        println!("read throughput ×{speedup:.2} with followers");
-    }
-    let attrs: Attrs = summary.attrs();
-    save_bench_report("bench-replica", &attrs, &out)?;
     println!("bench report written to {}", out.display());
     Ok(attrs)
 }

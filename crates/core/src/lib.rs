@@ -18,23 +18,19 @@
 //!   SVM → F1-vs-threshold curves.
 //! * [`influencers`] — the "identification of the significant
 //!   influencers" application from the introduction.
-//! * [`loadgen`] / [`hotpath`] — the performance harnesses behind
-//!   `viralcast loadgen` and `viralcast bench-hotpath`: closed-loop HTTP
-//!   load against a live daemon, and a microbenchmark of the hazard
-//!   candidate scan. Both write machine-readable `BENCH_*.json` reports.
-//! * [`backends`] — the `viralcast bench-backends` head-to-head: every
-//!   registered `CascadeModel` backend fit on the same synthetic corpus,
-//!   scored on held-out next-adopter accuracy and candidate-scan cost
-//!   (`BENCH_backends.json`).
+//! * [`loadgen`] — the remote driver behind `viralcast loadgen`:
+//!   closed-loop (or open-loop flash-crowd) HTTP load against a running
+//!   daemon or router named by `--addr` (`BENCH_http.json`).
 //! * [`chaos`] — the kill-loop resilience harness behind
 //!   `viralcast chaos`: repeated SIGKILL/restart of a child daemon under
 //!   load, with a final on-disk replay asserting zero acked-event loss
 //!   (`BENCH_chaos.json`).
-//! * [`replica_bench`] — the `viralcast bench-replica` read-scaling
-//!   comparison: the same sharded cluster driven with and without
-//!   followers, reporting read throughput per topology
-//!   (`BENCH_replica.json`).
+//! * [`cli`] — the lenient `--flag value` parser the examples and the
+//!   figure harnesses share.
 //! * [`prelude`] — one-line imports for the common types.
+//!
+//! Performance is measured by the standalone `benchmark/` package
+//! (viralbench), not from inside this crate.
 //!
 //! # Quickstart
 //!
@@ -63,15 +59,13 @@
 
 #![warn(missing_docs)]
 
-pub mod backends;
 pub mod chaos;
+pub mod cli;
 pub mod experiment;
-pub mod hotpath;
 pub mod influencers;
 pub mod loadgen;
 pub mod pipeline;
 pub mod prelude;
-pub mod replica_bench;
 
 pub use experiment::{SbmExperiment, SbmExperimentConfig};
 pub use influencers::{top_influencers, topic_influencers, InfluencerRank};

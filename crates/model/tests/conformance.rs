@@ -2,7 +2,9 @@
 //! contracts the serving stack leans on — non-negative finite hazards,
 //! deterministic rankings under the shared (score desc, node asc)
 //! comparator, shard rankings that tile the full ranking, and a
-//! checkpoint codec that round-trips through the registry.
+//! checkpoint codec that round-trips through the registry. The last
+//! case is `netinf`'s ground truth: planted edges recovered from
+//! simulated cascades.
 
 use std::sync::Arc;
 use viralcast_graph::NodeId;
@@ -225,4 +227,59 @@ fn updated_models_still_round_trip_through_the_codec() {
             }
         }
     }
+}
+
+/// Ground truth for the `netinf` backend, after Gomez-Rodriguez,
+/// Leskovec & Krause: cascades simulated over a known digraph must let
+/// the greedy fit recover the planted edges. 30 nodes, each with
+/// out-edges to `u+1` and `u+7` (mod 30) at rate 1 — 60 planted edges —
+/// and, as in the paper's evaluation, an edge budget equal to the true
+/// edge count (the precision/recall break-even point).
+///
+/// Measured (100 cascades, window 2, mean size ≈ 10): 59/60 on seed 1,
+/// 60/60 on seeds 2 and 3; 56–58/60 with only 50 cascades. The 0.85
+/// floor leaves room for a different RNG stream, not for a broken fit
+/// (reversed edges score 0).
+#[test]
+fn netinf_recovers_planted_edges() {
+    use viralcast_graph::GraphBuilder;
+    use viralcast_propagation::{EdgeWeightRates, SimulationConfig, Simulator};
+
+    const N: usize = 30;
+    let mut builder = GraphBuilder::new(N);
+    for u in 0..N {
+        for step in [1, 7] {
+            builder.add_edge(NodeId::new(u), NodeId::new((u + step) % N), 1.0);
+        }
+    }
+    let graph = builder.build();
+    let window = SimulationConfig {
+        observation_window: 2.0,
+        ..SimulationConfig::default()
+    };
+    let corpus = Simulator::new(&graph, EdgeWeightRates::new(&graph, 1.0), window)
+        .simulate_corpus_parallel(100, 1);
+
+    let budget = NetInfConfig {
+        edges_per_node: graph.edge_count() / N,
+        ..NetInfConfig::default()
+    };
+    let fitted = NetInfBackend::fit(&corpus, budget);
+    let hits: usize = (0..N)
+        .map(NodeId::new)
+        .map(|u| {
+            fitted
+                .out_edges(u)
+                .iter()
+                .filter(|&&(v, _)| graph.has_edge(u, v))
+                .count()
+        })
+        .sum();
+    let precision = hits as f64 / fitted.edge_count() as f64;
+    let recall = hits as f64 / graph.edge_count() as f64;
+    assert!(
+        precision >= 0.85 && recall >= 0.85,
+        "{hits} of {} inferred edges are planted (precision {precision:.3}, recall {recall:.3})",
+        fitted.edge_count()
+    );
 }

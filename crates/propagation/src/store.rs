@@ -78,21 +78,27 @@ pub fn load(path: &Path) -> Result<CascadeSet, StoreError> {
             header.format
         )));
     }
-    let mut cascades = Vec::with_capacity(header.cascade_count);
-    for line in lines {
+    // Every line is outside input: the derived `Deserialize` fills the
+    // struct without `Cascade::new`'s checks, so each decoded cascade is
+    // rebuilt through it. `cascade_count` is not trusted for allocation;
+    // lines are numbered from 2, after the header.
+    let mut cascades = Vec::new();
+    for (number, line) in (2..).zip(lines) {
         let line = line?;
         if line.trim().is_empty() {
             continue;
         }
-        let c: Cascade = serde_json::from_str(&line)
-            .map_err(|e| StoreError::Format(format!("bad cascade: {e}")))?;
+        let decoded: Cascade = serde_json::from_str(&line)
+            .map_err(|e| StoreError::Format(format!("line {number}: bad cascade: {e}")))?;
+        let c = Cascade::new(decoded.infections().to_vec())
+            .map_err(|e| StoreError::Format(format!("line {number}: {e}")))?;
         if c.infections()
             .iter()
             .any(|i| i.node.index() >= header.node_count)
         {
-            return Err(StoreError::Format(
-                "cascade references node outside the declared universe".into(),
-            ));
+            return Err(StoreError::Format(format!(
+                "line {number}: cascade references node outside the declared universe"
+            )));
         }
         cascades.push(c);
     }

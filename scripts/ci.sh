@@ -178,16 +178,14 @@ smoke_chaos() {
 
 # Backend abstraction smoke: boot the released daemon with the NETINF
 # greedy backend fit from a tiny corpus, require /healthz and /metrics
-# to report the backend id, hit all four /v1 endpoints, then run
-# bench-backends and assert BENCH_backends.json scores both registered
-# backends.
+# to report the backend id, hit all four /v1 endpoints, and exit
+# cleanly on SIGINT.
 smoke_backends() {
-    local tmp corpus log pid port reply bench
+    local tmp corpus log pid port reply
     tmp="$(mktemp -d)"
     trap 'rm -rf "$tmp"' RETURN
     corpus="$tmp/corpus.jsonl"
     log="$tmp/serve.log"
-    bench="$tmp/BENCH_backends.json"
     write_corpus_fixture "$corpus"
 
     target/release/viralcast serve --backend netinf --corpus "$corpus" \
@@ -252,35 +250,7 @@ smoke_backends() {
     kill -INT "$pid"
     wait "$pid" # a clean shutdown exits 0; set -e fails the sweep otherwise
 
-    if ! target/release/viralcast bench-backends --nodes 60 --cascades 40 \
-        --topics 2 --top 5 --scan-iterations 4 --seed 7 --out "$bench"; then
-        echo "bench-backends failed" >&2
-        return 1
-    fi
-    if [ ! -s "$bench" ]; then
-        echo "bench-backends produced no $bench" >&2
-        return 1
-    fi
-    # Parse strictly when a JSON parser is around; schema-grep otherwise.
-    if command -v python3 >/dev/null 2>&1; then
-        python3 -m json.tool "$bench" >/dev/null
-    fi
-    if ! grep -q '"schema": *"viralcast-run-report/v1"' "$bench"; then
-        echo "BENCH_backends.json is missing the run-report schema" >&2
-        cat "$bench" >&2
-        return 1
-    fi
-    if ! grep -q '"backend": *"embed"' "$bench"; then
-        echo "BENCH_backends.json is missing the embed backend" >&2
-        cat "$bench" >&2
-        return 1
-    fi
-    if ! grep -q '"backend": *"netinf"' "$bench"; then
-        echo "BENCH_backends.json is missing the netinf backend" >&2
-        cat "$bench" >&2
-        return 1
-    fi
-    echo "backends smoke test OK (netinf serve on port $port, both backends benched)"
+    echo "backends smoke test OK (netinf serve on port $port)"
 }
 
 # Perf harness smoke: boot the daemon with an access log, run a short
@@ -527,13 +497,27 @@ smoke_replica() {
     echo "replica smoke test OK (leader port $lport, follower port $fport survived the kill)"
 }
 
-# Builds and unit-tests benchmark/ as is against the workspace sources.
-# cargo must stand inside benchmark/, whose own .cargo/config.toml and
-# Cargo.lock apply there.
+# Builds and unit-tests benchmark/ as is against the workspace sources,
+# then performs one short traced run so the one yardstick is known to
+# run against them, not only to compile. cargo must stand inside
+# benchmark/, whose own .cargo/config.toml and Cargo.lock apply there.
 bench_contract() {
     (cd benchmark && cargo build --release --offline && cargo test --release --offline)
+    bash benchmark/run.sh --workload read_scan --seed 1 --seconds 2 --trace 1
 }
 
+# viralbench replaced the three in-crate synthetic benches; fail if a
+# subcommand, report name or module of theirs comes back. The bracket
+# in each alternative keeps this script from matching itself.
+one_yardstick() {
+    if grep -rnE 'bench-[h]otpath|bench-[b]ackends|bench-[r]eplica|BENCH_[h]otpath|BENCH_[b]ackends|BENCH_[r]eplica|replica_[b]ench|hotpath:[:]' \
+        crates/ src/ scripts/ README.md DESIGN.md; then
+        echo "an in-crate bench reappeared; measure with benchmark/ (viralbench) instead" >&2
+        return 1
+    fi
+}
+
+run one_yardstick
 run cargo fmt --all --check
 run cargo clippy --workspace --all-targets -- -D warnings
 if [ "$build" -eq 1 ]; then
