@@ -1,15 +1,17 @@
 //! Streaming top-k merge of shard-local rankings.
 //!
 //! Every shard returns its candidates already sorted by the serve
-//! layer's exact comparator — score descending, node id ascending — so
-//! the router only ever inspects the head of each list: a k-way
-//! streaming merge that stops after `k` picks instead of concatenating
-//! and re-sorting whole responses. Because row blocks are disjoint, the
+//! layer's exact comparator ([`rank_order`]: score descending, node id
+//! ascending, non-finite scores in IEEE total order) — so the router
+//! only ever inspects the head of each list: a k-way streaming merge
+//! that stops after `k` picks instead of concatenating and re-sorting
+//! whole responses. Because row blocks are disjoint, the
 //! merged prefix is *exactly* the single-box ranking; duplicate node
 //! ids (possible only with an inconsistent manifest) are deduplicated
 //! keeping the best-ranked entry so a misconfiguration degrades instead
 //! of double-reporting.
 
+use viralcast_model::rank_order;
 use viralcast_obs::JsonValue;
 
 /// One ranked entry as a shard reported it. `body` is the shard's
@@ -36,17 +38,9 @@ impl Ranked {
     }
 }
 
-/// The serve layer's ranking order: score descending, node ascending.
-/// NaN scores sort last (the serve layer never emits them, but a merge
-/// must not panic on a hostile shard).
+/// Whether `a` ranks strictly before `b` under the serve layer's order.
 fn ranks_before(a: &Ranked, b: &Ranked) -> bool {
-    match b.score.partial_cmp(&a.score) {
-        Some(std::cmp::Ordering::Less) => true,
-        Some(std::cmp::Ordering::Greater) => false,
-        Some(std::cmp::Ordering::Equal) => a.node < b.node,
-        // NaN on either side: a wins iff its own score is a number.
-        None => !a.score.is_nan(),
-    }
+    rank_order(&(a.node, a.score), &(b.node, b.score)).is_lt()
 }
 
 /// Merges per-shard rankings (each sorted by score desc, node asc) into
@@ -87,9 +81,11 @@ fn list_head<'a>(lists: &'a [Vec<Ranked>], heads: &[usize], i: usize) -> &'a Ran
 #[cfg(test)]
 mod tests {
     use super::*;
+    use viralcast_graph::NodeId;
+    use viralcast_model::sort_and_truncate;
 
     /// xorshift64* — a tiny deterministic generator for the property
-    /// tests (proptest is unavailable to the offline build).
+    /// test (this crate has no `rand` dependency).
     struct Rng(u64);
     impl Rng {
         fn new(seed: u64) -> Rng {
@@ -108,17 +104,10 @@ mod tests {
         }
     }
 
-    fn sort_ranking(entries: &mut [Ranked]) {
-        entries.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap()
-                .then(a.node.cmp(&b.node))
-        });
-    }
-
     /// Property: splitting a ranking across disjoint shards and merging
-    /// the per-shard rankings reproduces the single-box top-k exactly.
+    /// the per-shard rankings reproduces the single-box top-k exactly —
+    /// `sort_and_truncate` over the concatenation — with ties, NaN and
+    /// ±∞ among the scores.
     #[test]
     fn merging_disjoint_shards_equals_the_single_box_ranking() {
         for seed in 1..=50u64 {
@@ -126,23 +115,45 @@ mod tests {
             let nodes = 1 + (rng.next() % 40) as usize;
             let shards = 1 + (rng.next() % 5) as usize;
             let k = (rng.next() % 12) as usize;
-            // A random score per node, including ties (quantised).
-            let mut all: Vec<Ranked> = (0..nodes as u64)
-                .map(|v| Ranked::bare(v, (rng.f64() * 4.0).floor() / 4.0))
+            // A random score per node: mostly quantised (so ties occur),
+            // one in five non-finite.
+            let all: Vec<(NodeId, f64)> = (0..nodes as u32)
+                .map(|v| {
+                    let score = match rng.next() % 15 {
+                        0 => f64::NAN,
+                        1 => f64::INFINITY,
+                        2 => f64::NEG_INFINITY,
+                        _ => (rng.f64() * 4.0).floor() / 4.0,
+                    };
+                    (NodeId(v), score)
+                })
                 .collect();
             // Disjoint split: node v on shard v % shards (any disjoint
-            // assignment works; this one is easy to reason about).
-            let mut per_shard: Vec<Vec<Ranked>> = vec![Vec::new(); shards];
-            for entry in &all {
-                per_shard[(entry.node % shards as u64) as usize].push(entry.clone());
-            }
-            for list in &mut per_shard {
-                sort_ranking(list);
-            }
-            sort_ranking(&mut all);
-            all.truncate(k);
-            let merged = merge_topk(&per_shard, k);
-            assert_eq!(merged, all, "seed {seed}: shards {shards}, k {k}");
+            // assignment works; this one is easy to reason about), each
+            // shard ranking its own rows as a daemon would.
+            let per_shard: Vec<Vec<Ranked>> = (0..shards)
+                .map(|shard| {
+                    let owned = all
+                        .iter()
+                        .filter(|(v, _)| v.index() % shards == shard)
+                        .copied()
+                        .collect();
+                    sort_and_truncate(owned, nodes)
+                        .into_iter()
+                        .map(|(v, score)| Ranked::bare(u64::from(v.0), score))
+                        .collect()
+                })
+                .collect();
+            // NaN != NaN, so compare scores by bit pattern.
+            let merged: Vec<(u64, u64)> = merge_topk(&per_shard, k)
+                .iter()
+                .map(|r| (r.node, r.score.to_bits()))
+                .collect();
+            let single_box: Vec<(u64, u64)> = sort_and_truncate(all, k)
+                .iter()
+                .map(|(v, score)| (u64::from(v.0), score.to_bits()))
+                .collect();
+            assert_eq!(merged, single_box, "seed {seed}: shards {shards}, k {k}");
         }
     }
 

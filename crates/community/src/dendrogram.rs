@@ -197,42 +197,24 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::jaccard::CondensedMatrix;
+    use crate::ward::proptests::random_matrix;
     use crate::ward::ward_linkage;
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
-    fn random_dendrogram() -> impl Strategy<Value = Dendrogram> {
-        (2usize..12).prop_flat_map(|n| {
-            prop::collection::vec(0.1f64..10.0, n * (n - 1) / 2).prop_map(move |vals| {
-                let mut m = CondensedMatrix::zeros(n);
-                let mut it = vals.into_iter();
-                for i in 0..n {
-                    for j in (i + 1)..n {
-                        m.set(i, j, it.next().unwrap());
-                    }
-                }
-                Dendrogram::new(n, ward_linkage(&m))
-            })
-        })
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        /// cut_k yields exactly k clusters, and coarser cuts merge finer
-        /// ones (nesting property of hierarchical clusterings).
-        #[test]
-        fn cuts_nest(d in random_dendrogram()) {
+    /// cut_k yields exactly k clusters, and coarser cuts merge finer
+    /// ones (nesting property of hierarchical clusterings).
+    #[test]
+    fn cuts_nest() {
+        for case in 0..48 {
+            let m = random_matrix(&mut StdRng::seed_from_u64(case));
+            let d = Dendrogram::new(m.len(), ward_linkage(&m));
             let n = d.leaf_count();
             for k in 1..=n {
-                let labels = d.cut_k(k);
-                let distinct = {
-                    let mut l = labels.clone();
-                    l.sort_unstable();
-                    l.dedup();
-                    l.len()
-                };
-                prop_assert_eq!(distinct, k);
+                let mut labels = d.cut_k(k);
+                labels.sort_unstable();
+                labels.dedup();
+                assert_eq!(labels.len(), k, "case {case}: cut_k({k})");
             }
             for k in 1..n {
                 let coarse = d.cut_k(k);
@@ -241,7 +223,12 @@ mod proptests {
                 for i in 0..n {
                     for j in 0..n {
                         if fine[i] == fine[j] {
-                            prop_assert_eq!(coarse[i], coarse[j]);
+                            assert_eq!(
+                                coarse[i],
+                                coarse[j],
+                                "case {case}: leaves {i}, {j} split going from {} to {k} clusters",
+                                k + 1
+                            );
                         }
                     }
                 }

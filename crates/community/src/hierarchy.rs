@@ -342,48 +342,66 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        /// For any base partition and either balance mode: every level's
-        /// ranges tile the node positions, each level refines the next,
-        /// and the top level has one group.
-        #[test]
-        fn hierarchy_laws(
-            raw in prop::collection::vec(0usize..7, 1..60),
-            balanced in prop::bool::ANY,
-        ) {
+    /// For any base partition and either balance mode: every level's
+    /// ranges tile the node positions, each level refines the next,
+    /// and the top level has one group.
+    #[test]
+    fn hierarchy_laws() {
+        for case in 0..48 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let raw: Vec<usize> = (0..rng.gen_range(1..60usize))
+                .map(|_| rng.gen_range(0usize..7))
+                .collect();
+            let mode = if rng.gen_bool(0.5) {
+                Balance::NodeCount
+            } else {
+                Balance::LeafCount
+            };
             let base = Partition::from_membership(&raw);
-            let mode = if balanced { Balance::NodeCount } else { Balance::LeafCount };
             let h = MergeHierarchy::build(base.clone(), mode);
-            prop_assert!(h.level_count() >= 1);
+            assert!(h.level_count() >= 1, "case {case}");
             for level in 0..h.level_count() {
                 let ranges = h.node_ranges(level);
                 let total: usize = ranges.iter().map(|r| r.len()).sum();
-                prop_assert_eq!(total, raw.len());
+                assert_eq!(total, raw.len(), "case {case}: level {level}");
                 for w in ranges.windows(2) {
-                    prop_assert_eq!(w[0].end, w[1].start);
+                    assert_eq!(w[0].end, w[1].start, "case {case}: level {level}");
                 }
             }
             for l in 0..h.level_count() - 1 {
-                prop_assert!(h.partition_at(l + 1).is_refined_by(&h.partition_at(l)));
+                assert!(
+                    h.partition_at(l + 1).is_refined_by(&h.partition_at(l)),
+                    "case {case}: level {l} does not refine level {}",
+                    l + 1
+                );
             }
             let top = h.partition_at(h.level_count() - 1);
-            prop_assert_eq!(top.community_count(), 1);
+            assert_eq!(top.community_count(), 1, "case {case}");
             // Level 0 equals the base partition up to label permutation.
             let l0 = h.partition_at(0);
-            prop_assert!(l0.is_refined_by(&base) && base.is_refined_by(&l0));
+            assert!(
+                l0.is_refined_by(&base) && base.is_refined_by(&l0),
+                "case {case}: level 0 is not the base partition"
+            );
         }
+    }
 
-        /// Group counts halve (rounding up) at each level.
-        #[test]
-        fn group_counts_halve(k in 1usize..40) {
+    /// Group counts halve (rounding up) at each level.
+    #[test]
+    fn group_counts_halve() {
+        for case in 0..48 {
+            let k = StdRng::seed_from_u64(case).gen_range(1usize..40);
             let raw: Vec<usize> = (0..k).collect();
             let h = MergeHierarchy::build(Partition::from_membership(&raw), Balance::LeafCount);
             for l in 0..h.level_count() - 1 {
-                prop_assert_eq!(h.group_count(l + 1), h.group_count(l).div_ceil(2));
+                assert_eq!(
+                    h.group_count(l + 1),
+                    h.group_count(l).div_ceil(2),
+                    "case {case}: {k} groups, level {l}"
+                );
             }
         }
     }

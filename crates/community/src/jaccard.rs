@@ -196,31 +196,51 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
 
-    fn sorted_set() -> impl Strategy<Value = Vec<NodeId>> {
-        prop::collection::btree_set(0u32..30, 0..15)
-            .prop_map(|s| s.into_iter().map(NodeId).collect())
+    /// A sorted set of 0–14 distinct nodes below 30.
+    fn sorted_set(rng: &mut StdRng) -> Vec<NodeId> {
+        let size = rng.gen_range(0..15usize);
+        let mut set = BTreeSet::new();
+        while set.len() < size {
+            set.insert(rng.gen_range(0u32..30));
+        }
+        set.into_iter().map(NodeId).collect()
     }
 
-    proptest! {
-        /// Jaccard is symmetric and bounded in [0, 1].
-        #[test]
-        fn symmetric_and_bounded(a in sorted_set(), b in sorted_set()) {
+    /// Jaccard is symmetric and bounded in [0, 1].
+    #[test]
+    fn symmetric_and_bounded() {
+        for case in 0..256 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let (a, b) = (sorted_set(&mut rng), sorted_set(&mut rng));
             let ab = jaccard_index(&a, &b);
             let ba = jaccard_index(&b, &a);
-            prop_assert!((ab - ba).abs() < 1e-15);
-            prop_assert!((0.0..=1.0).contains(&ab));
+            assert!((ab - ba).abs() < 1e-15, "case {case}: {ab} vs {ba}");
+            assert!((0.0..=1.0).contains(&ab), "case {case}: {ab}");
         }
+    }
 
-        /// Jaccard distance satisfies the triangle inequality (it is a
-        /// proper metric on finite sets).
-        #[test]
-        fn triangle_inequality(a in sorted_set(), b in sorted_set(), c in sorted_set()) {
+    /// Jaccard distance satisfies the triangle inequality (it is a
+    /// proper metric on finite sets).
+    #[test]
+    fn triangle_inequality() {
+        for case in 0..256 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let (a, b, c) = (
+                sorted_set(&mut rng),
+                sorted_set(&mut rng),
+                sorted_set(&mut rng),
+            );
             let dab = jaccard_distance(&a, &b);
             let dbc = jaccard_distance(&b, &c);
             let dac = jaccard_distance(&a, &c);
-            prop_assert!(dac <= dab + dbc + 1e-12);
+            assert!(
+                dac <= dab + dbc + 1e-12,
+                "case {case}: {dac} > {dab} + {dbc}"
+            );
         }
     }
 }

@@ -168,44 +168,46 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use viralcast_graph::GraphBuilder;
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        /// NMI is symmetric and bounded.
-        #[test]
-        fn nmi_symmetric_bounded(
-            ra in prop::collection::vec(0usize..5, 1..40),
-        ) {
+    /// NMI is symmetric and bounded.
+    #[test]
+    fn nmi_symmetric_bounded() {
+        for case in 0..48 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let ra: Vec<usize> = (0..rng.gen_range(1..40usize))
+                .map(|_| rng.gen_range(0usize..5))
+                .collect();
             // Derive b from a by regrouping to keep lengths equal.
             let rb: Vec<usize> = ra.iter().map(|&x| x / 2).collect();
             let a = Partition::from_membership(&ra);
             let b = Partition::from_membership(&rb);
             let ab = nmi(&a, &b);
             let ba = nmi(&b, &a);
-            prop_assert!((ab - ba).abs() < 1e-9);
-            prop_assert!((0.0..=1.0).contains(&ab));
+            assert!((ab - ba).abs() < 1e-9, "case {case}: {ab} vs {ba}");
+            assert!((0.0..=1.0).contains(&ab), "case {case}: {ab}");
         }
+    }
 
-        /// Modularity is bounded above by 1.
-        #[test]
-        fn modularity_bounded(
-            edges in prop::collection::vec((0u32..8, 0u32..8, 0.1f64..3.0), 1..30),
-            raw in prop::collection::vec(0usize..4, 8),
-        ) {
+    /// Modularity is bounded above by 1.
+    #[test]
+    fn modularity_bounded() {
+        for case in 0..48 {
+            let mut rng = StdRng::seed_from_u64(case);
             let mut b = GraphBuilder::new(8);
-            for &(u, v, w) in &edges {
+            for _ in 0..rng.gen_range(1..30usize) {
+                let (u, v) = (rng.gen_range(0u32..8), rng.gen_range(0u32..8));
+                let w = rng.gen_range(0.1f64..3.0);
                 if u != v {
                     b.add_undirected_edge(NodeId(u), NodeId(v), w);
                 }
             }
             let g = b.build();
-            let p = Partition::from_membership(&raw);
-            let q = modularity(&g, &p);
-            prop_assert!(q <= 1.0 + 1e-9);
-            prop_assert!(q >= -1.0 - 1e-9);
+            let raw: Vec<usize> = (0..8).map(|_| rng.gen_range(0usize..4)).collect();
+            let q = modularity(&g, &Partition::from_membership(&raw));
+            assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&q), "case {case}: {q}");
         }
     }
 }

@@ -209,41 +209,62 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
-    proptest! {
-        /// Compaction is idempotent and preserves co-membership.
-        #[test]
-        fn compaction_preserves_structure(raw in prop::collection::vec(0usize..10, 0..50)) {
+    /// `len` labels below `labels`, with `len` drawn from `lens`.
+    fn membership(rng: &mut StdRng, labels: usize, lens: std::ops::Range<usize>) -> Vec<usize> {
+        (0..rng.gen_range(lens))
+            .map(|_| rng.gen_range(0..labels))
+            .collect()
+    }
+
+    /// Compaction is idempotent and preserves co-membership.
+    #[test]
+    fn compaction_preserves_structure() {
+        for case in 0..256 {
+            let raw = membership(&mut StdRng::seed_from_u64(case), 10, 0..50);
             let p = Partition::from_membership(&raw);
             for i in 0..raw.len() {
                 for j in 0..raw.len() {
-                    prop_assert_eq!(
+                    assert_eq!(
                         raw[i] == raw[j],
-                        p.membership()[i] == p.membership()[j]
+                        p.membership()[i] == p.membership()[j],
+                        "case {case}: nodes {i}, {j}"
                     );
                 }
             }
             let q = Partition::from_membership(p.membership());
-            prop_assert_eq!(p.membership(), q.membership());
+            assert_eq!(p.membership(), q.membership(), "case {case}");
         }
+    }
 
-        /// Sizes sum to the node count and every community is non-empty.
-        #[test]
-        fn sizes_partition_nodes(raw in prop::collection::vec(0usize..8, 1..60)) {
+    /// Sizes sum to the node count and every community is non-empty.
+    #[test]
+    fn sizes_partition_nodes() {
+        for case in 0..256 {
+            let raw = membership(&mut StdRng::seed_from_u64(case), 8, 1..60);
             let p = Partition::from_membership(&raw);
             let sizes = p.sizes();
-            prop_assert_eq!(sizes.iter().sum::<usize>(), raw.len());
-            prop_assert!(sizes.iter().all(|&s| s > 0));
+            assert_eq!(sizes.iter().sum::<usize>(), raw.len(), "case {case}");
+            assert!(sizes.iter().all(|&s| s > 0), "case {case}: {sizes:?}");
         }
+    }
 
-        /// Coarsening always yields a partition refined by the original.
-        #[test]
-        fn coarsen_refinement(raw in prop::collection::vec(0usize..6, 1..40), merge_mod in 1usize..4) {
+    /// Coarsening always yields a partition refined by the original.
+    #[test]
+    fn coarsen_refinement() {
+        for case in 0..256 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let raw = membership(&mut rng, 6, 1..40);
+            let merge_mod = rng.gen_range(1usize..4);
             let p = Partition::from_membership(&raw);
             let groups: Vec<usize> = (0..p.community_count()).map(|c| c % merge_mod).collect();
             let coarse = p.coarsen(&groups);
-            prop_assert!(coarse.is_refined_by(&p));
+            assert!(
+                coarse.is_refined_by(&p),
+                "case {case}: merge_mod {merge_mod}"
+            );
         }
     }
 }

@@ -317,46 +317,56 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+pub(crate) mod proptests {
     use super::*;
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
-    fn random_matrix() -> impl Strategy<Value = CondensedMatrix> {
-        (2usize..12).prop_flat_map(|n| {
-            prop::collection::vec(0.1f64..10.0, n * (n - 1) / 2).prop_map(move |vals| {
-                let mut m = CondensedMatrix::zeros(n);
-                let mut it = vals.into_iter();
-                for i in 0..n {
-                    for j in (i + 1)..n {
-                        m.set(i, j, it.next().unwrap());
-                    }
-                }
-                m
-            })
-        })
+    /// Distances in [0.1, 10) between 2–11 points.
+    pub(crate) fn random_matrix(rng: &mut StdRng) -> CondensedMatrix {
+        let n = rng.gen_range(2usize..12);
+        let mut m = CondensedMatrix::zeros(n);
+        for i in 0..n {
+            for j in (i + 1)..n {
+                m.set(i, j, rng.gen_range(0.1f64..10.0));
+            }
+        }
+        m
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        /// Structural laws of any linkage output: n−1 merges, each
-        /// cluster used at most once as a child, final size n, heights
-        /// monotone.
-        #[test]
-        fn linkage_laws(m in random_matrix()) {
+    /// Structural laws of any linkage output: n−1 merges, each
+    /// cluster used at most once as a child, final size n, heights
+    /// monotone.
+    #[test]
+    fn linkage_laws() {
+        for case in 0..48 {
+            let m = random_matrix(&mut StdRng::seed_from_u64(case));
             let n = m.len();
             let merges = ward_linkage(&m);
-            prop_assert_eq!(merges.len(), n - 1);
+            assert_eq!(merges.len(), n - 1, "case {case}");
             let mut used = vec![false; 2 * n - 1];
             for mg in &merges {
-                prop_assert!(!used[mg.left], "cluster used twice");
-                prop_assert!(!used[mg.right], "cluster used twice");
+                assert!(
+                    !used[mg.left],
+                    "case {case}: cluster {} used twice",
+                    mg.left
+                );
+                assert!(
+                    !used[mg.right],
+                    "case {case}: cluster {} used twice",
+                    mg.right
+                );
                 used[mg.left] = true;
                 used[mg.right] = true;
             }
-            prop_assert_eq!(merges.last().unwrap().size, n);
+            assert_eq!(merges.last().unwrap().size, n, "case {case}");
             for w in merges.windows(2) {
-                prop_assert!(w[1].distance >= w[0].distance - 1e-9);
+                assert!(
+                    w[1].distance >= w[0].distance - 1e-9,
+                    "case {case}: height drops from {} to {}",
+                    w[0].distance,
+                    w[1].distance
+                );
             }
         }
     }

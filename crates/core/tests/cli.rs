@@ -4,9 +4,35 @@
 
 use std::path::PathBuf;
 use std::process::Command;
+use viralcast::obs::json::{as_arr, as_u64, get, parse};
+use viralcast::obs::JsonValue;
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_viralcast"))
+}
+
+/// The string under `key` of a run-report object.
+fn text_of<'a>(v: &'a JsonValue, key: &str) -> &'a str {
+    match get(v, key) {
+        Some(JsonValue::Str(s)) => s,
+        other => panic!("{key} is {other:?}"),
+    }
+}
+
+/// The child spans of a timing-tree node.
+fn children(span: &JsonValue) -> &[JsonValue] {
+    as_arr(get(span, "children").unwrap()).unwrap()
+}
+
+fn child_names(span: &JsonValue) -> Vec<&str> {
+    children(span).iter().map(|c| text_of(c, "name")).collect()
+}
+
+fn child<'a>(span: &'a JsonValue, name: &str) -> &'a JsonValue {
+    children(span)
+        .iter()
+        .find(|c| text_of(c, "name") == name)
+        .unwrap_or_else(|| panic!("no span {name:?} among {:?}", child_names(span)))
 }
 
 fn temp(name: &str) -> PathBuf {
@@ -210,69 +236,42 @@ fn infer_writes_run_report_and_trace() {
 
     // The run report is valid JSON with the nested stage-timing tree.
     let text = std::fs::read_to_string(&metrics).unwrap();
-    let report: serde_json::Value = serde_json::from_str(&text).unwrap();
-    assert_eq!(report["schema"], "viralcast-run-report/v1");
-    assert_eq!(report["command"], "infer");
-    let timings = &report["timings"];
-    assert_eq!(timings["name"], "viralcast");
-    let top: Vec<&str> = timings["children"]
-        .as_array()
-        .unwrap()
-        .iter()
-        .map(|c| c["name"].as_str().unwrap())
-        .collect();
-    assert!(top.contains(&"infer"), "top-level spans: {top:?}");
-    let infer = timings["children"]
-        .as_array()
-        .unwrap()
-        .iter()
-        .find(|c| c["name"] == "infer")
-        .unwrap();
-    let stages: Vec<&str> = infer["children"]
-        .as_array()
-        .unwrap()
-        .iter()
-        .map(|c| c["name"].as_str().unwrap())
-        .collect();
+    let report = parse(&text).unwrap();
+    assert_eq!(text_of(&report, "schema"), "viralcast-run-report/v1");
+    assert_eq!(text_of(&report, "command"), "infer");
+    let timings = get(&report, "timings").unwrap();
+    assert_eq!(text_of(timings, "name"), "viralcast");
+    let infer = child(timings, "infer");
+    let stages = child_names(infer);
     for stage in ["cooccurrence", "slpa", "hierarchical"] {
         assert!(stages.contains(&stage), "stages: {stages:?}");
     }
-    let hierarchical = infer["children"]
-        .as_array()
-        .unwrap()
-        .iter()
-        .find(|c| c["name"] == "hierarchical")
-        .unwrap();
-    let level0 = &hierarchical["children"].as_array().unwrap()[0];
-    assert!(level0["name"].as_str().unwrap().starts_with("level."));
-    let phases: Vec<&str> = level0["children"]
-        .as_array()
-        .unwrap()
-        .iter()
-        .map(|c| c["name"].as_str().unwrap())
-        .collect();
-    assert!(phases.contains(&"split"), "phases: {phases:?}");
-    assert!(phases.contains(&"optimize"), "phases: {phases:?}");
+    let level0 = &children(child(infer, "hierarchical"))[0];
+    assert!(text_of(level0, "name").starts_with("level."));
+    let phases = child_names(level0);
+    for phase in ["split", "optimize"] {
+        assert!(phases.contains(&phase), "phases: {phases:?}");
+    }
 
     // Metric counters and the per-epoch objective trajectory made it in.
-    assert!(
-        report["metrics"]["counters"]["pgd.epochs"]
-            .as_u64()
-            .unwrap()
-            > 0
-    );
-    let levels = report["levels"].as_array().unwrap();
+    let counters = get(get(&report, "metrics").unwrap(), "counters").unwrap();
+    assert!(as_u64(get(counters, "pgd.epochs").unwrap()).unwrap() > 0);
+    let levels = as_arr(get(&report, "levels").unwrap()).unwrap();
     assert!(!levels.is_empty());
-    let trajectory = levels[0]["ll_trajectory"].as_array().unwrap();
+    let trajectory = as_arr(get(&levels[0], "ll_trajectory").unwrap()).unwrap();
     assert!(!trajectory.is_empty(), "empty objective trajectory");
 
     // Every trace line is a standalone JSON event.
     let trace_text = std::fs::read_to_string(&trace).unwrap();
     assert!(trace_text.lines().count() > 0);
     for line in trace_text.lines() {
-        let event: serde_json::Value = serde_json::from_str(line).unwrap();
-        assert!(event["stage"].is_string(), "bad event: {line}");
-        assert!(event["level"].is_string(), "bad event: {line}");
+        let event = parse(line).unwrap();
+        for key in ["stage", "level"] {
+            assert!(
+                matches!(get(&event, key), Some(JsonValue::Str(_))),
+                "bad event: {line}"
+            );
+        }
     }
 
     for p in [corpus, embeddings, metrics, trace] {

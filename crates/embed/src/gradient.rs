@@ -309,49 +309,49 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
-    fn instance() -> impl Strategy<Value = (Vec<f64>, Vec<f64>, IndexedCascade, usize)> {
-        (1usize..4, 2usize..7).prop_flat_map(|(k, s)| {
-            let n = 8usize;
-            (
-                prop::collection::vec(0.05f64..2.0, n * k),
-                prop::collection::vec(0.05f64..2.0, n * k),
-                prop::collection::vec(0.05f64..2.0, s),
-                Just(k),
-            )
-                .prop_map(move |(a, b, gaps, k)| {
-                    let rows: Vec<u32> = (0..gaps.len() as u32).collect();
-                    let mut t = 0.0;
-                    let times = gaps
-                        .iter()
-                        .map(|g| {
-                            t += g;
-                            t
-                        })
-                        .collect();
-                    (a, b, IndexedCascade { rows, times }, k)
-                })
-        })
+    /// `(A, B, cascade, K)`: 8 nodes, K in 1–3, entries in [0.05, 2),
+    /// and a cascade over rows 0..s (s in 2–6) with gaps in [0.05, 2).
+    fn instance(rng: &mut StdRng) -> (Vec<f64>, Vec<f64>, IndexedCascade, usize) {
+        let k = rng.gen_range(1usize..4);
+        let s = rng.gen_range(2usize..7);
+        let a = (0..8 * k).map(|_| rng.gen_range(0.05f64..2.0)).collect();
+        let b = (0..8 * k).map(|_| rng.gen_range(0.05f64..2.0)).collect();
+        let mut t = 0.0;
+        let times = (0..s)
+            .map(|_| {
+                t += rng.gen_range(0.05f64..2.0);
+                t
+            })
+            .collect();
+        let rows = (0..s as u32).collect();
+        (a, b, IndexedCascade { rows, times }, k)
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        /// The linear-time sweep agrees with the quadratic reference on
-        /// random instances.
-        #[test]
-        fn sweep_equals_naive((a, b, c, k) in instance()) {
+    /// The linear-time sweep agrees with the quadratic reference on
+    /// random instances.
+    #[test]
+    fn sweep_equals_naive() {
+        for case in 0..48 {
+            let (a, b, c, k) = instance(&mut StdRng::seed_from_u64(case));
             let mut ga = vec![0.0; a.len()];
             let mut gb = vec![0.0; b.len()];
             let mut scratch = GradScratch::new(k);
             accumulate_gradients(&c, &a, &b, k, &mut ga, &mut gb, &mut scratch);
             let (na, nb) = gradients_naive(&c, &a, &b, k);
-            for (x, y) in ga.iter().zip(&na) {
-                prop_assert!((x - y).abs() < 1e-7 * (1.0 + y.abs()));
+            for (i, (x, y)) in ga.iter().zip(&na).enumerate() {
+                assert!(
+                    (x - y).abs() < 1e-7 * (1.0 + y.abs()),
+                    "case {case}: dA[{i}] sweep {x} vs naive {y}"
+                );
             }
-            for (x, y) in gb.iter().zip(&nb) {
-                prop_assert!((x - y).abs() < 1e-7 * (1.0 + y.abs()));
+            for (i, (x, y)) in gb.iter().zip(&nb).enumerate() {
+                assert!(
+                    (x - y).abs() < 1e-7 * (1.0 + y.abs()),
+                    "case {case}: dB[{i}] sweep {x} vs naive {y}"
+                );
             }
         }
     }

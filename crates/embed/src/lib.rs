@@ -24,6 +24,9 @@
 //!   matrix blocks (rayon scope).
 //! * [`hierarchical`] — Algorithm 2: the level-by-level merge schedule,
 //!   warm-starting each level from the previous one's embeddings.
+//! * [`refit`] — the pipeline options and the warm refit (communities
+//!   re-detected on the fresh batch, then [`hierarchical`] warm-started)
+//!   behind every incremental update.
 //! * [`hogwild`] — the lock-free racing-update baseline (Recht et al.)
 //!   the paper contrasts against; used by the ablation bench.
 //! * [`censoring`] — opt-in right-censoring: survival terms for nodes
@@ -42,6 +45,7 @@ pub mod likelihood;
 pub mod pairwise;
 pub mod parallel;
 pub mod pgd;
+pub mod refit;
 pub mod subcascade;
 
 pub use embedding::{EmbeddingFileError, Embeddings, EMBEDDINGS_FORMAT};
@@ -49,4 +53,5 @@ pub use hierarchical::{
     infer, infer_sequential, infer_warm, HierarchicalConfig, InferenceReport, LevelSummary,
 };
 pub use pgd::{PgdConfig, PgdReport};
+pub use refit::{detect_communities, refit, InferOptions, UpdateError};
 pub use subcascade::IndexedCascade;

@@ -219,40 +219,53 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
     use viralcast_community::{Balance, Partition};
     use viralcast_propagation::Infection;
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        /// Splitting conserves infections, modulo dropped singletons,
-        /// and all rows stay inside their block.
-        #[test]
-        fn split_conserves_infections(
-            membership in prop::collection::vec(0usize..4, 8..16),
-            infs in prop::collection::btree_map(0usize..8, 0.0f64..10.0, 2..8),
-        ) {
+    /// Splitting conserves infections, modulo dropped singletons,
+    /// and all rows stay inside their block.
+    #[test]
+    fn split_conserves_infections() {
+        for case in 0..48 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let membership: Vec<usize> = (0..rng.gen_range(8..16usize))
+                .map(|_| rng.gen_range(0usize..4))
+                .collect();
+            // 2–7 infections of distinct nodes below 8.
+            let len = rng.gen_range(2..8usize);
+            let mut infs = BTreeMap::new();
+            while infs.len() < len {
+                infs.insert(rng.gen_range(0u32..8), rng.gen_range(0.0f64..10.0));
+            }
             let n = membership.len();
-            let h = MergeHierarchy::build(
-                Partition::from_membership(&membership),
-                Balance::LeafCount,
-            );
-            let c = Cascade::new(
-                infs.iter().map(|(&u, &t)| Infection::new(u as u32, t)).collect()
-            ).unwrap();
+            let h =
+                MergeHierarchy::build(Partition::from_membership(&membership), Balance::LeafCount);
+            let c =
+                Cascade::new(infs.iter().map(|(&u, &t)| Infection::new(u, t)).collect()).unwrap();
             let set = CascadeSet::new(n, vec![c.clone()]);
             for level in 0..h.level_count() {
                 let ranges = h.node_ranges(level);
                 let groups = split_cascades(&set, &h, level);
                 let kept: usize = groups.iter().flatten().map(|sc| sc.len()).sum();
-                prop_assert!(kept <= c.len());
+                assert!(
+                    kept <= c.len(),
+                    "case {case}: level {level} grew the cascade"
+                );
                 for (g, group) in groups.iter().enumerate() {
                     for sc in group {
-                        prop_assert!(sc.len() >= 2);
+                        assert!(sc.len() >= 2, "case {case}: level {level} kept a singleton");
                         let width = ranges[g].len() as u32;
-                        prop_assert!(sc.rows.iter().all(|&r| r < width));
-                        prop_assert!(sc.times.windows(2).all(|w| w[0] <= w[1]));
+                        assert!(
+                            sc.rows.iter().all(|&r| r < width),
+                            "case {case}: level {level} group {g} row outside its block"
+                        );
+                        assert!(
+                            sc.times.windows(2).all(|w| w[0] <= w[1]),
+                            "case {case}: level {level} group {g} times decrease"
+                        );
                     }
                 }
             }
@@ -260,7 +273,7 @@ mod proptests {
             let top = h.level_count() - 1;
             let groups = split_cascades(&set, &h, top);
             let kept: usize = groups.iter().flatten().map(|sc| sc.len()).sum();
-            prop_assert_eq!(kept, c.len());
+            assert_eq!(kept, c.len(), "case {case}");
         }
     }
 }

@@ -190,42 +190,58 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
 
-    fn events() -> impl Strategy<Value = Vec<Vec<NodeId>>> {
-        prop::collection::vec(
-            prop::collection::btree_set(0u32..10, 0..6)
-                .prop_map(|s| s.into_iter().map(NodeId).collect::<Vec<_>>()),
-            0..30,
-        )
+    /// 0–29 events, each a sorted set of 0–5 distinct nodes below 10.
+    fn events(rng: &mut StdRng) -> Vec<Vec<NodeId>> {
+        (0..rng.gen_range(0..30usize))
+            .map(|_| {
+                let size = rng.gen_range(0..6usize);
+                let mut set = BTreeSet::new();
+                while set.len() < size {
+                    set.insert(rng.gen_range(0u32..10));
+                }
+                set.into_iter().map(NodeId).collect()
+            })
+            .collect()
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// Raising the threshold only removes edges.
-        #[test]
-        fn threshold_monotone(evs in events(), t in 1usize..4) {
+    /// Raising the threshold only removes edges.
+    #[test]
+    fn threshold_monotone() {
+        for case in 0..64 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let evs = events(&mut rng);
+            let t = rng.gen_range(1usize..4);
             let lo = BackboneGraph::build(10, &evs, t);
             let hi = BackboneGraph::build(10, &evs, t + 1);
             for (u, v, _) in hi.graph().edges() {
-                prop_assert!(lo.graph().has_edge(u, v));
+                assert!(
+                    lo.graph().has_edge(u, v),
+                    "case {case}: edge {u:?}->{v:?} only at threshold {}",
+                    t + 1
+                );
             }
         }
+    }
 
-        /// Components partition the covered nodes.
-        #[test]
-        fn components_are_a_partition(evs in events()) {
+    /// Components partition the covered nodes.
+    #[test]
+    fn components_are_a_partition() {
+        for case in 0..64 {
+            let evs = events(&mut StdRng::seed_from_u64(case));
             let bb = BackboneGraph::build(10, &evs, 1);
             let comps = bb.components(true);
             let mut seen = [false; 10];
             for c in &comps {
                 for &u in c {
-                    prop_assert!(!seen[u.index()], "node in two components");
+                    assert!(!seen[u.index()], "case {case}: node in two components");
                     seen[u.index()] = true;
                 }
             }
-            prop_assert!(seen.iter().all(|&s| s));
+            assert!(seen.iter().all(|&s| s), "case {case}: node in no component");
         }
     }
 }

@@ -246,51 +246,70 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
-    /// Strategy: a set of cascades over 12 nodes, each a shuffled subset.
-    fn cascades() -> impl Strategy<Value = Vec<Vec<NodeId>>> {
-        prop::collection::vec(
-            prop::collection::vec(0u32..12, 1..8).prop_map(|mut v| {
+    /// 0–24 cascades over 12 nodes, each 1–7 draws sorted and deduped.
+    fn cascades(rng: &mut StdRng) -> Vec<Vec<NodeId>> {
+        (0..rng.gen_range(0..25usize))
+            .map(|_| {
+                let mut v: Vec<u32> = (0..rng.gen_range(1..8usize))
+                    .map(|_| rng.gen_range(0u32..12))
+                    .collect();
                 v.sort_unstable();
                 v.dedup();
-                v.into_iter().map(NodeId).collect::<Vec<_>>()
-            }),
-            0..25,
-        )
+                v.into_iter().map(NodeId).collect()
+            })
+            .collect()
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// All weights lie in [0, 1] — the paper states this range
-        /// explicitly.
-        #[test]
-        fn weights_bounded(seqs in cascades()) {
+    /// All weights lie in [0, 1] — the paper states this range
+    /// explicitly.
+    #[test]
+    fn weights_bounded() {
+        for case in 0..64 {
+            let seqs = cascades(&mut StdRng::seed_from_u64(case));
             let g = CooccurrenceGraph::build(12, &seqs, CooccurrenceOptions::default());
-            for (_, _, w) in g.graph().edges() {
-                prop_assert!(w > 0.0 && w <= 1.0 + 1e-12);
+            for (u, v, w) in g.graph().edges() {
+                assert!(
+                    w > 0.0 && w <= 1.0 + 1e-12,
+                    "case {case}: weight {w} on {u:?}->{v:?}"
+                );
             }
         }
+    }
 
-        /// Node cascade counts equal direct recounts.
-        #[test]
-        fn counts_match_recount(seqs in cascades()) {
+    /// Node cascade counts equal direct recounts.
+    #[test]
+    fn counts_match_recount() {
+        for case in 0..64 {
+            let seqs = cascades(&mut StdRng::seed_from_u64(case));
             let g = CooccurrenceGraph::build(12, &seqs, CooccurrenceOptions::default());
             for u in 0..12u32 {
                 let direct = seqs.iter().filter(|s| s.contains(&NodeId(u))).count();
-                prop_assert_eq!(g.cascade_count(NodeId(u)), direct);
+                assert_eq!(g.cascade_count(NodeId(u)), direct, "case {case}: node {u}");
             }
         }
+    }
 
-        /// A window never *adds* edges relative to the unwindowed build.
-        #[test]
-        fn window_is_a_subgraph(seqs in cascades(), w in 1usize..5) {
+    /// A window never *adds* edges relative to the unwindowed build.
+    #[test]
+    fn window_is_a_subgraph() {
+        for case in 0..64 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let seqs = cascades(&mut rng);
+            let w = rng.gen_range(1usize..5);
             let full = CooccurrenceGraph::build(12, &seqs, CooccurrenceOptions::default());
-            let opts = CooccurrenceOptions { successor_window: Some(w), min_weight: 0.0 };
+            let opts = CooccurrenceOptions {
+                successor_window: Some(w),
+                min_weight: 0.0,
+            };
             let windowed = CooccurrenceGraph::build(12, &seqs, opts);
             for (u, v, _) in windowed.graph().edges() {
-                prop_assert!(full.graph().has_edge(u, v));
+                assert!(
+                    full.graph().has_edge(u, v),
+                    "case {case}: window {w} added {u:?}->{v:?}"
+                );
             }
         }
     }

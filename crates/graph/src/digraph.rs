@@ -372,16 +372,35 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use std::collections::BTreeMap;
 
-    proptest! {
-        /// Building a graph from arbitrary edges preserves the multiset of
-        /// merged (u, v) -> total weight entries.
-        #[test]
-        fn builder_preserves_merged_edge_weights(
-            edges in prop::collection::vec((0u32..20, 0u32..20, 0.1f64..10.0), 0..200)
-        ) {
+    /// Fewer than `max_len` edges over `nodes` nodes with weights drawn
+    /// from `weights`.
+    fn edges(
+        rng: &mut StdRng,
+        nodes: u32,
+        weights: std::ops::Range<f64>,
+        max_len: usize,
+    ) -> Vec<(u32, u32, f64)> {
+        (0..rng.gen_range(0..max_len))
+            .map(|_| {
+                (
+                    rng.gen_range(0..nodes),
+                    rng.gen_range(0..nodes),
+                    rng.gen_range(weights.clone()),
+                )
+            })
+            .collect()
+    }
+
+    /// Building a graph from arbitrary edges preserves the multiset of
+    /// merged (u, v) -> total weight entries.
+    #[test]
+    fn builder_preserves_merged_edge_weights() {
+        for case in 0..256 {
+            let edges = edges(&mut StdRng::seed_from_u64(case), 20, 0.1..10.0, 200);
             let mut b = GraphBuilder::new(20);
             let mut expect: BTreeMap<(u32, u32), f64> = BTreeMap::new();
             for &(u, v, w) in &edges {
@@ -389,45 +408,56 @@ mod proptests {
                 *expect.entry((u, v)).or_insert(0.0) += w;
             }
             let g = b.build();
-            prop_assert_eq!(g.edge_count(), expect.len());
+            assert_eq!(g.edge_count(), expect.len(), "case {case}");
             for (&(u, v), &w) in &expect {
                 let got = g.edge_weight(NodeId(u), NodeId(v)).unwrap();
-                prop_assert!((got - w).abs() < 1e-9);
+                assert!((got - w).abs() < 1e-9, "case {case}: {u}->{v} {got} vs {w}");
             }
         }
+    }
 
-        /// CSR rows are sorted and binary-searchable for every node.
-        #[test]
-        fn rows_sorted(
-            edges in prop::collection::vec((0u32..15, 0u32..15), 0..100)
-        ) {
+    /// CSR rows are sorted and binary-searchable for every node.
+    #[test]
+    fn rows_sorted() {
+        for case in 0..256 {
+            let mut rng = StdRng::seed_from_u64(case);
             let mut b = GraphBuilder::new(15);
-            for &(u, v) in &edges {
+            for _ in 0..rng.gen_range(0..100usize) {
+                let (u, v) = (rng.gen_range(0u32..15), rng.gen_range(0u32..15));
                 b.add_edge(NodeId(u), NodeId(v), 1.0);
             }
             let g = b.build();
             for u in g.nodes() {
                 let row = g.out_neighbors(u);
-                prop_assert!(row.windows(2).all(|w| w[0] < w[1]));
+                assert!(
+                    row.windows(2).all(|w| w[0] < w[1]),
+                    "case {case}: row {u:?} unsorted"
+                );
                 for &v in row {
-                    prop_assert!(g.has_edge(u, v));
+                    assert!(g.has_edge(u, v), "case {case}: {u:?}->{v:?}");
                 }
             }
         }
+    }
 
-        /// Transposition preserves edge count and total weight.
-        #[test]
-        fn transpose_invariants(
-            edges in prop::collection::vec((0u32..12, 0u32..12, 0.5f64..2.0), 0..80)
-        ) {
+    /// Transposition preserves edge count and total weight.
+    #[test]
+    fn transpose_invariants() {
+        for case in 0..256 {
+            let edges = edges(&mut StdRng::seed_from_u64(case), 12, 0.5..2.0, 80);
             let mut b = GraphBuilder::new(12);
             for &(u, v, w) in &edges {
                 b.add_edge(NodeId(u), NodeId(v), w);
             }
             let g = b.build();
             let t = g.transpose();
-            prop_assert_eq!(g.edge_count(), t.edge_count());
-            prop_assert!((g.total_weight() - t.total_weight()).abs() < 1e-9);
+            assert_eq!(g.edge_count(), t.edge_count(), "case {case}");
+            assert!(
+                (g.total_weight() - t.total_weight()).abs() < 1e-9,
+                "case {case}: {} vs {}",
+                g.total_weight(),
+                t.total_weight()
+            );
         }
     }
 }

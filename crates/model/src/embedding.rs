@@ -6,76 +6,36 @@
 //! summation order, same comparator — so the refactor is byte-identical
 //! on the wire (a serve integration test holds that line).
 //!
-//! Updates re-run the incremental pipeline: SLPA communities on the
-//! fresh batch's co-occurrence graph, then warm-started hierarchical
-//! projected gradient ascent over the new cascades only. The topic
-//! count is pinned by the wrapped embeddings; [`UpdateOptions`] mirrors
-//! the facade pipeline's defaults (including the L1 shrinkage) so a
-//! daemon retrains the same way `viralcast infer` fits.
+//! Updates run [`viralcast_embed::refit`], the same warm refit as the
+//! facade's `update_embeddings`: SLPA communities on the fresh batch's
+//! co-occurrence graph, then warm-started hierarchical projected
+//! gradient ascent over the new cascades only, under the pipeline's
+//! default options (including the L1 shrinkage) with the topic count
+//! pinned by the wrapped embeddings — so a daemon retrains the same way
+//! `viralcast infer` fits.
 
 use std::any::Any;
 use std::sync::Arc;
 
-use viralcast_community::Slpa;
-use viralcast_embed::hierarchical::infer_warm;
-use viralcast_embed::{Embeddings, HierarchicalConfig};
-use viralcast_graph::cooccurrence::{CooccurrenceGraph, CooccurrenceOptions};
+use viralcast_embed::{refit, Embeddings, InferOptions};
 use viralcast_graph::NodeId;
 use viralcast_propagation::CascadeSet;
 
 use crate::{sort_and_truncate, CascadeModel, RowBlock};
 
-/// How [`EmbeddingBackend::update`] refits on a fresh batch. Mirrors
-/// the facade pipeline's `InferOptions::default()` minus the topic
-/// count, which is pinned by the wrapped embeddings.
-#[derive(Clone, Copy, Debug)]
-pub struct UpdateOptions {
-    /// SLPA settings for community detection on the fresh batch.
-    pub slpa: viralcast_community::SlpaConfig,
-    /// Hierarchical optimiser settings (its `topics` field is
-    /// overwritten by the embeddings' topic count).
-    pub hierarchical: HierarchicalConfig,
-    /// Drop co-occurrence edges below this weight before community
-    /// detection.
-    pub min_cooccurrence_weight: f64,
-}
-
-impl Default for UpdateOptions {
-    fn default() -> Self {
-        let mut hierarchical = HierarchicalConfig::default();
-        // Same departure as the facade pipeline: modest L1 shrinkage so
-        // signal-free components decay instead of freezing at init.
-        hierarchical.pgd.l1_penalty = 5.0;
-        UpdateOptions {
-            slpa: viralcast_community::SlpaConfig::default(),
-            hierarchical,
-            min_cooccurrence_weight: 0.05,
-        }
-    }
-}
-
 /// The paper's embedding model behind the [`CascadeModel`] trait.
 #[derive(Clone, Debug)]
 pub struct EmbeddingBackend {
     embeddings: Embeddings,
-    options: UpdateOptions,
 }
 
 impl EmbeddingBackend {
     /// The backend id recorded in manifests.
     pub const ID: &'static str = "embed";
 
-    /// Wraps fitted embeddings with the default update options.
+    /// Wraps fitted embeddings.
     pub fn new(embeddings: Embeddings) -> EmbeddingBackend {
-        Self::with_options(embeddings, UpdateOptions::default())
-    }
-
-    /// Wraps fitted embeddings with explicit update options.
-    pub fn with_options(embeddings: Embeddings, options: UpdateOptions) -> EmbeddingBackend {
-        EmbeddingBackend {
-            embeddings,
-            options,
-        }
+        EmbeddingBackend { embeddings }
     }
 
     /// The wrapped embeddings.
@@ -88,8 +48,6 @@ impl EmbeddingBackend {
     /// influence and `n·k` selectivity entries as `u64 LE` f64 bits.
     /// Checkpoints written before the backend split decode unchanged —
     /// their manifests carry no backend key and default to `"embed"`.
-    /// Update options are not persisted; decoded backends retrain with
-    /// [`UpdateOptions::default`].
     ///
     /// # Errors
     /// A description of the shape or length violation.
@@ -186,45 +144,13 @@ impl CascadeModel for EmbeddingBackend {
     }
 
     fn update(&self, fresh: &CascadeSet) -> Result<Arc<dyn CascadeModel>, String> {
-        let emb = &self.embeddings;
-        if emb.node_count() != fresh.node_count() {
-            return Err(format!(
-                "embedding rows ({}) and corpus universe ({}) differ",
-                emb.node_count(),
-                fresh.node_count()
-            ));
-        }
-        for cascade in fresh.cascades() {
-            for infection in cascade.infections() {
-                if infection.node.index() >= fresh.node_count() {
-                    return Err(format!(
-                        "cascade infects node {}, outside the declared universe of {} nodes",
-                        infection.node.0,
-                        fresh.node_count()
-                    ));
-                }
-            }
-        }
-        let cooc = CooccurrenceGraph::build(
-            fresh.node_count(),
-            &fresh.node_sequences(),
-            CooccurrenceOptions {
-                successor_window: None,
-                min_weight: self.options.min_cooccurrence_weight,
-            },
-        );
-        let partition = Slpa::new(self.options.slpa)
-            .run(&cooc.undirected())
-            .partition;
-        let config = HierarchicalConfig {
-            topics: emb.topic_count(),
-            ..self.options.hierarchical
+        let options = InferOptions {
+            topics: self.embeddings.topic_count(),
+            ..InferOptions::default()
         };
-        let (updated, _report) = infer_warm(fresh, &partition, &config, emb);
-        Ok(Arc::new(EmbeddingBackend::with_options(
-            updated,
-            self.options,
-        )))
+        let (_partition, updated, _report) =
+            refit(&self.embeddings, fresh, &options).map_err(|e| e.to_string())?;
+        Ok(Arc::new(EmbeddingBackend::new(updated)))
     }
 
     fn encode(&self) -> Vec<u8> {

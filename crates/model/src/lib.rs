@@ -10,8 +10,8 @@
 //!   exerts on a single target;
 //! * [`CascadeModel::rank_candidates`] / [`CascadeModel::influencers`] —
 //!   batched top-k scans over an owned [`RowBlock`], all sorted by the
-//!   one shared comparator ([`sort_and_truncate`]: score descending,
-//!   node id ascending) so shard rankings tile the single-box ranking
+//!   one shared comparator ([`rank_order`]: score descending, node id
+//!   ascending) so shard rankings tile the single-box ranking
 //!   byte for byte;
 //! * [`CascadeModel::update`] — the trainer's retrain contract: fold a
 //!   fresh cascade batch into a *new* model (the old one keeps serving);
@@ -36,7 +36,7 @@ pub mod embedding;
 pub mod netinf;
 
 pub use block::RowBlock;
-pub use embedding::{EmbeddingBackend, UpdateOptions};
+pub use embedding::EmbeddingBackend;
 pub use netinf::{NetInfBackend, NetInfConfig};
 
 use std::any::Any;
@@ -178,15 +178,20 @@ impl std::fmt::Display for BackendMismatch {
 
 impl std::error::Error for BackendMismatch {}
 
-/// The one ranking comparator every backend and every layer shares:
-/// score descending, node id ascending on ties, truncated to `top`.
-/// Backends produce finite non-negative scores; should a corrupt model
-/// yield a non-finite one, IEEE total order places it (NaN and +∞
-/// first) instead of panicking the request thread. Shard rankings
-/// merged under this comparator exactly equal the single-box ranking —
+/// The one ranking order every backend and every layer shares: score
+/// descending, node id ascending on ties. Backends produce finite
+/// non-negative scores; should a corrupt model or a hostile shard yield
+/// a non-finite one, IEEE total order places it (NaN and +∞ first)
+/// instead of panicking the request thread.
+pub fn rank_order<N: Ord>(a: &(N, f64), b: &(N, f64)) -> std::cmp::Ordering {
+    b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0))
+}
+
+/// Sorts by [`rank_order`] and keeps the first `top`. Shard rankings
+/// merged under the same order exactly equal the single-box ranking —
 /// the property the router relies on.
 pub fn sort_and_truncate(mut scored: Vec<(NodeId, f64)>, top: usize) -> Vec<(NodeId, f64)> {
-    scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    scored.sort_by(rank_order);
     scored.truncate(top);
     scored
 }

@@ -20,8 +20,8 @@
 //! The crate is deliberately free of runtime dependencies so that
 //! instrumentation can never break the build or perturb the hot path;
 //! JSON output comes from a small built-in writer
-//! ([`JsonValue`]) that the integration tests round-trip through
-//! `serde_json`.
+//! ([`JsonValue`]) that the integration tests read back through the
+//! crate's own strict parser ([`json::parse`]).
 //!
 //! # Typical wiring (what the `viralcast` CLI does)
 //!
@@ -42,7 +42,7 @@
 
 mod access;
 mod events;
-mod json;
+pub mod json;
 mod metrics;
 mod report;
 mod span;

@@ -1,9 +1,18 @@
-//! Round-trips every JSON document the obs crate emits through
-//! `serde_json`, proving the hand-rolled writer produces strict JSON
+//! Reads every JSON document the obs crate emits back through its own
+//! strict parser, proving the hand-rolled writer produces strict JSON
 //! and that the expected span/metric names survive serialisation.
 
 use std::path::PathBuf;
 use viralcast_obs as obs;
+use viralcast_obs::json::{as_arr, as_f64, get, parse};
+use viralcast_obs::JsonValue;
+
+/// The value at `path` (object keys, outermost first).
+fn at<'a>(value: &'a JsonValue, path: &[&str]) -> &'a JsonValue {
+    path.iter().fold(value, |v, key| {
+        get(v, key).unwrap_or_else(|| panic!("no key {key:?} along {path:?}"))
+    })
+}
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir()
@@ -46,11 +55,16 @@ fn jsonl_event_log_parses_back() {
     let stages: Vec<String> = lines
         .iter()
         .map(|line| {
-            let v: serde_json::Value =
-                serde_json::from_str(line).expect("line must be strict JSON");
-            assert_eq!(v["level"], "info");
-            assert_eq!(v["fields"]["weird"], "quote\" and \\ backslash");
-            v["stage"].as_str().unwrap().to_string()
+            let v = parse(line).expect("line must be strict JSON");
+            assert_eq!(at(&v, &["level"]), &JsonValue::from("info"));
+            assert_eq!(
+                at(&v, &["fields", "weird"]),
+                &JsonValue::from("quote\" and \\ backslash")
+            );
+            match at(&v, &["stage"]) {
+                JsonValue::Str(stage) => stage.clone(),
+                other => panic!("stage is {other:?}"),
+            }
         })
         .collect();
     assert_eq!(stages, vec!["slpa", "pgd"]);
@@ -67,14 +81,18 @@ fn metrics_snapshot_parses_back() {
     }
 
     let json = registry.snapshot().to_json().render();
-    let v: serde_json::Value = serde_json::from_str(&json).expect("snapshot must be strict JSON");
-    assert_eq!(v["counters"]["slpa.iterations"], 14);
-    assert_eq!(v["gauges"]["pgd.objective"], -1234.5);
-    assert_eq!(v["histograms"]["split.fanout"]["count"], 3);
+    let v = parse(&json).expect("snapshot must be strict JSON");
     assert_eq!(
-        v["histograms"]["split.fanout"]["buckets"],
-        serde_json::json!([1, 1, 1])
+        at(&v, &["counters", "slpa.iterations"]),
+        &JsonValue::U64(14)
     );
+    assert_eq!(
+        at(&v, &["gauges", "pgd.objective"]),
+        &JsonValue::F64(-1234.5)
+    );
+    let fanout = at(&v, &["histograms", "split.fanout"]);
+    assert_eq!(at(fanout, &["count"]), &JsonValue::U64(3));
+    assert_eq!(at(fanout, &["buckets"]), &JsonValue::from(vec![1u64, 1, 1]));
 }
 
 #[test]
@@ -106,23 +124,40 @@ fn run_report_file_parses_back_with_expected_span_names() {
         .unwrap();
 
     let text = std::fs::read_to_string(&path).unwrap();
-    let v: serde_json::Value = serde_json::from_str(&text).expect("report must be strict JSON");
-    assert_eq!(v["schema"], "viralcast-run-report/v1");
-    assert_eq!(v["command"], "infer");
-    assert_eq!(v["ll_trajectory"], serde_json::json!([-10.0, -5.0, -2.5]));
-    assert!(v["nan_guard"].is_null());
-    assert_eq!(v["metrics"]["counters"]["pgd.epochs"], 40);
-
-    // Expected span names present in the nested tree.
-    assert_eq!(v["timings"]["name"], "viralcast");
-    let infer = &v["timings"]["children"][0];
-    assert_eq!(infer["name"], "infer");
-    assert_eq!(infer["count"], 2, "repeated spans must aggregate");
-    let child_names: Vec<&str> = infer["children"]
-        .as_array()
+    let v = parse(&text).expect("report must be strict JSON");
+    assert_eq!(
+        at(&v, &["schema"]),
+        &JsonValue::from("viralcast-run-report/v1")
+    );
+    assert_eq!(at(&v, &["command"]), &JsonValue::from("infer"));
+    let trajectory: Vec<f64> = as_arr(at(&v, &["ll_trajectory"]))
         .unwrap()
         .iter()
-        .map(|c| c["name"].as_str().unwrap())
+        .map(|x| as_f64(x).unwrap())
         .collect();
-    assert_eq!(child_names, vec!["cooccurrence", "slpa"]);
+    assert_eq!(trajectory, vec![-10.0, -5.0, -2.5]);
+    assert_eq!(at(&v, &["nan_guard"]), &JsonValue::Null);
+    assert_eq!(
+        at(&v, &["metrics", "counters", "pgd.epochs"]),
+        &JsonValue::U64(40)
+    );
+
+    // Expected span names present in the nested tree.
+    assert_eq!(at(&v, &["timings", "name"]), &JsonValue::from("viralcast"));
+    let infer = &as_arr(at(&v, &["timings", "children"])).unwrap()[0];
+    assert_eq!(at(infer, &["name"]), &JsonValue::from("infer"));
+    assert_eq!(
+        at(infer, &["count"]),
+        &JsonValue::U64(2),
+        "repeated spans must aggregate"
+    );
+    let child_names: Vec<&JsonValue> = as_arr(at(infer, &["children"]))
+        .unwrap()
+        .iter()
+        .map(|c| at(c, &["name"]))
+        .collect();
+    assert_eq!(
+        child_names,
+        vec![&JsonValue::from("cooccurrence"), &JsonValue::from("slpa")]
+    );
 }

@@ -139,30 +139,34 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        /// Feature laws: all non-negative; maxA ≤ normA (a component of a
-        /// non-negative vector never exceeds its norm); diverA bounded by
-        /// twice the largest row norm.
-        #[test]
-        fn feature_bounds(
-            rows in prop::collection::vec(prop::collection::vec(0.0f64..3.0, 3), 1..6),
-        ) {
-            let n = rows.len();
-            let a: Vec<f64> = rows.iter().flatten().copied().collect();
+    /// Feature laws: all non-negative; maxA ≤ normA (a component of a
+    /// non-negative vector never exceeds its norm); diverA bounded by
+    /// twice the largest row norm.
+    #[test]
+    fn feature_bounds() {
+        for case in 0..48 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let n = rng.gen_range(1usize..6);
+            let a: Vec<f64> = (0..n * 3).map(|_| rng.gen_range(0.0f64..3.0)).collect();
+            let max_row_norm = a
+                .chunks(3)
+                .map(|r| r.iter().map(|x| x * x).sum::<f64>().sqrt())
+                .fold(0.0f64, f64::max);
             let e = Embeddings::from_matrices(n, 3, a, vec![0.0; n * 3]);
             let adopters: Vec<NodeId> = (0..n).map(NodeId::new).collect();
             let f = extract_features(&e, &adopters);
-            prop_assert!(f.diver_a >= 0.0 && f.norm_a >= 0.0 && f.max_a >= 0.0);
-            prop_assert!(f.max_a <= f.norm_a + 1e-12);
-            let max_row_norm = rows
-                .iter()
-                .map(|r| r.iter().map(|x| x * x).sum::<f64>().sqrt())
-                .fold(0.0f64, f64::max);
-            prop_assert!(f.diver_a <= 2.0 * max_row_norm + 1e-12);
+            assert!(
+                f.diver_a >= 0.0 && f.norm_a >= 0.0 && f.max_a >= 0.0,
+                "case {case}: negative feature in {f:?}"
+            );
+            assert!(f.max_a <= f.norm_a + 1e-12, "case {case}: {f:?}");
+            assert!(
+                f.diver_a <= 2.0 * max_row_norm + 1e-12,
+                "case {case}: {f:?}, largest row norm {max_row_norm}"
+            );
         }
     }
 }

@@ -184,24 +184,26 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
-    fn pm1() -> impl Strategy<Value = i8> {
-        prop::bool::ANY.prop_map(|b| if b { 1 } else { -1 })
-    }
-
-    proptest! {
-        /// F1 is always in [0, 1] and counts always tally.
-        #[test]
-        fn f1_bounded(
-            pairs in prop::collection::vec((pm1(), pm1()), 1..60),
-        ) {
-            let truth: Vec<i8> = pairs.iter().map(|p| p.0).collect();
-            let pred: Vec<i8> = pairs.iter().map(|p| p.1).collect();
+    /// F1 is always in [0, 1] and counts always tally.
+    #[test]
+    fn f1_bounded() {
+        for case in 0..256 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let len = rng.gen_range(1..60usize);
+            let mut pm1 = || if rng.gen_bool(0.5) { 1i8 } else { -1 };
+            let truth: Vec<i8> = (0..len).map(|_| pm1()).collect();
+            let pred: Vec<i8> = (0..len).map(|_| pm1()).collect();
             let m = BinaryConfusion::from_predictions(&truth, &pred);
-            prop_assert_eq!(m.total(), pairs.len());
-            prop_assert!((0.0..=1.0).contains(&m.f1()));
-            prop_assert!((0.0..=1.0).contains(&m.accuracy()));
+            assert_eq!(m.total(), len, "case {case}");
+            assert!((0.0..=1.0).contains(&m.f1()), "case {case}: f1 {}", m.f1());
+            assert!(
+                (0.0..=1.0).contains(&m.accuracy()),
+                "case {case}: accuracy {}",
+                m.accuracy()
+            );
         }
     }
 }

@@ -343,42 +343,68 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
 
-    fn infection_list() -> impl Strategy<Value = Vec<Infection>> {
-        prop::collection::btree_map(0u32..50, 0.0f64..100.0, 1..30)
-            .prop_map(|m| m.into_iter().map(|(n, t)| Infection::new(n, t)).collect())
+    /// 1–29 infections of distinct nodes below 50 at times in [0, 100),
+    /// in node order (so times arrive unsorted).
+    fn infection_list(rng: &mut StdRng) -> Vec<Infection> {
+        let len = rng.gen_range(1..30usize);
+        let mut by_node = BTreeMap::new();
+        while by_node.len() < len {
+            by_node.insert(rng.gen_range(0u32..50), rng.gen_range(0.0f64..100.0));
+        }
+        by_node
+            .into_iter()
+            .map(|(n, t)| Infection::new(n, t))
+            .collect()
     }
 
-    proptest! {
-        /// Constructed cascades always have non-decreasing times and
-        /// distinct nodes.
-        #[test]
-        fn invariants_hold(infs in infection_list()) {
+    /// Constructed cascades always have non-decreasing times and
+    /// distinct nodes.
+    #[test]
+    fn invariants_hold() {
+        for case in 0..256 {
+            let infs = infection_list(&mut StdRng::seed_from_u64(case));
             let c = Cascade::new(infs).unwrap();
             let inf = c.infections();
-            prop_assert!(inf.windows(2).all(|w| w[0].time <= w[1].time));
+            assert!(
+                inf.windows(2).all(|w| w[0].time <= w[1].time),
+                "case {case}: times decrease"
+            );
             let mut nodes: Vec<_> = inf.iter().map(|i| i.node).collect();
             nodes.sort_unstable();
             nodes.dedup();
-            prop_assert_eq!(nodes.len(), inf.len());
+            assert_eq!(nodes.len(), inf.len(), "case {case}: repeated node");
         }
+    }
 
-        /// prefix_until is monotone in the cutoff and bounded by len.
-        #[test]
-        fn prefix_monotone(infs in infection_list(), a in 0.0f64..100.0, b in 0.0f64..100.0) {
-            let c = Cascade::new(infs).unwrap();
+    /// prefix_until is monotone in the cutoff and bounded by len.
+    #[test]
+    fn prefix_monotone() {
+        for case in 0..256 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let c = Cascade::new(infection_list(&mut rng)).unwrap();
+            let a = rng.gen_range(0.0f64..100.0);
+            let b = rng.gen_range(0.0f64..100.0);
             let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-            prop_assert!(c.prefix_until(lo).len() <= c.prefix_until(hi).len());
-            prop_assert!(c.prefix_until(hi).len() <= c.len());
+            assert!(
+                c.prefix_until(lo).len() <= c.prefix_until(hi).len(),
+                "case {case}: prefix shrinks from {lo} to {hi}"
+            );
+            assert!(c.prefix_until(hi).len() <= c.len(), "case {case}");
         }
+    }
 
-        /// Truncation at the last time returns the whole cascade.
-        #[test]
-        fn truncate_at_end_is_identity(infs in infection_list()) {
+    /// Truncation at the last time returns the whole cascade.
+    #[test]
+    fn truncate_at_end_is_identity() {
+        for case in 0..256 {
+            let infs = infection_list(&mut StdRng::seed_from_u64(case));
             let c = Cascade::new(infs).unwrap();
             let last = c.infections().last().unwrap().time;
-            prop_assert_eq!(c.truncate(last).unwrap().len(), c.len());
+            assert_eq!(c.truncate(last).unwrap().len(), c.len(), "case {case}");
         }
     }
 }

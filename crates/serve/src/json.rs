@@ -1,334 +1,5 @@
-//! A strict JSON parser for request bodies.
-//!
-//! `viralcast-obs` ships the workspace's dependency-free JSON *writer*
-//! ([`JsonValue`]); the daemon additionally needs to *read* JSON, so this
-//! module adds the missing half: a recursive-descent parser into the same
-//! value tree, plus the typed accessors the endpoint codecs use. Strict
-//! by design — no comments, no trailing commas, no unquoted keys — and
-//! depth-limited so a hostile body cannot blow the worker stack.
+//! The JSON module lives in `viralcast-obs` (writer and strict parser
+//! over one value tree); these are its reading half under the path the
+//! endpoint codecs, the cluster crate and the benchmark import.
 
-use viralcast_obs::JsonValue;
-
-/// Nesting depth past which parsing aborts (a flat request body for this
-/// API nests 4 levels; 64 leaves two orders of magnitude of headroom).
-const MAX_DEPTH: usize = 64;
-
-/// Parses a complete JSON document; trailing non-whitespace is an error.
-pub fn parse(text: &str) -> Result<JsonValue, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing characters at byte {pos}"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
-    if depth > MAX_DEPTH {
-        return Err(format!("nesting deeper than {MAX_DEPTH} levels"));
-    }
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_object(bytes, pos, depth),
-        Some(b'[') => parse_array(bytes, pos, depth),
-        Some(b'"') => parse_string(bytes, pos).map(JsonValue::Str),
-        Some(b't') => parse_literal(bytes, pos, "true", JsonValue::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", JsonValue::Bool(false)),
-        Some(b'n') => parse_literal(bytes, pos, "null", JsonValue::Null),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(bytes, pos),
-        Some(c) => Err(format!("unexpected byte {:?} at {}", *c as char, *pos)),
-    }
-}
-
-fn parse_literal(
-    bytes: &[u8],
-    pos: &mut usize,
-    word: &str,
-    value: JsonValue,
-) -> Result<JsonValue, String> {
-    if bytes[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
-        Ok(value)
-    } else {
-        Err(format!("malformed literal at byte {pos}"))
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
-    *pos += 1; // '{'
-    let mut pairs = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(JsonValue::Obj(pairs));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {pos}"));
-        }
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos}"));
-        }
-        *pos += 1;
-        let value = parse_value(bytes, pos, depth + 1)?;
-        pairs.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(JsonValue::Obj(pairs));
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-        }
-    }
-}
-
-fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
-    *pos += 1; // '['
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(JsonValue::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos, depth + 1)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(JsonValue::Arr(items));
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-        }
-    }
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    *pos += 1; // opening '"'
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape digits")?;
-                        // Surrogate pairs are rejected rather than
-                        // combined; the API never emits them.
-                        let c = char::from_u32(code)
-                            .ok_or_else(|| format!("\\u{hex} is not a scalar value"))?;
-                        out.push(c);
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}")),
-                }
-                *pos += 1;
-            }
-            Some(&c) if c < 0x20 => {
-                return Err(format!("raw control byte 0x{c:02x} in string"));
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (input is &str, so boundaries
-                // are valid by construction).
-                let rest =
-                    std::str::from_utf8(&bytes[*pos..]).map_err(|_| "invalid UTF-8 in string")?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
-            }
-        }
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let mut fractional = false;
-    while let Some(&c) = bytes.get(*pos) {
-        match c {
-            b'0'..=b'9' => *pos += 1,
-            b'.' | b'e' | b'E' | b'+' | b'-' => {
-                fractional = true;
-                *pos += 1;
-            }
-            _ => break,
-        }
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| "bad number")?;
-    if !fractional {
-        if let Ok(n) = text.parse::<u64>() {
-            return Ok(JsonValue::U64(n));
-        }
-        if let Ok(n) = text.parse::<i64>() {
-            return Ok(JsonValue::I64(n));
-        }
-    }
-    let x: f64 = text
-        .parse()
-        .map_err(|_| format!("malformed number {text:?}"))?;
-    if !x.is_finite() {
-        return Err(format!("number {text:?} overflows f64"));
-    }
-    Ok(JsonValue::F64(x))
-}
-
-/// The value under `key` in an object, if present.
-pub fn get<'a>(value: &'a JsonValue, key: &str) -> Option<&'a JsonValue> {
-    match value {
-        JsonValue::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-/// Numeric coercion across the integer/float variants.
-pub fn as_f64(value: &JsonValue) -> Option<f64> {
-    match value {
-        JsonValue::U64(n) => Some(*n as f64),
-        JsonValue::I64(n) => Some(*n as f64),
-        JsonValue::F64(x) => Some(*x),
-        _ => None,
-    }
-}
-
-/// A non-negative integer (rejects floats with fractional parts).
-pub fn as_u64(value: &JsonValue) -> Option<u64> {
-    match value {
-        JsonValue::U64(n) => Some(*n),
-        JsonValue::I64(n) if *n >= 0 => Some(*n as u64),
-        JsonValue::F64(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= u64::MAX as f64 => {
-            Some(*x as u64)
-        }
-        _ => None,
-    }
-}
-
-/// The array items, if `value` is an array.
-pub fn as_arr(value: &JsonValue) -> Option<&[JsonValue]> {
-    match value {
-        JsonValue::Arr(items) => Some(items),
-        _ => None,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn scalars_parse() {
-        assert_eq!(parse("null").unwrap(), JsonValue::Null);
-        assert_eq!(parse("true").unwrap(), JsonValue::Bool(true));
-        assert_eq!(parse(" 42 ").unwrap(), JsonValue::U64(42));
-        assert_eq!(parse("-7").unwrap(), JsonValue::I64(-7));
-        assert_eq!(parse("1.5e2").unwrap(), JsonValue::F64(150.0));
-        assert_eq!(parse("\"hi\"").unwrap(), JsonValue::Str("hi".into()));
-    }
-
-    #[test]
-    fn structures_parse() {
-        let v = parse(r#"{"pairs":[[0,1],[2,3]],"dt":0.5}"#).unwrap();
-        let pairs = as_arr(get(&v, "pairs").unwrap()).unwrap();
-        assert_eq!(pairs.len(), 2);
-        assert_eq!(as_u64(&as_arr(&pairs[1]).unwrap()[0]), Some(2));
-        assert_eq!(as_f64(get(&v, "dt").unwrap()), Some(0.5));
-    }
-
-    #[test]
-    fn escapes_decode() {
-        assert_eq!(
-            parse(r#""a\"b\\c\ndA""#).unwrap(),
-            JsonValue::Str("a\"b\\c\ndA".into())
-        );
-    }
-
-    #[test]
-    fn round_trips_through_the_obs_writer() {
-        let text = r#"{"a":[1,2.5,"x",null,true],"b":{"c":-3}}"#;
-        let v = parse(text).unwrap();
-        assert_eq!(parse(&v.render()).unwrap(), v);
-    }
-
-    #[test]
-    fn malformed_documents_are_rejected() {
-        for bad in [
-            "",
-            "{",
-            "[1,",
-            "{\"a\":}",
-            "{a:1}",
-            "\"unterminated",
-            "01x",
-            "nul",
-            "[1] trailing",
-            "{\"a\":1,}",
-            "\u{1}",
-        ] {
-            assert!(parse(bad).is_err(), "accepted {bad:?}");
-        }
-    }
-
-    #[test]
-    fn depth_limit_holds() {
-        let deep = "[".repeat(200) + &"]".repeat(200);
-        assert!(parse(&deep).is_err());
-        let ok = "[".repeat(20) + &"]".repeat(20);
-        assert!(parse(&ok).is_ok());
-    }
-
-    #[test]
-    fn integer_widths() {
-        assert_eq!(
-            parse("18446744073709551615").unwrap(),
-            JsonValue::U64(u64::MAX)
-        );
-        assert_eq!(
-            parse("-9223372036854775808").unwrap(),
-            JsonValue::I64(i64::MIN)
-        );
-        assert!(parse("1e400").is_err());
-    }
-
-    #[test]
-    fn accessors_coerce() {
-        assert_eq!(as_f64(&JsonValue::U64(3)), Some(3.0));
-        assert_eq!(as_u64(&JsonValue::F64(4.0)), Some(4));
-        assert_eq!(as_u64(&JsonValue::F64(4.5)), None);
-        assert_eq!(as_u64(&JsonValue::I64(-1)), None);
-        assert!(get(&JsonValue::Null, "k").is_none());
-    }
-}
+pub use viralcast_obs::json::{as_arr, as_f64, as_u64, get, parse};

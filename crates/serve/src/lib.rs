@@ -10,8 +10,8 @@
 //!
 //! Layering, bottom to top:
 //!
-//! - [`json`] — a strict parser into `viralcast_obs::JsonValue` (the obs
-//!   crate only writes JSON; the daemon must also read it);
+//! - [`json`] — the strict parser and accessors of `viralcast_obs::json`,
+//!   re-exported under the path the endpoint codecs import;
 //! - [`http`] — bounded request parsing and response framing;
 //! - [`snapshot`] — the `Arc`-swapped [`snapshot::ModelSnapshot`] store;
 //! - [`shard`] — [`shard::RowBlock`] candidate-row ownership, the unit a

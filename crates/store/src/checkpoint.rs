@@ -30,7 +30,6 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use viralcast_embed::Embeddings;
 use viralcast_model::{CascadeModel, EmbeddingBackend};
 
 use crate::codec::{frame, read_frame, FrameRead};
@@ -206,32 +205,6 @@ pub fn decode_checkpoint(bytes: &[u8], backend: &str) -> Result<Arc<dyn CascadeM
     viralcast_model::decode_model(backend, &unwrap_checkpoint(bytes)?)
 }
 
-/// Serialises embeddings into the checkpoint file format — the embed
-/// backend's special case of [`encode_model`], kept for callers that
-/// hold a bare [`Embeddings`].
-pub fn encode_embeddings(embeddings: &Embeddings) -> Vec<u8> {
-    encode_model(&EmbeddingBackend::new(embeddings.clone()))
-}
-
-/// Decodes a checkpoint file previously written by [`encode_embeddings`]
-/// (or by [`encode_model`] on the embed backend).
-pub fn decode_embeddings(bytes: &[u8]) -> Result<Embeddings, String> {
-    EmbeddingBackend::decode(&unwrap_checkpoint(bytes)?).map(|b| b.embeddings().clone())
-}
-
-/// Loads the checkpointed embeddings file at `path` (embed backend
-/// only; see [`load_model_checkpoint`] for the registry-dispatched
-/// path).
-pub fn load_checkpoint(path: &Path) -> io::Result<Embeddings> {
-    let bytes = fs::read(path)?;
-    decode_embeddings(&bytes).map_err(|m| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("invalid checkpoint {}: {m}", path.display()),
-        )
-    })
-}
-
 /// Loads the checkpointed model file at `path`, decoding it with the
 /// backend the manifest named.
 pub fn load_model_checkpoint(path: &Path, backend: &str) -> io::Result<Arc<dyn CascadeModel>> {
@@ -278,6 +251,21 @@ pub fn save_checkpoint(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use viralcast_embed::Embeddings;
+
+    /// The embeddings inside a decoded embed-backend model.
+    fn embeddings_of(model: &dyn CascadeModel) -> &Embeddings {
+        model
+            .as_any()
+            .downcast_ref::<EmbeddingBackend>()
+            .expect("an embed-backend model")
+            .embeddings()
+    }
+
+    /// `decode_checkpoint` under the embed backend, error side only.
+    fn decode_error(bytes: &[u8]) -> Option<String> {
+        decode_checkpoint(bytes, EmbeddingBackend::ID).err()
+    }
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -342,8 +330,9 @@ mod tests {
         assert_eq!(manifest.backend, "embed");
         assert!(dir.join("checkpoint-5.bin").exists());
         assert!(!dir.join("checkpoint-2.bin").exists(), "stale kept");
-        let back = load_checkpoint(&dir.join(&manifest.embeddings_file)).unwrap();
-        assert!(emb.max_abs_diff(&back) < 1e-12);
+        let back =
+            load_model_checkpoint(&dir.join(&manifest.embeddings_file), &manifest.backend).unwrap();
+        assert!(emb.max_abs_diff(embeddings_of(back.as_ref())) < 1e-12);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -362,8 +351,11 @@ mod tests {
             load_model_checkpoint(&dir.join(&manifest.embeddings_file), &manifest.backend).unwrap();
         assert_eq!(back.backend_id(), "netinf");
         assert_eq!(back.node_count(), 3);
-        // The embed-only loader refuses a netinf checkpoint payload.
-        assert!(load_checkpoint(&dir.join(&manifest.embeddings_file)).is_err());
+        // Loading it as the embed backend refuses the netinf payload.
+        assert!(
+            load_model_checkpoint(&dir.join(&manifest.embeddings_file), EmbeddingBackend::ID)
+                .is_err()
+        );
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -375,8 +367,9 @@ mod tests {
             vec![0.5, -1.25, 0.0, f64::MIN_POSITIVE, 1e300, 7.75],
             vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
         );
-        let bytes = encode_embeddings(&emb);
-        let back = decode_embeddings(&bytes).unwrap();
+        let bytes = encode_model(&EmbeddingBackend::new(emb.clone()));
+        let model = decode_checkpoint(&bytes, EmbeddingBackend::ID).unwrap();
+        let back = embeddings_of(model.as_ref());
         assert_eq!(back.node_count(), 3);
         assert_eq!(back.topic_count(), 2);
         assert_eq!(back.influence_matrix(), emb.influence_matrix());
@@ -386,23 +379,23 @@ mod tests {
     #[test]
     fn embeddings_codec_rejects_corruption() {
         let emb = Embeddings::from_matrices(2, 1, vec![0.1, 0.2], vec![0.3, 0.4]);
-        let good = encode_embeddings(&emb);
-        assert!(decode_embeddings(b"not a checkpoint").is_err());
+        let good = encode_model(&EmbeddingBackend::new(emb));
+        assert!(decode_error(b"not a checkpoint").is_some());
         // Every strict prefix fails cleanly rather than panicking.
         for cut in 0..good.len() {
-            assert!(decode_embeddings(&good[..cut]).is_err(), "cut {cut}");
+            assert!(decode_error(&good[..cut]).is_some(), "cut {cut}");
         }
         // A flipped matrix bit fails the CRC.
         let mut flipped = good.clone();
         let last = flipped.len() - 1;
         flipped[last] ^= 0x01;
-        assert!(decode_embeddings(&flipped).unwrap_err().contains("CRC"));
+        assert!(decode_error(&flipped).unwrap().contains("CRC"));
         // A shape lie with matching CRC still fails the cell count.
         let mut payload = vec![9u8, 0, 0, 0, 1, 0, 0, 0];
         payload.extend_from_slice(&[0u8; 16]);
         let mut lied = CHECKPOINT_MAGIC.to_vec();
         lied.extend_from_slice(&frame(&payload));
-        assert!(decode_embeddings(&lied).unwrap_err().contains("disagrees"));
+        assert!(decode_error(&lied).unwrap().contains("disagrees"));
     }
 
     #[test]
