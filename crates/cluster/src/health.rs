@@ -16,6 +16,7 @@ use std::time::Duration;
 
 use viralcast_serve::client;
 use viralcast_serve::json;
+use viralcast_serve::Shutdown;
 
 struct ShardState {
     healthy: AtomicBool,
@@ -133,7 +134,7 @@ pub fn probe_shard(board: &HealthBoard, shard: usize, addr: &SocketAddr, timeout
 
 /// The background probe loop: joins on drop.
 pub struct Prober {
-    stop: Arc<AtomicBool>,
+    stop: Arc<Shutdown>,
     handle: Option<JoinHandle<()>>,
 }
 
@@ -147,25 +148,19 @@ impl Prober {
         timeout: Duration,
     ) -> Prober {
         assert_eq!(addrs.len(), board.shard_count());
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = Shutdown::new();
         let stop_flag = Arc::clone(&stop);
         let handle = std::thread::Builder::new()
             .name("cluster-prober".into())
             .spawn(move || {
-                while !stop_flag.load(Ordering::Relaxed) {
+                while !stop_flag.is_raised() {
                     for (shard, addr) in addrs.iter().enumerate() {
                         probe_shard(&board, shard, addr, timeout);
                     }
                     viralcast_obs::metrics()
                         .gauge("router.unhealthy_shards")
                         .set((board.shard_count() - board.healthy_count()) as f64);
-                    // Sleep in short slices so shutdown stays prompt.
-                    let mut remaining = interval;
-                    while !stop_flag.load(Ordering::Relaxed) && remaining > Duration::ZERO {
-                        let slice = remaining.min(Duration::from_millis(25));
-                        std::thread::sleep(slice);
-                        remaining = remaining.saturating_sub(slice);
-                    }
+                    stop_flag.wait(interval);
                 }
             })
             .expect("spawn cluster prober");
@@ -178,7 +173,7 @@ impl Prober {
 
 impl Drop for Prober {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.raise();
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }

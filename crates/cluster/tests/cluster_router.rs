@@ -5,7 +5,7 @@
 //! when one shard stops.
 
 use std::net::SocketAddr;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use viralcast_cluster::serve::{self, client};
 use viralcast_cluster::{start_router, ClusterManifest, RouterConfig, RouterHandle};
@@ -39,6 +39,16 @@ fn start_daemon(shard: Option<serve::RowBlock>) -> serve::ServerHandle {
     };
     let backend = viralcast_cluster::serve::model::EmbeddingBackend::new(model());
     serve::start(std::sync::Arc::new(backend), retrain, config).expect("daemon boots")
+}
+
+/// One daemon per round-robin row block of the model.
+fn start_shards() -> Vec<serve::ServerHandle> {
+    (0..SHARDS)
+        .map(|i| {
+            let block = serve::RowBlock::round_robin(NODES, i, SHARDS).expect("row block");
+            start_daemon(Some(block))
+        })
+        .collect()
 }
 
 fn start_cluster_router(addrs: &[SocketAddr]) -> RouterHandle {
@@ -84,12 +94,7 @@ fn json_array<'a>(body: &'a str, key: &str) -> &'a str {
 
 #[test]
 fn three_shards_match_single_box_and_degrade_partially() {
-    let mut shards: Vec<serve::ServerHandle> = (0..SHARDS)
-        .map(|i| {
-            let block = serve::RowBlock::round_robin(NODES, i, SHARDS).expect("row block");
-            start_daemon(Some(block))
-        })
-        .collect();
+    let mut shards = start_shards();
     let addrs: Vec<SocketAddr> = shards.iter().map(|h| h.local_addr()).collect();
     let single = start_daemon(None);
     let router = start_cluster_router(&addrs);
@@ -189,4 +194,42 @@ fn three_shards_match_single_box_and_degrade_partially() {
         shard.shutdown();
     }
     single.shutdown();
+}
+
+/// A routed predict is two hops (client → router, router → each shard),
+/// so a front door that polls for connections costs it at least one
+/// 10 ms poll per hop; a door that parks in `accept()` answers in well
+/// under a millisecond on loopback.
+#[test]
+fn a_routed_predict_does_not_wait_out_an_accept_poll() {
+    let shards = start_shards();
+    let addrs: Vec<SocketAddr> = shards.iter().map(|h| h.local_addr()).collect();
+    let router = start_cluster_router(&addrs);
+    let router_addr = router.local_addr();
+
+    let body = r#"{"cascade":[{"node":3,"time":0.0},{"node":7,"time":0.4}],"top":10}"#;
+    let mut latencies: Vec<Duration> = (0..50)
+        .map(|_| {
+            let started = Instant::now();
+            let reply = client::request(&router_addr, "POST", "/v1/predict", Some(body))
+                .expect("router predict");
+            let took = started.elapsed();
+            assert_eq!(reply.status, 200, "{}", reply.body);
+            assert!(reply.body.contains(r#""partial":false"#), "{}", reply.body);
+            took
+        })
+        .collect();
+    latencies.sort();
+    let median = latencies[latencies.len() / 2];
+    assert!(
+        median < Duration::from_millis(5),
+        "median routed predict took {median:?} (fastest {:?}, slowest {:?})",
+        latencies[0],
+        latencies[latencies.len() - 1]
+    );
+
+    router.shutdown();
+    for shard in shards {
+        shard.shutdown();
+    }
 }

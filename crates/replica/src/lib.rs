@@ -30,7 +30,6 @@
 
 use std::io;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -40,16 +39,12 @@ use viralcast_serve::client;
 use viralcast_serve::replica::{ReplicaRole, ReplicaStatus};
 use viralcast_serve::router::{REPLICA_BACKEND_HEADER, REPLICA_VERSION_HEADER};
 use viralcast_serve::snapshot::SnapshotStore;
-use viralcast_serve::{CascadeModel, ServeConfig, ServerHandle};
+use viralcast_serve::{CascadeModel, ServeConfig, ServerHandle, Shutdown};
 
 /// The serve crate, re-exported so follower callers reach
 /// [`viralcast_serve::ServeConfig`] and friends without a separate
 /// dependency.
 pub use viralcast_serve as serve;
-
-/// How long the poller sleeps per slice while waiting out an interval,
-/// so shutdown stays responsive.
-const SLEEP_SLICE: Duration = Duration::from_millis(25);
 
 /// One snapshot fetched from a leader.
 pub struct FetchedSnapshot {
@@ -161,7 +156,7 @@ impl FollowerConfig {
 pub struct FollowerHandle {
     server: ServerHandle,
     status: Arc<ReplicaStatus>,
-    stop: Arc<AtomicBool>,
+    stop: Arc<Shutdown>,
     poller: Option<JoinHandle<()>>,
 }
 
@@ -183,7 +178,7 @@ impl FollowerHandle {
 
     /// Graceful stop: halts the poller, then the serve stack.
     pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.stop.raise();
         if let Some(poller) = self.poller.take() {
             let _ = poller.join();
         }
@@ -281,7 +276,7 @@ pub fn start_follower_from(
         &[],
     );
 
-    let stop = Arc::new(AtomicBool::new(false));
+    let stop = Shutdown::new();
     let poller = {
         let stop = Arc::clone(&stop);
         let status = Arc::clone(&status);
@@ -316,23 +311,13 @@ fn poll_loop(
     leader: &SocketAddr,
     snapshots: &SnapshotStore,
     status: &ReplicaStatus,
-    stop: &AtomicBool,
+    stop: &Shutdown,
     poll_interval: Duration,
     max_backoff: Duration,
     fetch_timeout: Duration,
 ) {
     let mut wait = poll_interval;
-    loop {
-        let deadline = Instant::now() + wait;
-        while Instant::now() < deadline {
-            if stop.load(Ordering::SeqCst) {
-                return;
-            }
-            std::thread::sleep(SLEEP_SLICE.min(deadline.saturating_duration_since(Instant::now())));
-        }
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
+    while !stop.wait(wait) {
         match poll_snapshot(leader, Some(status.applied_version()), fetch_timeout) {
             Ok(Poll::NotModified { version }) => {
                 status.observe_leader(version);

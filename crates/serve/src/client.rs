@@ -1,8 +1,10 @@
 //! A one-shot HTTP client, just big enough to exercise the daemon.
 //!
-//! Used by the integration tests, the loadgen harness, and the chaos
-//! harness; not a general HTTP client. One request per connection,
-//! mirroring the server's `Connection: close` contract.
+//! Used by the cluster router's scatter, the replica poller, the
+//! integration tests, the loadgen harness, and the chaos harness; not a
+//! general HTTP client. One request per connection, mirroring the
+//! server's `Connection: close` contract: dial with `TCP_NODELAY`, send
+//! the whole request ([`encode_request`]) in one write, read to EOF.
 //!
 //! [`request_with_retry`] layers transient-failure handling on top:
 //! connection resets, mid-response EOFs, and 429/503 responses are
@@ -231,23 +233,38 @@ pub fn request_bytes(
     timeout: Duration,
 ) -> io::Result<RawResponse> {
     let mut stream = TcpStream::connect_timeout(addr, timeout)?;
+    stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
-    let payload = body.unwrap_or("");
-    let mut head = format!(
-        "{method} {target} HTTP/1.1\r\nHost: viralcast\r\nContent-Length: {}\r\n",
-        payload.len()
-    );
-    for (name, value) in headers {
-        head.push_str(&format!("{name}: {value}\r\n"));
-    }
-    write!(stream, "{head}\r\n{payload}")?;
+    stream.write_all(&encode_request(method, target, body, headers))?;
     stream.flush()?;
 
     // `Connection: close` framing: the response ends when the peer closes.
     let mut raw = Vec::new();
     stream.read_to_end(&mut raw)?;
     parse_response(&raw)
+}
+
+/// The bytes of one request: request line, `Host`, `Content-Length`
+/// (always sent, 0 without a body), `headers` in the order given, blank
+/// line, body.
+pub(crate) fn encode_request(
+    method: &str,
+    target: &str,
+    body: Option<&str>,
+    headers: &[(&str, &str)],
+) -> Vec<u8> {
+    let payload = body.unwrap_or("");
+    let mut message = format!(
+        "{method} {target} HTTP/1.1\r\nHost: viralcast\r\nContent-Length: {}\r\n",
+        payload.len()
+    );
+    for (name, value) in headers {
+        message.push_str(&format!("{name}: {value}\r\n"));
+    }
+    message.push_str("\r\n");
+    message.push_str(payload);
+    message.into_bytes()
 }
 
 /// Parses a raw `Connection: close` response, detecting a peer that died
@@ -461,6 +478,24 @@ mod tests {
         let headless = b"HTTP/1.1 200 OK\r\nContent-Le";
         let err = parse_response(headless).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn request_bytes_are_pinned_header_order_included() {
+        assert_eq!(
+            encode_request("GET", "/healthz", None, &[]),
+            b"GET /healthz HTTP/1.1\r\nHost: viralcast\r\nContent-Length: 0\r\n\r\n"
+        );
+        assert_eq!(
+            encode_request(
+                "POST",
+                "/v1/predict?top=3",
+                Some(r#"{"cascade":[]}"#),
+                &[("X-Request-Id", "t-9"), ("X-Shard", "1")],
+            ),
+            b"POST /v1/predict?top=3 HTTP/1.1\r\nHost: viralcast\r\nContent-Length: 14\r\n\
+              X-Request-Id: t-9\r\nX-Shard: 1\r\n\r\n{\"cascade\":[]}"
+        );
     }
 
     #[test]

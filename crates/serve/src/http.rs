@@ -3,9 +3,10 @@
 //! Only what the daemon needs: one request per connection (every response
 //! carries `Connection: close`), bounded head and body sizes, explicit
 //! `Content-Length` bodies (chunked transfer encoding is rejected), and
-//! descriptive errors that the worker maps to 4xx responses. The parser
-//! reads from any `Read`, so the unit tests drive it with in-memory
-//! cursors — no sockets required.
+//! descriptive errors that the worker maps to 4xx responses. A response
+//! is assembled whole and handed to the transport in one write. The
+//! parser reads from any `Read` and the writer writes to any `Write`, so
+//! the unit tests drive both in memory — no sockets required.
 
 use std::io::{self, Read, Write};
 use viralcast_obs::JsonValue;
@@ -282,10 +283,13 @@ impl Response {
         )
     }
 
-    /// Serialises status line, headers, and body onto `w`.
+    /// Serialises status line, headers, and body onto `w` in a single
+    /// `write_all`: on a `TCP_NODELAY` socket every write is a segment
+    /// and a syscall, and a response is one message.
     pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        let mut message = Vec::with_capacity(256 + self.body.len());
         write!(
-            w,
+            message,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
             self.status,
             status_text(self.status),
@@ -293,10 +297,11 @@ impl Response {
             self.body.len()
         )?;
         for (name, value) in &self.extra_headers {
-            write!(w, "{name}: {value}\r\n")?;
+            write!(message, "{name}: {value}\r\n")?;
         }
-        w.write_all(b"\r\n")?;
-        w.write_all(&self.body)?;
+        message.extend_from_slice(b"\r\n");
+        message.extend_from_slice(&self.body);
+        w.write_all(&message)?;
         w.flush()
     }
 }
@@ -456,6 +461,76 @@ mod tests {
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("X-Request-Id: trace-7\r\n"), "{text}");
         assert!(text.ends_with("\r\n\r\nok"), "{text}");
+    }
+
+    /// A transport that counts the writes it is handed.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Status line, fixed headers in their fixed order, extra headers in
+    /// the order attached, blank line, body — the exact bytes, in one
+    /// write however many headers or body bytes there are.
+    #[test]
+    fn a_response_is_one_write_of_pinned_bytes() {
+        let big = "x".repeat(1 << 20);
+        let cases: Vec<(Response, String)> = vec![
+            (
+                Response::text(200, "hello").with_header("X-Request-Id", "trace-7"),
+                "HTTP/1.1 200 OK\r\nContent-Type: text/plain; charset=utf-8\r\n\
+                 Content-Length: 5\r\nConnection: close\r\nX-Request-Id: trace-7\r\n\r\nhello"
+                    .into(),
+            ),
+            (
+                Response::error(503, "server overloaded; retry later")
+                    .with_header("X-Request-Id", "shed-1"),
+                "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
+                 Content-Length: 42\r\nConnection: close\r\nX-Request-Id: shed-1\r\n\r\n\
+                 {\"error\":\"server overloaded; retry later\"}"
+                    .into(),
+            ),
+            (
+                Response::text(304, "")
+                    .with_header("X-Replica-Version", "9")
+                    .with_header("X-Request-Id", "poll-3"),
+                "HTTP/1.1 304 Not Modified\r\nContent-Type: text/plain; charset=utf-8\r\n\
+                 Content-Length: 0\r\nConnection: close\r\nX-Replica-Version: 9\r\n\
+                 X-Request-Id: poll-3\r\n\r\n"
+                    .into(),
+            ),
+            (
+                Response::text(200, big.clone()),
+                format!(
+                    "HTTP/1.1 200 OK\r\nContent-Type: text/plain; charset=utf-8\r\n\
+                     Content-Length: 1048576\r\nConnection: close\r\n\r\n{big}"
+                ),
+            ),
+        ];
+        for (response, expected) in cases {
+            let mut out = CountingWriter::default();
+            response.write_to(&mut out).unwrap();
+            assert_eq!(out.writes, 1, "status {}", response.status);
+            assert!(
+                out.bytes == expected.as_bytes(),
+                "status {}: {:?}",
+                response.status,
+                String::from_utf8_lossy(&out.bytes[..out.bytes.len().min(300)])
+            );
+        }
     }
 
     #[test]

@@ -23,13 +23,15 @@
 //!   lives in `viralcast-replica`);
 //! - [`api`] — endpoint codecs and model evaluation, socket-free;
 //! - [`trace`] — request-scoped trace IDs (accepted or generated);
+//! - [`shutdown`] — [`Shutdown`], the stop flag every background loop
+//!   waits its interval out on (listener, trainer, prober, poller);
 //! - [`pool`] — the one bounded worker pool (`try_submit` hands the
 //!   item back when the queue is full);
-//! - [`listener`] — the one HTTP front door, [`listener::listen`]: accept
-//!   loop, 503 shed, error mapping, trace stamping, `{prefix}.http.*`
-//!   metrics, access log and shutdown, around a handler
-//!   `Fn(&Request, &str) -> Response`. The cluster router and the test
-//!   fakes listen through it too;
+//! - [`listener`] — the one HTTP front door, [`listener::listen`]: a
+//!   blocking accept loop, 503 shed, error mapping, trace stamping,
+//!   `{prefix}.http.*` metrics, access log and shutdown, around a
+//!   handler `Fn(&Request, &str) -> Response`. The cluster router and
+//!   the test fakes listen through it too;
 //! - [`router`] — the daemon's handler table: `(method, path)` dispatch
 //!   over [`router::AppState`];
 //! - [`trainer`] — the retraining thread (the learner is injected as a
@@ -55,6 +57,7 @@ pub mod replica;
 pub mod router;
 pub mod server;
 pub mod shard;
+pub mod shutdown;
 pub mod signal;
 pub mod snapshot;
 pub mod trace;
@@ -72,6 +75,7 @@ pub use replica::{ReplicaRole, ReplicaStatus};
 pub use router::DegradeThresholds;
 pub use server::{start, BootRecovery, ServeConfig, ServerHandle};
 pub use shard::RowBlock;
+pub use shutdown::Shutdown;
 pub use signal::install_ctrlc;
 pub use snapshot::{ModelSnapshot, SnapshotStore};
 pub use trainer::{RetrainFn, TrainerConfig};

@@ -2,16 +2,24 @@
 //!
 //! The daemon, the cluster router and the tests' canned shards all
 //! [`listen`]; they differ in the handler they pass and the prefix they
-//! report under. The acceptor polls a non-blocking socket, so it sees
-//! shutdown promptly, and queues connections on a [`BoundedPool`]; when
-//! the queue is full it answers 503 itself. A worker reads one request
-//! per connection, calls the handler, stamps the response with the trace
-//! ID, and records `{prefix}.http.*` metrics and the access-log line.
+//! report under. The acceptor parks in a blocking `accept()`, so a
+//! connection reaches a worker the moment the kernel has it and an idle
+//! door costs no wake-ups. [`Listener::shutdown`] raises the [`Shutdown`]
+//! flag and then connects to the door itself; the acceptor re-checks the
+//! flag after every `accept` and drops that wake connection unserved and
+//! uncounted. A failed `accept` is classified ([`accept_backoff`]):
+//! per-connection failures retry at once, resource exhaustion is counted
+//! under `{prefix}.http.accept_errors`, logged once per burst and backed
+//! off from, because a blocking `accept` that fails instantly would
+//! otherwise spin. Accepted connections get `TCP_NODELAY` and the
+//! configured timeouts and queue on a [`BoundedPool`]; when the queue is
+//! full the acceptor answers 503 itself. A worker reads one request per
+//! connection, calls the handler, stamps the response with the trace ID,
+//! and records `{prefix}.http.*` metrics and the access-log line.
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -20,11 +28,18 @@ use viralcast_obs as obs;
 use crate::http::{self, HttpError, HttpLimits, Request, Response};
 use crate::pool::BoundedPool;
 use crate::router::endpoint_label;
+use crate::shutdown::Shutdown;
 use crate::snapshot::SnapshotStore;
 use crate::trace;
 
-/// How long the acceptor sleeps when no connection is pending.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
+/// First pause after an `accept` failure that outlasts the call; doubles
+/// per consecutive failure up to [`ACCEPT_BACKOFF_MAX`].
+const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(5);
+const ACCEPT_BACKOFF_MAX: Duration = Duration::from_secs(1);
+
+/// Bound on one wake attempt of [`Listener::shutdown`], and on the wait
+/// for the acceptor to notice before the next attempt.
+const WAKE_RETRY: Duration = Duration::from_millis(100);
 
 /// What one front door listens on and reports as.
 pub struct ListenerConfig {
@@ -68,7 +83,9 @@ impl ListenerConfig {
 /// [`Listener::shutdown`].
 pub struct Listener {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    shutdown: Arc<Shutdown>,
+    /// Raised by the acceptor once it has left its accept loop.
+    left: Arc<Shutdown>,
     acceptor: JoinHandle<()>,
 }
 
@@ -80,15 +97,50 @@ impl Listener {
 
     /// The flag [`Listener::shutdown`] raises, for threads that must
     /// wind down together with the listener.
-    pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
+    pub fn shutdown_flag(&self) -> Arc<Shutdown> {
         Arc::clone(&self.shutdown)
     }
 
     /// Graceful stop: the acceptor exits and drops the pool, which
     /// serves the connections already queued and joins the workers.
     pub fn shutdown(self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.shutdown.raise();
+        // The acceptor is parked in `accept()`; a connection to the door
+        // is what wakes it. A wake can fail (this process may be out of
+        // descriptors), so knock until the acceptor has left its loop.
+        let wake = wake_addr(self.addr);
+        while !self.acceptor.is_finished() {
+            let _ = TcpStream::connect_timeout(&wake, WAKE_RETRY);
+            if self.left.wait(WAKE_RETRY) {
+                break;
+            }
+        }
         let _ = self.acceptor.join();
+    }
+}
+
+/// Where a connection to the door bound at `bound` lands: the address
+/// itself, or the loopback of the same family behind a wildcard bind.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
+}
+
+/// How long the acceptor stays off the socket after a failed `accept`
+/// that `burst` consecutive failures preceded; `None` retries at once.
+fn accept_backoff(kind: io::ErrorKind, burst: u32) -> Option<Duration> {
+    match kind {
+        // A signal landed, or the peer gave up while still in the
+        // backlog: that connection is gone, the next is unaffected.
+        io::ErrorKind::Interrupted | io::ErrorKind::ConnectionAborted => None,
+        // EMFILE, ENFILE, ENOBUFS, ENOMEM…: the condition outlasts the
+        // call and the pending connection stays in the backlog, so the
+        // next `accept` would fail just as fast.
+        _ => Some((ACCEPT_BACKOFF_MIN * (1 << burst.min(16))).min(ACCEPT_BACKOFF_MAX)),
     }
 }
 
@@ -99,7 +151,6 @@ pub fn listen(
     handler: impl Fn(&Request, &str) -> Response + Send + Sync + 'static,
 ) -> io::Result<Listener> {
     let socket = TcpListener::bind(&config.addr)?;
-    socket.set_nonblocking(true)?;
     let addr = socket.local_addr()?;
     let (prefix, workers) = (config.prefix, config.workers.max(1));
     let (read_timeout, write_timeout) = (config.read_timeout, config.write_timeout);
@@ -110,40 +161,62 @@ pub fn listen(
         workers,
         move |mut stream: TcpStream| worker.serve(&mut stream),
     )?;
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let stop = Arc::clone(&shutdown);
+    let (shutdown, left) = (Shutdown::new(), Shutdown::new());
+    let (stop, leaving) = (Arc::clone(&shutdown), Arc::clone(&left));
     let acceptor = std::thread::Builder::new()
         .name(format!("{prefix}-acceptor"))
         .spawn(move || {
-            while !stop.load(Ordering::SeqCst) {
-                let stream = match socket.accept() {
+            let mut burst = 0u32; // consecutive failed accepts
+            loop {
+                let accepted = socket.accept();
+                // Whatever woke the acceptor after the raise — the wake
+                // connection or a client that came too late — is dropped
+                // unserved and uncounted.
+                if stop.is_raised() {
+                    break;
+                }
+                let stream = match accepted {
                     Ok((stream, _)) => stream,
                     Err(e) => {
-                        if e.kind() != io::ErrorKind::WouldBlock {
-                            obs::warn(prefix, &format!("accept failed: {e}"), &[]);
+                        let Some(backoff) = accept_backoff(e.kind(), burst) else {
+                            continue;
+                        };
+                        door.count("accept_errors");
+                        if burst == 0 {
+                            obs::warn(prefix, &format!("accept failed, backing off: {e}"), &[]);
                         }
-                        std::thread::sleep(ACCEPT_POLL);
+                        burst += 1;
+                        if stop.wait(backoff) {
+                            break;
+                        }
                         continue;
                     }
                 };
-                // The listener is non-blocking; per-connection I/O must
-                // not be.
-                if stream.set_nonblocking(false).is_err()
+                burst = 0;
+                // A peer can reset between `accept` and here; count it,
+                // but one log line per hostile connect would be a lever.
+                if stream.set_nodelay(true).is_err()
                     || stream.set_read_timeout(Some(read_timeout)).is_err()
                     || stream.set_write_timeout(Some(write_timeout)).is_err()
                 {
+                    door.count("accept_errors");
                     continue;
                 }
                 if let Err(mut stream) = pool.try_submit(stream) {
                     door.shed(&mut stream);
                 }
             }
+            // Close the door and tell `shutdown` to stop knocking before
+            // the pool drains what is queued, which can take a while.
+            drop(socket);
+            leaving.raise();
         })?;
     let banner = format!("listening on {addr} with {workers} workers");
     obs::info(prefix, &banner, &[]);
     Ok(Listener {
         addr,
         shutdown,
+        left,
         acceptor,
     })
 }
@@ -246,6 +319,15 @@ impl<H: Fn(&Request, &str) -> Response> Door<H> {
 mod tests {
     use super::*;
     use crate::client;
+    use std::io::{Read, Write};
+    use std::sync::mpsc::channel;
+    use std::sync::Mutex;
+
+    fn counter(prefix: &str, what: &str) -> u64 {
+        obs::metrics()
+            .counter(&format!("{prefix}.http.{what}"))
+            .get()
+    }
 
     #[test]
     fn a_handler_panic_costs_one_response_not_the_worker() {
@@ -274,5 +356,162 @@ mod tests {
         assert_eq!(next.status, 200);
         assert_eq!(next.body, "alive");
         listener.shutdown();
+    }
+
+    /// A polling acceptor costs every connection to an idle door one poll
+    /// interval (10 ms: two seconds for these 200); a parked one costs a
+    /// thread wake-up.
+    #[test]
+    fn an_idle_door_answers_at_once() {
+        let config = ListenerConfig {
+            workers: 1,
+            ..ListenerConfig::new("127.0.0.1:0", "idledoor")
+        };
+        let listener = listen(config, |_, _| Response::text(200, "ok")).unwrap();
+        let addr = listener.local_addr();
+        let started = Instant::now();
+        for _ in 0..200 {
+            assert_eq!(
+                client::request(&addr, "GET", "/", None).unwrap().status,
+                200
+            );
+        }
+        let took = started.elapsed();
+        listener.shutdown();
+        assert!(
+            took < Duration::from_secs(1),
+            "200 sequential requests took {took:?}"
+        );
+    }
+
+    #[test]
+    fn shutdown_wakes_a_door_that_never_saw_a_connection() {
+        for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let listener = listen(ListenerConfig::new(bind, "quietdoor"), |_, _| {
+                Response::text(200, "ok")
+            })
+            .unwrap();
+            let started = Instant::now();
+            listener.shutdown();
+            let took = started.elapsed();
+            assert!(
+                took < Duration::from_millis(250),
+                "{bind}: shutdown took {took:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_wake_connection_is_neither_served_nor_counted() {
+        let path =
+            std::env::temp_dir().join(format!("viralcast-wake-{}.jsonl", std::process::id()));
+        let log = Arc::new(obs::AccessLog::create(&path).unwrap());
+        let snapshots = Arc::new(SnapshotStore::new(Arc::new(
+            viralcast_model::EmbeddingBackend::new(viralcast_embed::Embeddings::from_matrices(
+                2,
+                1,
+                vec![0.1; 2],
+                vec![0.1; 2],
+            )),
+        )));
+        let config = ListenerConfig {
+            access_log: Some((log, snapshots)),
+            ..ListenerConfig::new("127.0.0.1:0", "wakedoor")
+        };
+        let listener = listen(config, |_, _| Response::text(200, "ok")).unwrap();
+        listener.shutdown();
+        for what in ["requests", "errors", "overload", "accept_errors"] {
+            assert_eq!(counter("wakedoor", what), 0, "wakedoor.http.{what}");
+        }
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn connections_queued_before_shutdown_are_still_answered() {
+        let (started_tx, started_rx) = channel::<()>();
+        let (release_tx, release_rx) = channel::<()>();
+        let (started_tx, release_rx) = (Mutex::new(started_tx), Mutex::new(release_rx));
+        let config = ListenerConfig {
+            workers: 1,
+            ..ListenerConfig::new("127.0.0.1:0", "drainlab")
+        };
+        let listener = listen(config, move |req, _| {
+            if req.path == "/park" {
+                started_tx.lock().unwrap().send(()).unwrap();
+                let _ = release_rx
+                    .lock()
+                    .unwrap()
+                    .recv_timeout(Duration::from_secs(10));
+            }
+            Response::text(200, "served")
+        })
+        .unwrap();
+        let addr = listener.local_addr();
+
+        // Park the only worker, then fill its queue (1 worker × 4).
+        let parked = std::thread::spawn(move || client::request(&addr, "GET", "/park", None));
+        started_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        let mut queued: Vec<TcpStream> = (0..4)
+            .map(|_| {
+                let mut stream = TcpStream::connect(addr).unwrap();
+                stream
+                    .write_all(&client::encode_request("GET", "/queued", None, &[]))
+                    .unwrap();
+                stream
+            })
+            .collect();
+        // Connections are accepted in order, so the acceptor shedding a
+        // fifth proves the four before it are accepted and queued.
+        // (It sends nothing: a shed closes without reading the request.)
+        let mut shed = String::new();
+        let mut late = TcpStream::connect(addr).unwrap();
+        late.read_to_string(&mut shed).unwrap();
+        assert!(shed.starts_with("HTTP/1.1 503 "), "{shed:?}");
+
+        let flag = listener.shutdown_flag();
+        let stopping = std::thread::spawn(move || listener.shutdown());
+        assert!(flag.wait(Duration::from_secs(5)), "shutdown never raised");
+        release_tx.send(()).unwrap();
+
+        assert_eq!(parked.join().unwrap().unwrap().status, 200);
+        for stream in &mut queued {
+            let mut raw = String::new();
+            stream.read_to_string(&mut raw).unwrap();
+            assert!(raw.starts_with("HTTP/1.1 200 OK\r\n"), "{raw:?}");
+            assert!(raw.ends_with("served"), "{raw:?}");
+        }
+        stopping.join().unwrap();
+        assert_eq!(counter("drainlab", "requests"), 5);
+        assert_eq!(counter("drainlab", "overload"), 1);
+    }
+
+    #[test]
+    fn accept_failures_that_outlast_the_call_back_off_and_the_rest_retry() {
+        use io::ErrorKind::{ConnectionAborted, Interrupted, OutOfMemory};
+        for burst in [0, 1, 50] {
+            assert_eq!(accept_backoff(Interrupted, burst), None);
+            assert_eq!(accept_backoff(ConnectionAborted, burst), None);
+        }
+        // EMFILE and ENFILE have no stable kind: everything unnamed backs off.
+        for kind in [io::Error::from_raw_os_error(24).kind(), OutOfMemory] {
+            assert_eq!(accept_backoff(kind, 0), Some(ACCEPT_BACKOFF_MIN));
+            assert_eq!(accept_backoff(kind, 1), Some(ACCEPT_BACKOFF_MIN * 2));
+            assert_eq!(accept_backoff(kind, 8), Some(ACCEPT_BACKOFF_MAX));
+            assert_eq!(accept_backoff(kind, u32::MAX), Some(ACCEPT_BACKOFF_MAX));
+        }
+    }
+
+    #[test]
+    fn the_wake_goes_to_the_loopback_of_a_wildcard_bind() {
+        for (bound, wake) in [
+            ("127.0.0.1:7001", "127.0.0.1:7001"),
+            ("0.0.0.0:7002", "127.0.0.1:7002"),
+            ("[::]:7003", "[::1]:7003"),
+            ("[::1]:7004", "[::1]:7004"),
+            ("10.1.2.3:7005", "10.1.2.3:7005"),
+        ] {
+            assert_eq!(wake_addr(bound.parse().unwrap()), wake.parse().unwrap());
+        }
     }
 }

@@ -1,10 +1,12 @@
 //! Ctrl-c / SIGTERM without a signal-handling crate.
 //!
 //! The handler does the only async-signal-safe thing possible — it sets a
-//! static atomic flag — and the daemon's accept loop polls that flag. On
-//! Unix the registration goes straight through libc's `signal(2)` (libc
-//! is always linked); elsewhere the flag simply never fires and the
-//! daemon runs until killed.
+//! static atomic flag — and the CLI's foreground loop (`serve`, `router`:
+//! a 50 ms check) polls that flag and then calls the handle's
+//! `shutdown()`; the accept loop itself never looks at it. On Unix the
+//! registration goes straight through libc's `signal(2)` (libc is always
+//! linked); elsewhere the flag simply never fires and the daemon runs
+//! until killed.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

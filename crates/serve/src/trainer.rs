@@ -21,7 +21,6 @@
 //! stub it and the CLI can decorate the backend's update (validation,
 //! option overrides) without this crate knowing.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -31,6 +30,7 @@ use viralcast_propagation::CascadeSet;
 use viralcast_store::EventStore;
 
 use crate::ingest::{DrainedBatch, IngestBuffer};
+use crate::shutdown::Shutdown;
 use crate::snapshot::SnapshotStore;
 
 /// Warm-start retraining: `(current model, fresh cascades) → new model`.
@@ -58,14 +58,15 @@ impl Default for TrainerConfig {
     }
 }
 
-/// Spawns the trainer thread; it exits promptly once `shutdown` is set.
+/// Spawns the trainer thread; it waits each interval out on `shutdown`
+/// and exits the moment that is raised.
 pub fn spawn(
     store: Arc<SnapshotStore>,
     buffer: Arc<IngestBuffer>,
     event_store: Option<Arc<Mutex<EventStore>>>,
     retrain: RetrainFn,
     config: TrainerConfig,
-    shutdown: Arc<AtomicBool>,
+    shutdown: Arc<Shutdown>,
 ) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name("viralcast-trainer".into())
@@ -79,17 +80,16 @@ fn run(
     event_store: Option<Arc<Mutex<EventStore>>>,
     retrain: RetrainFn,
     config: TrainerConfig,
-    shutdown: Arc<AtomicBool>,
+    shutdown: Arc<Shutdown>,
 ) {
     let min_batch = config.min_batch.max(1);
-    let tick = Duration::from_millis(10).min(config.interval.max(Duration::from_millis(1)));
-    let mut last_attempt = Instant::now();
-    while !shutdown.load(Ordering::SeqCst) {
-        std::thread::sleep(tick);
-        if last_attempt.elapsed() < config.interval {
-            continue;
-        }
-        last_attempt = Instant::now();
+    // A zero interval must not turn the wait into a spin.
+    let interval = config.interval.max(Duration::from_millis(1));
+    // Attempts start one interval apart; a retrain that overran its
+    // interval is followed by the next attempt at once.
+    let mut next_attempt = Instant::now() + interval;
+    while !shutdown.wait(next_attempt.saturating_duration_since(Instant::now())) {
+        next_attempt = Instant::now() + interval;
         if buffer.len() < min_batch {
             continue;
         }
@@ -366,7 +366,7 @@ mod tests {
     fn trainer_thread_drains_and_shuts_down() {
         let store = Arc::new(SnapshotStore::new(embeddings()));
         let buffer = Arc::new(IngestBuffer::new(16));
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let shutdown = Shutdown::new();
         let retrain: RetrainFn = identity();
         let handle = spawn(
             Arc::clone(&store),
@@ -386,7 +386,28 @@ mod tests {
         }
         assert!(store.version() >= 2, "trainer never published");
         assert!(buffer.is_empty());
-        shutdown.store(true, Ordering::SeqCst);
+        shutdown.raise();
         handle.join().unwrap();
+    }
+
+    #[test]
+    fn an_idle_trainer_stops_mid_interval() {
+        let shutdown = Shutdown::new();
+        let handle = spawn(
+            Arc::new(SnapshotStore::new(embeddings())),
+            Arc::new(IngestBuffer::new(16)),
+            None,
+            identity(),
+            TrainerConfig {
+                interval: Duration::from_secs(3600),
+                min_batch: 1,
+            },
+            Arc::clone(&shutdown),
+        );
+        let started = Instant::now();
+        shutdown.raise();
+        handle.join().unwrap();
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(5), "join took {took:?}");
     }
 }
