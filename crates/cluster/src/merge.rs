@@ -82,7 +82,13 @@ fn list_head<'a>(lists: &'a [Vec<Ranked>], heads: &[usize], i: usize) -> &'a Ran
 mod tests {
     use super::*;
     use viralcast_graph::NodeId;
-    use viralcast_model::sort_and_truncate;
+
+    /// The reference ranking: sort everything, keep the first `top`.
+    fn sorted_prefix(mut scored: Vec<(NodeId, f64)>, top: usize) -> Vec<(NodeId, f64)> {
+        scored.sort_by(rank_order);
+        scored.truncate(top);
+        scored
+    }
 
     /// xorshift64* — a tiny deterministic generator for the property
     /// test (this crate has no `rand` dependency).
@@ -106,7 +112,7 @@ mod tests {
 
     /// Property: splitting a ranking across disjoint shards and merging
     /// the per-shard rankings reproduces the single-box top-k exactly —
-    /// `sort_and_truncate` over the concatenation — with ties, NaN and
+    /// the full sort of the concatenation, truncated — with ties, NaN and
     /// ±∞ among the scores.
     #[test]
     fn merging_disjoint_shards_equals_the_single_box_ranking() {
@@ -138,7 +144,7 @@ mod tests {
                         .filter(|(v, _)| v.index() % shards == shard)
                         .copied()
                         .collect();
-                    sort_and_truncate(owned, nodes)
+                    sorted_prefix(owned, nodes)
                         .into_iter()
                         .map(|(v, score)| Ranked::bare(u64::from(v.0), score))
                         .collect()
@@ -149,7 +155,7 @@ mod tests {
                 .iter()
                 .map(|r| (r.node, r.score.to_bits()))
                 .collect();
-            let single_box: Vec<(u64, u64)> = sort_and_truncate(all, k)
+            let single_box: Vec<(u64, u64)> = sorted_prefix(all, k)
                 .iter()
                 .map(|(v, score)| (u64::from(v.0), score.to_bits()))
                 .collect();

@@ -12,6 +12,7 @@
 use serde::{Deserialize, Serialize};
 use viralcast_embed::Embeddings;
 use viralcast_graph::NodeId;
+use viralcast_model::{CascadeModel, EmbeddingBackend};
 
 /// One ranked influencer.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -22,29 +23,25 @@ pub struct InfluencerRank {
     pub score: f64,
 }
 
+/// The serving backend's ranking — the same scores, comparator and
+/// selection `GET /v1/influencers` answers with — over a copy of
+/// `embeddings` (these are offline helpers; the daemon holds its
+/// backend already).
+fn ranking(embeddings: &Embeddings, topic: Option<usize>, k: usize) -> Vec<InfluencerRank> {
+    EmbeddingBackend::new(embeddings.clone())
+        .influencers(topic, k, None)
+        .expect("the topic was range-checked by the caller")
+        .into_iter()
+        .map(|(node, score)| InfluencerRank { node, score })
+        .collect()
+}
+
 /// The `k` nodes with the largest influence-vector Euclidean norm,
-/// descending; ties broken by node id.
+/// descending; ties broken by node id. A non-finite score (a corrupt
+/// row) is placed by IEEE total order — NaN first — instead of
+/// panicking.
 pub fn top_influencers(embeddings: &Embeddings, k: usize) -> Vec<InfluencerRank> {
-    let mut scores: Vec<InfluencerRank> = (0..embeddings.node_count())
-        .map(|u| {
-            let node = NodeId::new(u);
-            let score = embeddings
-                .influence(node)
-                .iter()
-                .map(|x| x * x)
-                .sum::<f64>()
-                .sqrt();
-            InfluencerRank { node, score }
-        })
-        .collect();
-    scores.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap()
-            .then(a.node.cmp(&b.node))
-    });
-    scores.truncate(k);
-    scores
+    ranking(embeddings, None, k)
 }
 
 /// The `k` nodes with the largest influence on one topic, descending.
@@ -57,23 +54,7 @@ pub fn topic_influencers(embeddings: &Embeddings, topic: usize, k: usize) -> Vec
         "topic {topic} out of range (K = {})",
         embeddings.topic_count()
     );
-    let mut scores: Vec<InfluencerRank> = (0..embeddings.node_count())
-        .map(|u| {
-            let node = NodeId::new(u);
-            InfluencerRank {
-                node,
-                score: embeddings.influence(node)[topic],
-            }
-        })
-        .collect();
-    scores.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap()
-            .then(a.node.cmp(&b.node))
-    });
-    scores.truncate(k);
-    scores
+    ranking(embeddings, Some(topic), k)
 }
 
 #[cfg(test)]
@@ -128,5 +109,15 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn bad_topic_rejected() {
         topic_influencers(&embeddings(), 9, 1);
+    }
+
+    #[test]
+    fn a_nan_row_is_ranked_not_a_panic() {
+        let e = Embeddings::from_matrices(3, 1, vec![1.0, f64::NAN, 2.0], vec![0.0; 3]);
+        for top in [top_influencers(&e, 3), topic_influencers(&e, 0, 3)] {
+            let nodes: Vec<u32> = top.iter().map(|r| r.node.0).collect();
+            assert_eq!(nodes, vec![1, 2, 0], "NaN first, then by score");
+            assert!(top[0].score.is_nan());
+        }
     }
 }

@@ -1,10 +1,15 @@
 //! The default backend: the paper's K-topic hazard-product embeddings.
 //!
-//! [`EmbeddingBackend`] wraps a fitted [`Embeddings`] matrix pair and
-//! implements [`CascadeModel`] exactly the way the serving layer used
-//! to evaluate the concrete type — same candidate filters, same
-//! summation order, same comparator — so the refactor is byte-identical
-//! on the wire (a serve integration test holds that line).
+//! [`EmbeddingBackend`] wraps a fitted [`Embeddings`] matrix pair. The
+//! rate is linear in the influence rows, so the candidate scan does what
+//! the paper's gradients do (eq. 12's `H(v) = Σ_{l≺v} A_l`): it sums the
+//! infected rows once per request — `H`, the first row copied and the
+//! rest added in ascending node order, topic by topic — and scores each
+//! candidate `⟨H, B_v⟩`, O((|infected| + n)·K) instead of
+//! O(|infected|·n·K). The order is fixed, so shard rankings tile the
+//! single-box ranking bit for bit, and one infected node `u` scores
+//! exactly `rate(u, v)` (a serve integration test pins both to an inline
+//! oracle, byte for byte on the wire).
 //!
 //! Updates run [`viralcast_embed::refit`], the same warm refit as the
 //! facade's `update_embeddings`: SLPA communities on the fresh batch's
@@ -12,16 +17,19 @@
 //! gradient ascent over the new cascades only, under the pipeline's
 //! default options (including the L1 shrinkage) with the topic count
 //! pinned by the wrapped embeddings — so a daemon retrains the same way
-//! `viralcast infer` fits.
+//! `viralcast infer` fits. A refit that holds a non-finite entry is an
+//! `Err`, never a model: with one `H` per request a single NaN
+//! influence row would turn whole rankings NaN.
 
 use std::any::Any;
 use std::sync::Arc;
 
+use viralcast_embed::embedding::dot;
 use viralcast_embed::{refit, Embeddings, InferOptions};
 use viralcast_graph::NodeId;
 use viralcast_propagation::CascadeSet;
 
-use crate::{sort_and_truncate, CascadeModel, RowBlock};
+use crate::{candidates, check_finite, rows, top_k, CascadeModel, RowBlock};
 
 /// The paper's embedding model behind the [`CascadeModel`] trait.
 #[derive(Clone, Debug)]
@@ -101,16 +109,18 @@ impl CascadeModel for EmbeddingBackend {
         owned: Option<&RowBlock>,
     ) -> Vec<(NodeId, f64)> {
         let emb = &self.embeddings;
-        let scored: Vec<(NodeId, f64)> = (0..emb.node_count())
-            .map(NodeId::new)
-            .filter(|v| owned.map_or(true, |block| block.contains(*v)))
-            .filter(|v| infected.binary_search(v).is_err())
-            .map(|v| {
-                let rate: f64 = infected.iter().map(|&u| emb.rate(u, v)).sum();
-                (v, rate)
-            })
-            .collect();
-        sort_and_truncate(scored, top)
+        let mut h = vec![0.0; emb.topic_count()];
+        if let Some((&first, rest)) = infected.split_first() {
+            h.copy_from_slice(emb.influence(first));
+            for &u in rest {
+                for (sum, a) in h.iter_mut().zip(emb.influence(u)) {
+                    *sum += a;
+                }
+            }
+        }
+        let scored =
+            candidates(emb.node_count(), infected, owned).map(|v| (v, dot(&h, emb.selectivity(v))));
+        top_k(scored, top)
     }
 
     fn influencers(
@@ -128,19 +138,15 @@ impl CascadeModel for EmbeddingBackend {
                 ));
             }
         }
-        let scored: Vec<(NodeId, f64)> = (0..emb.node_count())
-            .map(NodeId::new)
-            .filter(|u| owned.map_or(true, |block| block.contains(*u)))
-            .map(|u| {
-                let row = emb.influence(u);
-                let score = match topic {
-                    Some(t) => row[t],
-                    None => row.iter().map(|x| x * x).sum::<f64>().sqrt(),
-                };
-                (u, score)
-            })
-            .collect();
-        Ok(sort_and_truncate(scored, top))
+        let scored = rows(emb.node_count(), owned).map(|u| {
+            let row = emb.influence(u);
+            let score = match topic {
+                Some(t) => row[t],
+                None => row.iter().map(|x| x * x).sum::<f64>().sqrt(),
+            };
+            (u, score)
+        });
+        Ok(top_k(scored, top))
     }
 
     fn update(&self, fresh: &CascadeSet) -> Result<Arc<dyn CascadeModel>, String> {
@@ -150,6 +156,10 @@ impl CascadeModel for EmbeddingBackend {
         };
         let (_partition, updated, _report) =
             refit(&self.embeddings, fresh, &options).map_err(|e| e.to_string())?;
+        let k = updated.topic_count();
+        let a = updated.influence_matrix().iter().enumerate();
+        let b = updated.selectivity_matrix().iter().enumerate();
+        check_finite(a.chain(b).map(|(i, &x)| (i / k, x)))?;
         Ok(Arc::new(EmbeddingBackend::new(updated)))
     }
 
@@ -176,6 +186,7 @@ impl CascadeModel for EmbeddingBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use viralcast_propagation::{Cascade, Infection};
 
     fn backend() -> EmbeddingBackend {
         // Same fixture as the serve api tests: 3 nodes × 2 topics,
@@ -248,5 +259,27 @@ mod tests {
         let b = backend();
         let err = b.update(&CascadeSet::new(5, Vec::new())).unwrap_err();
         assert_eq!(err, "embedding rows (3) and corpus universe (5) differ");
+    }
+
+    #[test]
+    fn update_refuses_a_non_finite_refit() {
+        // A NaN influence entry on node 1 survives the warm refit (the
+        // projection clamps, and a clamped NaN is still NaN).
+        let poisoned = EmbeddingBackend::new(Embeddings::from_matrices(
+            3,
+            2,
+            vec![1.0, 2.0, f64::NAN, 0.5, 0.0, 0.0],
+            vec![1.0, 0.0, 0.0, 1.0, 0.0, 0.0],
+        ));
+        let fresh = CascadeSet::new(
+            3,
+            vec![Cascade::new(vec![Infection::new(0u32, 0.0), Infection::new(1u32, 0.4)]).unwrap()],
+        );
+        let err = poisoned.update(&fresh).unwrap_err();
+        assert!(err.contains("non-finite parameter at row 1"), "{err}");
+        assert!(
+            backend().update(&fresh).is_ok(),
+            "finite refits still publish"
+        );
     }
 }

@@ -9,10 +9,10 @@
 //! * `hazard(u, v)` — the instantaneous infection rate a single source
 //!   exerts on a single target;
 //! * [`CascadeModel::rank_candidates`] / [`CascadeModel::influencers`] —
-//!   batched top-k scans over an owned [`RowBlock`], all sorted by the
-//!   one shared comparator ([`rank_order`]: score descending, node id
-//!   ascending) so shard rankings tile the single-box ranking
-//!   byte for byte;
+//!   one pass over an owned [`RowBlock`] feeding the one bounded
+//!   selection ([`top_k`]) under the one shared comparator
+//!   ([`rank_order`]: score descending, node id ascending) so shard
+//!   rankings tile the single-box ranking byte for byte;
 //! * [`CascadeModel::update`] — the trainer's retrain contract: fold a
 //!   fresh cascade batch into a *new* model (the old one keeps serving);
 //! * [`CascadeModel::encode`] + [`decode_model`] — the checkpoint
@@ -82,11 +82,19 @@ pub trait CascadeModel: Send + Sync + std::fmt::Debug {
     /// from `infected`, highest first, ties broken by ascending node id
     /// (the shared comparator), truncated to `top`.
     ///
-    /// `infected` must be sorted and deduplicated (the candidate filter
-    /// binary-searches it); all its ids must be in range. `owned`
+    /// `infected` must be sorted ascending (rows are visited in the
+    /// same order, so the candidate filter is one forward cursor; a
+    /// repeated id is tolerated); all its ids must be in range. `owned`
     /// restricts the scan to a shard's rows; `None` scans every row.
-    /// Summation order over `infected` is fixed so the same request
-    /// yields bit-identical rates on every process.
+    ///
+    /// The score is linear in the sources, so a backend sums the
+    /// infected set once per request — in ascending node order, the
+    /// first source copied and the rest added to it — and then scores
+    /// each candidate against that sum: the same request yields
+    /// bit-identical rates on every process, and a single infected node
+    /// `u` yields exactly `hazard(u, v)`. The winners are kept by
+    /// [`top_k`], so a scan costs O((|infected| + n)·K + top·log top)
+    /// for a K-topic model.
     fn rank_candidates(
         &self,
         infected: &[NodeId],
@@ -114,7 +122,10 @@ pub trait CascadeModel: Send + Sync + std::fmt::Debug {
     ///
     /// # Errors
     /// A human-readable reason when the batch is incompatible with the
-    /// model (universe mismatch, out-of-range nodes) or fitting fails.
+    /// model (universe mismatch, out-of-range nodes), fitting fails, or
+    /// the refit result holds a non-finite parameter (`… non-finite
+    /// parameter at row r …`) — a model that would rank every request
+    /// NaN is never handed to the trainer to publish.
     fn update(&self, fresh: &CascadeSet) -> Result<Arc<dyn CascadeModel>, String>;
 
     /// Serialises the model into its backend-specific checkpoint
@@ -187,13 +198,79 @@ pub fn rank_order<N: Ord>(a: &(N, f64), b: &(N, f64)) -> std::cmp::Ordering {
     b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0))
 }
 
-/// Sorts by [`rank_order`] and keeps the first `top`. Shard rankings
-/// merged under the same order exactly equal the single-box ranking —
-/// the property the router relies on.
-pub fn sort_and_truncate(mut scored: Vec<(NodeId, f64)>, top: usize) -> Vec<(NodeId, f64)> {
-    scored.sort_by(rank_order);
-    scored.truncate(top);
-    scored
+/// The one selection every backend scan feeds: the `top` best entries of
+/// `scored` under [`rank_order`], best first — exactly what sorting all
+/// of them and truncating would return, in O(n + top·log top).
+///
+/// At most `2·top` entries are held: a full buffer is cut back to its
+/// best `top` by `select_nth_unstable_by`, the worst survivor becomes a
+/// floor, and anything that ranks after the floor is dropped on arrival.
+/// Memory follows the entries seen, never `top` itself, so a hostile
+/// `top = usize::MAX` costs what a full sort would.
+pub fn top_k<N: Ord + Copy>(
+    scored: impl IntoIterator<Item = (N, f64)>,
+    top: usize,
+) -> Vec<(N, f64)> {
+    if top == 0 {
+        return Vec::new();
+    }
+    let mut kept: Vec<(N, f64)> = Vec::new();
+    let mut floor: Option<(N, f64)> = None;
+    for entry in scored {
+        if floor.is_some_and(|floor| rank_order(&entry, &floor).is_gt()) {
+            continue;
+        }
+        kept.push(entry);
+        if kept.len() == top.saturating_mul(2) {
+            kept.select_nth_unstable_by(top - 1, rank_order);
+            kept.truncate(top);
+            floor = Some(kept[top - 1]);
+        }
+    }
+    kept.sort_unstable_by(rank_order);
+    kept.truncate(top);
+    kept
+}
+
+/// The rows a scan visits, in ascending node order: every node, or the
+/// ones a shard owns.
+fn rows<'a>(node_count: usize, owned: Option<&'a RowBlock>) -> impl Iterator<Item = NodeId> + 'a {
+    (0..node_count)
+        .map(NodeId::new)
+        .filter(move |&v| owned.map_or(true, |block| block.contains(v)))
+}
+
+/// The candidate rows of a predict scan: [`rows`] minus the infected
+/// set. Rows ascend and `infected` is sorted, so membership is one
+/// forward cursor; it advances on every row, owned or not, and steps
+/// over repeated ids.
+fn candidates<'a>(
+    node_count: usize,
+    infected: &'a [NodeId],
+    owned: Option<&'a RowBlock>,
+) -> impl Iterator<Item = NodeId> + 'a {
+    let mut next = 0;
+    (0..node_count)
+        .map(NodeId::new)
+        .filter(move |&v| {
+            while infected.get(next).is_some_and(|&u| u < v) {
+                next += 1;
+            }
+            infected.get(next) != Some(&v)
+        })
+        .filter(move |&v| owned.map_or(true, |block| block.contains(v)))
+}
+
+/// `Err` naming the first `(row, value)` whose value is non-finite. One
+/// NaN source row turns every score of a request NaN, so `update`
+/// refuses such a refit and the trainer keeps serving the old snapshot.
+fn check_finite(parameters: impl IntoIterator<Item = (usize, f64)>) -> Result<(), String> {
+    match parameters.into_iter().find(|(_, x)| !x.is_finite()) {
+        Some((row, x)) => Err(format!(
+            "refit produced a non-finite parameter at row {row} ({x})"
+        )),
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -208,7 +285,7 @@ mod tests {
             (NodeId(2), 1.0),
             (NodeId(0), 0.5),
         ];
-        let ranked = sort_and_truncate(scored, 3);
+        let ranked = top_k(scored, 3);
         assert_eq!(
             ranked,
             vec![(NodeId(1), 2.0), (NodeId(2), 1.0), (NodeId(3), 1.0)]
@@ -229,8 +306,8 @@ mod tests {
         let nodes = |ranked: Vec<(NodeId, f64)>| ranked.iter().map(|r| r.0 .0).collect::<Vec<_>>();
         // NaN first (ties by node id), then +∞, finite scores, -∞ —
         // whatever order the entries arrived in.
-        assert_eq!(nodes(sort_and_truncate(scored, 5)), vec![1, 3, 2, 4, 0]);
-        assert_eq!(nodes(sort_and_truncate(reversed, 5)), vec![1, 3, 2, 4, 0]);
+        assert_eq!(nodes(top_k(scored, 5)), vec![1, 3, 2, 4, 0]);
+        assert_eq!(nodes(top_k(reversed, 5)), vec![1, 3, 2, 4, 0]);
     }
 
     #[test]
@@ -249,5 +326,70 @@ mod tests {
         let msg = e.to_string();
         assert!(msg.contains("\"netinf\""), "{msg}");
         assert!(msg.contains("\"embed\""), "{msg}");
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The reference `top_k` must equal: the full sort, truncated.
+    fn sorted_prefix(mut scored: Vec<(u32, f64)>, k: usize) -> Vec<(u32, f64)> {
+        scored.sort_by(rank_order);
+        scored.truncate(k);
+        scored
+    }
+
+    fn bits(ranked: &[(u32, f64)]) -> Vec<(u32, u64)> {
+        ranked.iter().map(|&(v, s)| (v, s.to_bits())).collect()
+    }
+
+    /// `top_k` is the full sort's prefix, bit for bit: dense ties (four
+    /// score values), one entry in five NaN / ±∞ / −0.0, and the input
+    /// shuffled, ascending (every arrival beats the floor — its worst
+    /// case) and descending (every late arrival is dropped — its best),
+    /// for every `k` around `n` and the hostile `usize::MAX`.
+    #[test]
+    fn top_k_equals_the_sorted_prefix() {
+        for case in 0..256u64 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let n = rng.gen_range(0..300usize);
+            let mut shuffled: Vec<(u32, f64)> = (0..n as u32)
+                .map(|v| {
+                    let score = if rng.gen_range(0..5) == 0 {
+                        [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0][rng.gen_range(0..4)]
+                    } else {
+                        rng.gen_range(0..4) as f64 / 4.0
+                    };
+                    (v, score)
+                })
+                .collect();
+            for i in (1..n).rev() {
+                shuffled.swap(i, rng.gen_range(0..=i));
+            }
+            let best_first = sorted_prefix(shuffled.clone(), n);
+            let worst_first: Vec<(u32, f64)> = best_first.iter().rev().copied().collect();
+            for k in [0, 1, n.saturating_sub(1), n, n + 1, 2 * n, usize::MAX] {
+                for (order, input) in [
+                    ("shuffled", &shuffled),
+                    ("descending", &best_first),
+                    ("ascending", &worst_first),
+                ] {
+                    let got = top_k(input.iter().copied(), k);
+                    assert_eq!(
+                        bits(&got),
+                        bits(&sorted_prefix(input.clone(), k)),
+                        "case {case}: n {n}, k {k}, {order} input"
+                    );
+                    assert!(
+                        got.capacity() <= 2 * n.max(4),
+                        "case {case}: n {n}, k {k}, {order} input: capacity {} follows `top`, not the input",
+                        got.capacity()
+                    );
+                }
+            }
+        }
     }
 }

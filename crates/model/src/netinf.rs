@@ -16,8 +16,10 @@
 //! (`adoptions / Σ delays`), so [`CascadeModel::hazard`] is directly
 //! comparable to the embedding backend's rate surface: candidate
 //! ranking accumulates the same "sum of rates from the infected set"
-//! score, just over a sparse out-edge list, and uses the shared
-//! comparator so shard rankings tile identically.
+//! score — once per request, in ascending source order, over a sparse
+//! out-edge list — and feeds the shared selection ([`crate::top_k`])
+//! under the shared comparator, so shard rankings tile identically.
+//! A refit whose weights are not all finite is refused by `update`.
 //!
 //! Ties in the greedy selection break toward the smaller `(u, v)` pair,
 //! making fits deterministic for a given corpus.
@@ -29,7 +31,7 @@ use std::sync::Arc;
 use viralcast_graph::NodeId;
 use viralcast_propagation::{Cascade, CascadeSet};
 
-use crate::{sort_and_truncate, CascadeModel, RowBlock};
+use crate::{candidates, check_finite, rows, top_k, CascadeModel, RowBlock};
 
 /// Minimum delay used for MLE rate estimation, so simultaneous
 /// adoptions cannot produce an infinite rate.
@@ -230,6 +232,16 @@ impl NetInfBackend {
             history: Vec::new(),
         })
     }
+
+    /// `Err` naming the first source row with a non-finite edge weight.
+    fn check_finite(&self) -> Result<(), String> {
+        check_finite(
+            self.edges
+                .iter()
+                .enumerate()
+                .flat_map(|(u, out)| out.iter().map(move |&(_, w)| (u, w))),
+        )
+    }
 }
 
 impl CascadeModel for NetInfBackend {
@@ -259,7 +271,8 @@ impl CascadeModel for NetInfBackend {
         top: usize,
         owned: Option<&RowBlock>,
     ) -> Vec<(NodeId, f64)> {
-        // Sparse accumulation into a dense score row, then the same
+        // Sparse accumulation into a dense score row (the infected set
+        // summed once, in ascending node order), then the same
         // full-universe scan the embedding backend does, so zero-rate
         // candidates appear (and tie-break) identically across backends.
         let mut score = vec![0.0f64; self.node_count];
@@ -268,13 +281,8 @@ impl CascadeModel for NetInfBackend {
                 score[v.index()] += w;
             }
         }
-        let scored: Vec<(NodeId, f64)> = (0..self.node_count)
-            .map(NodeId::new)
-            .filter(|v| owned.map_or(true, |block| block.contains(*v)))
-            .filter(|v| infected.binary_search(v).is_err())
-            .map(|v| (v, score[v.index()]))
-            .collect();
-        sort_and_truncate(scored, top)
+        let scored = candidates(self.node_count, infected, owned).map(|v| (v, score[v.index()]));
+        top_k(scored, top)
     }
 
     fn influencers(
@@ -286,12 +294,9 @@ impl CascadeModel for NetInfBackend {
         if let Some(t) = topic {
             return Err(format!("topic {t} out of range (model has 0 topics)"));
         }
-        let scored: Vec<(NodeId, f64)> = (0..self.node_count)
-            .map(NodeId::new)
-            .filter(|u| owned.map_or(true, |block| block.contains(*u)))
-            .map(|u| (u, self.edges[u.index()].iter().map(|&(_, w)| w).sum()))
-            .collect();
-        Ok(sort_and_truncate(scored, top))
+        let scored = rows(self.node_count, owned)
+            .map(|u| (u, self.edges[u.index()].iter().map(|&(_, w)| w).sum()));
+        Ok(top_k(scored, top))
     }
 
     fn update(&self, fresh: &CascadeSet) -> Result<Arc<dyn CascadeModel>, String> {
@@ -316,7 +321,9 @@ impl CascadeModel for NetInfBackend {
         all.extend(fresh.cascades().iter().cloned());
         let keep = all.len().saturating_sub(self.config.max_history);
         let corpus = CascadeSet::new(self.node_count, all[keep..].to_vec());
-        Ok(Arc::new(NetInfBackend::fit(&corpus, self.config)))
+        let refitted = NetInfBackend::fit(&corpus, self.config);
+        refitted.check_finite()?;
+        Ok(Arc::new(refitted))
     }
 
     fn encode(&self) -> Vec<u8> {
@@ -461,5 +468,16 @@ mod tests {
         let b = NetInfBackend::fit(&corpus(), NetInfConfig::default());
         let err = b.update(&CascadeSet::new(9, Vec::new())).unwrap_err();
         assert!(err.contains("covers 4 nodes"), "{err}");
+    }
+
+    #[test]
+    fn update_refuses_a_non_finite_refit() {
+        // No corpus makes the MLE weight non-finite (delays are floored
+        // at `MIN_DELAY`), so hand the check a poisoned graph directly.
+        let mut poisoned = NetInfBackend::fit(&corpus(), NetInfConfig::default());
+        assert!(poisoned.check_finite().is_ok());
+        poisoned.edges[1].push((NodeId(3), f64::NAN));
+        let err = poisoned.check_finite().unwrap_err();
+        assert!(err.contains("non-finite parameter at row 1"), "{err}");
     }
 }

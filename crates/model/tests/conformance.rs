@@ -1,15 +1,17 @@
 //! Trait-conformance suite: every registered backend must honour the
 //! contracts the serving stack leans on — non-negative finite hazards,
 //! deterministic rankings under the shared (score desc, node asc)
-//! comparator, shard rankings that tile the full ranking, and a
-//! checkpoint codec that round-trips through the registry. The last
-//! case is `netinf`'s ground truth: planted edges recovered from
+//! comparator, ranked scores that are the sum of the sources' hazards,
+//! shard rankings that tile the full ranking (full and small `top`),
+//! and a checkpoint codec that round-trips through the registry. The
+//! last case is `netinf`'s ground truth: planted edges recovered from
 //! simulated cascades.
 
 use std::sync::Arc;
 use viralcast_graph::NodeId;
 use viralcast_model::{
-    decode_model, CascadeModel, EmbeddingBackend, NetInfBackend, NetInfConfig, RowBlock, BACKENDS,
+    decode_model, rank_order, CascadeModel, EmbeddingBackend, NetInfBackend, NetInfConfig,
+    RowBlock, BACKENDS,
 };
 use viralcast_propagation::{Cascade, CascadeSet, Infection};
 
@@ -144,6 +146,132 @@ fn shard_rankings_tile_the_full_ranking() {
         }
         merged.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
         assert_eq!(merged, full, "{id}: merged shard rankings diverge");
+    }
+}
+
+/// A wider universe for the rows that need 16 sources and three shards
+/// with more candidates each than a small `top`.
+const WIDE: usize = 48;
+
+fn wide_backends() -> Vec<Arc<dyn CascadeModel>> {
+    const K: usize = 5;
+    // Irregular weights, a third of them zero, so rates are distinct,
+    // order-sensitive and sometimes tied at 0.
+    let weights = |phase: f64| -> Vec<f64> {
+        (0..WIDE * K)
+            .map(|i| (i as f64 * 0.37 + phase).sin())
+            .map(|x| if x < -0.3 { 0.0 } else { x.abs() })
+            .collect()
+    };
+    let emb = viralcast_embed::Embeddings::from_matrices(WIDE, K, weights(0.11), weights(0.29));
+    // Every node precedes its +1 and +7 neighbours: a sparse graph, so
+    // most netinf candidates tie at rate 0.
+    let chains = (0..WIDE as u32)
+        .map(|u| {
+            let step = 0.1 + 0.01 * f64::from(u);
+            Cascade::new(vec![
+                Infection::new(u, 0.0),
+                Infection::new((u + 1) % WIDE as u32, step),
+                Infection::new((u + 7) % WIDE as u32, 2.0 * step),
+            ])
+            .unwrap()
+        })
+        .collect();
+    vec![
+        Arc::new(EmbeddingBackend::new(emb)),
+        Arc::new(NetInfBackend::fit(
+            &CascadeSet::new(WIDE, chains),
+            NetInfConfig::default(),
+        )),
+    ]
+}
+
+fn bits(ranked: &[(NodeId, f64)]) -> Vec<(NodeId, u64)> {
+    ranked.iter().map(|&(v, s)| (v, s.to_bits())).collect()
+}
+
+/// The algebraic identity behind the one-sum-per-request scan, stated
+/// once: a candidate's score is the sum of its sources' hazards.
+#[test]
+fn ranked_scores_are_the_sum_of_the_sources_hazards() {
+    for model in wide_backends() {
+        let id = model.backend_id();
+        for sources in [1, 4, 16] {
+            let infected: Vec<NodeId> = (0..sources).map(|i| NodeId::new(i * 3)).collect();
+            let ranked = model.rank_candidates(&infected, WIDE, None);
+            assert_eq!(ranked.len(), WIDE - sources, "{id}: wrong universe");
+            for &(v, score) in &ranked {
+                let sum: f64 = infected.iter().map(|&u| model.hazard(u, v)).sum();
+                assert!(
+                    (score - sum).abs() <= 1e-12 * sum.abs(),
+                    "{id}: {sources} sources, node {v}: ranked {score}, hazards sum to {sum}"
+                );
+                if sources == 1 {
+                    assert_eq!(score.to_bits(), sum.to_bits(), "{id}: node {v}");
+                }
+            }
+        }
+    }
+}
+
+/// Small `top` (fewer than any shard's candidates, so the selection's
+/// floor runs) with sources at row 0, at row n−1 and in rows each shard
+/// does not own: per-shard top-k, concatenated and reference-sorted,
+/// is the single-box top-k bit for bit.
+#[test]
+fn small_top_shard_rankings_tile_the_single_box_ranking() {
+    let infected = [0, 4, 5, 30, WIDE - 1].map(NodeId::new);
+    for model in wide_backends() {
+        let id = model.backend_id();
+        for top in [3, 5] {
+            let single_box = model.rank_candidates(&infected, top, None);
+            assert_eq!(single_box.len(), top, "{id}");
+            let mut merged: Vec<(NodeId, f64)> = Vec::new();
+            for shard in 0..3 {
+                let block = RowBlock::round_robin(WIDE, shard, 3).unwrap();
+                assert!(
+                    infected.iter().any(|&u| !block.contains(u)),
+                    "shard {shard} owns every source"
+                );
+                let part = model.rank_candidates(&infected, top, Some(&block));
+                assert_eq!(part.len(), top, "{id}: shard {shard}");
+                for (v, _) in &part {
+                    assert!(block.contains(*v), "{id}: shard {shard} ranked unowned {v}");
+                    assert!(
+                        !infected.contains(v),
+                        "{id}: shard {shard} ranked source {v}"
+                    );
+                }
+                merged.extend(part);
+            }
+            merged.sort_by(rank_order);
+            merged.truncate(top);
+            assert_eq!(bits(&merged), bits(&single_box), "{id}: top {top}");
+        }
+    }
+}
+
+/// `infected` is documented sorted; a repeated id must neither panic
+/// the scan nor let a later source through as a candidate.
+#[test]
+fn a_repeated_source_is_tolerated() {
+    let infected = [3, 3, 5, 5, 5, 9].map(NodeId::new);
+    for model in wide_backends() {
+        let id = model.backend_id();
+        for owned in [None, Some(RowBlock::round_robin(WIDE, 0, 3).unwrap())] {
+            let ranked = model.rank_candidates(&infected, WIDE, owned.as_ref());
+            let expected = match &owned {
+                None => WIDE - 3,
+                Some(block) => block.owned_count() - 2, // owns 3 and 9, not 5
+            };
+            assert_eq!(ranked.len(), expected, "{id}: wrong universe");
+            for (v, _) in &ranked {
+                assert!(
+                    !infected.contains(v),
+                    "{id}: source {v} ranked as candidate"
+                );
+            }
+        }
     }
 }
 

@@ -113,10 +113,15 @@ pub fn parse_predict(body: &JsonValue) -> Result<PredictRequest, String> {
 /// by that sum orders candidates by imminence.
 ///
 /// `owned` restricts the candidate scan to the rows a shard owns (see
-/// [`RowBlock`]); `None` scans every row. The infected set is summed in
-/// sorted node order so the same request yields bit-identical rates on
-/// every process — the property that lets a router's merged shard
-/// rankings equal a single box's byte for byte.
+/// [`RowBlock`]); `None` scans every row. The infected set is sorted,
+/// deduplicated and summed **once per request** in ascending node order
+/// (the first source copied, the rest added to it), and each candidate
+/// is scored against that sum, so the same request yields bit-identical
+/// rates on every process — the property that lets a router's merged
+/// shard rankings equal a single box's byte for byte — and a one-node
+/// cascade yields exactly the pairwise hazards. Cost: O((|infected| +
+/// n)·K + top·log top) for a K-topic model; memory follows the rows
+/// scanned, never the client's `top`.
 pub fn predict_json(
     snap: &ModelSnapshot,
     req: &PredictRequest,

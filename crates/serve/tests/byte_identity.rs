@@ -1,12 +1,17 @@
 //! The refactor's byte-identity contract for the embed backend.
 //!
 //! Before `CascadeModel`, the serving endpoints evaluated the concrete
-//! `Embeddings` type directly. These tests pin the refactored path to
-//! an inline oracle that recomputes the pre-refactor algorithm from the
-//! raw matrices — same candidate filters, same summation order, same
-//! (score desc, node asc) comparator, same JSON field order — and
-//! assert the rendered responses match **byte for byte**, both at the
-//! codec layer and through a live daemon.
+//! `Embeddings` type directly. These tests pin the backend path to an
+//! inline oracle that recomputes each answer from the raw matrices —
+//! same candidate filters, same (score desc, node asc) comparator, same
+//! JSON field order — and assert the rendered responses match **byte
+//! for byte**, both at the codec layer and through a live daemon.
+//! `/v1/influencers` and `/v1/hazard` are the pre-refactor algorithm
+//! verbatim. `/v1/predict` is the *specified* summation order: `H` is a
+//! copy of the first infected row (ascending node order) plus the
+//! remaining infected rows added in that order, topic by topic, and a
+//! candidate's rate is `sum_t H[t] * B_v[t]` in topic order. With one
+//! infected node that is the pre-refactor rate bit for bit.
 
 use std::sync::Arc;
 
@@ -51,9 +56,11 @@ fn oracle_rate(emb: &Embeddings, u: NodeId, v: NodeId) -> f64 {
         .sum()
 }
 
-/// The pre-refactor `/v1/predict` evaluation, verbatim: scan every row
-/// (optionally masked), skip infected rows, sum rates over the sorted
-/// infected set, sort by (rate desc, node asc), truncate.
+/// The specified `/v1/predict` evaluation: sum the sorted infected
+/// set's influence rows into `H` (first row copied, the rest added in
+/// ascending node order), scan every row (optionally masked), skip
+/// infected rows, score `H . B_v` in topic order, sort by (rate desc,
+/// node asc), truncate.
 fn oracle_predict(
     emb: &Embeddings,
     version: u64,
@@ -64,12 +71,18 @@ fn oracle_predict(
     let mut infected: Vec<NodeId> = infections.iter().map(|&(u, _)| NodeId(u)).collect();
     infected.sort_unstable();
     infected.dedup();
+    let mut h: Vec<f64> = emb.influence(infected[0]).to_vec();
+    for &u in &infected[1..] {
+        for (t, a) in emb.influence(u).iter().enumerate() {
+            h[t] += a;
+        }
+    }
     let mut scored: Vec<(NodeId, f64)> = (0..emb.node_count())
         .map(NodeId::new)
         .filter(|v| owned.map_or(true, |block| block.contains(*v)))
         .filter(|v| infected.binary_search(v).is_err())
         .map(|v| {
-            let rate: f64 = infected.iter().map(|&u| oracle_rate(emb, u, v)).sum();
+            let rate: f64 = h.iter().zip(emb.selectivity(v)).map(|(h, b)| h * b).sum();
             (v, rate)
         })
         .collect();
@@ -184,6 +197,65 @@ fn predict_is_byte_identical_to_the_pre_refactor_algorithm() {
         let refactored = api::predict_json(&snap, &req, None).unwrap().render();
         let oracle = oracle_predict(&emb, 7, &infections, top, None);
         assert_eq!(refactored, oracle, "for body {body}");
+    }
+}
+
+/// With one infected node the request-wide sum *is* that node's row, so
+/// every predicted rate is `hazard(u, v)` bit for bit — single-seed
+/// responses did not move when the scan stopped summing per candidate.
+/// Holds for both backends.
+#[test]
+fn single_seed_predict_rates_are_the_pairwise_hazards_bit_for_bit() {
+    use viralcast_model::{CascadeModel, NetInfBackend, NetInfConfig};
+    use viralcast_propagation::{Cascade, CascadeSet, Infection};
+    use viralcast_serve::json::{as_arr, as_f64, as_u64, get};
+
+    let chain = |nodes: [u32; 3], step: f64| {
+        Cascade::new(
+            nodes
+                .iter()
+                .enumerate()
+                .map(|(i, &n)| Infection::new(n, i as f64 * step))
+                .collect(),
+        )
+        .unwrap()
+    };
+    let corpus = CascadeSet::new(
+        6,
+        vec![
+            chain([0, 1, 2], 0.4),
+            chain([1, 3, 4], 0.3),
+            chain([5, 4, 0], 0.7),
+            chain([2, 5, 3], 0.2),
+        ],
+    );
+    let models: [Arc<dyn CascadeModel>; 2] = [
+        Arc::new(EmbeddingBackend::new(embeddings())),
+        Arc::new(NetInfBackend::fit(&corpus, NetInfConfig::default())),
+    ];
+    for model in models {
+        let id = model.backend_id();
+        let snap = ModelSnapshot {
+            version: 1,
+            model: Arc::clone(&model),
+            published_unix: 0,
+        };
+        for u in 0..6u32 {
+            let body = format!(r#"{{"cascade":[{{"node":{u},"time":0.0}}],"top":6}}"#);
+            let req = api::parse_predict(&parse(&body)).unwrap();
+            let doc = api::predict_json(&snap, &req, None).unwrap();
+            let candidates = as_arr(get(&doc, "candidates").unwrap()).unwrap();
+            assert_eq!(candidates.len(), 5, "{id}: seed {u}");
+            for c in candidates {
+                let v = as_u64(get(c, "node").unwrap()).unwrap() as u32;
+                let rate = as_f64(get(c, "rate").unwrap()).unwrap();
+                assert_eq!(
+                    rate.to_bits(),
+                    model.hazard(NodeId(u), NodeId(v)).to_bits(),
+                    "{id}: seed {u}, candidate {v}"
+                );
+            }
+        }
     }
 }
 

@@ -534,7 +534,31 @@ smoke_replica() {
 # benchmark/, whose own .cargo/config.toml and Cargo.lock apply there.
 bench_contract() {
     (cd benchmark && cargo build --release --offline && cargo test --release --offline)
-    bash benchmark/run.sh --workload read_scan --seed 1 --seconds 2 --trace 1
+    local report rank
+    report="$(mktemp)"
+    trap 'rm -f "$report"' RETURN
+    bash benchmark/run.sh --workload read_scan --seed 1 --seconds 2 --trace 1 --report "$report"
+    # The scan sums the infected set once and keeps a bounded top-k:
+    # ~600 us on the 60000x16 model. Scoring every candidate against
+    # every source and sorting them all reads ~30000.
+    rank="$(grep -A1 '"model.rank_us"' "$report" | sed -n 's/.*"value": *\([0-9][0-9.e+-]*\).*/\1/p')"
+    if ! grep -q '"correct": *true' "$report" \
+        || ! awk -v rank="$rank" 'BEGIN { exit !(rank != "" && rank + 0 < 5000) }'; then
+        echo "read_scan is not correct, or model.rank_us (${rank:-missing}) is 5000 us or more" >&2
+        return 1
+    fi
+}
+
+# One selection (viralcast_model::top_k) under one comparator
+# (rank_order); fail if the collect-everything-and-sort helper or a
+# panicking float comparison comes back into a ranking path. The bracket
+# keeps this script from matching itself.
+one_selection() {
+    if grep -rn 'sort_and_[t]runcate' crates/ src/ tests/ \
+        || grep -rn 'partial_[c]mp(' crates/model/src crates/core/src/influencers.rs; then
+        echo "a second selection or an unwrap-on-NaN comparison reappeared; rank with viralcast_model::top_k / rank_order" >&2
+        return 1
+    fi
 }
 
 # viralbench replaced the three in-crate synthetic benches; fail if a
@@ -596,6 +620,7 @@ workspace_tests() {
 
 run one_yardstick
 run one_test_stack
+run one_selection
 run front_door_never_sleeps
 run cargo fmt --all --check
 run cargo clippy --workspace --all-targets -- -D warnings
