@@ -11,8 +11,17 @@
 //! output) and the most frequent label (disjoint output — what the
 //! parallel inference uses).
 //!
-//! The implementation is deterministic given the seed: label memories are
-//! stored as sorted vectors and all tie-breaks favour the smallest label.
+//! The implementation is deterministic given the seed. All label memories
+//! live in one flat `n × (iterations + 1)` array of `u32` labels: a node's
+//! slice holds one slot per label it has heard, kept sorted, so a label
+//! heard `c` times occupies `c` adjacent slots. A speaker's utterance is
+//! then the slot at one uniform draw below the slice's length — the same
+//! map from the draw to the label as walking cumulative counts over sorted
+//! `(label, count)` pairs, without the walk. The listener tallies into a
+//! dense per-label row and visits the labels it heard in ascending order,
+//! so nothing is allocated inside the round loop and no outcome depends on
+//! a hash order. The vote's ties are drawn uniformly; the post-processing
+//! tie (most frequent label) favours the smallest label.
 
 use crate::partition::Partition;
 use rand::rngs::StdRng;
@@ -43,57 +52,70 @@ impl Default for SlpaConfig {
     }
 }
 
-/// A label memory: sorted `(label, count)` pairs.
-#[derive(Clone, Debug, Default)]
-struct Memory {
-    entries: Vec<(usize, u32)>,
-    total: u32,
+/// Every node's label memory, side by side: node `u` owns
+/// `labels[u * stride..][..len[u]]`, sorted, one slot per label heard.
+#[derive(Debug)]
+struct Memories {
+    stride: usize,
+    labels: Vec<u32>,
+    len: Vec<u32>,
 }
 
-impl Memory {
-    fn with_initial(label: usize) -> Self {
-        Memory {
-            entries: vec![(label, 1)],
-            total: 1,
+impl Memories {
+    /// `n` memories holding the node's own id, with room for one more
+    /// label per round.
+    fn new(n: usize, iterations: usize) -> Self {
+        let stride = iterations + 1;
+        let mut labels = vec![0u32; n * stride];
+        for u in 0..n {
+            labels[u * stride] = u32::try_from(u).expect("node ids fit in u32");
+        }
+        Memories {
+            stride,
+            labels,
+            len: vec![1; n],
         }
     }
 
-    fn add(&mut self, label: usize) {
-        match self.entries.binary_search_by_key(&label, |e| e.0) {
-            Ok(i) => self.entries[i].1 += 1,
-            Err(i) => self.entries.insert(i, (label, 1)),
-        }
-        self.total += 1;
+    fn add(&mut self, u: usize, label: u32) {
+        let len = self.len[u] as usize;
+        let slots = &mut self.labels[u * self.stride..][..len + 1];
+        let at = slots[..len].partition_point(|&l| l <= label);
+        slots.copy_within(at..len, at + 1);
+        slots[at] = label;
+        self.len[u] += 1;
     }
 
     /// Samples a label proportionally to its count.
-    fn speak<R: Rng>(&self, rng: &mut R) -> usize {
-        debug_assert!(self.total > 0);
-        let mut pick = rng.gen_range(0..self.total);
-        for &(label, count) in &self.entries {
-            if pick < count {
-                return label;
-            }
-            pick -= count;
-        }
-        unreachable!("memory total inconsistent")
+    fn speak<R: Rng>(&self, u: usize, rng: &mut R) -> u32 {
+        self.labels[u * self.stride + rng.gen_range(0..self.len[u]) as usize]
+    }
+
+    /// `(label, count)` per distinct label, ascending.
+    fn counts(&self, u: usize) -> impl Iterator<Item = (u32, usize)> + '_ {
+        let mut rest = &self.labels[u * self.stride..][..self.len[u] as usize];
+        std::iter::from_fn(move || {
+            let label = *rest.first()?;
+            let run = rest.partition_point(|&l| l == label);
+            rest = &rest[run..];
+            Some((label, run))
+        })
     }
 
     /// Most frequent label, smallest label on ties.
-    fn dominant(&self) -> usize {
-        self.entries
-            .iter()
+    fn dominant(&self, u: usize) -> usize {
+        self.counts(u)
             .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-            .map(|&(l, _)| l)
+            .map(|(l, _)| l as usize)
             .expect("memory never empty")
     }
 
     /// Labels with frequency ≥ threshold.
-    fn above(&self, threshold: f64) -> Vec<usize> {
-        self.entries
-            .iter()
-            .filter(|&&(_, c)| c as f64 / self.total as f64 >= threshold)
-            .map(|&(l, _)| l)
+    fn above(&self, u: usize, threshold: f64) -> Vec<usize> {
+        let total = self.len[u];
+        self.counts(u)
+            .filter(|&(_, c)| c as f64 / total as f64 >= threshold)
+            .map(|(l, _)| l as usize)
             .collect()
     }
 }
@@ -148,8 +170,13 @@ impl Slpa {
         let _span = obs::Span::enter("slpa");
         let n = graph.node_count();
         let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let mut memories: Vec<Memory> = (0..n).map(Memory::with_initial).collect();
+        let mut memories = Memories::new(n, self.config.iterations);
         let mut order: Vec<usize> = (0..n).collect();
+        // The listener's tally, dense by label; `heard` lists the labels
+        // uttered to the current listener and `voted` marks them.
+        let mut tally = vec![0.0f64; n];
+        let mut voted = vec![false; n];
+        let mut heard: Vec<u32> = Vec::new();
 
         for _ in 0..self.config.iterations {
             shuffle(&mut order, &mut rng);
@@ -160,35 +187,39 @@ impl Slpa {
                     continue;
                 }
                 let weights = graph.out_weights(lu);
-                // Tally weighted utterances; small sorted vec keeps the
-                // iteration order deterministic.
-                let mut votes: Vec<(usize, f64)> = Vec::with_capacity(neighbors.len());
                 for (&speaker, &w) in neighbors.iter().zip(weights) {
-                    let label = memories[speaker.index()].speak(&mut rng);
-                    match votes.binary_search_by_key(&label, |v| v.0) {
-                        Ok(i) => votes[i].1 += w,
-                        Err(i) => votes.insert(i, (label, w)),
+                    let label = memories.speak(speaker.index(), &mut rng);
+                    let slot = label as usize;
+                    if voted[slot] {
+                        tally[slot] += w;
+                    } else {
+                        voted[slot] = true;
+                        tally[slot] = w;
+                        heard.push(label);
                     }
+                }
+                // Ascending label order keeps the tie draw below
+                // independent of the order the labels were uttered in.
+                heard.sort_unstable();
+                let mut max_w = f64::NEG_INFINITY;
+                for &label in &heard {
+                    voted[label as usize] = false;
+                    max_w = max_w.max(tally[label as usize]);
                 }
                 // Ties are broken uniformly at random (deterministic via
                 // the seeded rng): a fixed tie-break such as "smallest
                 // label" systematically floods low node ids across weak
                 // inter-community bridges and merges planted blocks.
-                let max_w = votes.iter().map(|v| v.1).fold(f64::NEG_INFINITY, f64::max);
-                let top: Vec<usize> = votes
-                    .iter()
-                    .filter(|v| v.1 >= max_w - 1e-12)
-                    .map(|v| v.0)
-                    .collect();
-                let winner = top[rng.gen_range(0..top.len())];
-                memories[listener].add(winner);
+                heard.retain(|&label| tally[label as usize] >= max_w - 1e-12);
+                let winner = heard[rng.gen_range(0..heard.len())];
+                heard.clear();
+                memories.add(listener, winner);
             }
         }
 
-        let raw: Vec<usize> = memories.iter().map(Memory::dominant).collect();
-        let overlapping = memories
-            .iter()
-            .map(|m| m.above(self.config.threshold))
+        let raw: Vec<usize> = (0..n).map(|u| memories.dominant(u)).collect();
+        let overlapping = (0..n)
+            .map(|u| memories.above(u, self.config.threshold))
             .collect();
         let partition = Partition::from_membership(&raw);
         obs::metrics()
@@ -325,22 +356,24 @@ mod tests {
 
     #[test]
     fn memory_speak_distribution_tracks_counts() {
-        let mut m = Memory::with_initial(2);
+        // Node 2's memory starts as {2}.
+        let mut m = Memories::new(3, 9);
         for _ in 0..9 {
-            m.add(5);
+            m.add(2, 5);
         }
         let mut rng = StdRng::seed_from_u64(3);
-        let fives = (0..1000).filter(|_| m.speak(&mut rng) == 5).count();
+        let fives = (0..1000).filter(|_| m.speak(2, &mut rng) == 5).count();
         // Label 5 holds 9/10 of the memory.
         assert!((850..=950).contains(&fives), "got {fives}");
     }
 
     #[test]
     fn memory_dominant_breaks_ties_low() {
-        let mut m = Memory::with_initial(4);
-        m.add(1);
+        // Node 4's memory starts as {4}.
+        let mut m = Memories::new(5, 1);
+        m.add(4, 1);
         // counts: {4:1, 1:1} — tie broken towards smaller label.
-        assert_eq!(m.dominant(), 1);
+        assert_eq!(m.dominant(4), 1);
     }
 
     #[test]
@@ -358,7 +391,150 @@ mod proptests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
     use viralcast_graph::GraphBuilder;
+
+    /// A label memory as it was before the memories went flat: sorted
+    /// `(label, count)` pairs, spoken from by a cumulative walk.
+    struct Memory {
+        entries: Vec<(usize, u32)>,
+        total: u32,
+    }
+
+    impl Memory {
+        fn with_initial(label: usize) -> Self {
+            Memory {
+                entries: vec![(label, 1)],
+                total: 1,
+            }
+        }
+
+        fn add(&mut self, label: usize) {
+            match self.entries.binary_search_by_key(&label, |e| e.0) {
+                Ok(i) => self.entries[i].1 += 1,
+                Err(i) => self.entries.insert(i, (label, 1)),
+            }
+            self.total += 1;
+        }
+
+        fn speak<R: Rng>(&self, rng: &mut R) -> usize {
+            let mut pick = rng.gen_range(0..self.total);
+            for &(label, count) in &self.entries {
+                if pick < count {
+                    return label;
+                }
+                pick -= count;
+            }
+            unreachable!("memory total inconsistent")
+        }
+
+        fn dominant(&self) -> usize {
+            self.entries
+                .iter()
+                .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
+                .map(|&(l, _)| l)
+                .expect("memory never empty")
+        }
+
+        fn above(&self, threshold: f64) -> Vec<usize> {
+            self.entries
+                .iter()
+                .filter(|&&(_, c)| c as f64 / self.total as f64 >= threshold)
+                .map(|&(l, _)| l)
+                .collect()
+        }
+    }
+
+    /// `Slpa::run` over `(label, count)` memories and a freshly allocated,
+    /// binary-search-inserted vote list per listener: the loop the flat
+    /// layout replaced. Returns the raw dominant labels and the
+    /// overlapping memberships.
+    fn reference_run(config: SlpaConfig, graph: &DiGraph) -> (Vec<usize>, Vec<Vec<usize>>) {
+        let n = graph.node_count();
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut memories: Vec<Memory> = (0..n).map(Memory::with_initial).collect();
+        let mut order: Vec<usize> = (0..n).collect();
+        for _ in 0..config.iterations {
+            shuffle(&mut order, &mut rng);
+            for &listener in &order {
+                let lu = NodeId::new(listener);
+                let neighbors = graph.out_neighbors(lu);
+                if neighbors.is_empty() {
+                    continue;
+                }
+                let mut votes: Vec<(usize, f64)> = Vec::with_capacity(neighbors.len());
+                for (&speaker, &w) in neighbors.iter().zip(graph.out_weights(lu)) {
+                    let label = memories[speaker.index()].speak(&mut rng);
+                    match votes.binary_search_by_key(&label, |v| v.0) {
+                        Ok(i) => votes[i].1 += w,
+                        Err(i) => votes.insert(i, (label, w)),
+                    }
+                }
+                let max_w = votes.iter().map(|v| v.1).fold(f64::NEG_INFINITY, f64::max);
+                let top: Vec<usize> = votes
+                    .iter()
+                    .filter(|v| v.1 >= max_w - 1e-12)
+                    .map(|v| v.0)
+                    .collect();
+                let winner = top[rng.gen_range(0..top.len())];
+                memories[listener].add(winner);
+            }
+        }
+        (
+            memories.iter().map(Memory::dominant).collect(),
+            memories.iter().map(|m| m.above(config.threshold)).collect(),
+        )
+    }
+
+    /// The flat memories reproduce the `(label, count)` loop exactly —
+    /// same RNG stream, same partition, same overlapping memberships — on
+    /// weighted graphs of up to 60 nodes with isolated nodes, and on
+    /// all-equal weights, where every vote is a tie.
+    #[test]
+    fn flat_memories_match_label_count_reference() {
+        for case in 0..256 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let n = rng.gen_range(1..61u32);
+            let all_equal = case % 4 == 0;
+            let mut b = GraphBuilder::new(n as usize);
+            let mut linked = BTreeSet::new();
+            // Sparse enough that some nodes stay isolated.
+            for _ in 0..rng.gen_range(0..3 * n as usize) {
+                let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                // A pair linked twice would sum to a weight of its own.
+                if u == v || !linked.insert((u.min(v), u.max(v))) {
+                    continue;
+                }
+                let w = if all_equal {
+                    1.0
+                } else {
+                    rng.gen_range(0.05f64..2.0)
+                };
+                b.add_undirected_edge(NodeId(u), NodeId(v), w);
+            }
+            let g = b.build();
+            for iterations in [1, 5, 30] {
+                for seed in [case, case + 1000, 0x51_9A] {
+                    let config = SlpaConfig {
+                        iterations,
+                        threshold: 0.1,
+                        seed,
+                    };
+                    let got = Slpa::new(config).run(&g);
+                    let (raw, overlapping) = reference_run(config, &g);
+                    assert_eq!(
+                        got.partition,
+                        Partition::from_membership(&raw),
+                        "case {case}: n {n}, {iterations} rounds, seed {seed}"
+                    );
+                    assert_eq!(
+                        got.overlapping, overlapping,
+                        "case {case}: n {n}, {iterations} rounds, seed {seed}"
+                    );
+                }
+            }
+        }
+    }
 
     /// SLPA always outputs a full partition covering every node.
     #[test]

@@ -29,7 +29,7 @@ pub struct InferenceOutcome {
     /// The per-level optimiser trace.
     pub report: InferenceReport,
     /// Aggregated wall-clock span tree, rooted at `"infer"` with
-    /// `cooccurrence`, `slpa` and `hierarchical` children.
+    /// `cooccurrence`, `symmetrise`, `slpa` and `hierarchical` children.
     pub timings: StageTimings,
 }
 
@@ -37,6 +37,11 @@ impl InferenceOutcome {
     /// Seconds spent building the co-occurrence graph.
     pub fn cooccurrence_seconds(&self) -> f64 {
         self.timings.seconds_of(&["cooccurrence"])
+    }
+
+    /// Seconds spent symmetrising the co-occurrence graph for SLPA.
+    pub fn symmetrise_seconds(&self) -> f64 {
+        self.timings.seconds_of(&["symmetrise"])
     }
 
     /// Seconds spent in SLPA.
@@ -242,6 +247,61 @@ mod tests {
         let b = infer_embeddings(e.train(), &opts);
         assert_eq!(a.embeddings, b.embeddings);
         assert_eq!(a.partition, b.partition);
+    }
+
+    #[test]
+    fn detected_communities_are_pinned() {
+        // Printed at the commit before the co-occurrence count went
+        // row-wise and SLPA's memories flat; the chain must keep producing
+        // it. Thirty rounds recover the six planted blocks; two rounds
+        // have not converged and follow the RNG stream draw by draw.
+        let e = small_experiment(5);
+        let mut options = InferOptions::default();
+        let blocks: Vec<usize> = (0..120).map(|u| u / 20).collect();
+        assert_eq!(detect_communities(e.train(), &options).membership(), blocks);
+
+        options.slpa.iterations = 2;
+        #[rustfmt::skip]
+        let two_rounds: [usize; 120] = [
+            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3, 0, 0, 3,
+            4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4,
+            5, 5, 6, 5, 6, 6, 6, 6, 5, 5, 5, 6, 5, 5, 5, 5, 5, 5, 5, 5,
+            7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7,
+            8, 8, 8, 8, 8, 8, 8, 8, 8, 9, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8,
+            10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10,
+        ];
+        assert_eq!(
+            detect_communities(e.train(), &options).membership(),
+            two_rounds
+        );
+    }
+
+    #[test]
+    fn every_stage_has_a_span() {
+        let e = small_experiment(1);
+        let out = infer_embeddings(e.train(), &InferOptions::default());
+        let stages: Vec<&str> = out
+            .timings
+            .children
+            .iter()
+            .map(|c| c.name.as_str())
+            .collect();
+        assert_eq!(
+            stages,
+            ["cooccurrence", "symmetrise", "slpa", "hierarchical"]
+        );
+        // The optimiser's tree is grafted in, so its seconds live in
+        // its children.
+        let hierarchical = out.timings.child("hierarchical").unwrap();
+        let sum = out.cooccurrence_seconds()
+            + out.symmetrise_seconds()
+            + out.slpa_seconds()
+            + hierarchical.subtree_seconds();
+        assert!(
+            (sum - out.total_seconds()).abs() < 1e-9,
+            "stages {sum} vs total {}",
+            out.total_seconds()
+        );
     }
 
     #[test]

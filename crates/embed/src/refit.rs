@@ -12,6 +12,7 @@
 use serde::{Deserialize, Serialize};
 use viralcast_community::{Partition, Slpa, SlpaConfig};
 use viralcast_graph::cooccurrence::{CooccurrenceGraph, CooccurrenceOptions};
+use viralcast_obs as obs;
 use viralcast_propagation::CascadeSet;
 
 use crate::hierarchical::{infer_warm, HierarchicalConfig, InferenceReport};
@@ -54,8 +55,9 @@ impl Default for InferOptions {
     }
 }
 
-/// Stages 1–2: co-occurrence graph + SLPA communities. The per-stage
-/// spans land in whatever recorder the caller has installed. Public so
+/// Stages 1–2: co-occurrence graph, its symmetrised view, SLPA
+/// communities. The per-stage spans (`cooccurrence`, `symmetrise`,
+/// `slpa`) land in whatever recorder the caller has installed. Public so
 /// cluster placement (`viralcast cluster-plan`) can align shard
 /// ownership with the same communities inference parallelises over.
 pub fn detect_communities(cascades: &CascadeSet, options: &InferOptions) -> Partition {
@@ -67,7 +69,11 @@ pub fn detect_communities(cascades: &CascadeSet, options: &InferOptions) -> Part
             min_weight: options.min_cooccurrence_weight,
         },
     );
-    Slpa::new(options.slpa).run(&cooc.undirected()).partition
+    let undirected = {
+        let _span = obs::Span::enter("symmetrise");
+        cooc.undirected()
+    };
+    Slpa::new(options.slpa).run(&undirected).partition
 }
 
 /// Why an incremental update was rejected before touching the model.

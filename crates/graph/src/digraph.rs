@@ -9,13 +9,14 @@
 
 use crate::node::NodeId;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 
 /// An immutable weighted directed graph in CSR form.
 ///
 /// Build one with [`GraphBuilder`]; parallel edges are merged by summing
 /// their weights, and self-loops are permitted (generators avoid them, but
 /// co-occurrence counting may produce them when a node appears twice in a
-/// malformed input — the builder keeps them so callers can detect that).
+/// malformed input — they are kept so callers can detect that).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct DiGraph {
     n: usize,
@@ -110,28 +111,90 @@ impl DiGraph {
     }
 
     /// The transposed graph (every edge reversed), preserving weights.
+    ///
+    /// A counting sort by target: sources are visited in ascending order,
+    /// so every transposed row comes out sorted. `O(n + m)`.
     pub fn transpose(&self) -> DiGraph {
-        let mut b = GraphBuilder::new(self.n);
-        for (u, v, w) in self.edges() {
-            b.add_edge(v, u, w);
+        let mut offsets = vec![0usize; self.n + 1];
+        for &v in &self.targets {
+            offsets[v.index() + 1] += 1;
         }
-        b.build()
+        for i in 0..self.n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut cursor = offsets[..self.n].to_vec();
+        let mut targets = vec![NodeId(0); self.targets.len()];
+        let mut weights = vec![0.0; self.weights.len()];
+        for (u, v, w) in self.edges() {
+            let slot = &mut cursor[v.index()];
+            targets[*slot] = u;
+            weights[*slot] = w;
+            *slot += 1;
+        }
+        DiGraph::from_sorted_rows(self.n, offsets, targets, weights)
     }
 
     /// The symmetrised graph: for every unordered pair `{u, v}` both
     /// directions carry the *sum* of the original `u->v` and `v->u`
-    /// weights. Community detection operates on this view.
+    /// weights (a self-loop is kept once, with its own weight). Community
+    /// detection operates on this view.
+    ///
+    /// Row `u` of the result is the sorted merge of row `u` and row `u` of
+    /// the transpose. `O(n + m)`.
     pub fn to_undirected(&self) -> DiGraph {
-        let mut b = GraphBuilder::new(self.n);
-        for (u, v, w) in self.edges() {
-            if u == v {
-                b.add_edge(u, v, w);
-            } else {
-                b.add_edge(u, v, w);
-                b.add_edge(v, u, w);
+        let reversed = self.transpose();
+        let mut offsets = Vec::with_capacity(self.n + 1);
+        let mut targets = Vec::with_capacity(2 * self.targets.len());
+        let mut weights = Vec::with_capacity(2 * self.weights.len());
+        offsets.push(0);
+        for u in self.nodes() {
+            let (out, out_w) = (self.out_neighbors(u), self.out_weights(u));
+            let (inc, inc_w) = (reversed.out_neighbors(u), reversed.out_weights(u));
+            let (mut i, mut j) = (0, 0);
+            while i < out.len() || j < inc.len() {
+                let order = match (out.get(i), inc.get(j)) {
+                    (Some(a), Some(b)) => a.cmp(b),
+                    (Some(_), None) => Ordering::Less,
+                    _ => Ordering::Greater,
+                };
+                let (v, w) = match order {
+                    Ordering::Less => (out[i], out_w[i]),
+                    Ordering::Greater => (inc[j], inc_w[j]),
+                    // A self-loop is its own reverse and is kept once.
+                    Ordering::Equal if out[i] == u => (u, out_w[i]),
+                    Ordering::Equal => (out[i], out_w[i] + inc_w[j]),
+                };
+                i += usize::from(order != Ordering::Greater);
+                j += usize::from(order != Ordering::Less);
+                targets.push(v);
+                weights.push(w);
             }
+            offsets.push(targets.len());
         }
-        b.build()
+        DiGraph::from_sorted_rows(self.n, offsets, targets, weights)
+    }
+
+    /// Wraps CSR arrays whose rows are already sorted by target and free
+    /// of repeats — what [`GraphBuilder::build`] establishes by sorting.
+    pub(crate) fn from_sorted_rows(
+        n: usize,
+        offsets: Vec<usize>,
+        targets: Vec<NodeId>,
+        weights: Vec<f64>,
+    ) -> DiGraph {
+        debug_assert_eq!(offsets.len(), n + 1);
+        debug_assert_eq!(offsets[n], targets.len());
+        debug_assert_eq!(targets.len(), weights.len());
+        debug_assert!(offsets.windows(2).all(|o| {
+            let row = &targets[o[0]..o[1]];
+            row.windows(2).all(|t| t[0] < t[1]) && row.iter().all(|t| t.index() < n)
+        }));
+        DiGraph {
+            n,
+            offsets,
+            targets,
+            weights,
+        }
     }
 
     fn row(&self, u: NodeId) -> (usize, usize) {
@@ -144,9 +207,12 @@ impl DiGraph {
 /// Accumulates edges and produces a [`DiGraph`].
 ///
 /// Edges may be added in any order; `build` sorts each adjacency row and
-/// merges duplicates by summing weights, which is exactly the semantics
-/// needed by the co-occurrence counters (each sighting of an ordered pair
-/// contributes additively).
+/// merges duplicates by summing weights. It serves the generators ([`sbm`],
+/// the backbone and the synthetic worlds), which emit edges in no
+/// particular order; the co-occurrence count and the symmetrised view
+/// produce their rows already sorted and write the CSR arrays directly.
+///
+/// [`sbm`]: crate::sbm
 #[derive(Clone, Debug, Default)]
 pub struct GraphBuilder {
     n: usize,
@@ -243,12 +309,7 @@ impl GraphBuilder {
             offsets.push(targets.len());
         }
 
-        DiGraph {
-            n: self.n,
-            offsets,
-            targets,
-            weights,
-        }
+        DiGraph::from_sorted_rows(self.n, offsets, targets, weights)
     }
 }
 
@@ -435,6 +496,72 @@ mod proptests {
                 );
                 for &v in row {
                     assert!(g.has_edge(u, v), "case {case}: {u:?}->{v:?}");
+                }
+            }
+        }
+    }
+
+    /// `transpose` as it was before it became a counting sort: every
+    /// edge reversed through the builder.
+    fn reference_transpose(g: &DiGraph) -> DiGraph {
+        let mut b = GraphBuilder::new(g.node_count());
+        for (u, v, w) in g.edges() {
+            b.add_edge(v, u, w);
+        }
+        b.build()
+    }
+
+    /// `to_undirected` as it was before it became a merge: both
+    /// directions of every edge (a self-loop once) through the builder,
+    /// which sums the two weights of a two-way pair.
+    fn reference_to_undirected(g: &DiGraph) -> DiGraph {
+        let mut b = GraphBuilder::new(g.node_count());
+        for (u, v, w) in g.edges() {
+            b.add_undirected_edge(u, v, w);
+        }
+        b.build()
+    }
+
+    fn bits(g: &DiGraph) -> Vec<(NodeId, NodeId, u64)> {
+        g.edges().map(|(u, v, w)| (u, v, w.to_bits())).collect()
+    }
+
+    /// The counting-sort transpose and the merging symmetrisation equal
+    /// the builder versions bit for bit — one-way edges, two-way edges,
+    /// self-loops and empty rows — and leave every row sorted and
+    /// repeat-free.
+    #[test]
+    fn transpose_and_to_undirected_match_builder_reference() {
+        for case in 0..256 {
+            let mut rng = StdRng::seed_from_u64(case);
+            // 0–15 nodes; the sparser draws leave most rows empty.
+            let n = rng.gen_range(0..16u32);
+            let mut b = GraphBuilder::new(n as usize);
+            if n > 0 {
+                for (u, v, w) in edges(&mut rng, n, 0.01..3.0, 90) {
+                    b.add_edge(NodeId(u), NodeId(v), w);
+                    // Every third edge also gets its reverse, with its
+                    // own weight.
+                    if rng.gen_range(0..3u32) == 0 {
+                        b.add_edge(NodeId(v), NodeId(u), rng.gen_range(0.01..3.0));
+                    }
+                }
+            }
+            let g = b.build();
+            let (t, und) = (g.transpose(), g.to_undirected());
+            assert_eq!(bits(&t), bits(&reference_transpose(&g)), "case {case}");
+            assert_eq!(
+                bits(&und),
+                bits(&reference_to_undirected(&g)),
+                "case {case}"
+            );
+            for h in [&t, &und] {
+                assert_eq!(h.node_count(), g.node_count(), "case {case}");
+                for u in h.nodes() {
+                    assert!(
+                        h.out_neighbors(u).windows(2).all(|w| w[0] < w[1]),
+                        "case {case}: row {u:?} unsorted or repeated"
+                    );
                 }
             }
         }

@@ -534,17 +534,42 @@ smoke_replica() {
 # benchmark/, whose own .cargo/config.toml and Cargo.lock apply there.
 bench_contract() {
     (cd benchmark && cargo build --release --offline && cargo test --release --offline)
-    local report rank
+    local report rank cooc edges
     report="$(mktemp)"
     trap 'rm -f "$report"' RETURN
     bash benchmark/run.sh --workload read_scan --seed 1 --seconds 2 --trace 1 --report "$report"
+    layer() {
+        grep -A1 "\"$1\"" "$report" | sed -n 's/.*"value": *\([0-9][0-9.e+-]*\).*/\1/p'
+    }
     # The scan sums the infected set once and keeps a bounded top-k:
     # ~600 us on the 60000x16 model. Scoring every candidate against
     # every source and sorting them all reads ~30000.
-    rank="$(grep -A1 '"model.rank_us"' "$report" | sed -n 's/.*"value": *\([0-9][0-9.e+-]*\).*/\1/p')"
+    rank="$(layer model.rank_us)"
     if ! grep -q '"correct": *true' "$report" \
         || ! awk -v rank="$rank" 'BEGIN { exit !(rank != "" && rank + 0 < 5000) }'; then
         echo "read_scan is not correct, or model.rank_us (${rank:-missing}) is 5000 us or more" >&2
+        return 1
+    fi
+    # The co-occurrence graph of the 2000-node fit is counted row by row:
+    # ~70-100 ms. Hashing every ordered pair reads 1200-1800.
+    cooc="$(layer graph.cooccurrence_ms)"
+    edges="$(layer graph.cooccurrence_edges)"
+    if ! awk -v cooc="$cooc" 'BEGIN { exit !(cooc != "" && cooc + 0 < 300) }' \
+        || ! grep -qxE '[1-9][0-9]*' <<<"$edges"; then
+        echo "graph.cooccurrence_ms (${cooc:-missing}) is 300 ms or more, or graph.cooccurrence_edges (${edges:-missing}) is not a positive integer" >&2
+        return 1
+    fi
+}
+
+# The co-occurrence graph is counted row by row into a dense accumulator
+# and symmetrised by merging sorted rows; fail if a pair table or the
+# edge-list builder comes back into those paths. The bracket keeps this
+# script from matching itself.
+no_pair_hashing() {
+    if grep -n 'Hash[M]ap' crates/graph/src/cooccurrence.rs \
+        || sed -n -e '/pub fn transpose/,/^    }/p' -e '/pub fn to_undirected/,/^    }/p' \
+            crates/graph/src/digraph.rs | grep -n 'Graph[B]uilder'; then
+        echo "the pair table or the edge-list builder is back in the co-occurrence path; count by source row and merge sorted rows" >&2
         return 1
     fi
 }
@@ -621,6 +646,7 @@ workspace_tests() {
 run one_yardstick
 run one_test_stack
 run one_selection
+run no_pair_hashing
 run front_door_never_sleeps
 run cargo fmt --all --check
 run cargo clippy --workspace --all-targets -- -D warnings
