@@ -17,6 +17,7 @@
 
 use viralcast::predict::metrics::BinaryConfusion;
 use viralcast::prelude::*;
+use viralcast_bench::pointprocess::{HawkesFitConfig, HawkesPredictor};
 use viralcast_bench::{print_table, standard_sbm, Flags};
 
 fn main() {

@@ -14,9 +14,9 @@
 //! ```
 
 use viralcast::embed::likelihood::corpus_log_likelihood;
-use viralcast::embed::pairwise::{PairwiseConfig, PairwiseModel};
 use viralcast::embed::subcascade::IndexedCascade;
 use viralcast::prelude::*;
+use viralcast_bench::pairwise::{PairwiseConfig, PairwiseModel};
 use viralcast_bench::{print_table, standard_sbm_local, timed, Flags};
 
 fn indexed(set: &CascadeSet) -> Vec<IndexedCascade> {

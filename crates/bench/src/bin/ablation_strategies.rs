@@ -1,7 +1,6 @@
-//! Quality ablation of the parallel-inference design choices (the time
-//! side lives in `benches/ablation.rs`): for each strategy the harness
-//! reports wall-clock, final data log-likelihood, and downstream
-//! prediction F1 — the evidence behind DESIGN.md §5.
+//! Ablation of the parallel-inference design choices: for each strategy
+//! the harness reports wall-clock, final data log-likelihood, and
+//! downstream prediction F1 — the evidence behind DESIGN.md §5.
 //!
 //! Strategies:
 //! * `sequential` — one optimiser over the whole matrix (t₁ baseline);
@@ -15,12 +14,10 @@
 //!     --nodes 1000 --cascades 1000
 //! ```
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use viralcast::embed::hogwild::optimize_hogwild;
 use viralcast::embed::likelihood::corpus_log_likelihood;
-use viralcast::embed::subcascade::IndexedCascade;
+use viralcast::embed::{initial_embeddings, IndexedCascade};
 use viralcast::prelude::*;
+use viralcast_bench::hogwild::{optimize_hogwild, HogwildConfig};
 use viralcast_bench::{print_table, standard_sbm_local as standard_sbm, timed, Flags};
 
 fn main() {
@@ -102,18 +99,16 @@ fn main() {
     ]);
 
     let (emb, secs) = timed(|| {
-        let mut rng = StdRng::seed_from_u64(base.seed);
-        let mut emb = Embeddings::random(nodes, topics, base.init_lo, base.init_hi, &mut rng);
+        let mut emb = initial_embeddings(nodes, &base);
         // Racing updates have no rollback line search, so Hogwild needs
         // a conservative step to stay stable.
         optimize_hogwild(
             &indexed,
             &mut emb,
-            &PgdConfig {
-                max_epochs: base.pgd.max_epochs,
+            &HogwildConfig {
                 learning_rate: 0.01,
+                max_epochs: base.pgd.max_epochs,
                 max_value: 50.0,
-                ..base.pgd
             },
         );
         emb

@@ -5,7 +5,7 @@
 //! parallel SGD: Hogwild lets every worker update shared parameters
 //! without any synchronisation, tolerating races, whereas Algorithm 1
 //! avoids conflicts structurally. We implement Hogwild over the same
-//! likelihood so the ablation bench can compare wall-clock and final
+//! likelihood so `ablation_strategies` can compare wall-clock and final
 //! likelihood of the two strategies on identical inputs.
 //!
 //! Updates go through `AtomicU64` bit-casts with relaxed ordering —
@@ -13,17 +13,27 @@
 //! baseline. Results are therefore *not* deterministic across runs or
 //! thread counts, unlike the community-parallel path.
 
-use crate::embedding::Embeddings;
-use crate::gradient::{accumulate_gradients, GradScratch};
-use crate::likelihood::corpus_log_likelihood;
-use crate::pgd::PgdConfig;
-use crate::subcascade::IndexedCascade;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
+use viralcast::embed::gradient::{accumulate_gradients, GradScratch};
+use viralcast::embed::likelihood::corpus_log_likelihood;
+use viralcast::embed::{Embeddings, IndexedCascade};
+
+/// Step, epoch budget and clamp of a Hogwild run. Racing updates have no
+/// rollback line search and no early stopping, so none of the projected
+/// gradient optimiser's constants carry over.
+#[derive(Clone, Copy, Debug)]
+pub struct HogwildConfig {
+    /// Learning rate `α` (divided by the corpus size per step).
+    pub learning_rate: f64,
+    /// Epochs to run.
+    pub max_epochs: usize,
+    /// Upper clamp on embedding entries.
+    pub max_value: f64,
+}
 
 /// Report of a Hogwild run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct HogwildReport {
     /// Epochs executed.
     pub epochs: usize,
@@ -73,7 +83,7 @@ impl AtomicMatrix {
 pub fn optimize_hogwild(
     cascades: &[IndexedCascade],
     embeddings: &mut Embeddings,
-    config: &PgdConfig,
+    config: &HogwildConfig,
 ) -> HogwildReport {
     let k = embeddings.topic_count();
     if cascades.is_empty() || embeddings.node_count() == 0 {
@@ -141,6 +151,14 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use viralcast::graph::NodeId;
+
+    /// A step, budget and clamp for tests that override at most two.
+    const DEFAULTS: HogwildConfig = HogwildConfig {
+        learning_rate: 0.1,
+        max_epochs: 100,
+        max_value: 1e3,
+    };
 
     fn two_node(dt: f64) -> IndexedCascade {
         IndexedCascade {
@@ -154,9 +172,9 @@ mod tests {
         let cascades = vec![two_node(0.5); 20];
         let mut rng = StdRng::seed_from_u64(1);
         let mut emb = Embeddings::random(2, 1, 0.2, 0.4, &mut rng);
-        let cfg = PgdConfig {
+        let cfg = HogwildConfig {
             max_epochs: 50,
-            ..PgdConfig::default()
+            ..DEFAULTS
         };
         let report = optimize_hogwild(&cascades, &mut emb, &cfg);
         assert!(
@@ -172,14 +190,14 @@ mod tests {
         let cascades = vec![two_node(0.01); 10];
         let mut rng = StdRng::seed_from_u64(2);
         let mut emb = Embeddings::random(2, 2, 0.1, 0.5, &mut rng);
-        let cfg = PgdConfig {
+        let cfg = HogwildConfig {
             max_epochs: 30,
             max_value: 20.0,
-            ..PgdConfig::default()
+            ..DEFAULTS
         };
         optimize_hogwild(&cascades, &mut emb, &cfg);
         for u in 0..2u32 {
-            let u = viralcast_graph::NodeId(u);
+            let u = NodeId(u);
             for &x in emb.influence(u).iter().chain(emb.selectivity(u)) {
                 assert!((0.0..=20.0).contains(&x), "entry {x} out of bounds");
             }
@@ -191,7 +209,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut emb = Embeddings::random(2, 1, 0.1, 0.5, &mut rng);
         let before = emb.clone();
-        let report = optimize_hogwild(&[], &mut emb, &PgdConfig::default());
+        let report = optimize_hogwild(&[], &mut emb, &DEFAULTS);
         assert_eq!(report.epochs, 0);
         assert_eq!(emb, before);
     }
@@ -202,13 +220,12 @@ mod tests {
         let cascades = vec![two_node(dt); 50];
         let mut rng = StdRng::seed_from_u64(4);
         let mut emb = Embeddings::random(2, 1, 0.3, 0.6, &mut rng);
-        let cfg = PgdConfig {
+        let cfg = HogwildConfig {
             max_epochs: 400,
             learning_rate: 0.3,
-            ..PgdConfig::default()
+            ..DEFAULTS
         };
         optimize_hogwild(&cascades, &mut emb, &cfg);
-        use viralcast_graph::NodeId;
         let rate = emb.rate(NodeId(0), NodeId(1));
         assert!(
             (rate - 1.0 / dt).abs() < 0.3,

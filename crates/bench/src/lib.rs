@@ -6,6 +6,21 @@
 //! world builder, and a JSON sidecar format so that `fig13_speedup` can
 //! reuse `fig10_time_vs_cores` measurements instead of re-running the
 //! sweep.
+//!
+//! The `ablation_*` binaries compare the paper's pipeline with the
+//! designs it argues against; those baselines are harness code and live
+//! here, not in the library crates the daemon links:
+//!
+//! * [`hogwild`] — lock-free racing updates (Recht et al.), against
+//!   Algorithm 1's structural conflict-freedom (`ablation_strategies`).
+//! * [`pairwise`] — the `O(n²)` per-link rate model of the prior work,
+//!   for the parameter-count ablation (`ablation_pairwise`).
+//! * [`pointprocess`] — a Hawkes size extrapolator, the SEISMIC family
+//!   of Section V (`ablation_baselines`).
+
+pub mod hogwild;
+pub mod pairwise;
+pub mod pointprocess;
 
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;

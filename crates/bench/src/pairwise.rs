@@ -8,8 +8,7 @@
 //! model — restricted, as practical implementations are, to ordered
 //! pairs that actually co-occur in some cascade — so the repo can
 //! measure the parameter-count, runtime and generalisation trade-off
-//! that motivates the paper (see `ablation_pairwise` in the bench
-//! crate).
+//! that motivates the paper (see the `ablation_pairwise` bin).
 //!
 //! Likelihood (same survival framework, eq. 5, with per-pair rates):
 //!
@@ -20,13 +19,12 @@
 //!
 //! maximised by projected gradient ascent over the sparse rate table.
 
-use crate::likelihood::RATE_FLOOR;
-use crate::subcascade::IndexedCascade;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use viralcast::embed::likelihood::RATE_FLOOR;
+use viralcast::embed::IndexedCascade;
 
 /// A sparse per-link rate table over observed co-occurring pairs.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PairwiseModel {
     /// `(source_row, target_row) → rate index`.
     index: HashMap<(u32, u32), usize>,
@@ -35,7 +33,7 @@ pub struct PairwiseModel {
 }
 
 /// Fit configuration.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PairwiseConfig {
     /// Learning rate of the batch gradient ascent.
     pub learning_rate: f64,
@@ -62,7 +60,7 @@ impl Default for PairwiseConfig {
 }
 
 /// Fit report.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PairwiseReport {
     /// Number of free parameters (observed candidate links).
     pub parameters: usize,

@@ -24,11 +24,10 @@
 //! the paper's choice of a plain linear SVM: the baseline should
 //! represent its family, not win engineering points.
 
-use serde::{Deserialize, Serialize};
-use viralcast_propagation::CascadeSet;
+use viralcast::propagation::CascadeSet;
 
 /// A fitted Hawkes size extrapolator.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct HawkesPredictor {
     /// Branching factor `ν ∈ [0, 1)`.
     pub branching: f64,
@@ -37,7 +36,7 @@ pub struct HawkesPredictor {
 }
 
 /// Fitting configuration.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct HawkesFitConfig {
     /// Observation cut-off as a fraction of the window (matches the
     /// feature pipeline's `early_fraction`).
@@ -174,8 +173,8 @@ impl HawkesPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::BinaryConfusion;
-    use viralcast_propagation::{Cascade, CascadeSet, Infection};
+    use viralcast::predict::metrics::BinaryConfusion;
+    use viralcast::propagation::{Cascade, CascadeSet, Infection};
 
     /// A corpus where final size is exactly 3× the early count — a
     /// branching process the Hawkes form can represent.

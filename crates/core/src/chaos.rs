@@ -46,6 +46,8 @@
 //! the final replay unions every shard's data directory (ingests fail
 //! over between shards while one is down).
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 use std::io::{self, BufRead, BufReader};
 use std::net::SocketAddr;
@@ -341,10 +343,8 @@ pub fn run(config: &ChaosConfig) -> Result<ChaosSummary, String> {
 
     let (mut child, first_addr) = spawn_daemon(config)?;
     let boot_deadline = Instant::now() + config.recovery_timeout;
-    if let Err(e) = await_health(&first_addr, boot_deadline) {
-        kill_quietly(&mut child);
-        return Err(format!("daemon never became healthy: {e}"));
-    }
+    await_health(&first_addr, boot_deadline)
+        .map_err(|e| format!("daemon never became healthy: {e}"))?;
     let nodes = crate::loadgen::probe_node_count(&first_addr)?;
     let shared = Shared {
         phase: AtomicU8::new(PHASE_RUN),
@@ -371,7 +371,7 @@ pub fn run(config: &ChaosConfig) -> Result<ChaosSummary, String> {
             std::thread::sleep(config.steady);
             shared.disrupted.store(true, Ordering::SeqCst);
             let killed_at = Instant::now();
-            kill_quietly(&mut child);
+            child.kill_quietly();
             match spawn_daemon(config) {
                 Ok((next_child, next_addr)) => {
                     child = next_child;
@@ -406,7 +406,7 @@ pub fn run(config: &ChaosConfig) -> Result<ChaosSummary, String> {
         }
     });
     // The ultimate crash: SIGKILL the survivor, then audit its disk.
-    kill_quietly(&mut child);
+    drop(child);
     if let Some(e) = loop_error {
         return Err(e);
     }
@@ -492,8 +492,9 @@ fn run_cluster(config: &ChaosConfig) -> Result<ChaosSummary, String> {
     let shard_dirs: Vec<PathBuf> = (0..shards)
         .map(|i| config.data_dir.join(format!("shard-{i}")))
         .collect();
-    let mut children: Vec<Child> = Vec::with_capacity(shards);
-    let mut boot_error: Option<String> = None;
+    // Every early return below drops these guards, which kills and
+    // reaps whatever part of the fleet had booted.
+    let mut children: Vec<ChildGuard> = Vec::with_capacity(shards);
     for i in 0..shards {
         let extra = vec![
             "--shard".to_string(),
@@ -501,42 +502,12 @@ fn run_cluster(config: &ChaosConfig) -> Result<ChaosSummary, String> {
             "--cluster-manifest".to_string(),
             manifest_path.display().to_string(),
         ];
-        match spawn_serve(config, &addrs[i].to_string(), &shard_dirs[i], &extra) {
-            Ok((child, _)) => children.push(child),
-            Err(e) => {
-                boot_error = Some(format!("shard {i}: {e}"));
-                break;
-            }
-        }
+        let (child, _) = spawn_serve(config, &addrs[i].to_string(), &shard_dirs[i], &extra)
+            .map_err(|e| format!("shard {i}: {e}"))?;
+        children.push(child);
     }
-    let router = if boot_error.is_none() {
-        match spawn_router(&manifest_path) {
-            Ok(pair) => Some(pair),
-            Err(e) => {
-                boot_error = Some(format!("router: {e}"));
-                None
-            }
-        }
-    } else {
-        None
-    };
-    let mut follower_children: Vec<Child> = Vec::new();
-    let kill_everything = |children: &mut Vec<Child>,
-                           followers: &mut Vec<Child>,
-                           router: &mut Option<(Child, SocketAddr)>| {
-        for child in children.iter_mut().chain(followers.iter_mut()) {
-            kill_quietly(child);
-        }
-        if let Some((child, _)) = router.as_mut() {
-            kill_quietly(child);
-        }
-    };
-    let mut router = router;
-    if let Some(e) = boot_error {
-        kill_everything(&mut children, &mut follower_children, &mut router);
-        return Err(e);
-    }
-    let (_, router_addr) = *router.as_ref().expect("router spawned");
+    let (router, router_addr) = spawn_router(&manifest_path).map_err(|e| format!("router: {e}"))?;
+    let mut follower_children: Vec<ChildGuard> = Vec::new();
 
     // Wait for every shard, then boot the followers (their first fetch
     // needs a live leader), then for the router's view of the model to
@@ -544,35 +515,20 @@ fn run_cluster(config: &ChaosConfig) -> Result<ChaosSummary, String> {
     // a shard).
     let boot_deadline = Instant::now() + config.recovery_timeout;
     for (i, addr) in addrs.iter().enumerate() {
-        if let Err(e) = await_health(addr, boot_deadline) {
-            kill_everything(&mut children, &mut follower_children, &mut router);
-            return Err(format!("shard {i} never became healthy: {e}"));
-        }
+        await_health(addr, boot_deadline)
+            .map_err(|e| format!("shard {i} never became healthy: {e}"))?;
     }
     for i in 0..shards {
         for (j, addr) in follower_addrs[i].iter().enumerate() {
-            match spawn_follower(&addrs[i], addr, i, shards, &manifest_path) {
-                Ok((child, _)) => follower_children.push(child),
-                Err(e) => {
-                    kill_everything(&mut children, &mut follower_children, &mut router);
-                    return Err(format!("follower {j} of shard {i}: {e}"));
-                }
-            }
-            if let Err(e) = await_health(addr, boot_deadline) {
-                kill_everything(&mut children, &mut follower_children, &mut router);
-                return Err(format!(
-                    "follower {j} of shard {i} never became healthy: {e}"
-                ));
-            }
+            let (child, _) = spawn_follower(&addrs[i], addr, i, shards, &manifest_path)
+                .map_err(|e| format!("follower {j} of shard {i}: {e}"))?;
+            follower_children.push(child);
+            await_health(addr, boot_deadline)
+                .map_err(|e| format!("follower {j} of shard {i} never became healthy: {e}"))?;
         }
     }
-    let nodes = match await_node_count(&router_addr, boot_deadline) {
-        Ok(nodes) => nodes,
-        Err(e) => {
-            kill_everything(&mut children, &mut follower_children, &mut router);
-            return Err(format!("router never reported the model: {e}"));
-        }
-    };
+    let nodes = await_node_count(&router_addr, boot_deadline)
+        .map_err(|e| format!("router never reported the model: {e}"))?;
 
     let shared = Shared {
         phase: AtomicU8::new(PHASE_RUN),
@@ -580,7 +536,7 @@ fn run_cluster(config: &ChaosConfig) -> Result<ChaosSummary, String> {
         addr: Mutex::new(router_addr),
         next_seq: AtomicU64::new(0),
     };
-    let mut victim_rng = crate::loadgen::XorShift64::new(config.seed);
+    let mut victim_rng = StdRng::seed_from_u64(config.seed);
 
     let mut results: Vec<ChaosWorker> = Vec::new();
     let mut recovery_ms: Vec<f64> = Vec::new();
@@ -602,10 +558,10 @@ fn run_cluster(config: &ChaosConfig) -> Result<ChaosSummary, String> {
         let probe_body = r#"{"cascade":[{"node":0,"time":0.0}],"top":5}"#;
         for cycle in 1..=config.cycles {
             std::thread::sleep(config.steady);
-            let victim = victim_rng.below(shards as u64) as usize;
+            let victim = victim_rng.gen_range(0..shards);
             shared.disrupted.store(true, Ordering::SeqCst);
             let killed_at = Instant::now();
-            kill_quietly(&mut children[victim]);
+            children[victim].kill_quietly();
             let deadline = killed_at + config.recovery_timeout;
 
             // Interrogate the router while the shard is a corpse.
@@ -699,7 +655,7 @@ fn run_cluster(config: &ChaosConfig) -> Result<ChaosSummary, String> {
     });
     // The ultimate crash: SIGKILL everything, then audit every disk.
     // Followers have no disk of their own — only leader WALs count.
-    kill_everything(&mut children, &mut follower_children, &mut router);
+    drop((children, follower_children, router));
     if let Some(e) = loop_error {
         return Err(e);
     }
@@ -864,7 +820,7 @@ fn worker_loop(shared: &Shared, nodes: usize, seed: u64) -> ChaosWorker {
 /// and scrapes the bound address from its startup banner. The trainer
 /// is effectively disabled so every acked ingest stays in the WAL for
 /// the final replay instead of being folded into a checkpoint.
-fn spawn_daemon(config: &ChaosConfig) -> Result<(Child, SocketAddr), String> {
+fn spawn_daemon(config: &ChaosConfig) -> Result<(ChildGuard, SocketAddr), String> {
     spawn_serve(config, "127.0.0.1:0", &config.data_dir, &[])
 }
 
@@ -875,7 +831,7 @@ fn spawn_serve(
     addr: &str,
     data_dir: &Path,
     extra: &[String],
-) -> Result<(Child, SocketAddr), String> {
+) -> Result<(ChildGuard, SocketAddr), String> {
     let exe = std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?;
     let mut cmd = Command::new(exe);
     cmd.arg("serve").arg("--backend").arg(&config.backend);
@@ -916,7 +872,7 @@ fn spawn_follower(
     shard: usize,
     shards: usize,
     manifest_path: &Path,
-) -> Result<(Child, SocketAddr), String> {
+) -> Result<(ChildGuard, SocketAddr), String> {
     let exe = std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?;
     let mut cmd = Command::new(exe);
     cmd.arg("serve")
@@ -936,7 +892,7 @@ fn spawn_follower(
 }
 
 /// Spawns the `viralcast router` child fronting the cluster.
-fn spawn_router(manifest_path: &Path) -> Result<(Child, SocketAddr), String> {
+fn spawn_router(manifest_path: &Path) -> Result<(ChildGuard, SocketAddr), String> {
     let exe = std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?;
     let mut cmd = Command::new(exe);
     cmd.arg("router")
@@ -951,14 +907,15 @@ fn spawn_router(manifest_path: &Path) -> Result<(Child, SocketAddr), String> {
 
 /// Spawns a child and scrapes the bound address from its
 /// `… listening on http://HOST:PORT …` startup banner.
-fn spawn_and_scrape(mut cmd: Command, kind: &str) -> Result<(Child, SocketAddr), String> {
-    let mut child = cmd
-        .stdin(Stdio::null())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .map_err(|e| format!("cannot spawn {kind} child: {e}"))?;
-    let stdout = child.stdout.take().expect("stdout was piped");
+fn spawn_and_scrape(mut cmd: Command, kind: &str) -> Result<(ChildGuard, SocketAddr), String> {
+    let mut child = ChildGuard(
+        cmd.stdin(Stdio::null())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .map_err(|e| format!("cannot spawn {kind} child: {e}"))?,
+    );
+    let stdout = child.0.stdout.take().expect("stdout was piped");
     let mut reader = BufReader::new(stdout);
     let mut line = String::new();
     loop {
@@ -967,7 +924,6 @@ fn spawn_and_scrape(mut cmd: Command, kind: &str) -> Result<(Child, SocketAddr),
             .read_line(&mut line)
             .map_err(|e| format!("reading {kind} child stdout: {e}"))?;
         if n == 0 {
-            kill_quietly(&mut child);
             return Err(format!("{kind} child exited before announcing its address"));
         }
         if let Some(addr) = parse_listen_line(&line) {
@@ -997,10 +953,23 @@ fn await_health(addr: &SocketAddr, deadline: Instant) -> Result<(), String> {
     }
 }
 
-/// SIGKILL + reap, ignoring already-dead children.
-fn kill_quietly(child: &mut Child) {
-    let _ = child.kill();
-    let _ = child.wait();
+/// A spawned child that cannot outlive its owner: dropping the guard
+/// kills and reaps it, so no return path — a `?` included — leaves a
+/// daemon running over the data directory the audit is about to read.
+struct ChildGuard(Child);
+
+impl ChildGuard {
+    /// SIGKILL + reap, ignoring an already-dead child.
+    fn kill_quietly(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+impl Drop for ChildGuard {
+    fn drop(&mut self) {
+        self.kill_quietly();
+    }
 }
 
 #[cfg(test)]
@@ -1050,6 +1019,23 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(decode_seq(&triple), None);
+    }
+
+    #[test]
+    fn dropping_the_guard_kills_and_reaps_the_child() {
+        let guard = ChildGuard(Command::new("sleep").arg("60").spawn().unwrap());
+        let alive = |pid: u32| {
+            Command::new("sh")
+                .arg("-c")
+                .arg(format!("kill -0 {pid} 2>/dev/null"))
+                .status()
+                .unwrap()
+                .success()
+        };
+        let pid = guard.0.id();
+        assert!(alive(pid), "the child never started");
+        drop(guard);
+        assert!(!alive(pid), "pid {pid} survived its guard");
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //! produce, and the one closed-loop load can never create.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::time::{Duration, Instant};
@@ -43,49 +43,6 @@ use viralcast_gdelt::generator::{GdeltConfig, GdeltWorld};
 use viralcast_gdelt::scenario::{FlashCrowd, ScenarioConfig, ScenarioTimeline};
 use viralcast_obs::JsonValue;
 use viralcast_serve::{client, json};
-
-/// xorshift64* — a tiny deterministic PRNG for workload generation.
-///
-/// The bench harnesses hand-roll their randomness so they stay free of
-/// external crates (and so a seed reproduces the exact request stream
-/// byte for byte across machines).
-#[derive(Clone, Debug)]
-pub struct XorShift64 {
-    state: u64,
-}
-
-impl XorShift64 {
-    /// A generator seeded with `seed` (zero is remapped — xorshift has a
-    /// fixed point at zero).
-    pub fn new(seed: u64) -> XorShift64 {
-        XorShift64 {
-            state: if seed == 0 {
-                0x9e37_79b9_7f4a_7c15
-            } else {
-                seed
-            },
-        }
-    }
-
-    /// The next pseudo-random 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
-        let mut x = self.state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.state = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    /// A value uniform in `0..bound` (`bound = 0` yields 0).
-    pub fn below(&mut self, bound: u64) -> u64 {
-        if bound == 0 {
-            0
-        } else {
-            self.next_u64() % bound
-        }
-    }
-}
 
 /// The endpoints the generator knows how to exercise.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -418,6 +375,38 @@ struct WorkerResult {
     retries: u64,
 }
 
+impl WorkerResult {
+    /// Tallies one finished exchange that began at `started`: latency
+    /// and status class when HTTP answered, the spent retry budget and
+    /// an I/O error when the exchange failed below it.
+    fn record(
+        &mut self,
+        endpoint: Endpoint,
+        started: Instant,
+        outcome: std::io::Result<client::Retried>,
+        policy: &client::RetryPolicy,
+    ) {
+        match outcome {
+            Ok(retried) => {
+                self.retries += u64::from(retried.retries());
+                self.latencies_us[endpoint.index()]
+                    .push(started.elapsed().as_micros().min(u64::MAX as u128) as u64);
+                match retried.response.status {
+                    200..=299 => self.http_2xx += 1,
+                    429 => self.http_429 += 1,
+                    400..=499 => self.http_4xx += 1,
+                    500..=599 => self.http_5xx += 1,
+                    _ => self.http_4xx += 1,
+                }
+            }
+            Err(_) => {
+                self.retries += u64::from(policy.max_attempts.saturating_sub(1));
+                self.io_errors += 1;
+            }
+        }
+    }
+}
+
 /// Probes `GET /healthz` and returns the served model's node count —
 /// the generator samples query nodes from `0..nodes`.
 pub fn probe_node_count(addr: &SocketAddr) -> Result<usize, String> {
@@ -665,24 +654,7 @@ fn scenario_worker(
             &[("X-Request-Id", &trace_id)],
             &policy,
         );
-        match outcome {
-            Ok(retried) => {
-                result.retries += u64::from(retried.retries());
-                result.latencies_us[Endpoint::Ingest.index()]
-                    .push(started.elapsed().as_micros().min(u64::MAX as u128) as u64);
-                match retried.response.status {
-                    200..=299 => result.http_2xx += 1,
-                    429 => result.http_429 += 1,
-                    400..=499 => result.http_4xx += 1,
-                    500..=599 => result.http_5xx += 1,
-                    _ => result.http_4xx += 1,
-                }
-            }
-            Err(_) => {
-                result.retries += u64::from(policy.max_attempts.saturating_sub(1));
-                result.io_errors += 1;
-            }
-        }
+        result.record(Endpoint::Ingest, started, outcome, &policy);
     }
     result
 }
@@ -695,7 +667,7 @@ fn worker_loop(
     seed: u64,
     phase: &AtomicU8,
 ) -> WorkerResult {
-    let mut rng = XorShift64::new(seed);
+    let mut rng = StdRng::seed_from_u64(seed);
     let total_weight: u64 = mix.iter().map(|&w| w as u64).sum();
     let mut result = WorkerResult::default();
     let mut seq = 0u64;
@@ -726,30 +698,13 @@ fn worker_loop(
         if phase.load(Ordering::SeqCst) != PHASE_MEASURE {
             continue;
         }
-        match outcome {
-            Ok(retried) => {
-                result.retries += u64::from(retried.retries());
-                result.latencies_us[endpoint.index()]
-                    .push(started.elapsed().as_micros().min(u64::MAX as u128) as u64);
-                match retried.response.status {
-                    200..=299 => result.http_2xx += 1,
-                    429 => result.http_429 += 1,
-                    400..=499 => result.http_4xx += 1,
-                    500..=599 => result.http_5xx += 1,
-                    _ => result.http_4xx += 1,
-                }
-            }
-            Err(_) => {
-                result.retries += u64::from(policy.max_attempts.saturating_sub(1));
-                result.io_errors += 1;
-            }
-        }
+        result.record(endpoint, started, outcome, &policy);
     }
     result
 }
 
-fn pick_endpoint(rng: &mut XorShift64, mix: &[u32; 4], total_weight: u64) -> Endpoint {
-    let mut roll = rng.below(total_weight);
+fn pick_endpoint(rng: &mut StdRng, mix: &[u32; 4], total_weight: u64) -> Endpoint {
+    let mut roll = rng.gen_range(0..total_weight);
     for endpoint in ENDPOINTS {
         let w = mix[endpoint.index()] as u64;
         if roll < w {
@@ -763,13 +718,13 @@ fn pick_endpoint(rng: &mut XorShift64, mix: &[u32; 4], total_weight: u64) -> End
 /// The next request for `endpoint`: `(method, target, body)`.
 fn build_request(
     endpoint: Endpoint,
-    rng: &mut XorShift64,
+    rng: &mut StdRng,
     nodes: usize,
 ) -> (&'static str, String, Option<String>) {
     let n = nodes as u64;
     match endpoint {
         Endpoint::Predict => {
-            let node = rng.below(n);
+            let node = rng.gen_range(0..n);
             (
                 "POST",
                 "/v1/predict".into(),
@@ -779,8 +734,8 @@ fn build_request(
             )
         }
         Endpoint::Hazard => {
-            let u = rng.below(n);
-            let v = rng.below(n);
+            let u = rng.gen_range(0..n);
+            let v = rng.gen_range(0..n);
             (
                 "POST",
                 "/v1/hazard".into(),
@@ -791,8 +746,8 @@ fn build_request(
         Endpoint::Ingest => {
             // Two distinct nodes so the cascade passes validation; the
             // modulo wrap keeps both in range for any model ≥ 2 nodes.
-            let a = rng.below(n);
-            let b = (a + 1) % n.max(1);
+            let a = rng.gen_range(0..n);
+            let b = (a + 1) % n;
             let body = if b == a {
                 format!(r#"{{"cascades":[[{{"node":{a},"time":0.0}}]]}}"#)
             } else {
@@ -863,17 +818,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn xorshift_is_deterministic_and_nonzero() {
-        let mut a = XorShift64::new(7);
-        let mut b = XorShift64::new(7);
-        let run: Vec<u64> = (0..8).map(|_| a.next_u64()).collect();
-        assert_eq!(run, (0..8).map(|_| b.next_u64()).collect::<Vec<_>>());
-        assert!(run.iter().any(|&x| x != 0));
-        // The zero seed is remapped instead of sticking at zero.
-        assert_ne!(XorShift64::new(0).next_u64(), 0);
-    }
-
-    #[test]
     fn mix_strings_parse_by_name() {
         let mix = parse_mix("predict=4,hazard=2,influencers=1,ingest=1").unwrap();
         assert_eq!(mix, [4, 2, 1, 1]);
@@ -888,7 +832,7 @@ mod tests {
     fn weighted_pick_respects_zero_weights() {
         let mix = [0, 5, 0, 0];
         let total: u64 = mix.iter().map(|&w| w as u64).sum();
-        let mut rng = XorShift64::new(3);
+        let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..64 {
             assert_eq!(pick_endpoint(&mut rng, &mix, total), Endpoint::Hazard);
         }
@@ -896,7 +840,7 @@ mod tests {
 
     #[test]
     fn request_bodies_stay_in_node_range() {
-        let mut rng = XorShift64::new(11);
+        let mut rng = StdRng::seed_from_u64(11);
         for _ in 0..32 {
             for endpoint in ENDPOINTS {
                 let (_, _, body) = build_request(endpoint, &mut rng, 3);
@@ -912,7 +856,7 @@ mod tests {
 
     #[test]
     fn single_node_models_get_single_infection_ingests() {
-        let mut rng = XorShift64::new(5);
+        let mut rng = StdRng::seed_from_u64(5);
         let (_, _, body) = build_request(Endpoint::Ingest, &mut rng, 1);
         let body = body.unwrap();
         assert!(body.contains(r#"{"node":0,"time":0.0}"#), "{body}");

@@ -277,6 +277,25 @@ mod tests {
     }
 
     #[test]
+    fn fitted_model_is_pinned() {
+        // Printed at the commit before the optimiser's step, exit
+        // threshold and clamp became constants of `pgd.rs`; a change
+        // that is not meant to move the fit must keep producing it, and
+        // one that is regenerates these three numbers once.
+        let out = infer_embeddings(small_experiment(5).train(), &InferOptions::default());
+        assert_eq!(out.report.final_ll().to_bits(), 4652976049784301576); // 1196.266188787764
+        let epochs: usize = out.report.levels.iter().map(|l| l.epochs).sum();
+        assert_eq!(epochs, 848);
+        let fold = out
+            .embeddings
+            .influence_matrix()
+            .iter()
+            .chain(out.embeddings.selectivity_matrix())
+            .fold(0u64, |h, x| h.rotate_left(5) ^ x.to_bits());
+        assert_eq!(fold, 13957234986472255147);
+    }
+
+    #[test]
     fn every_stage_has_a_span() {
         let e = small_experiment(1);
         let out = infer_embeddings(e.train(), &InferOptions::default());

@@ -21,8 +21,8 @@ pub use viralcast_model::{
 pub use viralcast_obs::{MetricsRegistry, Recorder, RunReport, Span, StageTimings};
 pub use viralcast_predict::pipeline::{extract_dataset, Dataset};
 pub use viralcast_predict::{
-    cross_validate, extract_features, threshold_sweep, CascadeFeatures, HawkesFitConfig,
-    HawkesPredictor, LinearSvm, PredictionTask, StandardScaler, SvmConfig, SweepPoint,
+    cross_validate, extract_features, threshold_sweep, CascadeFeatures, LinearSvm, PredictionTask,
+    StandardScaler, SvmConfig, SweepPoint,
 };
 pub use viralcast_propagation::{
     planted_embeddings, Cascade, CascadeSet, EmbeddingRates, Exponential, HazardFunction,

@@ -35,10 +35,6 @@ pub struct HierarchicalConfig {
     pub stop_groups: usize,
     /// Inner optimiser settings (shared by every group and level).
     pub pgd: PgdConfig,
-    /// Random initialisation range `[init_lo, init_hi)`.
-    pub init_lo: f64,
-    /// Upper end of the initialisation range.
-    pub init_hi: f64,
     /// Seed for the embedding initialisation.
     pub seed: u64,
 }
@@ -50,12 +46,6 @@ impl Default for HierarchicalConfig {
             balance: Balance::LeafCount,
             stop_groups: 1,
             pgd: PgdConfig::default(),
-            // Small positive initialisation: pairs that never co-occur
-            // in any cascade receive no gradient, so their modelled
-            // rate stays at ⟨A_u, B_v⟩ of the init — it must start
-            // near zero for the embeddings to separate communities.
-            init_lo: 0.01,
-            init_hi: 0.1,
             seed: 0xCA5C,
         }
     }
@@ -120,6 +110,16 @@ impl InferenceReport {
     }
 }
 
+/// The cold-start point of every fit: `n × config.topics` entries drawn
+/// uniformly from `[0.01, 0.1)` under `config.seed`. Small and positive:
+/// pairs that never co-occur in any cascade receive no gradient, so their
+/// modelled rate stays at `⟨A_u, B_v⟩` of the init — it must start near
+/// zero for the embeddings to separate communities.
+pub fn initial_embeddings(n: usize, config: &HierarchicalConfig) -> Embeddings {
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    Embeddings::random(n, config.topics, 0.01, 0.1, &mut rng)
+}
+
 /// Runs Algorithm 2: hierarchical community-parallel inference of the
 /// influence/selectivity embeddings from `cascades`, guided by the leaf
 /// `partition` (typically SLPA output on the co-occurrence graph).
@@ -131,9 +131,7 @@ pub fn infer(
     partition: &Partition,
     config: &HierarchicalConfig,
 ) -> (Embeddings, InferenceReport) {
-    let n = cascades.node_count();
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let init = Embeddings::random(n, config.topics, config.init_lo, config.init_hi, &mut rng);
+    let init = initial_embeddings(cascades.node_count(), config);
     infer_warm(cascades, partition, config, &init)
 }
 
@@ -234,9 +232,7 @@ pub fn infer_sequential(
     cascades: &CascadeSet,
     config: &HierarchicalConfig,
 ) -> (Embeddings, PgdReport) {
-    let n = cascades.node_count();
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut emb = Embeddings::random(n, config.topics, config.init_lo, config.init_hi, &mut rng);
+    let mut emb = initial_embeddings(cascades.node_count(), config);
     let indexed: Vec<IndexedCascade> = cascades
         .cascades()
         .iter()

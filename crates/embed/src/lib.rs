@@ -19,7 +19,8 @@
 //! * [`subcascade`] — Algorithm 1 lines 1–11: splitting cascades into
 //!   per-community sub-cascades expressed in local row indices.
 //! * [`pgd`] — the projected-gradient-ascent inner loop with adaptive
-//!   step halving and early stopping.
+//!   step halving and early stopping (step, exit threshold and clamp are
+//!   constants of that file).
 //! * [`parallel`] — Algorithm 1: one worker per community over disjoint
 //!   matrix blocks (rayon scope).
 //! * [`hierarchical`] — Algorithm 2: the level-by-level merge schedule,
@@ -27,12 +28,11 @@
 //! * [`refit`] — the pipeline options and the warm refit (communities
 //!   re-detected on the fresh batch, then [`hierarchical`] warm-started)
 //!   behind every incremental update.
-//! * [`hogwild`] — the lock-free racing-update baseline (Recht et al.)
-//!   the paper contrasts against; used by the ablation bench.
 //! * [`censoring`] — opt-in right-censoring: survival terms for nodes
 //!   observed uninfected (DESIGN.md §6 extension).
-//! * [`pairwise`] — the `O(n²)` per-link rate model of the prior work
-//!   the paper improves on, for the parameter-count ablation.
+//!
+//! The baselines the paper argues against (Hogwild, the `O(n²)` per-link
+//! rate model) live with the ablations that run them, in `viralcast-bench`.
 
 #![warn(missing_docs)]
 
@@ -40,9 +40,7 @@ pub mod censoring;
 pub mod embedding;
 pub mod gradient;
 pub mod hierarchical;
-pub mod hogwild;
 pub mod likelihood;
-pub mod pairwise;
 pub mod parallel;
 pub mod pgd;
 pub mod refit;
@@ -50,7 +48,8 @@ pub mod subcascade;
 
 pub use embedding::{EmbeddingFileError, Embeddings, EMBEDDINGS_FORMAT};
 pub use hierarchical::{
-    infer, infer_sequential, infer_warm, HierarchicalConfig, InferenceReport, LevelSummary,
+    infer, infer_sequential, infer_warm, initial_embeddings, HierarchicalConfig, InferenceReport,
+    LevelSummary,
 };
 pub use pgd::{PgdConfig, PgdReport};
 pub use refit::{detect_communities, refit, InferOptions, UpdateError};

@@ -8,6 +8,11 @@
 //! optimiser robust across corpus sizes without per-experiment tuning.
 //! Iteration stops early "when the corresponding log-likelihood no
 //! longer increases or the max number of iterations is exceeded".
+//!
+//! The step rule's numbers — `LEARNING_RATE`, `TOLERANCE`, `MAX_VALUE` —
+//! are constants, not [`PgdConfig`] fields: rollback and the per-corpus
+//! step scaling adapt the optimiser to a corpus, no caller ever set them,
+//! and a step rule is changed here, in one file, not through a config.
 
 use crate::gradient::{accumulate_gradients, GradScratch};
 use crate::subcascade::IndexedCascade;
@@ -18,24 +23,22 @@ use viralcast_obs as obs;
 /// (`pgd.grad_norm`), decades from 1e-3 to 1e3.
 const GRAD_NORM_BOUNDS: [f64; 7] = [1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3];
 
+/// Initial learning rate `α`. A step moves by `α / |cascades|` times the
+/// accumulated gradient — the paper's pseudocode applies the raw sum;
+/// dividing by the corpus size makes one rate work across corpus sizes.
+const LEARNING_RATE: f64 = 0.1;
+/// Early-stopping threshold: stop once the relative likelihood
+/// improvement drops below this.
+const TOLERANCE: f64 = 1e-5;
+/// Upper clamp on embedding entries (keeps degenerate corpora from
+/// driving rates to infinity).
+const MAX_VALUE: f64 = 1e3;
+
 /// Optimiser parameters.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct PgdConfig {
-    /// Initial learning rate `α`.
-    pub learning_rate: f64,
     /// Maximum number of epochs (full passes over the cascades).
     pub max_epochs: usize,
-    /// Early-stopping threshold: stop once the relative likelihood
-    /// improvement drops below this.
-    pub tolerance: f64,
-    /// Upper clamp on embedding entries (keeps degenerate corpora from
-    /// driving rates to infinity).
-    pub max_value: f64,
-    /// Divide the accumulated gradient by the number of sub-cascades.
-    /// The paper's pseudocode applies the raw sum; normalising makes
-    /// one `learning_rate` work across corpus sizes, so it is the
-    /// default here (set `false` for the letter-of-the-paper behaviour).
-    pub normalize: bool,
     /// Optional L1 shrinkage per entry (objective becomes
     /// `L − λ₁ Σ (A + B)`). Zero (the default) is the paper's exact
     /// objective; a small positive value drives components that carry
@@ -52,11 +55,7 @@ pub struct PgdConfig {
 impl Default for PgdConfig {
     fn default() -> Self {
         PgdConfig {
-            learning_rate: 0.1,
             max_epochs: 100,
-            tolerance: 1e-5,
-            max_value: 1e3,
-            normalize: true,
             l1_penalty: 0.0,
             censoring_window: None,
         }
@@ -121,13 +120,9 @@ pub fn optimize(
     let mut backup_grad_a = vec![0.0; a.len()];
     let mut backup_grad_b = vec![0.0; b.len()];
 
-    let scale0 = if config.normalize {
-        1.0 / cascades.len() as f64
-    } else {
-        1.0
-    };
-    let mut rate = config.learning_rate;
-    let min_rate = config.learning_rate / 1024.0;
+    let corpus_scale = 1.0 / cascades.len() as f64;
+    let mut rate = LEARNING_RATE;
+    let min_rate = LEARNING_RATE / 1024.0;
     let mut prev_ll = f64::NEG_INFINITY;
     let mut best_data_ll = 0.0;
     let mut history = Vec::new();
@@ -137,10 +132,10 @@ pub fn optimize(
     let take_step = |a: &mut [f64], b: &mut [f64], ga: &[f64], gb: &[f64], step: f64| {
         let shrink = step * config.l1_penalty;
         for (x, g) in a.iter_mut().zip(ga) {
-            *x = (*x + step * g - shrink).clamp(0.0, config.max_value);
+            *x = (*x + step * g - shrink).clamp(0.0, MAX_VALUE);
         }
         for (x, g) in b.iter_mut().zip(gb) {
-            *x = (*x + step * g - shrink).clamp(0.0, config.max_value);
+            *x = (*x + step * g - shrink).clamp(0.0, MAX_VALUE);
         }
     };
     // Accept/rollback decisions use the penalised objective so the L1
@@ -202,7 +197,7 @@ pub fn optimize(
             }
             a.copy_from_slice(&backup_a);
             b.copy_from_slice(&backup_b);
-            take_step(a, b, &backup_grad_a, &backup_grad_b, rate * scale0);
+            take_step(a, b, &backup_grad_a, &backup_grad_b, rate * corpus_scale);
             continue;
         }
 
@@ -217,7 +212,7 @@ pub fn optimize(
             .sqrt();
         grad_norm_hist.record(grad_norm);
         let improved = ll - prev_ll;
-        let converged = prev_ll.is_finite() && improved < config.tolerance * (1.0 + ll.abs());
+        let converged = prev_ll.is_finite() && improved < TOLERANCE * (1.0 + ll.abs());
         prev_ll = ll;
         best_data_ll = data_ll;
         backup_a.copy_from_slice(a);
@@ -227,7 +222,7 @@ pub fn optimize(
         if converged {
             break;
         }
-        take_step(a, b, &grad_a, &grad_b, rate * scale0);
+        take_step(a, b, &grad_a, &grad_b, rate * corpus_scale);
     }
 
     // The backup holds the best *evaluated* point; the current
@@ -346,23 +341,6 @@ mod tests {
     }
 
     #[test]
-    fn unnormalized_mode_still_converges_with_small_rate() {
-        let cascades = vec![two_node(0.5); 20];
-        let mut a = vec![0.5, 0.5];
-        let mut b = vec![0.5, 0.5];
-        let cfg = PgdConfig {
-            learning_rate: 0.005,
-            normalize: false,
-            max_epochs: 500,
-            ..PgdConfig::default()
-        };
-        let report = optimize(&cascades, &mut a, &mut b, 1, &cfg);
-        assert!(report.final_ll >= report.initial_ll);
-        let rate = a[0] * b[1];
-        assert!((rate - 2.0).abs() < 0.2, "rate {rate}");
-    }
-
-    #[test]
     fn values_respect_upper_clamp() {
         // A tiny delay pushes the rate estimate very high; the clamp
         // must bound every entry.
@@ -370,12 +348,11 @@ mod tests {
         let mut a = vec![0.5, 0.5];
         let mut b = vec![0.5, 0.5];
         let cfg = PgdConfig {
-            max_value: 50.0,
             max_epochs: 300,
             ..PgdConfig::default()
         };
         optimize(&cascades, &mut a, &mut b, 1, &cfg);
-        assert!(a.iter().chain(b.iter()).all(|&x| x <= 50.0));
+        assert!(a.iter().chain(b.iter()).all(|&x| x <= MAX_VALUE));
     }
 }
 
@@ -417,9 +394,8 @@ mod proptests {
             assert!(
                 a.iter()
                     .chain(b.iter())
-                    .all(|&x| (0.0..=cfg.max_value).contains(&x)),
-                "case {case}: parameter outside [0, {}]",
-                cfg.max_value
+                    .all(|&x| (0.0..=MAX_VALUE).contains(&x)),
+                "case {case}: parameter outside [0, {MAX_VALUE}]"
             );
         }
     }

@@ -25,7 +25,6 @@ pub mod cv;
 pub mod features;
 pub mod metrics;
 pub mod pipeline;
-pub mod pointprocess;
 pub mod scaler;
 pub mod svm;
 
@@ -33,6 +32,5 @@ pub use cv::{cross_validate, CvReport};
 pub use features::{extract_features, CascadeFeatures};
 pub use metrics::{BinaryConfusion, F1Score};
 pub use pipeline::{threshold_sweep, PredictionTask, SweepPoint};
-pub use pointprocess::{HawkesFitConfig, HawkesPredictor};
 pub use scaler::StandardScaler;
 pub use svm::{LinearSvm, SvmConfig};

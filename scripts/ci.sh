@@ -597,6 +597,43 @@ one_yardstick() {
     fi
 }
 
+# A library crate holds what the pipeline and the daemon run: the
+# baselines the paper argues against live with the ablation harnesses in
+# crates/bench, nothing outside benchmark/ names criterion, and core
+# draws from rand's one seeded generator. The bracket in each pattern
+# keeps this script from matching itself.
+libraries_hold_the_product() {
+    if find crates/embed/src crates/predict/src \
+        \( -name 'hog[w]ild*' -o -name 'pair[w]ise*' -o -name 'point[p]rocess*' \) | grep . \
+        || grep -rnE 'mod +(hog[w]ild|pair[w]ise|point[p]rocess)' crates/embed/src crates/predict/src \
+        || grep -n 'criter[i]on' Cargo.toml .cargo/config.toml crates/*/Cargo.toml \
+        || grep -rn 'Xor[S]hift' crates/; then
+        echo "an ablation baseline is back in embed/predict, criterion is back in a manifest, or core hand-rolls a PRNG again" >&2
+        return 1
+    fi
+}
+
+# Nothing else CI runs drives viralcast_bench::{hogwild, pairwise,
+# pointprocess} outside their unit tests: every ablation bin must run
+# to completion on a small world, and the racing Hogwild row (the one
+# non-deterministic number in the tables) must report a finite LL.
+smoke_ablations() {
+    local bin out
+    for bin in ablation_strategies ablation_pairwise ablation_baselines ablation_regularizers; do
+        if ! out="$(target/release/$bin --nodes 200 --cascades 200)"; then
+            echo "$bin failed" >&2
+            return 1
+        fi
+        if [ "$bin" = ablation_strategies ] \
+            && ! grep -qE '^ +hogwild +[0-9.]+ +-?[0-9]+\.[0-9] ' <<<"$out"; then
+            echo "ablation_strategies printed no hogwild row with a finite LL" >&2
+            echo "$out" >&2
+            return 1
+        fi
+    done
+    echo "ablation smoke test OK (4 bins)"
+}
+
 # The acceptor parks in accept() and every wait in the listener is on
 # the Shutdown flag; fail if the parts of a poll loop come back.
 front_door_never_sleeps() {
@@ -648,6 +685,7 @@ run one_test_stack
 run one_selection
 run no_pair_hashing
 run front_door_never_sleeps
+run libraries_hold_the_product
 run cargo fmt --all --check
 run cargo clippy --workspace --all-targets -- -D warnings
 if [ "$build" -eq 1 ]; then
@@ -670,6 +708,7 @@ if [ "$build" -eq 1 ]; then
     run smoke_loadgen
     run smoke_cluster
     run smoke_replica
+    run smoke_ablations
 fi
 
 echo
