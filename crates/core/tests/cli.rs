@@ -255,7 +255,10 @@ fn infer_writes_run_report_and_trace() {
 
     // Metric counters and the per-epoch objective trajectory made it in.
     let counters = get(get(&report, "metrics").unwrap(), "counters").unwrap();
-    assert!(as_u64(get(counters, "pgd.epochs").unwrap()).unwrap() > 0);
+    let epochs = as_u64(get(counters, "pgd.epochs").unwrap()).unwrap();
+    assert!(epochs > 0);
+    // Every epoch sweeps its whole group: more infections than epochs.
+    assert!(as_u64(get(counters, "pgd.infections_swept").unwrap()).unwrap() > epochs);
     let levels = as_arr(get(&report, "levels").unwrap()).unwrap();
     assert!(!levels.is_empty());
     let trajectory = as_arr(get(&levels[0], "ll_trajectory").unwrap()).unwrap();

@@ -60,67 +60,80 @@ pub fn accumulate_gradients(
 ) -> f64 {
     debug_assert_eq!(a.len(), grad_a.len());
     debug_assert_eq!(b.len(), grad_b.len());
-    let s = c.len();
-    let GradScratch {
-        h,
-        g,
-        p,
-        q,
-        r,
-        denom,
-    } = scratch;
+    let row = |v: u32| v as usize * k..(v as usize + 1) * k;
+    // Sliced to `k` once, so every zipped loop below has one known length.
+    let (h, g) = (&mut scratch.h[..k], &mut scratch.g[..k]);
+    let (p, q, r) = (
+        &mut scratch.p[..k],
+        &mut scratch.q[..k],
+        &mut scratch.r[..k],
+    );
+    let denom = &mut scratch.denom;
+    let mut infections = c.rows.iter().zip(&c.times);
+    let Some((&seed, &t_seed)) = infections.next() else {
+        return 0.0;
+    };
     h.fill(0.0);
     g.fill(0.0);
     p.fill(0.0);
     q.fill(0.0);
     r.fill(0.0);
     denom.clear();
-    denom.resize(s, 0.0);
 
     // Forward sweep: H, G prefixes; ∇B_v and LL terms; denominators.
+    // The seed has no predecessor: it only enters the prefixes.
+    for ((h, g), &av) in h.iter_mut().zip(g.iter_mut()).zip(&a[row(seed)]) {
+        *h += av;
+        *g += t_seed * av;
+    }
     let mut ll = 0.0;
-    #[allow(clippy::needless_range_loop)] // i walks rows, times and denom in lockstep
-    for i in 0..s {
-        let v = c.rows[i] as usize;
-        let tv = c.times[i];
-        if i > 0 {
-            let bv = &b[v * k..(v + 1) * k];
-            let d = dot(h, bv).max(RATE_FLOOR);
-            denom[i] = d;
-            ll += dot(g, bv) - tv * dot(h, bv) + d.ln();
-            let gb = &mut grad_b[v * k..(v + 1) * k];
-            for t in 0..k {
-                gb[t] += g[t] - tv * h[t] + h[t] / d;
-            }
-        }
-        let av = &a[v * k..(v + 1) * k];
-        for t in 0..k {
-            h[t] += av[t];
-            g[t] += tv * av[t];
+    for (&v, &tv) in infections.clone() {
+        let bv = &b[row(v)];
+        let hb = dot(h, bv);
+        let d = hb.max(RATE_FLOOR);
+        denom.push(d);
+        ll += dot(g, bv) - tv * hb + d.ln();
+        let gb = grad_b[row(v)].iter_mut();
+        for (((gb, h), g), &av) in gb.zip(h.iter_mut()).zip(g.iter_mut()).zip(&a[row(v)]) {
+            *gb += *g - tv * *h + *h / d;
+            *h += av;
+            *g += tv * av;
         }
     }
 
-    // Backward sweep: P, Q, R suffixes; ∇A_u.
-    for i in (0..s).rev() {
-        let u = c.rows[i] as usize;
-        let tu = c.times[i];
-        if i < s - 1 {
-            let ga = &mut grad_a[u * k..(u + 1) * k];
-            for t in 0..k {
-                ga[t] += tu * p[t] - q[t] + r[t];
-            }
+    // Backward sweep: P, Q, R suffixes; ∇A_u. `denom` holds one entry
+    // per non-seed infection, in cascade order.
+    let mut successors = infections.zip(denom.iter()).rev();
+    let Some(((&last, &t_last), &d)) = successors.next() else {
+        return ll;
+    };
+    // The last infection has no successor: it only folds its B row into
+    // the suffix sums.
+    for (((p, q), r), &bu) in (p.iter_mut().zip(q.iter_mut()).zip(r.iter_mut())).zip(&b[row(last)])
+    {
+        *p += bu;
+        *q += t_last * bu;
+        *r += bu / d;
+    }
+    for ((&u, &tu), &d) in successors {
+        let ga = grad_a[row(u)].iter_mut();
+        for ((((ga, p), q), r), &bu) in
+            (ga.zip(p.iter_mut()).zip(q.iter_mut()).zip(r.iter_mut())).zip(&b[row(u)])
+        {
+            *ga += tu * *p - *q + *r;
+            *p += bu;
+            *q += tu * bu;
+            *r += bu / d;
         }
-        if i > 0 {
-            // Node at position i acts as a successor `v` for everyone
-            // before it; fold its B row into the suffix sums.
-            let bu = &b[u * k..(u + 1) * k];
-            let d = denom[i];
-            for t in 0..k {
-                p[t] += bu[t];
-                q[t] += tu * bu[t];
-                r[t] += bu[t] / d;
-            }
-        }
+    }
+    // The seed succeeds nobody: it only receives.
+    for (((ga, p), q), r) in grad_a[row(seed)]
+        .iter_mut()
+        .zip(p.iter())
+        .zip(q.iter())
+        .zip(r.iter())
+    {
+        *ga += t_seed * p - q + r;
     }
     ll
 }
@@ -243,7 +256,7 @@ mod tests {
         let mut scratch = GradScratch::new(k);
         let ll = accumulate_gradients(&c, &a, &b, k, &mut ga, &mut gb, &mut scratch);
         let direct = cascade_log_likelihood(&c, &a, &b, k);
-        assert!((ll - direct).abs() < 1e-10);
+        assert_eq!(ll.to_bits(), direct.to_bits());
     }
 
     #[test]
@@ -328,6 +341,153 @@ mod proptests {
             .collect();
         let rows = (0..s as u32).collect();
         (a, b, IndexedCascade { rows, times }, k)
+    }
+
+    /// The sweep as it stood before it was fused, kept verbatim: five
+    /// indexed loops per infection and `⟨H, B_v⟩` computed twice.
+    fn accumulate_gradients_reference(
+        c: &IndexedCascade,
+        a: &[f64],
+        b: &[f64],
+        k: usize,
+        grad_a: &mut [f64],
+        grad_b: &mut [f64],
+        scratch: &mut GradScratch,
+    ) -> f64 {
+        debug_assert_eq!(a.len(), grad_a.len());
+        debug_assert_eq!(b.len(), grad_b.len());
+        let s = c.len();
+        let GradScratch {
+            h,
+            g,
+            p,
+            q,
+            r,
+            denom,
+        } = scratch;
+        h.fill(0.0);
+        g.fill(0.0);
+        p.fill(0.0);
+        q.fill(0.0);
+        r.fill(0.0);
+        denom.clear();
+        denom.resize(s, 0.0);
+
+        // Forward sweep: H, G prefixes; ∇B_v and LL terms; denominators.
+        let mut ll = 0.0;
+        #[allow(clippy::needless_range_loop)] // i walks rows, times and denom in lockstep
+        for i in 0..s {
+            let v = c.rows[i] as usize;
+            let tv = c.times[i];
+            if i > 0 {
+                let bv = &b[v * k..(v + 1) * k];
+                let d = dot(h, bv).max(RATE_FLOOR);
+                denom[i] = d;
+                ll += dot(g, bv) - tv * dot(h, bv) + d.ln();
+                let gb = &mut grad_b[v * k..(v + 1) * k];
+                for t in 0..k {
+                    gb[t] += g[t] - tv * h[t] + h[t] / d;
+                }
+            }
+            let av = &a[v * k..(v + 1) * k];
+            for t in 0..k {
+                h[t] += av[t];
+                g[t] += tv * av[t];
+            }
+        }
+
+        // Backward sweep: P, Q, R suffixes; ∇A_u.
+        for i in (0..s).rev() {
+            let u = c.rows[i] as usize;
+            let tu = c.times[i];
+            if i < s - 1 {
+                let ga = &mut grad_a[u * k..(u + 1) * k];
+                for t in 0..k {
+                    ga[t] += tu * p[t] - q[t] + r[t];
+                }
+            }
+            if i > 0 {
+                // Node at position i acts as a successor `v` for everyone
+                // before it; fold its B row into the suffix sums.
+                let bu = &b[u * k..(u + 1) * k];
+                let d = denom[i];
+                for t in 0..k {
+                    p[t] += bu[t];
+                    q[t] += tu * bu[t];
+                    r[t] += bu[t] / d;
+                }
+            }
+        }
+        ll
+    }
+
+    /// The fused sweep is the reference bit for bit — returned LL and
+    /// both accumulators — for every K and cascade length that picks a
+    /// different peeling (length 1 is the seed alone; at length 2 the
+    /// two peeled ends meet and no interior iteration runs), with tied
+    /// timestamps, all-zero `A` rows (the `RATE_FLOOR` branch) and a
+    /// non-zero accumulator on entry (gradients are *added*).
+    #[test]
+    fn fused_sweep_matches_reference_bit_for_bit() {
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        for case in 0..40 {
+            let mut rng = StdRng::seed_from_u64(case);
+            for k in [1usize, 2, 3, 8, 16] {
+                for s in [1usize, 2, 3, 17, 64] {
+                    let n = 64;
+                    let mut a: Vec<f64> = (0..n * k).map(|_| rng.gen_range(0.0f64..2.0)).collect();
+                    let b: Vec<f64> = (0..n * k).map(|_| rng.gen_range(0.0f64..2.0)).collect();
+                    // A rotation of 0..s: distinct rows, not in storage order.
+                    let shift = rng.gen_range(0..n);
+                    let rows: Vec<u32> = (0..s).map(|i| ((i + shift) % n) as u32).collect();
+                    // Every third case silences the cascade's first half,
+                    // so the early denominators sit on the floor.
+                    let floored = case % 3 == 0;
+                    if floored {
+                        for &r in &rows[..s / 2 + 1] {
+                            a[r as usize * k..(r as usize + 1) * k].fill(0.0);
+                        }
+                    }
+                    let mut t = 0.0;
+                    let times = (0..s)
+                        .map(|_| {
+                            // Ties: the clock stands still half the time.
+                            if rng.gen_bool(0.5) {
+                                t += rng.gen_range(0.05f64..2.0);
+                            }
+                            t
+                        })
+                        .collect();
+                    let c = IndexedCascade { rows, times };
+
+                    let entry_a: Vec<f64> =
+                        (0..n * k).map(|_| rng.gen_range(-1.0f64..1.0)).collect();
+                    let entry_b: Vec<f64> =
+                        (0..n * k).map(|_| rng.gen_range(-1.0f64..1.0)).collect();
+                    let (mut ga, mut gb) = (entry_a.clone(), entry_b.clone());
+                    let (mut ra, mut rb) = (entry_a, entry_b);
+                    let mut scratch = GradScratch::new(k);
+                    let ll = accumulate_gradients(&c, &a, &b, k, &mut ga, &mut gb, &mut scratch);
+                    let want = accumulate_gradients_reference(
+                        &c,
+                        &a,
+                        &b,
+                        k,
+                        &mut ra,
+                        &mut rb,
+                        &mut scratch,
+                    );
+                    assert_eq!(ll.to_bits(), want.to_bits(), "case {case} k {k} s {s}: LL");
+                    let direct = crate::likelihood::cascade_log_likelihood(&c, &a, &b, k);
+                    assert_eq!(ll.to_bits(), direct.to_bits(), "case {case} k {k} s {s}");
+                    if floored && s == 2 {
+                        assert_eq!(ll, RATE_FLOOR.ln(), "case {case} k {k}: floor not hit");
+                    }
+                    assert_eq!(bits(&ga), bits(&ra), "case {case} k {k} s {s}: dA");
+                    assert_eq!(bits(&gb), bits(&rb), "case {case} k {k} s {s}: dB");
+                }
+            }
+        }
     }
 
     /// The linear-time sweep agrees with the quadratic reference on

@@ -27,32 +27,49 @@ pub const RATE_FLOOR: f64 = 1e-12;
 /// Log-likelihood of one (sub-)cascade under matrices `a`, `b`
 /// (row-major, `k` columns, rows indexed by `IndexedCascade::rows`).
 pub fn cascade_log_likelihood(c: &IndexedCascade, a: &[f64], b: &[f64], k: usize) -> f64 {
-    debug_assert_eq!(a.len() % k, 0);
-    let s = c.len();
-    let mut h = vec![0.0; k];
-    let mut g = vec![0.0; k];
+    forward_sweep(c, a, b, k, &mut vec![0.0; k], &mut vec![0.0; k])
+}
+
+/// Total log-likelihood over a corpus of (sub-)cascades — the objective
+/// of eq. 9. The same expression in the same order as the sum of
+/// [`crate::gradient::accumulate_gradients`]' returns, so the two are
+/// equal to the last bit.
+pub fn corpus_log_likelihood(cs: &[IndexedCascade], a: &[f64], b: &[f64], k: usize) -> f64 {
+    let (mut h, mut g) = (vec![0.0; k], vec![0.0; k]);
     let mut ll = 0.0;
-    for i in 0..s {
-        let v = c.rows[i] as usize;
-        let tv = c.times[i];
-        if i > 0 {
-            let bv = &b[v * k..(v + 1) * k];
-            let d = dot(&h, bv);
-            ll += dot(&g, bv) - tv * d + d.max(RATE_FLOOR).ln();
-        }
-        let av = &a[v * k..(v + 1) * k];
-        for t in 0..k {
-            h[t] += av[t];
-            g[t] += tv * av[t];
-        }
+    for c in cs {
+        ll += forward_sweep(c, a, b, k, &mut h, &mut g);
     }
     ll
 }
 
-/// Total log-likelihood over a corpus of (sub-)cascades — the objective
-/// of eq. 9.
-pub fn corpus_log_likelihood(cs: &[IndexedCascade], a: &[f64], b: &[f64], k: usize) -> f64 {
-    cs.iter().map(|c| cascade_log_likelihood(c, a, b, k)).sum()
+/// The forward sweep of eqs. 12–15 without the gradient: `h` and `g`
+/// (length `k`, any contents) are the prefix sums' workspace.
+fn forward_sweep(
+    c: &IndexedCascade,
+    a: &[f64],
+    b: &[f64],
+    k: usize,
+    h: &mut [f64],
+    g: &mut [f64],
+) -> f64 {
+    debug_assert_eq!(a.len() % k, 0);
+    h.fill(0.0);
+    g.fill(0.0);
+    let mut ll = 0.0;
+    for (i, (&v, &tv)) in c.rows.iter().zip(&c.times).enumerate() {
+        let row = v as usize * k..(v as usize + 1) * k;
+        if i > 0 {
+            let bv = &b[row.clone()];
+            let d = dot(h, bv);
+            ll += dot(g, bv) - tv * d + d.max(RATE_FLOOR).ln();
+        }
+        for ((h, g), &av) in h.iter_mut().zip(g.iter_mut()).zip(&a[row]) {
+            *h += av;
+            *g += tv * av;
+        }
+    }
+    ll
 }
 
 /// Reference `O(s²·K)` implementation of eq. 8, used to validate the

@@ -102,7 +102,7 @@ pub fn optimize(
 ) -> PgdReport {
     assert_eq!(a.len(), b.len(), "matrix shapes must match");
     assert!(k > 0 && a.len() % k == 0, "bad topic count");
-    if cascades.is_empty() || a.is_empty() {
+    if cascades.is_empty() || a.is_empty() || config.max_epochs == 0 {
         return PgdReport::empty();
     }
     debug_assert!(cascades
@@ -111,16 +111,19 @@ pub fn optimize(
         .all(|&r| (r as usize) < a.len() / k));
 
     let mut scratch = GradScratch::new(k);
-    let mut grad_a = vec![0.0; a.len()];
-    let mut grad_b = vec![0.0; b.len()];
-    // Last *accepted* point, its gradient and its likelihood — the
-    // rollback target when a step overshoots.
-    let mut backup_a = a.to_vec();
-    let mut backup_b = b.to_vec();
-    let mut backup_grad_a = vec![0.0; a.len()];
-    let mut backup_grad_b = vec![0.0; b.len()];
+    // The trial point and the last *accepted* point — the rollback target
+    // when a step overshoots — each with its gradient. Accepting a trial
+    // swaps the two; every step reads `best` and writes `trial`.
+    let (mut trial_a, mut trial_b) = (a.to_vec(), b.to_vec());
+    let (mut grad_a, mut grad_b) = (vec![0.0; a.len()], vec![0.0; b.len()]);
+    let (mut best_a, mut best_b) = (vec![0.0; a.len()], vec![0.0; b.len()]);
+    let (mut best_grad_a, mut best_grad_b) = (vec![0.0; a.len()], vec![0.0; b.len()]);
+    // `Σ (A + B)` at the trial point, for the L1 penalty: all of `a`, then
+    // all of `b`.
+    let mut l1_mass = a.iter().sum::<f64>() + b.iter().sum::<f64>();
 
     let corpus_scale = 1.0 / cascades.len() as f64;
+    let infections: u64 = cascades.iter().map(|c| c.len() as u64).sum();
     let mut rate = LEARNING_RATE;
     let min_rate = LEARNING_RATE / 1024.0;
     let mut prev_ll = f64::NEG_INFINITY;
@@ -129,23 +132,15 @@ pub fn optimize(
     let mut initial_ll = None;
     let mut epochs = 0;
 
-    let take_step = |a: &mut [f64], b: &mut [f64], ga: &[f64], gb: &[f64], step: f64| {
+    // One projected step `x = clamp(from + step·g − step·λ₁)`; returns `Σ x`,
+    // taken by the same `Sum` the penalty always used, so it keeps its bits.
+    let step_from = |x: &mut [f64], from: &[f64], grad: &[f64], step: f64| -> f64 {
         let shrink = step * config.l1_penalty;
-        for (x, g) in a.iter_mut().zip(ga) {
-            *x = (*x + step * g - shrink).clamp(0.0, MAX_VALUE);
-        }
-        for (x, g) in b.iter_mut().zip(gb) {
-            *x = (*x + step * g - shrink).clamp(0.0, MAX_VALUE);
-        }
-    };
-    // Accept/rollback decisions use the penalised objective so the L1
-    // term cannot fight the line search; reports carry the raw data LL.
-    let penalty = |a: &[f64], b: &[f64]| -> f64 {
-        if config.l1_penalty == 0.0 {
-            0.0
-        } else {
-            config.l1_penalty * (a.iter().sum::<f64>() + b.iter().sum::<f64>())
-        }
+        let stepped = x.iter_mut().zip(from).zip(grad).map(|((x, x0), g)| {
+            *x = (x0 + step * g - shrink).clamp(0.0, MAX_VALUE);
+            *x
+        });
+        stepped.sum()
     };
 
     let mut censor_scratch = config
@@ -157,6 +152,7 @@ pub fn optimize(
     // concurrently for every group of a level).
     let metrics = obs::metrics();
     let epoch_counter = metrics.counter("pgd.epochs");
+    let swept_counter = metrics.counter("pgd.infections_swept");
     let accepted_counter = metrics.counter("pgd.accepted_steps");
     let rollback_counter = metrics.counter("pgd.rollbacks");
     let objective_gauge = metrics.gauge("pgd.objective");
@@ -165,17 +161,26 @@ pub fn optimize(
     while epochs < config.max_epochs {
         epochs += 1;
         epoch_counter.incr(1);
+        swept_counter.incr(infections);
         grad_a.fill(0.0);
         grad_b.fill(0.0);
         let mut data_ll = 0.0;
         for c in cascades {
-            data_ll += accumulate_gradients(c, a, b, k, &mut grad_a, &mut grad_b, &mut scratch);
+            data_ll += accumulate_gradients(
+                c,
+                &trial_a,
+                &trial_b,
+                k,
+                &mut grad_a,
+                &mut grad_b,
+                &mut scratch,
+            );
         }
         if let (Some(window), Some(cs)) = (config.censoring_window, censor_scratch.as_mut()) {
             data_ll += crate::censoring::accumulate_censoring(
                 cascades,
-                a,
-                b,
+                &trial_a,
+                &trial_b,
                 k,
                 window,
                 &mut grad_a,
@@ -183,53 +188,57 @@ pub fn optimize(
                 cs,
             );
         }
-        let ll = data_ll - penalty(a, b);
+        // Accept/rollback decisions use the penalised objective so the L1
+        // term cannot fight the line search; reports carry the raw data LL.
+        let penalty = if config.l1_penalty == 0.0 {
+            0.0
+        } else {
+            config.l1_penalty * l1_mass
+        };
+        let ll = data_ll - penalty;
         initial_ll.get_or_insert(data_ll);
 
         if ll + 1e-12 < prev_ll {
-            // The last step overshot: return to the accepted point and
-            // immediately retry from there with a halved rate, reusing
-            // its stored gradient.
+            // The last step overshot: retry from the accepted point with a
+            // halved rate, reusing its stored gradient.
             rollback_counter.incr(1);
             rate *= 0.5;
             if rate < min_rate {
                 break;
             }
-            a.copy_from_slice(&backup_a);
-            b.copy_from_slice(&backup_b);
-            take_step(a, b, &backup_grad_a, &backup_grad_b, rate * corpus_scale);
-            continue;
+        } else {
+            history.push(ll);
+            accepted_counter.incr(1);
+            objective_gauge.set(ll);
+            let grad_norm = grad_a
+                .iter()
+                .chain(grad_b.iter())
+                .map(|g| g * g)
+                .sum::<f64>()
+                .sqrt();
+            grad_norm_hist.record(grad_norm);
+            let improved = ll - prev_ll;
+            let converged = prev_ll.is_finite() && improved < TOLERANCE * (1.0 + ll.abs());
+            prev_ll = ll;
+            best_data_ll = data_ll;
+            std::mem::swap(&mut trial_a, &mut best_a);
+            std::mem::swap(&mut trial_b, &mut best_b);
+            std::mem::swap(&mut grad_a, &mut best_grad_a);
+            std::mem::swap(&mut grad_b, &mut best_grad_b);
+            if converged {
+                break;
+            }
         }
-
-        history.push(ll);
-        accepted_counter.incr(1);
-        objective_gauge.set(ll);
-        let grad_norm = grad_a
-            .iter()
-            .chain(grad_b.iter())
-            .map(|g| g * g)
-            .sum::<f64>()
-            .sqrt();
-        grad_norm_hist.record(grad_norm);
-        let improved = ll - prev_ll;
-        let converged = prev_ll.is_finite() && improved < TOLERANCE * (1.0 + ll.abs());
-        prev_ll = ll;
-        best_data_ll = data_ll;
-        backup_a.copy_from_slice(a);
-        backup_b.copy_from_slice(b);
-        backup_grad_a.copy_from_slice(&grad_a);
-        backup_grad_b.copy_from_slice(&grad_b);
-        if converged {
-            break;
-        }
-        take_step(a, b, &grad_a, &grad_b, rate * corpus_scale);
+        let step = rate * corpus_scale;
+        l1_mass = step_from(&mut trial_a, &best_a, &best_grad_a, step)
+            + step_from(&mut trial_b, &best_b, &best_grad_b, step);
     }
 
-    // The backup holds the best *evaluated* point; the current
-    // parameters may carry an unevaluated trailing step. Return the
-    // evaluated optimum so `final_ll` is exact.
-    a.copy_from_slice(&backup_a);
-    b.copy_from_slice(&backup_b);
+    // `best` holds the best *evaluated* point (the first epoch always
+    // accepts); the trial may carry an unevaluated trailing step. Return
+    // the evaluated optimum so `final_ll` is exact.
+    a.copy_from_slice(&best_a);
+    b.copy_from_slice(&best_b);
 
     PgdReport {
         epochs,
@@ -295,11 +304,8 @@ mod tests {
         let mut b = vec![0.4, 0.4];
         let report = optimize(&cascades, &mut a, &mut b, 1, &PgdConfig::default());
         let direct = corpus_log_likelihood(&cascades, &a, &b, 1);
-        assert!(
-            (report.final_ll - direct).abs() < 1e-9,
-            "report {} vs direct {direct}",
-            report.final_ll
-        );
+        // Same expression, same order: equal to the last bit.
+        assert_eq!(report.final_ll.to_bits(), direct.to_bits());
     }
 
     #[test]
@@ -321,6 +327,20 @@ mod tests {
 
         let r2 = optimize(&[two_node(1.0)], &mut [], &mut [], 1, &PgdConfig::default());
         assert_eq!(r2.epochs, 0);
+
+        // No epoch means no point was ever accepted: the block must come
+        // back as it went in, not as whatever the buffers started with.
+        let cfg = PgdConfig {
+            max_epochs: 0,
+            ..PgdConfig::default()
+        };
+        let (mut a, mut b) = (vec![0.5, 0.25], vec![0.125, 2.0]);
+        for cascades in [vec![two_node(1.0)], vec![]] {
+            let r = optimize(&cascades, &mut a, &mut b, 1, &cfg);
+            assert_eq!((r.epochs, r.final_ll), (0, 0.0));
+            assert!(r.ll_history.is_empty());
+            assert_eq!((&a, &b), (&vec![0.5, 0.25], &vec![0.125, 2.0]));
+        }
     }
 
     #[test]
@@ -338,6 +358,139 @@ mod tests {
             "ran all {} epochs without converging",
             report.epochs
         );
+    }
+
+    /// A run as bits: epochs, rollbacks, `initial_ll`, `final_ll`, a
+    /// fold over `ll_history` and a fold over `a` then `b`.
+    fn fingerprint(r: &PgdReport, a: &[f64], b: &[f64]) -> (usize, usize, u64, u64, u64, u64) {
+        let fold = |xs: &mut dyn Iterator<Item = &f64>| {
+            xs.fold(0u64, |h, x| h.rotate_left(5) ^ x.to_bits())
+        };
+        (
+            r.epochs,
+            r.epochs - r.ll_history.len(),
+            r.initial_ll.to_bits(),
+            r.final_ll.to_bits(),
+            fold(&mut r.ll_history.iter()),
+            fold(&mut a.iter().chain(b)),
+        )
+    }
+
+    /// Four rows, two topics, cascades of length 3, 2 and 4.
+    fn small_corpus() -> (Vec<IndexedCascade>, Vec<f64>, Vec<f64>) {
+        let cascades = vec![
+            IndexedCascade {
+                rows: vec![0, 1, 2],
+                times: vec![0.0, 0.4, 0.9],
+            },
+            IndexedCascade {
+                rows: vec![1, 3],
+                times: vec![0.0, 0.6],
+            },
+            IndexedCascade {
+                rows: vec![2, 0, 3, 1],
+                times: vec![0.0, 0.3, 0.3, 1.2],
+            },
+        ];
+        let a = (0..8)
+            .map(|i| ((i * 7 + 3) % 11) as f64 / 10.0 + 0.1)
+            .collect();
+        let b = (0..8)
+            .map(|i| ((i * 5 + 1) % 13) as f64 / 12.0 + 0.1)
+            .collect();
+        (cascades, a, b)
+    }
+
+    /// Printed at the commit before the epoch loop swapped buffers
+    /// instead of copying them; a change that is not meant to move the
+    /// optimiser must keep producing every number here.
+    #[test]
+    fn epoch_loop_is_pinned() {
+        let run = |cs: &[IndexedCascade], mut a: Vec<f64>, mut b: Vec<f64>, k, cfg: &PgdConfig| {
+            let r = optimize(cs, &mut a, &mut b, k, cfg);
+            (fingerprint(&r, &a, &b), a, b)
+        };
+        let default = PgdConfig::default();
+
+        // Every step accepted, to the epoch cap.
+        let (cs, a, b) = small_corpus();
+        assert_eq!(
+            run(&cs, a, b, 2, &default).0,
+            (
+                100,
+                0,
+                13839598857070500532,
+                13829143933927533182,
+                14580438010090005003,
+                592669852655308045
+            )
+        );
+
+        // One overshoot, rolled back, then recovered and converged.
+        let at = |x: f64| (vec![x, x], vec![x, x]);
+        let (a, b) = at(0.2);
+        assert_eq!(
+            run(&[two_node(10.0)], a, b, 1, &default).0,
+            (
+                6,
+                1,
+                13838703439562981478,
+                13837991216151876885,
+                10652441743619247751,
+                18305119699737319893
+            )
+        );
+
+        // Every trial overshoots until the rate falls below
+        // `LEARNING_RATE / 1024`: one accepted point (the initial one),
+        // eleven rollbacks, and the block comes back as it went in.
+        let (a, b) = at(1e-5);
+        let (print, a, b) = run(&[two_node(1.0)], a, b, 1, &default);
+        assert_eq!(
+            print,
+            (
+                12,
+                11,
+                13850546455391180878,
+                13850546455391180878,
+                13850546455391180878,
+                991913792157068639
+            )
+        );
+        assert_eq!((a, b), at(1e-5));
+
+        // L1 shrinkage and censoring together, with two rollbacks: the
+        // penalty's `Σ x` comes from accepted and retried steps alike.
+        let (cs, mut a, mut b) = small_corpus();
+        a.iter_mut().chain(b.iter_mut()).for_each(|x| *x *= 0.03);
+        let cfg = PgdConfig {
+            l1_penalty: 5.0,
+            censoring_window: Some(2.0),
+            ..default
+        };
+        assert_eq!(
+            run(&cs, a, b, 2, &cfg).0,
+            (
+                40,
+                2,
+                13854427136886685621,
+                13847278475500382690,
+                10348476224963786431,
+                13838386154811976014
+            )
+        );
+    }
+
+    #[test]
+    fn infections_swept_counts_the_corpus_once_per_epoch() {
+        // Other tests of this process feed the same global counter, so
+        // only the lower bound is exact here.
+        let swept = obs::metrics().counter("pgd.infections_swept");
+        let before = swept.get();
+        let (cs, mut a, mut b) = small_corpus();
+        let r = optimize(&cs, &mut a, &mut b, 2, &PgdConfig::default());
+        let infections: usize = cs.iter().map(IndexedCascade::len).sum();
+        assert!(swept.get() - before >= (r.epochs * infections) as u64);
     }
 
     #[test]

@@ -574,6 +574,21 @@ no_pair_hashing() {
     fi
 }
 
+# Algorithm 1's sweep is one zipped pass per direction and an accepted
+# epoch swaps its buffers; fail if an indexed topic loop comes back into
+# accumulate_gradients (a bounds check per element, nothing vectorises)
+# or a block copy into optimize's epoch loop. The bracket keeps this
+# script from matching itself.
+sweep_is_check_free() {
+    if sed -n '/^pub fn accumulate_gradients/,/^}/p' crates/embed/src/gradient.rs \
+        | grep -n 'in 0\.\.[k]\b' \
+        || sed -n '/^pub fn optimize/,/^}/p' crates/embed/src/pgd.rs \
+            | sed -n '/^    while /,/^    }/p' | grep -n 'copy_from_[s]lice'; then
+        echo "an indexed topic loop is back in accumulate_gradients, or a block copy in optimize's epoch loop; zip the rows and swap the buffers" >&2
+        return 1
+    fi
+}
+
 # One selection (viralcast_model::top_k) under one comparator
 # (rank_order); fail if the collect-everything-and-sort helper or a
 # panicking float comparison comes back into a ranking path. The bracket
@@ -634,6 +649,26 @@ smoke_ablations() {
     echo "ablation smoke test OK (4 bins)"
 }
 
+# Nothing else CI runs drives the timing harnesses behind EXPERIMENTS.md's
+# Figures 10, 11 and 13 (they time the optimiser alone): each must run
+# to completion on its --quick sizes (fig13 reuses fig10's measurements),
+# and where there are two CPUs fig10 must not flag its 2-core rows as
+# oversubscribed.
+smoke_timing_figures() {
+    local out
+    if ! out="$(target/release/fig10_time_vs_cores --quick --max-cores 2)" \
+        || ! target/release/fig13_speedup --quick >/dev/null \
+        || ! target/release/fig11_time_vs_nodes --quick >/dev/null; then
+        echo "a timing figure harness failed" >&2
+        return 1
+    fi
+    if [ "$(nproc)" -ge 2 ] && grep -E '^ +[0-9]+ +2\*' <<<"$out"; then
+        echo "fig10 flags 2 cores as oversubscribed on a $(nproc)-CPU box" >&2
+        return 1
+    fi
+    echo "timing figures smoke test OK (fig10, fig13, fig11 --quick)"
+}
+
 # The acceptor parks in accept() and every wait in the listener is on
 # the Shutdown flag; fail if the parts of a poll loop come back.
 front_door_never_sleeps() {
@@ -684,6 +719,7 @@ run one_yardstick
 run one_test_stack
 run one_selection
 run no_pair_hashing
+run sweep_is_check_free
 run front_door_never_sleeps
 run libraries_hold_the_product
 run cargo fmt --all --check
@@ -709,6 +745,7 @@ if [ "$build" -eq 1 ]; then
     run smoke_cluster
     run smoke_replica
     run smoke_ablations
+    run smoke_timing_figures
 fi
 
 echo
