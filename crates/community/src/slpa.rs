@@ -148,8 +148,8 @@ impl Slpa {
     }
 
     /// Runs SLPA on the undirected view of `graph` (callers typically
-    /// pass a co-occurrence graph symmetrised via
-    /// [`viralcast_graph::DiGraph::to_undirected`]).
+    /// pass the symmetrised co-occurrence graph of
+    /// [`viralcast_graph::cooccurrence::CooccurrenceGraph::build_undirected`]).
     ///
     /// ```
     /// use viralcast_community::{Slpa, SlpaConfig};

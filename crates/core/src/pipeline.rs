@@ -29,19 +29,14 @@ pub struct InferenceOutcome {
     /// The per-level optimiser trace.
     pub report: InferenceReport,
     /// Aggregated wall-clock span tree, rooted at `"infer"` with
-    /// `cooccurrence`, `symmetrise`, `slpa` and `hierarchical` children.
+    /// `cooccurrence`, `slpa` and `hierarchical` children.
     pub timings: StageTimings,
 }
 
 impl InferenceOutcome {
-    /// Seconds spent building the co-occurrence graph.
+    /// Seconds spent building the (symmetrised) co-occurrence graph.
     pub fn cooccurrence_seconds(&self) -> f64 {
         self.timings.seconds_of(&["cooccurrence"])
-    }
-
-    /// Seconds spent symmetrising the co-occurrence graph for SLPA.
-    pub fn symmetrise_seconds(&self) -> f64 {
-        self.timings.seconds_of(&["symmetrise"])
     }
 
     /// Seconds spent in SLPA.
@@ -305,17 +300,11 @@ mod tests {
             .iter()
             .map(|c| c.name.as_str())
             .collect();
-        assert_eq!(
-            stages,
-            ["cooccurrence", "symmetrise", "slpa", "hierarchical"]
-        );
+        assert_eq!(stages, ["cooccurrence", "slpa", "hierarchical"]);
         // The optimiser's tree is grafted in, so its seconds live in
         // its children.
         let hierarchical = out.timings.child("hierarchical").unwrap();
-        let sum = out.cooccurrence_seconds()
-            + out.symmetrise_seconds()
-            + out.slpa_seconds()
-            + hierarchical.subtree_seconds();
+        let sum = out.cooccurrence_seconds() + out.slpa_seconds() + hierarchical.subtree_seconds();
         assert!(
             (sum - out.total_seconds()).abs() < 1e-9,
             "stages {sum} vs total {}",

@@ -12,7 +12,6 @@
 use serde::{Deserialize, Serialize};
 use viralcast_community::{Partition, Slpa, SlpaConfig};
 use viralcast_graph::cooccurrence::{CooccurrenceGraph, CooccurrenceOptions};
-use viralcast_obs as obs;
 use viralcast_propagation::CascadeSet;
 
 use crate::hierarchical::{infer_warm, HierarchicalConfig, InferenceReport};
@@ -55,13 +54,14 @@ impl Default for InferOptions {
     }
 }
 
-/// Stages 1–2: co-occurrence graph, its symmetrised view, SLPA
-/// communities. The per-stage spans (`cooccurrence`, `symmetrise`,
-/// `slpa`) land in whatever recorder the caller has installed. Public so
-/// cluster placement (`viralcast cluster-plan`) can align shard
-/// ownership with the same communities inference parallelises over.
+/// Stages 1–2: the symmetrised co-occurrence graph, counted in one pass
+/// (no directed graph or transpose is built), then SLPA communities. The
+/// per-stage spans (`cooccurrence`, `slpa`) land in whatever recorder
+/// the caller has installed. Public so cluster placement (`viralcast
+/// cluster-plan`) can align shard ownership with the same communities
+/// inference parallelises over.
 pub fn detect_communities(cascades: &CascadeSet, options: &InferOptions) -> Partition {
-    let cooc = CooccurrenceGraph::build(
+    let undirected = CooccurrenceGraph::build_undirected(
         cascades.node_count(),
         &cascades.node_sequences(),
         CooccurrenceOptions {
@@ -69,10 +69,6 @@ pub fn detect_communities(cascades: &CascadeSet, options: &InferOptions) -> Part
             min_weight: options.min_cooccurrence_weight,
         },
     );
-    let undirected = {
-        let _span = obs::Span::enter("symmetrise");
-        cooc.undirected()
-    };
     Slpa::new(options.slpa).run(&undirected).partition
 }
 

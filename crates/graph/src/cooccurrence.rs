@@ -28,10 +28,35 @@
 //! successors visited, `deg` a row's distinct targets before `min_weight`
 //! — and `O(n + infections + kept edges)` memory, with no `O(n)` sweep
 //! per source.
+//!
+//! Community detection reads only the symmetrised view, and
+//! [`CooccurrenceGraph::build_undirected`] counts it in the same pass:
+//! each occurrence of `u` also adds its *predecessors*, into the high half
+//! of the same `u64` accumulator slot, so row `u` holds `c(u, v)` and
+//! `c(v, u)` side by side and is written as `w(u, v) + w(v, u)` directly.
+//! Neither the directed graph nor its transpose is ever allocated.
 
 use crate::digraph::DiGraph;
 use crate::node::NodeId;
 use viralcast_obs as obs;
+
+/// One visit to a successor `v` of `u`: the low half of a row
+/// accumulator slot counts `c(u, v)`.
+const AFTER: u64 = 1;
+/// One visit to a predecessor `v` of `u`: the high half counts `c(v, u)`.
+const BEFORE: u64 = 1 << 32;
+
+/// Adds `one` to the accumulator slot of every node in `neighbours`,
+/// listing first hits in `touched`.
+fn tally(count: &mut [u64], touched: &mut Vec<NodeId>, neighbours: &[NodeId], one: u64) {
+    for &v in neighbours {
+        let c = &mut count[v.index()];
+        if *c == 0 {
+            touched.push(v);
+        }
+        *c += one;
+    }
+}
 
 /// The co-occurrence graph plus the per-node cascade counts that produced
 /// it.
@@ -39,10 +64,13 @@ use viralcast_obs as obs;
 pub struct CooccurrenceGraph {
     graph: DiGraph,
     cascade_counts: Vec<usize>,
-    /// Successors visited while counting: the work done.
+    /// Neighbours visited while counting: the work done. Successors only
+    /// for the directed graph; successors and predecessors, so every
+    /// pair from both ends, for the undirected one.
     pair_increments: usize,
-    /// Distinct ordered pairs before `min_weight`; edges ÷ this is the
-    /// filter's yield.
+    /// Distinct row entries before `min_weight` — ordered pairs for the
+    /// directed graph, unordered pairs from each end (a self-loop once)
+    /// for the undirected one; edges ÷ this is the filter's yield.
     pairs_seen: usize,
 }
 
@@ -91,6 +119,54 @@ impl CooccurrenceGraph {
     /// Panics if a sequence names a node outside `0..n`.
     pub fn build(n: usize, sequences: &[Vec<NodeId>], options: CooccurrenceOptions) -> Self {
         let _span = obs::Span::enter("cooccurrence");
+        let built = Self::count::<false>(n, sequences, options);
+        built.report(sequences.len());
+        built
+    }
+
+    /// Builds the symmetrised co-occurrence graph — what
+    /// `build(n, sequences, options).undirected()` returns, bit for bit —
+    /// without the directed graph or its transpose.
+    ///
+    /// Both directions of a pair are weighed and filtered by `min_weight`
+    /// separately, as [`build`](Self::build) does; row `u` then holds
+    /// `w(u, v) + w(v, u)`, or the one direction that survived, and a
+    /// self-loop once with its own weight. `successor_window = Some(w)`
+    /// also bounds the predecessors counted to `w` positions.
+    ///
+    /// ```
+    /// use viralcast_graph::cooccurrence::{CooccurrenceGraph, CooccurrenceOptions};
+    /// use viralcast_graph::NodeId;
+    ///
+    /// // Node 0 precedes node 1 in both cascades: w(0, 1) = 1, w(1, 0) = 0.
+    /// let sequences = vec![vec![NodeId(0), NodeId(1)], vec![NodeId(0), NodeId(1)]];
+    /// let g = CooccurrenceGraph::build_undirected(2, &sequences, CooccurrenceOptions::default());
+    /// assert_eq!(g.edge_weight(NodeId(0), NodeId(1)), Some(1.0));
+    /// assert_eq!(g.edge_weight(NodeId(1), NodeId(0)), Some(1.0));
+    /// ```
+    ///
+    /// # Panics
+    /// Panics if a sequence names a node outside `0..n`, or if one row
+    /// visits more than `u32::MAX` neighbours in either direction.
+    pub fn build_undirected(
+        n: usize,
+        sequences: &[Vec<NodeId>],
+        options: CooccurrenceOptions,
+    ) -> DiGraph {
+        let _span = obs::Span::enter("cooccurrence");
+        let built = Self::count::<true>(n, sequences, options);
+        built.report(sequences.len());
+        built.graph
+    }
+
+    /// The counting core of both builders. With `SYMMETRIC`, row `u`
+    /// also counts the predecessors of each occurrence of `u`, into the
+    /// high half of the accumulator slot ([`BEFORE`]).
+    fn count<const SYMMETRIC: bool>(
+        n: usize,
+        sequences: &[Vec<NodeId>],
+        options: CooccurrenceOptions,
+    ) -> Self {
         let mut cascade_counts = vec![0usize; n];
         for seq in sequences {
             for &u in seq {
@@ -118,7 +194,9 @@ impl CooccurrenceGraph {
             }
         }
 
-        let mut count = vec![0usize; n];
+        // Row `u`'s accumulator: `count[v]` is `c(u, v)`, plus `c(v, u)`
+        // in the high half when `SYMMETRIC`. `touched` lists first hits.
+        let mut count = vec![0u64; n];
         let mut touched: Vec<NodeId> = Vec::new();
         let mut offsets = Vec::with_capacity(n + 1);
         let mut targets = Vec::new();
@@ -126,45 +204,71 @@ impl CooccurrenceGraph {
         let (mut pair_increments, mut pairs_seen) = (0usize, 0usize);
         offsets.push(0);
         for u in 0..n {
+            let (mut after, mut before) = (0usize, 0usize);
             for &(cascade, position) in &occurrences[starts[u]..starts[u + 1]] {
                 let seq = &sequences[cascade as usize];
-                let first = position as usize + 1;
-                let end = match options.successor_window {
-                    Some(w) => first.saturating_add(w).min(seq.len()),
-                    None => seq.len(),
+                let at = position as usize;
+                let (successors, predecessors) = match options.successor_window {
+                    Some(w) => (
+                        at + 1..(at + 1).saturating_add(w).min(seq.len()),
+                        at.saturating_sub(w)..at,
+                    ),
+                    None => (at + 1..seq.len(), 0..at),
                 };
-                pair_increments += end - first;
-                for &v in &seq[first..end] {
-                    let c = &mut count[v.index()];
-                    if *c == 0 {
-                        touched.push(v);
-                    }
-                    *c += 1;
+                after += successors.len();
+                tally(&mut count, &mut touched, &seq[successors], AFTER);
+                if SYMMETRIC {
+                    before += predecessors.len();
+                    tally(&mut count, &mut touched, &seq[predecessors], BEFORE);
                 }
             }
+            // A half holds at most the row's visits in its direction.
+            assert!(
+                !SYMMETRIC || after.max(before) <= u32::MAX as usize,
+                "row {u} visits more than u32::MAX neighbours"
+            );
+            pair_increments += after + before;
             touched.sort_unstable();
             pairs_seen += touched.len();
             for v in touched.drain(..) {
-                let cuv = std::mem::take(&mut count[v.index()]);
-                let denom = cascade_counts[u] + cascade_counts[v.index()];
-                let w = 2.0 * cuv as f64 / denom as f64;
-                if w >= options.min_weight {
-                    targets.push(v);
-                    weights.push(w);
-                }
+                let c = std::mem::take(&mut count[v.index()]);
+                let (cuv, cvu) = if SYMMETRIC {
+                    (c & (BEFORE - 1), c >> 32)
+                } else {
+                    (c, 0)
+                };
+                let denom = (cascade_counts[u] + cascade_counts[v.index()]) as f64;
+                let weigh = |c: u64| {
+                    (c > 0)
+                        .then(|| 2.0 * c as f64 / denom)
+                        .filter(|&w| w >= options.min_weight)
+                };
+                let w = match (weigh(cuv), weigh(cvu)) {
+                    // Both directions survived: `to_undirected`'s sum.
+                    (Some(a), Some(b)) if v.index() != u => a + b,
+                    // A self-loop is its own reverse (`cvu == cuv`).
+                    (Some(a), _) | (None, Some(a)) => a,
+                    (None, None) => continue,
+                };
+                targets.push(v);
+                weights.push(w);
             }
             offsets.push(targets.len());
         }
-        let built = CooccurrenceGraph {
+        CooccurrenceGraph {
             graph: DiGraph::from_sorted_rows(n, offsets, targets, weights),
             cascade_counts,
             pair_increments,
             pairs_seen,
-        };
-        built.report(sequences.len());
-        built
+        }
     }
 
+    /// Adds this build to `cooccurrence.{sequences, pair_increments,
+    /// pairs_seen}` and sets the `cooccurrence.edges` gauge. After
+    /// [`build_undirected`](Self::build_undirected) — the pipeline's path —
+    /// the increments count every pair from both ends, `pairs_seen`
+    /// counts unordered pairs from each end and `edges` is the
+    /// undirected edge count.
     fn report(&self, sequences: usize) {
         let registry = obs::metrics();
         registry
@@ -207,7 +311,9 @@ impl CooccurrenceGraph {
         self.cascade_counts[u.index()]
     }
 
-    /// The symmetrised view used by community detection.
+    /// The symmetrised view. Community detection counts it directly with
+    /// [`build_undirected`](Self::build_undirected), which equals this bit
+    /// for bit.
     pub fn undirected(&self) -> DiGraph {
         self.graph.to_undirected()
     }
@@ -343,6 +449,14 @@ mod tests {
         assert_eq!(g.pair_increments, 8);
         assert_eq!(g.pairs_seen, 7);
         assert_eq!(g.graph().edge_count(), 7);
+
+        // The symmetric count visits every pair from both ends. All six
+        // unordered pairs co-occur, so each row sees three neighbours;
+        // the three 2/3 pairs survive as six undirected edges.
+        let g = CooccurrenceGraph::count::<true>(4, &seqs, opts);
+        assert_eq!(g.pair_increments, 26);
+        assert_eq!(g.pairs_seen, 12);
+        assert_eq!(g.graph().edge_count(), 6);
     }
 
     #[test]
@@ -422,10 +536,6 @@ mod proptests {
             };
             let got = CooccurrenceGraph::build(n, &seqs, options);
             let (want, want_counts) = reference_build(n, &seqs, options);
-
-            let bits = |g: &DiGraph| -> Vec<(NodeId, NodeId, u64)> {
-                g.edges().map(|(u, v, w)| (u, v, w.to_bits())).collect()
-            };
             assert_eq!(
                 bits(got.graph()),
                 bits(&want),
@@ -434,6 +544,56 @@ mod proptests {
             assert_eq!(got.graph().node_count(), n, "case {case}");
             assert_eq!(got.cascade_counts, want_counts, "case {case}");
         }
+    }
+
+    /// The one-pass symmetric count equals the directed count followed by
+    /// `to_undirected`, bit for bit — over isolated nodes, empty and
+    /// one-node sequences, nodes repeated inside a sequence (self-loops),
+    /// windows and thresholds that keep only one direction of a pair.
+    #[test]
+    fn build_undirected_matches_directed_then_undirected() {
+        // Directed edges seen: self-loops, one-way and two-way pairs.
+        let mut shapes = [0usize; 3];
+        for case in 0..256 {
+            let mut rng = StdRng::seed_from_u64(case);
+            // Ids are drawn below `n - 1`, so the last node never appears;
+            // with few ids per sequence a node often repeats.
+            let n = rng.gen_range(0..16usize);
+            let seqs: Vec<Vec<NodeId>> = (0..rng.gen_range(0..25usize))
+                .map(|_| {
+                    let len = if n < 2 { 0 } else { rng.gen_range(0..9usize) };
+                    (0..len)
+                        .map(|_| NodeId::new(rng.gen_range(0..n - 1)))
+                        .collect()
+                })
+                .collect();
+            let options = CooccurrenceOptions {
+                successor_window: [None, Some(1), Some(3)][rng.gen_range(0..3usize)],
+                min_weight: [0.0, 0.05, 0.5, 1.0][rng.gen_range(0..4usize)],
+            };
+            let got = CooccurrenceGraph::build_undirected(n, &seqs, options);
+            let directed = CooccurrenceGraph::build(n, &seqs, options);
+            let want = directed.undirected();
+            assert_eq!(
+                bits(&got),
+                bits(&want),
+                "case {case}: n {n}, {options:?}, {seqs:?}"
+            );
+            assert_eq!(got.node_count(), n, "case {case}");
+            for (u, v, _) in directed.graph().edges() {
+                let shape = match (u == v, directed.graph().has_edge(v, u)) {
+                    (true, _) => 0,
+                    (false, false) => 1,
+                    (false, true) => 2,
+                };
+                shapes[shape] += 1;
+            }
+        }
+        assert!(shapes.iter().all(|&s| s > 0), "shapes seen {shapes:?}");
+    }
+
+    fn bits(g: &DiGraph) -> Vec<(NodeId, NodeId, u64)> {
+        g.edges().map(|(u, v, w)| (u, v, w.to_bits())).collect()
     }
 
     /// 0–24 cascades over 12 nodes, each 1–7 draws sorted and deduped.

@@ -574,6 +574,19 @@ no_pair_hashing() {
     fi
 }
 
+# Community detection counts the symmetrised co-occurrence graph in one
+# pass (CooccurrenceGraph::build_undirected); fail if detect_communities
+# goes missing or builds the directed graph and its undirected view again.
+communities_skip_the_directed_graph() {
+    local body
+    body="$(sed -n '/^pub fn detect_communities/,/^}/p' crates/embed/src/refit.rs)"
+    if [ -z "$body" ] \
+        || grep -nE 'CooccurrenceGraph::build\(|\.undirected\(\)' <<<"$body"; then
+        echo "detect_communities is gone from embed/src/refit.rs or builds the directed co-occurrence graph again; count the symmetric graph with build_undirected" >&2
+        return 1
+    fi
+}
+
 # Algorithm 1's sweep is one zipped pass per direction and an accepted
 # epoch swaps its buffers; fail if an indexed topic loop comes back into
 # accumulate_gradients (a bounds check per element, nothing vectorises)
@@ -719,6 +732,7 @@ run one_yardstick
 run one_test_stack
 run one_selection
 run no_pair_hashing
+run communities_skip_the_directed_graph
 run sweep_is_check_free
 run front_door_never_sleeps
 run libraries_hold_the_product
