@@ -6,10 +6,9 @@
 //! of its neighbours (*speakers*) utters one label drawn from its own
 //! memory with probability proportional to that label's frequency, the
 //! listener tallies the utterances weighted by edge weight, and appends
-//! the winning label to its memory. Post-processing keeps, per node, the
-//! labels whose memory frequency clears a threshold `r` (overlapping
-//! output) and the most frequent label (disjoint output — what the
-//! parallel inference uses).
+//! the winning label to its memory. A node's community is its most
+//! frequent label at the end (the disjoint output the parallel inference
+//! uses).
 //!
 //! The implementation is deterministic given the seed. All label memories
 //! live in one flat `n × (iterations + 1)` array of `u32` labels: a node's
@@ -18,14 +17,27 @@
 //! then the slot at one uniform draw below the slice's length — the same
 //! map from the draw to the label as walking cumulative counts over sorted
 //! `(label, count)` pairs, without the walk. The listener tallies into a
-//! dense per-label row and visits the labels it heard in ascending order,
-//! so nothing is allocated inside the round loop and no outcome depends on
-//! a hash order. The vote's ties are drawn uniformly; the post-processing
-//! tie (most frequent label) favours the smallest label.
+//! dense per-label row that is zero between listeners, so an utterance is
+//! one add whether or not its label was heard before; a label's first
+//! utterance is also stored at the end of the list of labels heard. Only
+//! the labels tied for the most weight are sorted, so the tie draw is
+//! independent of the order the labels were uttered in. Nothing is
+//! allocated inside the round loop and no outcome depends on a hash order.
+//! The vote's ties are drawn uniformly; the post-processing tie (most
+//! frequent label) favours the smallest label.
+//!
+//! Every draw — the speaker's, the tie's and the shuffle's — goes through
+//! this module's `below`, Lemire's multiply-shift on
+//! [`RngCore::next_u64`], which divides only on the rare draw it might
+//! reject. It consumes the stream and returns the values the vendored
+//! `rand`'s `gen_range` does, so SLPA defines its own draw rather than
+//! borrowing `rand`'s: under another `rand` a run stays deterministic per
+//! seed, but `flat_memories_match_label_count_reference`, whose reference
+//! draws through `gen_range`, would flag the divergence.
 
 use crate::partition::Partition;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 use viralcast_graph::{DiGraph, NodeId};
 use viralcast_obs as obs;
@@ -36,8 +48,6 @@ pub struct SlpaConfig {
     /// Number of speaker-listener rounds (the original paper suggests
     /// ≥ 20; memories then hold `iterations + 1` labels).
     pub iterations: usize,
-    /// Post-processing probability threshold for the overlapping output.
-    pub threshold: f64,
     /// RNG seed; the run is fully deterministic given this.
     pub seed: u64,
 }
@@ -46,7 +56,6 @@ impl Default for SlpaConfig {
     fn default() -> Self {
         SlpaConfig {
             iterations: 30,
-            threshold: 0.1,
             seed: 0x51_9A,
         }
     }
@@ -87,8 +96,8 @@ impl Memories {
     }
 
     /// Samples a label proportionally to its count.
-    fn speak<R: Rng>(&self, u: usize, rng: &mut R) -> u32 {
-        self.labels[u * self.stride + rng.gen_range(0..self.len[u]) as usize]
+    fn speak<R: RngCore>(&self, u: usize, rng: &mut R) -> u32 {
+        self.labels[u * self.stride + below(u64::from(self.len[u]), rng) as usize]
     }
 
     /// `(label, count)` per distinct label, ascending.
@@ -109,15 +118,6 @@ impl Memories {
             .map(|(l, _)| l as usize)
             .expect("memory never empty")
     }
-
-    /// Labels with frequency ≥ threshold.
-    fn above(&self, u: usize, threshold: f64) -> Vec<usize> {
-        let total = self.len[u];
-        self.counts(u)
-            .filter(|&(_, c)| c as f64 / total as f64 >= threshold)
-            .map(|(l, _)| l as usize)
-            .collect()
-    }
 }
 
 /// The SLPA detector.
@@ -126,24 +126,17 @@ pub struct Slpa {
     config: SlpaConfig,
 }
 
-/// SLPA output: the disjoint partition plus the overlapping memberships.
+/// SLPA output.
 #[derive(Clone, Debug)]
 pub struct SlpaResult {
     /// Disjoint communities from each node's dominant label.
     pub partition: Partition,
-    /// Per node, the labels clearing the probability threshold
-    /// (overlapping communities; labels are raw, not compacted).
-    pub overlapping: Vec<Vec<usize>>,
 }
 
 impl Slpa {
     /// Creates a detector with the given configuration.
     pub fn new(config: SlpaConfig) -> Self {
         assert!(config.iterations > 0, "SLPA needs at least one round");
-        assert!(
-            (0.0..=1.0).contains(&config.threshold),
-            "threshold must be a probability"
-        );
         Slpa { config }
     }
 
@@ -172,11 +165,15 @@ impl Slpa {
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let mut memories = Memories::new(n, self.config.iterations);
         let mut order: Vec<usize> = (0..n).collect();
-        // The listener's tally, dense by label; `heard` lists the labels
-        // uttered to the current listener and `voted` marks them.
+        // The listener's tally, dense by label and all zero between
+        // listeners; `voted` marks the labels uttered to the current
+        // listener and `hits[..count]` lists them in order of first
+        // utterance. At most `n` labels exist, so the store at
+        // `hits[count]` stays in bounds even after all of them were heard.
         let mut tally = vec![0.0f64; n];
         let mut voted = vec![false; n];
-        let mut heard: Vec<u32> = Vec::new();
+        let mut hits = vec![0u32; n + 1];
+        let mut ties: Vec<u32> = Vec::new();
 
         for _ in 0..self.config.iterations {
             shuffle(&mut order, &mut rng);
@@ -187,22 +184,22 @@ impl Slpa {
                     continue;
                 }
                 let weights = graph.out_weights(lu);
+                // `0.0 + w` is `w` bit for bit except at `w = −0.0`, whose
+                // `+0.0` compares equal: a first utterance needs no branch.
+                // Its label is stored at `hits[count]` and kept by the
+                // increment; a repeated label's store is overwritten.
+                let mut count = 0;
                 for (&speaker, &w) in neighbors.iter().zip(weights) {
                     let label = memories.speak(speaker.index(), &mut rng);
                     let slot = label as usize;
-                    if voted[slot] {
-                        tally[slot] += w;
-                    } else {
-                        voted[slot] = true;
-                        tally[slot] = w;
-                        heard.push(label);
-                    }
+                    tally[slot] += w;
+                    hits[count] = label;
+                    count += usize::from(!voted[slot]);
+                    voted[slot] = true;
                 }
-                // Ascending label order keeps the tie draw below
-                // independent of the order the labels were uttered in.
-                heard.sort_unstable();
+                let heard = &hits[..count];
                 let mut max_w = f64::NEG_INFINITY;
-                for &label in &heard {
+                for &label in heard {
                     voted[label as usize] = false;
                     max_w = max_w.max(tally[label as usize]);
                 }
@@ -210,21 +207,30 @@ impl Slpa {
                 // the seeded rng): a fixed tie-break such as "smallest
                 // label" systematically floods low node ids across weak
                 // inter-community bridges and merges planted blocks.
-                heard.retain(|&label| tally[label as usize] >= max_w - 1e-12);
-                let winner = heard[rng.gen_range(0..heard.len())];
-                heard.clear();
+                // The filter zeroes every tally it reads; sorting the ties
+                // alone keeps the draw independent of the utterance order.
+                ties.extend(
+                    heard.iter().copied().filter(|&label| {
+                        std::mem::take(&mut tally[label as usize]) >= max_w - 1e-12
+                    }),
+                );
+                ties.sort_unstable();
+                let winner = ties[below(ties.len() as u64, &mut rng) as usize];
+                ties.clear();
                 memories.add(listener, winner);
             }
         }
 
         let raw: Vec<usize> = (0..n).map(|u| memories.dominant(u)).collect();
-        let overlapping = (0..n)
-            .map(|u| memories.above(u, self.config.threshold))
-            .collect();
         let partition = Partition::from_membership(&raw);
         obs::metrics()
             .counter("slpa.iterations")
             .incr(self.config.iterations as u64);
+        // Every round, each listener hears one utterance per adjacency
+        // entry of its row.
+        obs::metrics()
+            .counter("slpa.utterances")
+            .incr((self.config.iterations * graph.edge_count()) as u64);
         obs::metrics()
             .gauge("slpa.communities")
             .set(partition.community_count() as f64);
@@ -237,18 +243,32 @@ impl Slpa {
                 ("communities", partition.community_count().into()),
             ],
         );
-        SlpaResult {
-            partition,
-            overlapping,
+        SlpaResult { partition }
+    }
+}
+
+/// Uniform in `[0, span)` for `span > 0`, by Lemire's multiply-shift: the
+/// high word of `next_u64() · span`, redrawn while the low word is under
+/// `2⁶⁴ mod span`. That threshold is below `span`, so its division runs
+/// only when the low word is too — about `span` draws in 2⁶⁴ — and every
+/// draw is accepted or rejected exactly as the vendored `rand`'s
+/// `gen_range` decides, from the same words.
+fn below<R: RngCore>(span: u64, rng: &mut R) -> u64 {
+    let mut wide = u128::from(rng.next_u64()) * u128::from(span);
+    if (wide as u64) < span {
+        let threshold = span.wrapping_neg() % span;
+        while (wide as u64) < threshold {
+            wide = u128::from(rng.next_u64()) * u128::from(span);
         }
     }
+    (wide >> 64) as u64
 }
 
 /// Fisher–Yates shuffle (avoids pulling in rand's `SliceRandom` trait for
 /// one call site and keeps the sampling sequence explicit).
-fn shuffle<R: Rng>(xs: &mut [usize], rng: &mut R) {
+fn shuffle<R: RngCore>(xs: &mut [usize], rng: &mut R) {
     for i in (1..xs.len()).rev() {
-        let j = rng.gen_range(0..=i);
+        let j = below(i as u64 + 1, rng) as usize;
         xs.swap(i, j);
     }
 }
@@ -257,7 +277,7 @@ fn shuffle<R: Rng>(xs: &mut [usize], rng: &mut R) {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use viralcast_graph::{sbm, GraphBuilder, SbmConfig};
 
     fn two_cliques_with_bridge() -> DiGraph {
@@ -314,15 +334,14 @@ mod tests {
     }
 
     #[test]
-    fn overlapping_includes_dominant_label() {
+    fn utterances_count_one_draw_per_adjacency_entry_per_round() {
+        // Other tests of this process feed the same global counter, so
+        // only the lower bound is exact here.
         let g = two_cliques_with_bridge();
-        let result = Slpa::new(SlpaConfig::default()).run(&g);
-        for (node, labels) in result.overlapping.iter().enumerate() {
-            assert!(
-                !labels.is_empty(),
-                "node {node} lost all labels in post-processing"
-            );
-        }
+        let utterances = obs::metrics().counter("slpa.utterances");
+        let before = utterances.get();
+        Slpa::new(SlpaConfig::default()).run(&g);
+        assert!(utterances.get() - before >= 30 * 26);
     }
 
     #[test]
@@ -384,6 +403,75 @@ mod tests {
             ..SlpaConfig::default()
         });
     }
+
+    /// Replays a fixed list of words, cyclically, and counts how many it
+    /// has handed out.
+    struct Script {
+        words: Vec<u64>,
+        at: usize,
+    }
+
+    impl RngCore for Script {
+        fn next_u64(&mut self) -> u64 {
+            let word = self.words[self.at % self.words.len()];
+            self.at += 1;
+            word
+        }
+    }
+
+    /// Words for `span` that reach every branch of the sampler: `0`, whose
+    /// low word is `0` (rejected whenever `2⁶⁴ mod span > 0`), twice in a
+    /// row; `⌊(2⁶⁴ − 1) / span⌋ + 1`, whose low word is under `span`, so
+    /// the threshold is computed; the extremes; and a seeded run of
+    /// ordinary words.
+    fn script_for(span: u64) -> Vec<u64> {
+        let past = (u64::MAX / span).wrapping_add(1);
+        let mut words = vec![0, 0, 7, past, u64::MAX, 1, 0];
+        let mut rng = StdRng::seed_from_u64(span);
+        words.extend((0..32).map(|_| rng.next_u64()));
+        words
+    }
+
+    #[test]
+    fn below_matches_gen_range_word_for_word() {
+        // The speaker and tie draws replace `gen_range(0..span)`, the
+        // shuffle's `gen_range(0..=span - 1)`.
+        for span in 1..=64u64 {
+            let words = script_for(span);
+            let script = || Script {
+                words: words.clone(),
+                at: 0,
+            };
+            let (mut ours, mut half_open, mut inclusive) = (script(), script(), script());
+            for draw in 0..64 {
+                let got = below(span, &mut ours);
+                assert_eq!(
+                    got,
+                    half_open.gen_range(0..span),
+                    "span {span}, draw {draw}"
+                );
+                let last = span as usize - 1;
+                assert_eq!(
+                    got as usize,
+                    inclusive.gen_range(0..=last),
+                    "span {span}, draw {draw}"
+                );
+                assert_eq!(
+                    (ours.at, ours.at),
+                    (half_open.at, inclusive.at),
+                    "span {span}, draw {draw}"
+                );
+            }
+        }
+        // Span 3: 2⁶⁴ mod 3 = 1, so a first word of 0 (low word 0) is
+        // redrawn, and 7 · 3 = 21 has high word 0.
+        let mut script = Script {
+            words: vec![0, 7],
+            at: 0,
+        };
+        assert_eq!(below(3, &mut script), 0);
+        assert_eq!(script.at, 2);
+    }
 }
 
 #[cfg(test)]
@@ -435,27 +523,27 @@ mod proptests {
                 .map(|&(l, _)| l)
                 .expect("memory never empty")
         }
+    }
 
-        fn above(&self, threshold: f64) -> Vec<usize> {
-            self.entries
-                .iter()
-                .filter(|&&(_, c)| c as f64 / self.total as f64 >= threshold)
-                .map(|&(l, _)| l)
-                .collect()
+    /// The Fisher–Yates shuffle as it drew before SLPA's own sampler.
+    fn reference_shuffle<R: Rng>(xs: &mut [usize], rng: &mut R) {
+        for i in (1..xs.len()).rev() {
+            let j = rng.gen_range(0..=i);
+            xs.swap(i, j);
         }
     }
 
-    /// `Slpa::run` over `(label, count)` memories and a freshly allocated,
-    /// binary-search-inserted vote list per listener: the loop the flat
-    /// layout replaced. Returns the raw dominant labels and the
-    /// overlapping memberships.
-    fn reference_run(config: SlpaConfig, graph: &DiGraph) -> (Vec<usize>, Vec<Vec<usize>>) {
+    /// `Slpa::run` over `(label, count)` memories, a freshly allocated,
+    /// binary-search-inserted vote list per listener and `gen_range` for
+    /// every draw: the loop the flat layout, the branch-free tally and the
+    /// module's sampler replaced. Returns the raw dominant labels.
+    fn reference_run(config: SlpaConfig, graph: &DiGraph) -> Vec<usize> {
         let n = graph.node_count();
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut memories: Vec<Memory> = (0..n).map(Memory::with_initial).collect();
         let mut order: Vec<usize> = (0..n).collect();
         for _ in 0..config.iterations {
-            shuffle(&mut order, &mut rng);
+            reference_shuffle(&mut order, &mut rng);
             for &listener in &order {
                 let lu = NodeId::new(listener);
                 let neighbors = graph.out_neighbors(lu);
@@ -480,24 +568,43 @@ mod proptests {
                 memories[listener].add(winner);
             }
         }
-        (
-            memories.iter().map(Memory::dominant).collect(),
-            memories.iter().map(|m| m.above(config.threshold)).collect(),
-        )
+        memories.iter().map(Memory::dominant).collect()
     }
 
     /// The flat memories reproduce the `(label, count)` loop exactly —
-    /// same RNG stream, same partition, same overlapping memberships — on
-    /// weighted graphs of up to 60 nodes with isolated nodes, and on
-    /// all-equal weights, where every vote is a tie.
+    /// same RNG stream, same partition — on weighted graphs of up to 60
+    /// nodes with isolated nodes; on all-equal weights, where every vote
+    /// is a tie; on weights of `0.0`, `−0.0` and `5e-324`, which the tally
+    /// starts from zero rather than from the first utterance; and with a
+    /// hub of at least 100 neighbours, whose votes hear many labels
+    /// before the tie filter.
     #[test]
     fn flat_memories_match_label_count_reference() {
         for case in 0..256 {
             let mut rng = StdRng::seed_from_u64(case);
-            let n = rng.gen_range(1..61u32);
-            let all_equal = case % 4 == 0;
+            // A hub under all-equal weights (every vote a tie) and under
+            // random ones.
+            let hub = matches!(case % 8, 3 | 4);
+            let n = if hub {
+                rng.gen_range(101..161u32)
+            } else {
+                rng.gen_range(1..61u32)
+            };
+            let weight = |rng: &mut StdRng| match case % 4 {
+                0 => 1.0,
+                1 => [0.0, -0.0, 5e-324, 1.0][rng.gen_range(0..4usize)],
+                _ => rng.gen_range(0.05f64..2.0),
+            };
             let mut b = GraphBuilder::new(n as usize);
             let mut linked = BTreeSet::new();
+            if hub {
+                // Node 0 hears from at least 100 others.
+                for v in 1..rng.gen_range(101..=n) {
+                    linked.insert((0, v));
+                    let w = weight(&mut rng);
+                    b.add_undirected_edge(NodeId(0), NodeId(v), w);
+                }
+            }
             // Sparse enough that some nodes stay isolated.
             for _ in 0..rng.gen_range(0..3 * n as usize) {
                 let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
@@ -505,30 +612,16 @@ mod proptests {
                 if u == v || !linked.insert((u.min(v), u.max(v))) {
                     continue;
                 }
-                let w = if all_equal {
-                    1.0
-                } else {
-                    rng.gen_range(0.05f64..2.0)
-                };
+                let w = weight(&mut rng);
                 b.add_undirected_edge(NodeId(u), NodeId(v), w);
             }
             let g = b.build();
             for iterations in [1, 5, 30] {
                 for seed in [case, case + 1000, 0x51_9A] {
-                    let config = SlpaConfig {
-                        iterations,
-                        threshold: 0.1,
-                        seed,
-                    };
-                    let got = Slpa::new(config).run(&g);
-                    let (raw, overlapping) = reference_run(config, &g);
+                    let config = SlpaConfig { iterations, seed };
                     assert_eq!(
-                        got.partition,
-                        Partition::from_membership(&raw),
-                        "case {case}: n {n}, {iterations} rounds, seed {seed}"
-                    );
-                    assert_eq!(
-                        got.overlapping, overlapping,
+                        Slpa::new(config).run(&g).partition,
+                        Partition::from_membership(&reference_run(config, &g)),
                         "case {case}: n {n}, {iterations} rounds, seed {seed}"
                     );
                 }
@@ -552,7 +645,6 @@ mod proptests {
             let g = b.build();
             let cfg = SlpaConfig {
                 iterations: 10,
-                threshold: 0.1,
                 seed: case,
             };
             let result = Slpa::new(cfg).run(&g);

@@ -272,6 +272,44 @@ mod tests {
     }
 
     #[test]
+    fn detected_communities_are_pinned_at_training_scale() {
+        // The shape of one viralbench `train_sbm` job (1000 nodes in the
+        // local regime, 400 training cascades): ~0.26 M adjacency entries,
+        // so a vote hears hundreds of labels in the early rounds. Printed
+        // at the commit before SLPA's tally went branch-free and its draws
+        // left `gen_range`.
+        let e = SbmExperiment::build(
+            &SbmExperimentConfig {
+                sbm: SbmConfig {
+                    nodes: 1000,
+                    community_size: 40,
+                    intra_prob: 0.2,
+                    inter_prob: 0.001,
+                },
+                cascades: 800,
+                train_fraction: 0.5,
+                planted: viralcast_propagation::PlantedConfig {
+                    on_topic: 1.2,
+                    off_topic: 0.02,
+                    jitter: 0.3,
+                },
+                ..SbmExperimentConfig::default()
+            },
+            1,
+        );
+        assert_eq!(e.train().len(), 400);
+        let partition = detect_communities(e.train(), &InferOptions::default());
+        let fold = partition
+            .membership()
+            .iter()
+            .fold(0u64, |h, &c| h.rotate_left(5) ^ c as u64);
+        assert_eq!(
+            (partition.community_count(), fold),
+            (24, 14892686624909386644)
+        );
+    }
+
+    #[test]
     fn fitted_model_is_pinned() {
         // Printed at the commit before the optimiser's step, exit
         // threshold and clamp became constants of `pgd.rs`; a change

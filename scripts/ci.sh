@@ -602,6 +602,23 @@ sweep_is_check_free() {
     fi
 }
 
+# SLPA's vote adds every utterance to a tally that is zero between
+# listeners, sorts only the labels tied for the most weight, and draws
+# through the module's own division-free `below`; fail if Slpa::run calls
+# gen_range again or sorts before the tie filter (`>= max_w`). The
+# brackets keep this script from matching itself.
+slpa_votes_without_branches() {
+    local body sorted tied
+    body="$(sed -n '/^    pub fn run(/,/^    }/p' crates/community/src/slpa.rs)"
+    sorted="$(grep -n '\.[s]ort' <<<"$body" | head -n 1 | cut -d: -f1)"
+    tied="$(grep -n '>= max_[w]' <<<"$body" | head -n 1 | cut -d: -f1)"
+    if [ -z "$body" ] || grep -n 'gen_[r]ange' <<<"$body" \
+        || [ -z "$sorted" ] || [ -z "$tied" ] || [ "$sorted" -lt "$tied" ]; then
+        echo "Slpa::run is gone, draws through gen_range, or sorts every heard label before keeping the ties; draw with below and sort the ties alone" >&2
+        return 1
+    fi
+}
+
 # One selection (viralcast_model::top_k) under one comparator
 # (rank_order); fail if the collect-everything-and-sort helper or a
 # panicking float comparison comes back into a ranking path. The bracket
@@ -734,6 +751,7 @@ run one_selection
 run no_pair_hashing
 run communities_skip_the_directed_graph
 run sweep_is_check_free
+run slpa_votes_without_branches
 run front_door_never_sleeps
 run libraries_hold_the_product
 run cargo fmt --all --check
