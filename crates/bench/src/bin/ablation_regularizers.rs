@@ -11,13 +11,16 @@
 //!   their log-survival, actively pushing non-interacting rates down.
 //!
 //! The harness measures the intra/inter-community rate contrast of the
-//! recovered embeddings under each regime, plus runtime.
+//! recovered embeddings under each regime, their held-out eq.-8
+//! log-likelihood per infection on the test split, plus runtime.
 //!
 //! ```text
 //! cargo run --release -p viralcast-bench --bin ablation_regularizers -- \
 //!     --nodes 400 --cascades 600
 //! ```
 
+use viralcast::embed::likelihood::corpus_log_likelihood;
+use viralcast::embed::subcascade::IndexedCascade;
 use viralcast::prelude::*;
 use viralcast_bench::{print_table, standard_sbm_local, timed, Flags};
 
@@ -45,6 +48,19 @@ fn contrast(emb: &Embeddings, membership: &[usize]) -> (f64, f64) {
     )
 }
 
+/// Eq. 8 on the test split (cascades of two or more infections),
+/// divided by the number of infections it scores.
+fn held_out_ll(emb: &Embeddings, test: &[IndexedCascade], topics: usize) -> f64 {
+    let ll = corpus_log_likelihood(
+        test,
+        emb.influence_matrix(),
+        emb.selectivity_matrix(),
+        topics,
+    );
+    let infections: usize = test.iter().map(IndexedCascade::len).sum();
+    ll / infections.max(1) as f64
+}
+
 fn main() {
     let flags = Flags::from_env();
     let nodes = flags.usize("nodes", 400);
@@ -54,6 +70,13 @@ fn main() {
     println!("== Ablation: suppressing signal-free rates ==");
     let experiment = standard_sbm_local(nodes, cascades, seed);
     let membership = experiment.planted_membership();
+    let test: Vec<IndexedCascade> = experiment
+        .test()
+        .cascades()
+        .iter()
+        .filter(|c| c.len() >= 2)
+        .map(IndexedCascade::from_cascade)
+        .collect();
     let window = experiment.config().observation_window;
 
     let regimes: Vec<(&str, f64, Option<f64>)> = vec![
@@ -70,12 +93,14 @@ fn main() {
         options.hierarchical.pgd.censoring_window = censor;
         let (outcome, secs) = timed(|| infer_embeddings(experiment.train(), &options));
         let (intra, inter) = contrast(&outcome.embeddings, &membership);
+        let heldout = held_out_ll(&outcome.embeddings, &test, options.topics);
         rows.push(vec![
             name.to_string(),
             format!("{secs:.2}"),
             format!("{intra:.3}"),
             format!("{inter:.4}"),
             format!("{:.1}", intra / inter.max(1e-9)),
+            format!("{heldout:.3}"),
         ]);
     }
     print_table(
@@ -85,6 +110,7 @@ fn main() {
             "intra rate",
             "inter rate",
             "contrast",
+            "held-out LL/inf",
         ],
         &rows,
     );
