@@ -14,18 +14,9 @@
 //! ```
 
 use viralcast::embed::likelihood::corpus_log_likelihood;
-use viralcast::embed::subcascade::IndexedCascade;
 use viralcast::prelude::*;
 use viralcast_bench::pairwise::{PairwiseConfig, PairwiseModel};
-use viralcast_bench::{print_table, standard_sbm_local, timed, Flags};
-
-fn indexed(set: &CascadeSet) -> Vec<IndexedCascade> {
-    set.cascades()
-        .iter()
-        .filter(|c| c.len() >= 2)
-        .map(IndexedCascade::from_cascade)
-        .collect()
-}
+use viralcast_bench::{indexed, print_table, standard_sbm_local, timed, Flags};
 
 fn main() {
     let flags = Flags::from_env();

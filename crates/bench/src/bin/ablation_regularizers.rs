@@ -2,13 +2,9 @@
 //!
 //! The paper's objective (eq. 8) only constrains node pairs that
 //! co-occur in cascades; pairs that never interact keep whatever rate
-//! the random initialisation implies. Two remedies are implemented:
-//!
-//! * **L1 shrinkage** (`PgdConfig::l1_penalty`) — drive signal-free
-//!   components to zero (the pipeline default);
-//! * **right-censoring** (`PgdConfig::censoring_window`) — the
-//!   survival-analysis answer: nodes observed uninfected contribute
-//!   their log-survival, actively pushing non-interacting rates down.
+//! the random initialisation implies. The harness compares the bare
+//! objective with **L1 shrinkage** (`PgdConfig::l1_penalty`, the
+//! pipeline default), which drives signal-free components to zero.
 //!
 //! The harness measures the intra/inter-community rate contrast of the
 //! recovered embeddings under each regime, their held-out eq.-8
@@ -22,7 +18,7 @@
 use viralcast::embed::likelihood::corpus_log_likelihood;
 use viralcast::embed::subcascade::IndexedCascade;
 use viralcast::prelude::*;
-use viralcast_bench::{print_table, standard_sbm_local, timed, Flags};
+use viralcast_bench::{indexed, print_table, standard_sbm_local, timed, Flags};
 
 fn contrast(emb: &Embeddings, membership: &[usize]) -> (f64, f64) {
     let n = membership.len();
@@ -70,27 +66,12 @@ fn main() {
     println!("== Ablation: suppressing signal-free rates ==");
     let experiment = standard_sbm_local(nodes, cascades, seed);
     let membership = experiment.planted_membership();
-    let test: Vec<IndexedCascade> = experiment
-        .test()
-        .cascades()
-        .iter()
-        .filter(|c| c.len() >= 2)
-        .map(IndexedCascade::from_cascade)
-        .collect();
-    let window = experiment.config().observation_window;
-
-    let regimes: Vec<(&str, f64, Option<f64>)> = vec![
-        ("none (paper eq. 8)", 0.0, None),
-        ("L1 = 5", 5.0, None),
-        ("censoring", 0.0, Some(window)),
-        ("L1 + censoring", 5.0, Some(window)),
-    ];
+    let test = indexed(experiment.test());
 
     let mut rows = Vec::new();
-    for (name, l1, censor) in regimes {
+    for (name, l1) in [("none (paper eq. 8)", 0.0), ("L1 = 5", 5.0)] {
         let mut options = InferOptions::default();
         options.hierarchical.pgd.l1_penalty = l1;
-        options.hierarchical.pgd.censoring_window = censor;
         let (outcome, secs) = timed(|| infer_embeddings(experiment.train(), &options));
         let (intra, inter) = contrast(&outcome.embeddings, &membership);
         let heldout = held_out_ll(&outcome.embeddings, &test, options.topics);

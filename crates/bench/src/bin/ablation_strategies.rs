@@ -14,11 +14,11 @@
 //!     --nodes 1000 --cascades 1000
 //! ```
 
+use viralcast::embed::initial_embeddings;
 use viralcast::embed::likelihood::corpus_log_likelihood;
-use viralcast::embed::{initial_embeddings, IndexedCascade};
 use viralcast::prelude::*;
 use viralcast_bench::hogwild::{optimize_hogwild, HogwildConfig};
-use viralcast_bench::{print_table, standard_sbm_local as standard_sbm, timed, Flags};
+use viralcast_bench::{indexed, print_table, standard_sbm_local as standard_sbm, timed, Flags};
 
 fn main() {
     let flags = Flags::from_env();
@@ -41,16 +41,10 @@ fn main() {
         topics,
         ..InferOptions::default().hierarchical
     };
-    let indexed: Vec<IndexedCascade> = experiment
-        .train()
-        .cascades()
-        .iter()
-        .filter(|c| c.len() >= 2)
-        .map(IndexedCascade::from_cascade)
-        .collect();
+    let train = indexed(experiment.train());
     let corpus_ll = |emb: &Embeddings| {
         corpus_log_likelihood(
-            &indexed,
+            &train,
             emb.influence_matrix(),
             emb.selectivity_matrix(),
             topics,
@@ -103,7 +97,7 @@ fn main() {
         // Racing updates have no rollback line search, so Hogwild needs
         // a conservative step to stay stable.
         optimize_hogwild(
-            &indexed,
+            &train,
             &mut emb,
             &HogwildConfig {
                 learning_rate: 0.01,

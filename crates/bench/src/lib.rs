@@ -25,6 +25,7 @@ pub mod pointprocess;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 pub use viralcast::cli::Flags;
+use viralcast::embed::IndexedCascade;
 use viralcast::prelude::*;
 
 /// Prints an aligned text table.
@@ -57,6 +58,16 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = std::time::Instant::now();
     let out = f();
     (out, start.elapsed().as_secs_f64())
+}
+
+/// The cascades of `set` that eq. 8 scores (two or more infections), in
+/// global row indices.
+pub fn indexed(set: &CascadeSet) -> Vec<IndexedCascade> {
+    set.cascades()
+        .iter()
+        .filter(|c| c.len() >= 2)
+        .map(IndexedCascade::from_cascade)
+        .collect()
 }
 
 /// The standard paper-shaped SBM experiment (α = 0.2, β = 0.001,

@@ -401,42 +401,6 @@ mod tests {
     }
 
     #[test]
-    fn censoring_flows_through_the_hierarchy() {
-        // With censoring on, rates towards the never-infected node 5…
-        // actually all six nodes get infected across the corpus; instead
-        // check the run completes, improves likelihood, and returns
-        // different (more conservative) embeddings than without.
-        let set = corpus(9, 60);
-        let mut with = HierarchicalConfig {
-            topics: 2,
-            ..HierarchicalConfig::default()
-        };
-        with.pgd.censoring_window = Some(2.0);
-        let without = HierarchicalConfig {
-            topics: 2,
-            ..HierarchicalConfig::default()
-        };
-        let (emb_c, rep_c) = infer(&set, &two_block_partition(), &with);
-        let (emb_p, _) = infer(&set, &two_block_partition(), &without);
-        assert!(rep_c.final_ll().is_finite());
-        assert!(emb_c != emb_p, "censoring had no effect");
-        // Censoring only subtracts hazard mass: the modelled rates must
-        // not be systematically larger than the uncensored fit.
-        let total = |e: &Embeddings| {
-            let mut s = 0.0;
-            for u in 0..6u32 {
-                for v in 0..6u32 {
-                    if u != v {
-                        s += e.rate(NodeId(u), NodeId(v));
-                    }
-                }
-            }
-            s
-        };
-        assert!(total(&emb_c) <= total(&emb_p) * 1.05);
-    }
-
-    #[test]
     fn empty_corpus_returns_init() {
         let set = CascadeSet::new(4, vec![]);
         let cfg = HierarchicalConfig {

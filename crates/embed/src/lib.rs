@@ -28,15 +28,12 @@
 //! * [`refit`] — the pipeline options and the warm refit (communities
 //!   re-detected on the fresh batch, then [`hierarchical`] warm-started)
 //!   behind every incremental update.
-//! * [`censoring`] — opt-in right-censoring: survival terms for nodes
-//!   observed uninfected (DESIGN.md §6 extension).
 //!
 //! The baselines the paper argues against (Hogwild, the `O(n²)` per-link
 //! rate model) live with the ablations that run them, in `viralcast-bench`.
 
 #![warn(missing_docs)]
 
-pub mod censoring;
 pub mod embedding;
 pub mod gradient;
 pub mod hierarchical;

@@ -658,10 +658,22 @@ libraries_hold_the_product() {
     fi
 }
 
+# The epoch loop optimises one objective, the L1-penalised eq. 8; fail
+# if the right-censoring term, its config field or its scratch comes
+# back. The brackets keep this script from matching itself.
+one_objective() {
+    if [ -e crates/embed/src/censoring.rs ] \
+        || grep -rnE 'censoring_[w]indow|Censor[S]cratch' crates/ src/ tests/ examples/; then
+        echo "a second objective is back in the epoch loop; pgd::optimize fits the L1-penalised eq. 8 alone" >&2
+        return 1
+    fi
+}
+
 # Nothing else CI runs drives viralcast_bench::{hogwild, pairwise,
 # pointprocess} outside their unit tests: every ablation bin must run
-# to completion on a small world, and the racing Hogwild row (the one
-# non-deterministic number in the tables) must report a finite LL.
+# to completion on a small world, the racing Hogwild row (the one
+# non-deterministic number in the tables) must report a finite LL, and
+# both regulariser rows must report a finite held-out LL.
 smoke_ablations() {
     local bin out
     for bin in ablation_strategies ablation_pairwise ablation_baselines ablation_regularizers; do
@@ -672,6 +684,12 @@ smoke_ablations() {
         if [ "$bin" = ablation_strategies ] \
             && ! grep -qE '^ +hogwild +[0-9.]+ +-?[0-9]+\.[0-9] ' <<<"$out"; then
             echo "ablation_strategies printed no hogwild row with a finite LL" >&2
+            echo "$out" >&2
+            return 1
+        fi
+        if [ "$bin" = ablation_regularizers ] \
+            && [ "$(grep -cE '^ +(none \(paper eq\. 8\)|L1 = 5) .* -?[0-9]+\.[0-9]+$' <<<"$out")" -ne 2 ]; then
+            echo "ablation_regularizers printed a non-finite held-out LL" >&2
             echo "$out" >&2
             return 1
         fi
@@ -754,6 +772,7 @@ run sweep_is_check_free
 run slpa_votes_without_branches
 run front_door_never_sleeps
 run libraries_hold_the_product
+run one_objective
 run cargo fmt --all --check
 run cargo clippy --workspace --all-targets -- -D warnings
 if [ "$build" -eq 1 ]; then
