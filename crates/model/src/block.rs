@@ -3,12 +3,13 @@
 //! A cluster splits the candidate rows across N daemons: every shard
 //! loads the *full* model (rates need every selectivity row) but
 //! answers `/v1/predict` and `/v1/influencers` only for the candidate
-//! rows it owns. Ownership is a [`RowBlock`]: a boolean mask over node
-//! ids, derived either round-robin or from an explicit shard-membership
-//! vector (community-aligned placement). Blocks produced for shards
-//! `0..total` from the same derivation are disjoint and cover every
-//! node, which is what makes the router's merged top-k exactly equal the
-//! single-box ranking.
+//! rows it owns. Ownership is a [`RowBlock`]: the ascending list of the
+//! node ids a shard owns, derived either round-robin or from an explicit
+//! shard-membership vector (community-aligned placement). A scan walks
+//! that list, so a shard scores only its own rows. Blocks produced for
+//! shards `0..total` from the same derivation are disjoint and cover
+//! every node, which is what makes the router's merged top-k exactly
+//! equal the single-box ranking.
 
 use viralcast_graph::NodeId;
 
@@ -17,8 +18,10 @@ use viralcast_graph::NodeId;
 pub struct RowBlock {
     shard: usize,
     total: usize,
-    owned: Vec<bool>,
-    count: usize,
+    /// The node universe the block was built for.
+    node_count: usize,
+    /// The owned node ids, ascending.
+    rows: Vec<NodeId>,
 }
 
 impl RowBlock {
@@ -29,8 +32,16 @@ impl RowBlock {
     /// `total` must be ≥ 1 and `shard < total`.
     pub fn round_robin(node_count: usize, shard: usize, total: usize) -> Result<RowBlock, String> {
         check_shape(shard, total)?;
-        let owned: Vec<bool> = (0..node_count).map(|v| v % total == shard).collect();
-        Ok(Self::from_mask(owned, shard, total))
+        let rows = (shard..node_count)
+            .step_by(total)
+            .map(NodeId::new)
+            .collect();
+        Ok(RowBlock {
+            shard,
+            total,
+            node_count,
+            rows,
+        })
     }
 
     /// Placement from an explicit membership vector: `membership[v]` is
@@ -51,27 +62,32 @@ impl RowBlock {
                 "membership[{v}] = {m} is not a shard id (cluster has {total} shards)"
             ));
         }
-        let owned: Vec<bool> = membership.iter().map(|&m| m == shard).collect();
-        Ok(Self::from_mask(owned, shard, total))
-    }
-
-    fn from_mask(owned: Vec<bool>, shard: usize, total: usize) -> RowBlock {
-        let count = owned.iter().filter(|&&o| o).count();
-        RowBlock {
+        let rows = membership
+            .iter()
+            .enumerate()
+            .filter(|&(_, &m)| m == shard)
+            .map(|(v, _)| NodeId::new(v))
+            .collect();
+        Ok(RowBlock {
             shard,
             total,
-            owned,
-            count,
-        }
+            node_count: membership.len(),
+            rows,
+        })
     }
 
     /// Whether this shard owns node `v` as a candidate row. Nodes beyond
-    /// the mask (a model grown past the manifest) are unowned — they are
-    /// served by nobody rather than by everybody, keeping shards
-    /// disjoint under drift.
-    #[inline]
+    /// the block's universe (a model grown past the manifest) are
+    /// unowned — they are served by nobody rather than by everybody,
+    /// keeping shards disjoint under drift.
     pub fn contains(&self, v: NodeId) -> bool {
-        self.owned.get(v.index()).copied().unwrap_or(false)
+        self.rows.binary_search(&v).is_ok()
+    }
+
+    /// The owned node ids below `node_count`, ascending: the rows a scan
+    /// over a `node_count`-node model visits.
+    pub(crate) fn rows_below(&self, node_count: usize) -> &[NodeId] {
+        &self.rows[..self.rows.partition_point(|v| v.index() < node_count)]
     }
 
     /// This shard's index.
@@ -86,12 +102,12 @@ impl RowBlock {
 
     /// Number of nodes this shard owns.
     pub fn owned_count(&self) -> usize {
-        self.count
+        self.rows.len()
     }
 
-    /// Length of the ownership mask (the node universe it was built for).
+    /// The node universe the block was built for.
     pub fn node_count(&self) -> usize {
-        self.owned.len()
+        self.node_count
     }
 }
 
@@ -146,10 +162,15 @@ mod tests {
     }
 
     #[test]
-    fn nodes_past_the_mask_are_unowned() {
-        let b = RowBlock::round_robin(4, 0, 2).unwrap();
+    fn nodes_past_the_universe_are_unowned() {
+        let b = RowBlock::round_robin(5, 0, 2).unwrap();
         assert!(b.contains(NodeId(0)));
-        assert!(!b.contains(NodeId(4)));
+        assert!(b.contains(NodeId(4)));
+        assert!(!b.contains(NodeId(6)));
         assert!(!b.contains(NodeId(99)));
+        assert_eq!(b.node_count(), 5);
+        assert_eq!(b.rows_below(5), &[NodeId(0), NodeId(2), NodeId(4)]);
+        assert_eq!(b.rows_below(4), &[NodeId(0), NodeId(2)]);
+        assert_eq!(b.rows_below(99), b.rows_below(5));
     }
 }

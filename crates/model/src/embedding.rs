@@ -24,12 +24,12 @@
 use std::any::Any;
 use std::sync::Arc;
 
-use viralcast_embed::embedding::dot;
 use viralcast_embed::{refit, Embeddings, InferOptions};
 use viralcast_graph::NodeId;
 use viralcast_propagation::CascadeSet;
 
-use crate::{candidates, check_finite, rows, top_k, CascadeModel, RowBlock};
+use crate::scan::score_rows;
+use crate::{check_finite, top_k, CascadeModel, RowBlock};
 
 /// The paper's embedding model behind the [`CascadeModel`] trait.
 #[derive(Clone, Debug)]
@@ -58,13 +58,17 @@ impl EmbeddingBackend {
     /// their manifests carry no backend key and default to `"embed"`.
     ///
     /// # Errors
-    /// A description of the shape or length violation.
+    /// A description of the shape or length violation; a payload that
+    /// declares zero topics is refused (no fit produces one).
     pub fn decode(payload: &[u8]) -> Result<EmbeddingBackend, String> {
         if payload.len() < 8 {
             return Err("checkpoint payload shorter than its shape header".into());
         }
         let n = u32::from_le_bytes(payload[..4].try_into().unwrap()) as usize;
         let k = u32::from_le_bytes(payload[4..8].try_into().unwrap()) as usize;
+        if k == 0 {
+            return Err(format!("shape {n}x0 declares no topics"));
+        }
         let body = &payload[8..];
         let cells = n
             .checked_mul(k)
@@ -118,9 +122,10 @@ impl CascadeModel for EmbeddingBackend {
                 }
             }
         }
-        let scored =
-            candidates(emb.node_count(), infected, owned).map(|v| (v, dot(&h, emb.selectivity(v))));
-        top_k(scored, top)
+        let b = emb.selectivity_matrix();
+        top_k(emb.node_count(), top, infected, owned, |rows, out| {
+            score_rows(&h, b, rows, out)
+        })
     }
 
     fn influencers(
@@ -138,15 +143,15 @@ impl CascadeModel for EmbeddingBackend {
                 ));
             }
         }
-        let scored = rows(emb.node_count(), owned).map(|u| {
-            let row = emb.influence(u);
-            let score = match topic {
-                Some(t) => row[t],
-                None => row.iter().map(|x| x * x).sum::<f64>().sqrt(),
-            };
-            (u, score)
-        });
-        Ok(top_k(scored, top))
+        Ok(top_k(emb.node_count(), top, &[], owned, |rows, out| {
+            for (score, &u) in out.iter_mut().zip(rows) {
+                let row = emb.influence(u);
+                *score = match topic {
+                    Some(t) => row[t],
+                    None => row.iter().map(|x| x * x).sum::<f64>().sqrt(),
+                };
+            }
+        }))
     }
 
     fn update(&self, fresh: &CascadeSet) -> Result<Arc<dyn CascadeModel>, String> {
@@ -240,6 +245,30 @@ mod tests {
             back.embeddings().selectivity_matrix(),
             b.embeddings().selectivity_matrix()
         );
+    }
+
+    /// A zero-topic payload is refused; a zero-width backend built in
+    /// code still answers, every score the empty sum.
+    #[test]
+    fn zero_topics_are_refused_by_decode_and_scored_empty_in_code() {
+        let mut header = Vec::new();
+        header.extend_from_slice(&3u32.to_le_bytes());
+        header.extend_from_slice(&0u32.to_le_bytes());
+        let err = EmbeddingBackend::decode(&header).unwrap_err();
+        assert_eq!(err, "shape 3x0 declares no topics");
+        let empty = EmbeddingBackend::new(Embeddings::from_matrices(3, 0, vec![], vec![]));
+        let zero = (-0.0f64).to_bits();
+        let ranked = empty.rank_candidates(&[NodeId(1)], 5, None);
+        assert_eq!(
+            ranked
+                .iter()
+                .map(|&(v, s)| (v.0, s.to_bits()))
+                .collect::<Vec<_>>(),
+            vec![(0, zero), (2, zero)]
+        );
+        let global = empty.influencers(None, 5, None).unwrap();
+        assert_eq!(global.len(), 3);
+        assert!(global.iter().all(|&(_, s)| s.to_bits() == zero));
     }
 
     #[test]

@@ -31,7 +31,7 @@ use std::sync::Arc;
 use viralcast_graph::NodeId;
 use viralcast_propagation::{Cascade, CascadeSet};
 
-use crate::{candidates, check_finite, rows, top_k, CascadeModel, RowBlock};
+use crate::{check_finite, top_k, CascadeModel, RowBlock};
 
 /// Minimum delay used for MLE rate estimation, so simultaneous
 /// adoptions cannot produce an infinite rate.
@@ -273,16 +273,20 @@ impl CascadeModel for NetInfBackend {
     ) -> Vec<(NodeId, f64)> {
         // Sparse accumulation into a dense score row (the infected set
         // summed once, in ascending node order), then the same
-        // full-universe scan the embedding backend does, so zero-rate
-        // candidates appear (and tie-break) identically across backends.
+        // full-universe selection the embedding backend runs, so
+        // zero-rate candidates appear (and tie-break) identically across
+        // backends.
         let mut score = vec![0.0f64; self.node_count];
         for &u in infected {
             for &(v, w) in &self.edges[u.index()] {
                 score[v.index()] += w;
             }
         }
-        let scored = candidates(self.node_count, infected, owned).map(|v| (v, score[v.index()]));
-        top_k(scored, top)
+        top_k(self.node_count, top, infected, owned, |rows, out| {
+            for (s, v) in out.iter_mut().zip(rows) {
+                *s = score[v.index()];
+            }
+        })
     }
 
     fn influencers(
@@ -294,9 +298,11 @@ impl CascadeModel for NetInfBackend {
         if let Some(t) = topic {
             return Err(format!("topic {t} out of range (model has 0 topics)"));
         }
-        let scored = rows(self.node_count, owned)
-            .map(|u| (u, self.edges[u.index()].iter().map(|&(_, w)| w).sum()));
-        Ok(top_k(scored, top))
+        Ok(top_k(self.node_count, top, &[], owned, |rows, out| {
+            for (score, u) in out.iter_mut().zip(rows) {
+                *score = self.edges[u.index()].iter().map(|&(_, w)| w).sum();
+            }
+        }))
     }
 
     fn update(&self, fresh: &CascadeSet) -> Result<Arc<dyn CascadeModel>, String> {
