@@ -18,9 +18,6 @@ use viralcast_serve::shard::RowBlock;
 /// follower addresses.
 pub const MANIFEST_FORMAT: &str = "viralcast-cluster-manifest/v2";
 
-/// The follower-less predecessor; still parsed, never written.
-const MANIFEST_FORMAT_V1: &str = "viralcast-cluster-manifest/v1";
-
 /// How nodes map onto shards.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Placement {
@@ -212,10 +209,10 @@ impl ClusterManifest {
     pub fn parse(text: &str) -> Result<ClusterManifest, String> {
         let doc = json::parse(text).map_err(|e| format!("malformed manifest JSON: {e}"))?;
         match json::get(&doc, "format") {
-            Some(JsonValue::Str(tag)) if tag == MANIFEST_FORMAT || tag == MANIFEST_FORMAT_V1 => {}
+            Some(JsonValue::Str(tag)) if tag == MANIFEST_FORMAT => {}
             Some(JsonValue::Str(tag)) => {
                 return Err(format!(
-                    "unsupported manifest format {tag:?} (expected {MANIFEST_FORMAT:?} or {MANIFEST_FORMAT_V1:?})"
+                    "unsupported manifest format {tag:?} (expected {MANIFEST_FORMAT:?})"
                 ))
             }
             _ => return Err(format!("missing \"format\" tag {MANIFEST_FORMAT:?}")),
@@ -267,14 +264,10 @@ impl ClusterManifest {
         }
         let addrs: Vec<SocketAddr> = entries.iter().map(|s| s.addr).collect();
         let followers: Vec<Vec<SocketAddr>> = entries.iter().map(|s| s.followers.clone()).collect();
-        // Manifests written before the backend split carry no key and
-        // default to embed, same as checkpoint manifests.
         let backend = match json::get(&doc, "backend") {
-            None => viralcast_model::EmbeddingBackend::ID,
-            Some(JsonValue::Str(raw)) => raw.as_str(),
-            Some(_) => return Err("\"backend\" must be a string".into()),
-        }
-        .to_string();
+            Some(JsonValue::Str(raw)) => raw.clone(),
+            _ => return Err("missing \"backend\" string".into()),
+        };
         match json::get(&doc, "placement") {
             Some(JsonValue::Str(kind)) if kind == "round-robin" => {
                 if json::get(&doc, "membership").is_some() {
@@ -400,7 +393,7 @@ mod tests {
     }
 
     #[test]
-    fn backend_round_trips_and_defaults_to_embed() {
+    fn backend_round_trips_and_is_required() {
         let m = ClusterManifest::round_robin(&addrs(2))
             .unwrap()
             .with_backend("netinf")
@@ -409,13 +402,14 @@ mod tests {
         assert!(text.contains("\"backend\":\"netinf\""), "{text}");
         assert_eq!(ClusterManifest::parse(&text).unwrap(), m);
 
-        // Pre-backend manifests (no key) still parse, as embed.
+        // A manifest without the key is refused, not read as embed.
         let legacy = r#"{
-            "format": "viralcast-cluster-manifest/v1",
+            "format": "viralcast-cluster-manifest/v2",
             "placement": "round-robin",
             "shards": [{"id": 0, "addr": "127.0.0.1:7001"}]
         }"#;
-        assert_eq!(ClusterManifest::parse(legacy).unwrap().backend, "embed");
+        let err = ClusterManifest::parse(legacy).unwrap_err();
+        assert!(err.contains("missing \"backend\""), "{err}");
 
         // Unregistered backends are refused at construction and parse.
         let err = ClusterManifest::round_robin(&addrs(2))
@@ -442,7 +436,8 @@ mod tests {
     #[test]
     fn shards_parse_in_any_order_but_ids_must_be_dense() {
         let text = r#"{
-            "format": "viralcast-cluster-manifest/v1",
+            "format": "viralcast-cluster-manifest/v2",
+            "backend": "embed",
             "placement": "round-robin",
             "shards": [
                 {"id": 1, "addr": "127.0.0.1:7002"},
@@ -467,43 +462,47 @@ mod tests {
                 "unsupported manifest format",
             ),
             (
-                r#"{"format":"viralcast-cluster-manifest/v2","placement":"round-robin","shards":[{"id":0,"addr":"127.0.0.1:7001","followers":["127.0.0.1:7001"]}]}"#,
+                r#"{"format":"viralcast-cluster-manifest/v2","backend":7,"placement":"round-robin","shards":[{"id":0,"addr":"127.0.0.1:7001"}]}"#,
+                "missing \"backend\"",
+            ),
+            (
+                r#"{"format":"viralcast-cluster-manifest/v2","backend":"embed","placement":"round-robin","shards":[{"id":0,"addr":"127.0.0.1:7001","followers":["127.0.0.1:7001"]}]}"#,
                 "duplicate shard address",
             ),
             (
-                r#"{"format":"viralcast-cluster-manifest/v2","placement":"round-robin","shards":[{"id":0,"addr":"127.0.0.1:7001","followers":["nowhere"]}]}"#,
+                r#"{"format":"viralcast-cluster-manifest/v2","backend":"embed","placement":"round-robin","shards":[{"id":0,"addr":"127.0.0.1:7001","followers":["nowhere"]}]}"#,
                 "malformed follower addr",
             ),
             (
-                r#"{"format":"viralcast-cluster-manifest/v2","placement":"round-robin","shards":[{"id":0,"addr":"127.0.0.1:7001","followers":7}]}"#,
+                r#"{"format":"viralcast-cluster-manifest/v2","backend":"embed","placement":"round-robin","shards":[{"id":0,"addr":"127.0.0.1:7001","followers":7}]}"#,
                 "\"followers\" must be an array",
             ),
             (
-                r#"{"format":"viralcast-cluster-manifest/v1","placement":"round-robin","shards":[]}"#,
+                r#"{"format":"viralcast-cluster-manifest/v2","backend":"embed","placement":"round-robin","shards":[]}"#,
                 "at least one shard",
             ),
             (
-                r#"{"format":"viralcast-cluster-manifest/v1","placement":"random","shards":[{"id":0,"addr":"127.0.0.1:7001"}]}"#,
+                r#"{"format":"viralcast-cluster-manifest/v2","backend":"embed","placement":"random","shards":[{"id":0,"addr":"127.0.0.1:7001"}]}"#,
                 "unknown placement",
             ),
             (
-                r#"{"format":"viralcast-cluster-manifest/v1","placement":"membership","shards":[{"id":0,"addr":"127.0.0.1:7001"}]}"#,
+                r#"{"format":"viralcast-cluster-manifest/v2","backend":"embed","placement":"membership","shards":[{"id":0,"addr":"127.0.0.1:7001"}]}"#,
                 "requires a \"membership\"",
             ),
             (
-                r#"{"format":"viralcast-cluster-manifest/v1","placement":"membership","membership":[0,5],"shards":[{"id":0,"addr":"127.0.0.1:7001"}]}"#,
+                r#"{"format":"viralcast-cluster-manifest/v2","backend":"embed","placement":"membership","membership":[0,5],"shards":[{"id":0,"addr":"127.0.0.1:7001"}]}"#,
                 "not a shard id",
             ),
             (
-                r#"{"format":"viralcast-cluster-manifest/v1","placement":"round-robin","membership":[0],"shards":[{"id":0,"addr":"127.0.0.1:7001"}]}"#,
+                r#"{"format":"viralcast-cluster-manifest/v2","backend":"embed","placement":"round-robin","membership":[0],"shards":[{"id":0,"addr":"127.0.0.1:7001"}]}"#,
                 "must not carry",
             ),
             (
-                r#"{"format":"viralcast-cluster-manifest/v1","placement":"round-robin","shards":[{"id":0,"addr":"127.0.0.1:7001"},{"id":1,"addr":"127.0.0.1:7001"}]}"#,
+                r#"{"format":"viralcast-cluster-manifest/v2","backend":"embed","placement":"round-robin","shards":[{"id":0,"addr":"127.0.0.1:7001"},{"id":1,"addr":"127.0.0.1:7001"}]}"#,
                 "duplicate shard address",
             ),
             (
-                r#"{"format":"viralcast-cluster-manifest/v1","placement":"round-robin","shards":[{"id":0,"addr":"nowhere"}]}"#,
+                r#"{"format":"viralcast-cluster-manifest/v2","backend":"embed","placement":"round-robin","shards":[{"id":0,"addr":"nowhere"}]}"#,
                 "malformed addr",
             ),
         ] {
@@ -536,14 +535,15 @@ mod tests {
         let back = ClusterManifest::parse(&text).unwrap();
         assert_eq!(back, m);
 
-        // A follower-less manifest is written as v2 too, and the v1
-        // document older `cluster-plan`s wrote for it parses to the same.
+        // A follower-less manifest is written as v2 too; the v1 tag is
+        // refused even on an otherwise identical document.
         let plain = ClusterManifest::round_robin(&addrs(2)).unwrap();
         let plain_text = plain.to_json().render();
         assert!(plain_text.contains("\"format\":\"viralcast-cluster-manifest/v2\""));
         assert_eq!(ClusterManifest::parse(&plain_text).unwrap(), plain);
         let v1 = r#"{"format":"viralcast-cluster-manifest/v1","backend":"embed","placement":"round-robin","shards":[{"id":0,"addr":"127.0.0.1:7001"},{"id":1,"addr":"127.0.0.1:7002"}]}"#;
-        assert_eq!(ClusterManifest::parse(v1).unwrap(), plain);
+        let err = ClusterManifest::parse(v1).unwrap_err();
+        assert!(err.contains("unsupported manifest format"), "{err}");
     }
 
     #[test]

@@ -110,7 +110,6 @@ fn run() -> Result<(), CliError> {
             "serve" => serve_cmd(&flags)?,
             "cluster-plan" => cluster_plan_cmd(&flags)?,
             "router" => router_cmd(&flags)?,
-            "loadgen" => loadgen_cmd(&flags)?,
             "chaos" => chaos_cmd(&flags)?,
             _ => unreachable!("validated by command_flags"),
         }
@@ -155,9 +154,6 @@ USAGE:
   viralcast router         --cluster-manifest FILE [--addr HOST:PORT]
                            [--workers N] [--fanout-workers N]
                            [--probe-interval SECS] [--shard-timeout SECS]
-  viralcast loadgen        --addr HOST:PORT[,HOST:PORT…] [--workers N]
-                           [--duration SECS] [--warmup SECS] [--mix SPEC]
-                           [--scenario flash-crowd] [--seed S] [--out FILE]
   viralcast chaos          --embeddings FILE --data-dir DIR [--workers N]
                            [--backend embed|netinf] [--corpus FILE]
                            [--cycles C] [--steady SECS] [--cluster N]
@@ -233,28 +229,6 @@ CLUSTER:
   0.5) tracks shard health; when a shard is down the router degrades
   instead of failing — answers carry \"partial\": true plus
   shards_responding, never a 5xx.
-
-LOADGEN:
-  (Speed is measured by viralbench, the package under benchmark/;
-  loadgen is the driver for a daemon or router running elsewhere.)
-  Drives a running daemon with a closed-loop weighted traffic mix
-  (--mix, default predict=4,hazard=2,influencers=1,ingest=1) from
-  --workers concurrent connections (default 4). After --warmup seconds
-  (default 2, discarded) it measures for --duration seconds (default 10)
-  and prints per-endpoint p50/p99 latency, throughput and the shed rate;
-  --out FILE (default BENCH_http.json) gets the machine-readable report.
-  Requests carry deterministic lg-<worker>-<seq> trace IDs, joinable
-  against the daemon's access log. --addr accepts a comma-separated
-  endpoint list (e.g. a router plus its shards); each request retries
-  across the list.
-
-  --scenario flash-crowd replaces the closed loop with an open-loop
-  replay of a synthetic GDELT flash-crowd timeline: 24 simulated hours
-  of cascade arrivals, bursting an order of magnitude over baseline
-  mid-window, are compressed into --duration seconds and POSTed to
-  /v1/ingest at their scheduled instants (fc-<worker>-<seq> trace IDs).
-  The report gains a scenario block with baseline vs burst arrival
-  rates.
 
 CHAOS:
   Spawns a durable serve child over --data-dir (must be empty), drives
@@ -362,16 +336,6 @@ fn command_flags(command: &str) -> Option<Vec<FlagSpec>> {
             ("fanout-workers", true),
             ("probe-interval", true),
             ("shard-timeout", true),
-        ],
-        "loadgen" => &[
-            ("addr", true),
-            ("workers", true),
-            ("duration", true),
-            ("warmup", true),
-            ("mix", true),
-            ("scenario", true),
-            ("seed", true),
-            ("out", true),
         ],
         "chaos" => &[
             ("embeddings", true),
@@ -1136,114 +1100,6 @@ fn router_cmd(flags: &Flags) -> Result<Attrs, CliError> {
         ("addr".into(), bound.to_string().into()),
         ("shards".into(), shards.into()),
     ])
-}
-
-fn loadgen_cmd(flags: &Flags) -> Result<Attrs, CliError> {
-    use viralcast::loadgen;
-
-    let addr_raw = flags
-        .get("addr")
-        .ok_or_else(|| usage_err("missing required flag --addr"))?;
-    let endpoints = viralcast::serve::client::Endpoints::parse(addr_raw)
-        .map_err(|e| usage_err(format!("--addr: {e}")))?;
-    let scenario = match flags.get("scenario") {
-        Some(raw) => Some(
-            loadgen::LoadScenario::parse(raw).map_err(|e| usage_err(format!("--scenario: {e}")))?,
-        ),
-        None => None,
-    };
-    let workers = flags.usize("workers", 4)?;
-    let duration = flags.f64("duration", 10.0)?;
-    let warmup = flags.f64("warmup", 2.0)?;
-    if !duration.is_finite() || duration <= 0.0 {
-        return Err(usage_err("--duration must be a positive number of seconds"));
-    }
-    if !warmup.is_finite() || warmup < 0.0 {
-        return Err(usage_err(
-            "--warmup must be a non-negative number of seconds",
-        ));
-    }
-    let mix_raw = flags
-        .get("mix")
-        .unwrap_or("predict=4,hazard=2,influencers=1,ingest=1");
-    let mix = loadgen::parse_mix(mix_raw).map_err(|e| usage_err(format!("--mix: {e}")))?;
-    let seed = flags.u64("seed", 1)?;
-    let out = flags
-        .opt_path("out")
-        .unwrap_or_else(|| PathBuf::from("BENCH_http.json"));
-
-    let config = loadgen::LoadgenConfig {
-        endpoints,
-        workers,
-        duration: std::time::Duration::from_secs_f64(duration),
-        warmup: std::time::Duration::from_secs_f64(warmup),
-        mix,
-        seed,
-        scenario,
-    };
-    match scenario {
-        Some(s) => println!(
-            "replaying the {} scenario against http://{addr_raw} with \
-             {workers} worker(s) over {duration:.1}s…",
-            s.label()
-        ),
-        None => println!(
-            "driving http://{addr_raw} with {workers} worker(s), mix {mix_raw}: \
-             {warmup:.1}s warmup then {duration:.1}s measured…"
-        ),
-    }
-    let summary = {
-        let _span = Span::enter("loadgen");
-        loadgen::run(&config).map_err(runtime_err)?
-    };
-
-    println!(
-        "{:>12} {:>9} {:>9} {:>9} {:>9}",
-        "endpoint", "requests", "p50 ms", "p99 ms", "max ms"
-    );
-    let cell = |v: Option<f64>| v.map_or("-".to_string(), |ms| format!("{ms:.2}"));
-    for e in &summary.endpoints {
-        println!(
-            "{:>12} {:>9} {:>9} {:>9} {:>9}",
-            e.label,
-            e.requests,
-            cell(e.p50_ms),
-            cell(e.p99_ms),
-            cell(e.max_ms)
-        );
-    }
-    println!(
-        "{:.1} req/s over {:.1}s — {} ok, {} shed (shed rate {:.3}), \
-         {} other 4xx, {} 5xx, {} io errors",
-        summary.throughput_rps,
-        summary.measured_seconds,
-        summary.http_2xx,
-        summary.http_429,
-        summary.shed_rate,
-        summary.http_4xx,
-        summary.http_5xx,
-        summary.io_errors
-    );
-    if let Some(s) = &summary.scenario {
-        println!(
-            "scenario {}: {} scheduled arrival(s), baseline {:.1}/s vs \
-             burst {:.1}/s (burst {:.1}s–{:.1}s)",
-            s.name, s.arrivals, s.baseline_rps, s.burst_rps, s.burst_start_s, s.burst_end_s
-        );
-    }
-
-    let mut attrs: Attrs = vec![
-        ("addr".into(), addr_raw.into()),
-        ("workers".into(), workers.into()),
-        ("duration_s".into(), duration.into()),
-        ("warmup_s".into(), warmup.into()),
-        ("mix".into(), mix_raw.into()),
-        ("seed".into(), seed.into()),
-    ];
-    attrs.extend(summary.attrs());
-    save_bench_report("loadgen", &attrs, &out)?;
-    println!("bench report written to {}", out.display());
-    Ok(attrs)
 }
 
 fn chaos_cmd(flags: &Flags) -> Result<Attrs, CliError> {

@@ -23,7 +23,7 @@
 //!
 //! With `followers ≥ 1` (cluster mode only) every shard leader also
 //! gets that many `serve --follow` replica children, the manifest
-//! upgrades to v2 with the follower topology, and the assertion
+//! names the follower topology, and the assertion
 //! *strengthens*: while a leader is a corpse the router must keep
 //! answering reads with `"partial": false` — the follower masks the
 //! outage entirely — so any degraded (partial) read fails the run
@@ -345,7 +345,7 @@ pub fn run(config: &ChaosConfig) -> Result<ChaosSummary, String> {
     let boot_deadline = Instant::now() + config.recovery_timeout;
     await_health(&first_addr, boot_deadline)
         .map_err(|e| format!("daemon never became healthy: {e}"))?;
-    let nodes = crate::loadgen::probe_node_count(&first_addr)?;
+    let nodes = probe_node_count(&first_addr)?;
     let shared = Shared {
         phase: AtomicU8::new(PHASE_RUN),
         disrupted: AtomicBool::new(false),
@@ -681,7 +681,7 @@ fn run_cluster(config: &ChaosConfig) -> Result<ChaosSummary, String> {
 /// populates only after its first successful shard probe).
 fn await_node_count(addr: &SocketAddr, deadline: Instant) -> Result<usize, String> {
     loop {
-        match crate::loadgen::probe_node_count(addr) {
+        match probe_node_count(addr) {
             Ok(nodes) => return Ok(nodes),
             Err(e) if Instant::now() > deadline => return Err(e),
             Err(_) => std::thread::sleep(Duration::from_millis(20)),
@@ -717,19 +717,19 @@ fn finish_summary(
     let sum = |f: fn(&ChaosWorker) -> u64| results.iter().map(f).sum::<u64>();
     let shed = sum(|r| r.shed);
     let acked_count = acked.len() as u64;
-    let steady_p99 = crate::loadgen::percentile_ms(&steady_us, 0.99);
-    let disrupted_p99 = crate::loadgen::percentile_ms(&disrupted_us, 0.99);
+    let steady_p99 = percentile_ms(&steady_us, 0.99);
+    let disrupted_p99 = percentile_ms(&disrupted_us, 0.99);
     ChaosSummary {
         kill_cycles: recovery_ms.len() as u32,
         acked: acked_count,
         recovered: verify.recovered,
         missing: verify.missing,
-        recovery_p50_ms: crate::loadgen::percentile_ms(&recovery_sorted_us, 0.50),
-        recovery_p99_ms: crate::loadgen::percentile_ms(&recovery_sorted_us, 0.99),
+        recovery_p50_ms: percentile_ms(&recovery_sorted_us, 0.50),
+        recovery_p99_ms: percentile_ms(&recovery_sorted_us, 0.99),
         recovery_ms,
-        steady_p50_ms: crate::loadgen::percentile_ms(&steady_us, 0.50),
+        steady_p50_ms: percentile_ms(&steady_us, 0.50),
         steady_p99_ms: steady_p99,
-        disrupted_p50_ms: crate::loadgen::percentile_ms(&disrupted_us, 0.50),
+        disrupted_p50_ms: percentile_ms(&disrupted_us, 0.50),
         disrupted_p99_ms: disrupted_p99,
         p99_degradation: match (steady_p99, disrupted_p99) {
             (Some(s), Some(d)) if s > 0.0 => Some(d / s),
@@ -757,7 +757,7 @@ fn finish_summary(
 fn worker_loop(shared: &Shared, nodes: usize, seed: u64) -> ChaosWorker {
     let mut result = ChaosWorker::default();
     // Restarts take longer than a shed burst: give chaos workers a
-    // deeper retry budget than the loadgen default.
+    // deeper retry budget than the client's default.
     let policy = client::RetryPolicy {
         max_attempts: 8,
         max_backoff: Duration::from_millis(500),
@@ -953,6 +953,33 @@ fn await_health(addr: &SocketAddr, deadline: Instant) -> Result<(), String> {
     }
 }
 
+/// Probes `GET /healthz` and returns the served model's node count —
+/// the workers sample query nodes from `0..nodes`.
+fn probe_node_count(addr: &SocketAddr) -> Result<usize, String> {
+    let resp = client::request(addr, "GET", "/healthz", None)
+        .map_err(|e| format!("cannot reach {addr}: {e}"))?;
+    if resp.status != 200 {
+        return Err(format!("/healthz returned {}", resp.status));
+    }
+    let body = obs::json::parse(&resp.body).map_err(|e| format!("malformed /healthz body: {e}"))?;
+    let nodes = obs::json::get(&body, "nodes")
+        .and_then(obs::json::as_u64)
+        .ok_or("/healthz body lacks a numeric \"nodes\" field")?;
+    if nodes == 0 {
+        return Err("daemon serves an empty model (0 nodes)".into());
+    }
+    Ok(nodes as usize)
+}
+
+/// Nearest-rank percentile over sorted latency samples, in milliseconds.
+fn percentile_ms(sorted_us: &[u64], q: f64) -> Option<f64> {
+    if sorted_us.is_empty() {
+        return None;
+    }
+    let rank = (q * (sorted_us.len() as f64 - 1.0)).round() as usize;
+    Some(sorted_us[rank.min(sorted_us.len() - 1)] as f64 / 1000.0)
+}
+
 /// A spawned child that cannot outlive its owner: dropping the guard
 /// kills and reaps it, so no return path — a `?` included — leaves a
 /// daemon running over the data directory the audit is about to read.
@@ -976,6 +1003,15 @@ impl Drop for ChildGuard {
 mod tests {
     use super::*;
     use viralcast_propagation::Infection;
+
+    #[test]
+    fn percentiles_are_nearest_rank_in_ms() {
+        let sorted: Vec<u64> = (1..=100).map(|i| i * 1000).collect();
+        assert_eq!(percentile_ms(&sorted, 0.50), Some(51.0));
+        assert_eq!(percentile_ms(&sorted, 0.99), Some(99.0));
+        assert_eq!(percentile_ms(&sorted, 1.0), Some(100.0));
+        assert_eq!(percentile_ms(&[], 0.5), None);
+    }
 
     #[test]
     fn seq_survives_the_cascade_round_trip() {

@@ -18,9 +18,6 @@
 //!   SVM → F1-vs-threshold curves.
 //! * [`influencers`] — the "identification of the significant
 //!   influencers" application from the introduction.
-//! * [`loadgen`] — the remote driver behind `viralcast loadgen`:
-//!   closed-loop (or open-loop flash-crowd) HTTP load against a running
-//!   daemon or router named by `--addr` (`BENCH_http.json`).
 //! * [`chaos`] — the kill-loop resilience harness behind
 //!   `viralcast chaos`: repeated SIGKILL/restart of a child daemon under
 //!   load, with a final on-disk replay asserting zero acked-event loss
@@ -63,7 +60,6 @@ pub mod chaos;
 pub mod cli;
 pub mod experiment;
 pub mod influencers;
-pub mod loadgen;
 pub mod pipeline;
 pub mod prelude;
 

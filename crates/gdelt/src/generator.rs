@@ -329,7 +329,7 @@ impl GdeltWorld {
 
 /// Samples an index proportionally to the increments of a cumulative
 /// sum.
-pub(crate) fn sample_cdf<R: Rng>(cdf: &[f64], rng: &mut R) -> usize {
+fn sample_cdf<R: Rng>(cdf: &[f64], rng: &mut R) -> usize {
     let total = *cdf.last().expect("empty CDF");
     let x = rng.gen_range(0.0..total);
     cdf.partition_point(|&c| c <= x).min(cdf.len() - 1)

@@ -28,22 +28,14 @@
 //! * [`generator`] — the world builder and event simulator.
 //! * [`query`] — a small query layer standing in for the SQL the
 //!   authors ran (top-k sites, event sampling, co-report counts).
-//! * [`scenario`] — hostile-world regimes over a generated world:
-//!   flash-crowd bursts, diurnal/multi-region cycles, site churn, and
-//!   censored observation windows.
 
 #![warn(missing_docs)]
 
 pub mod generator;
 pub mod query;
 pub mod records;
-pub mod scenario;
 pub mod site;
 
 pub use generator::{GdeltConfig, GdeltWorld};
 pub use records::{Mention, MentionTable};
-pub use scenario::{
-    CensorWindow, DiurnalCycle, FlashCrowd, ScenarioConfig, ScenarioTimeline, SiteChurn,
-    TimelineEvent,
-};
 pub use site::{NewsSite, Region};

@@ -1,10 +1,10 @@
 //! A one-shot HTTP client, just big enough to exercise the daemon.
 //!
 //! Used by the cluster router's scatter, the replica poller, the
-//! integration tests, the loadgen harness, and the chaos harness; not a
-//! general HTTP client. One request per connection, mirroring the
-//! server's `Connection: close` contract: dial with `TCP_NODELAY`, send
-//! the whole request ([`encode_request`]) in one write, read to EOF.
+//! integration tests and the chaos harness; not a general HTTP client.
+//! One request per connection, mirroring the server's `Connection:
+//! close` contract: dial with `TCP_NODELAY`, send the whole request
+//! ([`encode_request`]) in one write, read to EOF.
 //!
 //! [`request_with_retry`] layers transient-failure handling on top:
 //! connection resets, mid-response EOFs, and 429/503 responses are
@@ -73,122 +73,6 @@ pub fn request(
     body: Option<&str>,
 ) -> io::Result<ClientResponse> {
     request_with_headers(addr, method, target, body, &[])
-}
-
-/// An ordered list of `host:port` endpoints — a router plus its shards,
-/// or several replicas — that the load and chaos harnesses address
-/// uniformly instead of doing string surgery on a single `addr`.
-///
-/// Rotation starts from a per-process offset (a splitmix64 hash of pid
-/// and boot time) so concurrent harness processes sharing one endpoint
-/// list spread their first attempts across it instead of all hammering
-/// the first address. Equality compares the addresses only, so lists
-/// parsed in different processes still compare equal.
-#[derive(Clone, Debug)]
-pub struct Endpoints {
-    addrs: Vec<SocketAddr>,
-    offset: u64,
-}
-
-impl PartialEq for Endpoints {
-    fn eq(&self, other: &Endpoints) -> bool {
-        self.addrs == other.addrs
-    }
-}
-
-impl Eq for Endpoints {}
-
-/// The process-wide rotation offset: hashed once from pid + wall clock,
-/// then shared by every [`Endpoints`] built in this process.
-fn process_rotation_offset() -> u64 {
-    static OFFSET: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
-    *OFFSET.get_or_init(|| {
-        let pid = u64::from(std::process::id());
-        let now = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(0);
-        splitmix64(pid ^ now)
-    })
-}
-
-impl Endpoints {
-    /// Parses a comma-separated list of `host:port` entries (spaces
-    /// around entries tolerated, empty entries rejected).
-    pub fn parse(spec: &str) -> Result<Endpoints, String> {
-        let mut addrs = Vec::new();
-        for part in spec.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                return Err(format!("empty endpoint in list {spec:?}"));
-            }
-            let addr = part
-                .parse::<SocketAddr>()
-                .map_err(|e| format!("malformed endpoint {part:?}: {e}"))?;
-            addrs.push(addr);
-        }
-        if addrs.is_empty() {
-            return Err("endpoint list is empty".into());
-        }
-        Ok(Endpoints {
-            addrs,
-            offset: process_rotation_offset(),
-        })
-    }
-
-    /// A single-endpoint list.
-    pub fn single(addr: SocketAddr) -> Endpoints {
-        Endpoints {
-            addrs: vec![addr],
-            offset: process_rotation_offset(),
-        }
-    }
-
-    /// Pins the rotation start to `offset` instead of the per-process
-    /// hash — for tests and callers needing a deterministic first
-    /// target.
-    pub fn with_rotation_offset(mut self, offset: u64) -> Endpoints {
-        self.offset = offset;
-        self
-    }
-
-    /// The endpoints, in the order given.
-    pub fn addrs(&self) -> &[SocketAddr] {
-        &self.addrs
-    }
-
-    /// Number of endpoints (≥ 1 by construction).
-    pub fn len(&self) -> usize {
-        self.addrs.len()
-    }
-
-    /// Always false — [`Endpoints::parse`] rejects empty lists — but
-    /// present so `len` reads idiomatically.
-    pub fn is_empty(&self) -> bool {
-        self.addrs.is_empty()
-    }
-
-    /// The endpoint attempt number `attempt` (0-based) should target:
-    /// round-robin across the list from the per-process offset, so
-    /// consecutive retries rotate away from a dead endpoint and
-    /// concurrent processes start from different entries.
-    pub fn rotate(&self, attempt: u32) -> &SocketAddr {
-        let index =
-            (self.offset.wrapping_add(u64::from(attempt)) % self.addrs.len() as u64) as usize;
-        &self.addrs[index]
-    }
-}
-
-impl std::fmt::Display for Endpoints {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        for (i, addr) in self.addrs.iter().enumerate() {
-            if i > 0 {
-                f.write_str(",")?;
-            }
-            write!(f, "{addr}")?;
-        }
-        Ok(())
-    }
 }
 
 /// Like [`request`], with extra request headers (e.g. `X-Request-Id`).
@@ -372,8 +256,8 @@ impl RetryPolicy {
 }
 
 /// SplitMix64's finalizer: a well-mixed stateless hash. Seeds the retry
-/// jitter and the endpoint rotation here, and scores `(key, shard)`
-/// pairs in the cluster's rendezvous hashing.
+/// jitter here, and scores `(key, shard)` pairs in the cluster's
+/// rendezvous hashing.
 pub fn splitmix64(seed: u64) -> u64 {
     let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -421,32 +305,9 @@ pub fn request_with_retry(
     headers: &[(&str, &str)],
     policy: &RetryPolicy,
 ) -> io::Result<Retried> {
-    request_with_retry_on(
-        &Endpoints::single(*addr),
-        method,
-        target,
-        body,
-        headers,
-        policy,
-    )
-}
-
-/// [`request_with_retry`] over an endpoint list: attempt `n` targets
-/// `endpoints.rotate(n)`, so retries walk away from a dead endpoint
-/// instead of hammering it. With one endpoint this is exactly the
-/// single-address retry loop.
-pub fn request_with_retry_on(
-    endpoints: &Endpoints,
-    method: &str,
-    target: &str,
-    body: Option<&str>,
-    headers: &[(&str, &str)],
-    policy: &RetryPolicy,
-) -> io::Result<Retried> {
     let attempts_budget = policy.max_attempts.max(1);
     let mut attempts = 0u32;
     loop {
-        let addr = endpoints.rotate(attempts);
         attempts += 1;
         let outcome = request_with_headers(addr, method, target, body, headers);
         let last = attempts >= attempts_budget;
@@ -521,73 +382,32 @@ mod tests {
     }
 
     #[test]
-    fn endpoints_parse_and_rotate() {
-        let eps = Endpoints::parse("127.0.0.1:7001, 127.0.0.1:7002,127.0.0.1:7003")
-            .unwrap()
-            .with_rotation_offset(0);
-        assert_eq!(eps.len(), 3);
-        assert!(!eps.is_empty());
-        assert_eq!(eps.rotate(0).port(), 7001);
-        assert_eq!(eps.rotate(1).port(), 7002);
-        assert_eq!(eps.rotate(3).port(), 7001);
-        assert_eq!(
-            eps.to_string(),
-            "127.0.0.1:7001,127.0.0.1:7002,127.0.0.1:7003"
-        );
-        // Round-trips through its own Display form.
-        assert_eq!(Endpoints::parse(&eps.to_string()).unwrap(), eps);
-    }
-
-    #[test]
-    fn rotation_starts_from_the_process_offset() {
-        let spec = "127.0.0.1:7001,127.0.0.1:7002,127.0.0.1:7003";
-        let a = Endpoints::parse(spec).unwrap();
-        let b = Endpoints::parse(spec).unwrap();
-        // All lists in one process share the offset: a harness spawning
-        // many workers still rotates coherently, while a *different*
-        // process (different pid/time hash) would start elsewhere.
-        assert_eq!(a.rotate(0), b.rotate(0));
-        // Whatever the offset, three consecutive attempts cover every
-        // endpoint exactly once.
-        let mut seen: Vec<u16> = (0..3).map(|i| a.rotate(i).port()).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, vec![7001, 7002, 7003]);
-        // Pinning the offset makes the start deterministic.
-        let pinned = a.clone().with_rotation_offset(1);
-        assert_eq!(pinned.rotate(0).port(), 7002);
-        assert_eq!(pinned.rotate(2).port(), 7001);
-    }
-
-    #[test]
-    fn endpoints_reject_malformed_lists() {
-        for bad in ["", ",", "127.0.0.1:1,", "localhost", "127.0.0.1:notaport"] {
-            assert!(Endpoints::parse(bad).is_err(), "accepted {bad:?}");
-        }
-        let single = Endpoints::single("127.0.0.1:9".parse().unwrap());
-        assert_eq!(single.addrs().len(), 1);
-    }
-
-    #[test]
-    fn retry_rotates_across_endpoints_to_find_a_live_one() {
-        // One dead port, one live listener that answers a fixed 200.
-        let server = crate::listen(crate::ListenerConfig::new("127.0.0.1:0", "fake"), |_, _| {
-            crate::Response::text(200, "ok")
-        })
+    fn a_transient_status_is_retried_and_counted() {
+        // A listener that sheds the first request with a 503, then
+        // answers every later one with a 200.
+        let served = std::sync::atomic::AtomicU32::new(0);
+        let server = crate::listen(
+            crate::ListenerConfig::new("127.0.0.1:0", "fake"),
+            move |_, _| {
+                if served.fetch_add(1, std::sync::atomic::Ordering::SeqCst) == 0 {
+                    crate::Response::text(503, "busy")
+                } else {
+                    crate::Response::text(200, "ok")
+                }
+            },
+        )
         .unwrap();
-        let live = server.local_addr();
-        let eps = Endpoints::parse(&format!("127.0.0.1:9,{live}"))
-            .unwrap()
-            .with_rotation_offset(0);
         let policy = RetryPolicy {
             max_attempts: 4,
             base_backoff: Duration::from_millis(1),
             max_backoff: Duration::from_millis(2),
             jitter_seed: 3,
         };
-        let out = request_with_retry_on(&eps, "GET", "/healthz", None, &[], &policy).unwrap();
+        let out = request_with_retry(&server.local_addr(), "GET", "/healthz", None, &[], &policy)
+            .unwrap();
         assert_eq!(out.response.status, 200);
         assert_eq!(out.response.body, "ok");
-        assert_eq!(out.attempts, 2, "first attempt hits the dead port");
+        assert_eq!(out.attempts, 2, "the 503 costs one retry");
         server.shutdown();
     }
 

@@ -64,8 +64,7 @@ pub mod trace;
 pub mod trainer;
 
 pub use client::{
-    request_with_retry, request_with_retry_on, transient_status, ClientResponse, Endpoints,
-    RawResponse, Retried, RetryPolicy,
+    request_with_retry, transient_status, ClientResponse, RawResponse, Retried, RetryPolicy,
 };
 pub use http::{HttpLimits, Request, Response};
 pub use ingest::{DrainedBatch, IngestBuffer, IngestReceipt, TraceMark};

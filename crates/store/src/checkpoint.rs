@@ -30,7 +30,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use viralcast_model::{CascadeModel, EmbeddingBackend};
+use viralcast_model::CascadeModel;
 
 use crate::codec::{frame, read_frame, FrameRead};
 
@@ -52,8 +52,7 @@ pub struct Manifest {
     /// Embeddings file name (relative to the data directory).
     pub embeddings_file: String,
     /// Backend that encoded the checkpoint payload (a
-    /// [`CascadeModel::backend_id`]). Manifests written before the
-    /// backend split carry no `backend` line and parse as `"embed"`.
+    /// [`CascadeModel::backend_id`]).
     pub backend: String,
 }
 
@@ -103,7 +102,7 @@ impl Manifest {
             snapshot_version: version.ok_or("missing snapshot_version")?,
             wal_offset: offset.ok_or("missing wal_offset")?,
             embeddings_file: file.ok_or("missing embeddings_file")?,
-            backend: backend.unwrap_or_else(|| EmbeddingBackend::ID.to_string()),
+            backend: backend.ok_or("missing backend")?,
         })
     }
 
@@ -252,6 +251,7 @@ pub fn save_checkpoint(
 mod tests {
     use super::*;
     use viralcast_embed::Embeddings;
+    use viralcast_model::EmbeddingBackend;
 
     /// The embeddings inside a decoded embed-backend model.
     fn embeddings_of(model: &dyn CascadeModel) -> &Embeddings {
@@ -294,14 +294,13 @@ mod tests {
     }
 
     #[test]
-    fn manifests_without_a_backend_line_default_to_embed() {
-        // Written before the backend split: three key=value lines only.
-        let m = Manifest::parse(
+    fn manifests_without_a_backend_line_are_refused() {
+        // Three key=value lines only: the backend is never guessed.
+        let err = Manifest::parse(
             "viralcast-manifest-v1\nsnapshot_version=3\nwal_offset=9\nembeddings_file=checkpoint-3.bin\n",
         )
-        .unwrap();
-        assert_eq!(m.backend, "embed");
-        assert_eq!(m.snapshot_version, 3);
+        .unwrap_err();
+        assert!(err.contains("missing backend"), "{err}");
     }
 
     #[test]

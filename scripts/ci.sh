@@ -31,12 +31,36 @@ http_get() {
     exec 3>&- 3<&-
 }
 
+# http_post PORT PATH BODY [HEADER]: HEADER is one extra "Name: value"
+# line, sent as is.
 http_post() {
+    local extra=""
+    [ -n "${4:-}" ] && extra="$4"$'\r\n'
     exec 3<>"/dev/tcp/127.0.0.1/$1"
-    printf 'POST %s HTTP/1.1\r\nHost: smoke\r\nContent-Type: application/json\r\nContent-Length: %s\r\nConnection: close\r\n\r\n%s' \
-        "$2" "${#3}" "$3" >&3
+    printf 'POST %s HTTP/1.1\r\nHost: smoke\r\nContent-Type: application/json\r\nContent-Length: %s\r\n%sConnection: close\r\n\r\n%s' \
+        "$2" "${#3}" "$extra" "$3" >&3
     cat <&3
     exec 3>&- 3<&-
+}
+
+# Sends 50 sequential /v1/predict reads to PORT, each tagged
+# "X-Request-Id: smoke-<i>", and prints their total wall time in
+# microseconds. Fails on the first answer that is not an HTTP 200.
+read_burst() {
+    local i reply started
+    started="${EPOCHREALTIME/[.,]/}"
+    for i in $(seq 1 50); do
+        reply="$(http_post "$1" /v1/predict '{"cascade":[{"node":0,"time":0.0}],"top":3}' \
+            "X-Request-Id: smoke-$i")"
+        case "$reply" in
+            'HTTP/1.1 200'*) ;;
+            *)
+                echo "read smoke-$i did not answer 200: $reply" >&2
+                return 1
+                ;;
+        esac
+    done
+    echo $(( ${EPOCHREALTIME/[.,]/} - started ))
 }
 
 write_fixture() {
@@ -100,10 +124,13 @@ interrupt_within_2s() {
 }
 
 # Boots the released daemon against a tiny fixture model on a random
-# port, polls /healthz, scrapes /metrics, and asserts a clean SIGINT
-# shutdown (exit 0) within 2 s.
+# port, polls /healthz, scrapes /metrics, sends a 50-read burst, and
+# asserts a clean SIGINT shutdown (exit 0) within 2 s. The burst must
+# finish within 250 ms: an idle loopback read answers in ~0.1 ms, while
+# an acceptor that polls every 10 ms costs at least 500 ms for 50. The
+# access log must carry the burst's trace IDs.
 smoke_serve() {
-    local tmp fixture log pid port health metrics
+    local tmp fixture log pid port health metrics burst_us
     tmp="$(mktemp -d)"
     trap 'rm -rf "$tmp"' RETURN
     fixture="$tmp/embeddings.json"
@@ -111,7 +138,8 @@ smoke_serve() {
     write_fixture "$fixture"
 
     target/release/viralcast serve --embeddings "$fixture" \
-        --addr 127.0.0.1:0 --workers 2 >"$log" 2>&1 &
+        --addr 127.0.0.1:0 --workers 2 \
+        --access-log "$tmp/access.jsonl" >"$log" 2>&1 &
     pid=$!
 
     port="$(await_port "$log")"
@@ -143,8 +171,23 @@ smoke_serve() {
             ;;
     esac
 
+    if ! burst_us="$(read_burst "$port")"; then
+        kill "$pid" 2>/dev/null || true
+        return 1
+    fi
+    if [ "$burst_us" -gt 250000 ]; then
+        echo "50 sequential reads took ${burst_us} us, over 250 ms: a poll is back in the request path" >&2
+        kill "$pid" 2>/dev/null || true
+        return 1
+    fi
+
     interrupt_within_2s "$pid"
-    echo "serve smoke test OK (port $port)"
+    if ! grep -q '"trace_id":"smoke-' "$tmp/access.jsonl"; then
+        echo "access log is missing the burst's trace IDs" >&2
+        head "$tmp/access.jsonl" >&2
+        return 1
+    fi
+    echo "serve smoke test OK (port $port, 50 reads in ${burst_us} us)"
 }
 
 # Kill-loop resilience: `viralcast chaos` spawns a durable serve child,
@@ -276,96 +319,17 @@ smoke_backends() {
     echo "backends smoke test OK (netinf serve on port $port)"
 }
 
-# Perf harness smoke: boot the daemon with an access log, run a short
-# loadgen burst, and assert BENCH_http.json exists, parses, counts a
-# non-zero number of requests, saw zero 5xx responses, and answered
-# every endpoint with a median under 5 ms — loadgen has no think time,
-# so behind an acceptor that polls every read is a whole poll (10 ms).
-smoke_loadgen() {
-    local tmp fixture log pid port bench medians slow
-    tmp="$(mktemp -d)"
-    trap 'rm -rf "$tmp"' RETURN
-    fixture="$tmp/embeddings.json"
-    log="$tmp/serve.log"
-    bench="$tmp/BENCH_http.json"
-    write_fixture "$fixture"
-
-    target/release/viralcast serve --embeddings "$fixture" \
-        --addr 127.0.0.1:0 --workers 2 \
-        --access-log "$tmp/access.jsonl" >"$log" 2>&1 &
-    pid=$!
-
-    port="$(await_port "$log")"
-    if [ -z "$port" ] || ! await_health "$port" | grep -q '"status":"ok"'; then
-        echo "daemon never became healthy for loadgen" >&2
-        cat "$log" >&2
-        kill "$pid" 2>/dev/null || true
-        return 1
-    fi
-
-    if ! target/release/viralcast loadgen --addr "127.0.0.1:$port" \
-        --workers 2 --warmup 0.5 --duration 2 --seed 7 --out "$bench"; then
-        echo "loadgen run failed" >&2
-        cat "$log" >&2
-        kill "$pid" 2>/dev/null || true
-        return 1
-    fi
-
-    kill -INT "$pid"
-    wait "$pid"
-
-    if [ ! -s "$bench" ]; then
-        echo "loadgen produced no $bench" >&2
-        return 1
-    fi
-    # Parse strictly when a JSON parser is around; schema-grep otherwise.
-    if command -v python3 >/dev/null 2>&1; then
-        python3 -m json.tool "$bench" >/dev/null
-    fi
-    if ! grep -q '"schema": *"viralcast-run-report/v1"' "$bench"; then
-        echo "BENCH_http.json is missing the run-report schema" >&2
-        cat "$bench" >&2
-        return 1
-    fi
-    if grep -q '"total_requests": *0\b' "$bench"; then
-        echo "loadgen measured zero requests" >&2
-        cat "$bench" >&2
-        return 1
-    fi
-    if ! grep -q '"http_5xx": *0\b' "$bench"; then
-        echo "loadgen observed 5xx responses" >&2
-        cat "$bench" >&2
-        return 1
-    fi
-    # Endpoints the mix never hit report "p50_ms": null and are skipped.
-    medians="$(grep -oE '"p50_ms": *[0-9][0-9.]*' "$bench" || true)"
-    slow="$(awk -F': *' '$2 + 0 >= 5' <<<"$medians")"
-    if [ -z "$medians" ] || [ -n "$slow" ]; then
-        echo "an endpoint's median is 5 ms or more (or none was measured): ${slow:-no p50_ms}" >&2
-        cat "$bench" >&2
-        return 1
-    fi
-    # The access log actually recorded the burst's trace IDs.
-    if ! grep -q '"trace_id":"lg-' "$tmp/access.jsonl"; then
-        echo "access log is missing loadgen trace IDs" >&2
-        head "$tmp/access.jsonl" >&2
-        return 1
-    fi
-    echo "loadgen smoke test OK (port $port)"
-}
-
 # Sharded-cluster smoke: a 2-shard round-robin manifest, two shard
-# daemons, and the scatter-gather router in front. A short loadgen burst
+# daemons, and the scatter-gather router in front. A 50-read burst
 # through the router must see zero 5xx; after SIGKILLing one shard the
 # router must keep answering /v1/predict with HTTP 200 and
 # "partial":true — any 5xx during the outage fails the leg.
 smoke_cluster() {
-    local tmp fixture manifest bench port0 port1 rport pid0 pid1 rpid reply partial
+    local tmp fixture manifest port0 port1 rport pid0 pid1 rpid reply partial
     tmp="$(mktemp -d)"
     trap 'rm -rf "$tmp"' RETURN
     fixture="$tmp/embeddings.json"
     manifest="$tmp/cluster-manifest.json"
-    bench="$tmp/BENCH_cluster_http.json"
     write_fixture "$fixture"
 
     # The manifest names fixed shard ports up front; $RANDOM keeps
@@ -398,15 +362,8 @@ smoke_cluster() {
         return 1
     fi
 
-    if ! target/release/viralcast loadgen --addr "127.0.0.1:$rport" \
-        --workers 2 --warmup 0.5 --duration 2 --seed 7 --out "$bench"; then
-        echo "loadgen through the router failed" >&2
-        kill "$pid0" "$pid1" "$rpid" 2>/dev/null || true
-        return 1
-    fi
-    if ! grep -q '"http_5xx": *0\b' "$bench"; then
-        echo "router answered 5xx under healthy-cluster load" >&2
-        cat "$bench" >&2
+    if ! read_burst "$rport" >/dev/null; then
+        echo "router failed a read under healthy-cluster load" >&2
         kill "$pid0" "$pid1" "$rpid" 2>/dev/null || true
         return 1
     fi
@@ -655,6 +612,18 @@ one_yardstick() {
     fi
 }
 
+# One load driver: viralbench (benchmark/). Fail if the second closed-loop
+# driver, its scenario generator, its report or the client's endpoint
+# rotation comes back. The bracket in each alternative keeps this script
+# from matching itself.
+one_load_driver() {
+    if grep -rnE 'load[g]en|gdelt::[s]cenario|Flash[C]rowd|End[p]oints|request_with_retry_[o]n|BENCH_[h]ttp' \
+        crates/ src/ scripts/ README.md DESIGN.md; then
+        echo "a second load driver reappeared; measure with benchmark/ (viralbench) instead" >&2
+        return 1
+    fi
+}
+
 # A library crate holds what the pipeline and the daemon run: the
 # baselines the paper argues against live with the ablation harnesses in
 # crates/bench, nothing outside benchmark/ names criterion, and core
@@ -777,6 +746,7 @@ workspace_tests() {
 }
 
 run one_yardstick
+run one_load_driver
 run one_test_stack
 run one_selection
 run one_scan
@@ -806,7 +776,6 @@ if [ "$build" -eq 1 ]; then
     run smoke_serve
     run smoke_backends
     run smoke_chaos
-    run smoke_loadgen
     run smoke_cluster
     run smoke_replica
     run smoke_ablations
