@@ -291,6 +291,7 @@ fn healthz(state: &RouterState) -> Response {
 }
 
 fn metrics() -> Response {
+    obs::process::record_memory();
     let mut text = String::from("# TYPE viralcast_router_info gauge\nviralcast_router_info 1\n");
     text.push_str(&obs::metrics().snapshot().render_prometheus());
     Response::text(200, text)
@@ -606,6 +607,22 @@ fn target_of(req: &Request) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn metrics_report_the_process_resident_set() {
+        let text = String::from_utf8(metrics().body).unwrap();
+        let gauge = |name: &str| -> f64 {
+            text.lines()
+                .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+                .and_then(|v| v.parse().ok())
+                .unwrap_or_else(|| panic!("no {name} sample in {text}"))
+        };
+        let resident = gauge("process_resident_bytes");
+        let peak = gauge("process_peak_resident_bytes");
+        assert!(resident > 0.0, "{text}");
+        assert!(peak >= resident, "peak {peak} below resident {resident}");
+    }
 
     #[test]
     fn target_rebuilds_the_query_string() {

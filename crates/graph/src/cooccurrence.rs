@@ -23,11 +23,15 @@
 //! `count[v]` row while a `touched` list records first hits; `touched` is
 //! sorted, each `(v, c(u, v))` is weighed and filtered, the survivors are
 //! appended straight to the CSR arrays, and the row is zeroed again
-//! through `touched`. No pair is ever hashed and no edge list is built:
-//! the cost is `O(increments + Σ deg·log deg)` time — `increments` the
-//! successors visited, `deg` a row's distinct targets before `min_weight`
-//! — and `O(n + infections + kept edges)` memory, with no `O(n)` sweep
-//! per source.
+//! through `touched`. The rows are counted twice: a first pass, with no
+//! sort and no push, only counts each row's survivors, so the CSR arrays
+//! are allocated once at their exact length and never grow — a caller
+//! that counts on every batch (the serving trainer) leaves no trail of
+//! doubled-and-freed blocks in the heap. No pair is ever hashed and no
+//! edge list is built: the cost is `O(increments + Σ deg·log deg)` time
+//! — `increments` the successors visited, `deg` a row's distinct targets
+//! before `min_weight` — and `O(n + infections + kept edges)` memory,
+//! with no `O(n)` sweep per source.
 //!
 //! Community detection reads only the symmetrised view, and
 //! [`CooccurrenceGraph::build_undirected`] counts it in the same pass:
@@ -64,7 +68,7 @@ fn tally(count: &mut [u64], touched: &mut Vec<NodeId>, neighbours: &[NodeId], on
 pub struct CooccurrenceGraph {
     graph: DiGraph,
     cascade_counts: Vec<usize>,
-    /// Neighbours visited while counting: the work done. Successors only
+    /// Neighbours visited by one of the two counting passes. Successors only
     /// for the directed graph; successors and predecessors, so every
     /// pair from both ends, for the undirected one.
     pair_increments: usize,
@@ -195,15 +199,12 @@ impl CooccurrenceGraph {
         }
 
         // Row `u`'s accumulator: `count[v]` is `c(u, v)`, plus `c(v, u)`
-        // in the high half when `SYMMETRIC`. `touched` lists first hits.
+        // in the high half when `SYMMETRIC`. `touched` lists first hits,
+        // at most `n`, so it never grows either.
         let mut count = vec![0u64; n];
-        let mut touched: Vec<NodeId> = Vec::new();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::new();
-        let mut weights = Vec::new();
-        let (mut pair_increments, mut pairs_seen) = (0usize, 0usize);
-        offsets.push(0);
-        for u in 0..n {
+        let mut touched: Vec<NodeId> = Vec::with_capacity(n);
+        // Tallies row `u` into `count`; returns the neighbours visited.
+        let tally_row = |u: usize, count: &mut [u64], touched: &mut Vec<NodeId>| {
             let (mut after, mut before) = (0usize, 0usize);
             for &(cascade, position) in &occurrences[starts[u]..starts[u + 1]] {
                 let seq = &sequences[cascade as usize];
@@ -216,10 +217,10 @@ impl CooccurrenceGraph {
                     None => (at + 1..seq.len(), 0..at),
                 };
                 after += successors.len();
-                tally(&mut count, &mut touched, &seq[successors], AFTER);
+                tally(count, touched, &seq[successors], AFTER);
                 if SYMMETRIC {
                     before += predecessors.len();
-                    tally(&mut count, &mut touched, &seq[predecessors], BEFORE);
+                    tally(count, touched, &seq[predecessors], BEFORE);
                 }
             }
             // A half holds at most the row's visits in its direction.
@@ -227,33 +228,63 @@ impl CooccurrenceGraph {
                 !SYMMETRIC || after.max(before) <= u32::MAX as usize,
                 "row {u} visits more than u32::MAX neighbours"
             );
-            pair_increments += after + before;
+            after + before
+        };
+        // The weight row `u` keeps for `v` from its accumulator slot `c`,
+        // or `None` when `min_weight` drops both directions.
+        let entry = |u: usize, v: NodeId, c: u64| {
+            let (cuv, cvu) = if SYMMETRIC {
+                (c & (BEFORE - 1), c >> 32)
+            } else {
+                (c, 0)
+            };
+            let denom = (cascade_counts[u] + cascade_counts[v.index()]) as f64;
+            let weigh = |c: u64| {
+                (c > 0)
+                    .then(|| 2.0 * c as f64 / denom)
+                    .filter(|&w| w >= options.min_weight)
+            };
+            match (weigh(cuv), weigh(cvu)) {
+                // Both directions survived: `to_undirected`'s sum.
+                (Some(a), Some(b)) if v.index() != u => Some(a + b),
+                // A self-loop is its own reverse (`cvu == cuv`).
+                (Some(a), _) | (None, Some(a)) => Some(a),
+                (None, None) => None,
+            }
+        };
+
+        // First pass: how many entries each row keeps, so the CSR arrays
+        // are allocated once at their final length and never grow.
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        for u in 0..n {
+            tally_row(u, &mut count, &mut touched);
+            let kept = touched
+                .drain(..)
+                .filter(|&v| entry(u, v, std::mem::take(&mut count[v.index()])).is_some())
+                .count();
+            offsets.push(offsets[u] + kept);
+        }
+
+        // Second pass: the same rows again, sorted and written.
+        let mut targets = Vec::with_capacity(offsets[n]);
+        let mut weights = Vec::with_capacity(offsets[n]);
+        let (mut pair_increments, mut pairs_seen) = (0usize, 0usize);
+        for u in 0..n {
+            pair_increments += tally_row(u, &mut count, &mut touched);
             touched.sort_unstable();
             pairs_seen += touched.len();
             for v in touched.drain(..) {
-                let c = std::mem::take(&mut count[v.index()]);
-                let (cuv, cvu) = if SYMMETRIC {
-                    (c & (BEFORE - 1), c >> 32)
-                } else {
-                    (c, 0)
-                };
-                let denom = (cascade_counts[u] + cascade_counts[v.index()]) as f64;
-                let weigh = |c: u64| {
-                    (c > 0)
-                        .then(|| 2.0 * c as f64 / denom)
-                        .filter(|&w| w >= options.min_weight)
-                };
-                let w = match (weigh(cuv), weigh(cvu)) {
-                    // Both directions survived: `to_undirected`'s sum.
-                    (Some(a), Some(b)) if v.index() != u => a + b,
-                    // A self-loop is its own reverse (`cvu == cuv`).
-                    (Some(a), _) | (None, Some(a)) => a,
-                    (None, None) => continue,
-                };
-                targets.push(v);
-                weights.push(w);
+                if let Some(w) = entry(u, v, std::mem::take(&mut count[v.index()])) {
+                    targets.push(v);
+                    weights.push(w);
+                }
             }
-            offsets.push(targets.len());
+            debug_assert_eq!(
+                targets.len(),
+                offsets[u + 1],
+                "row {u}: the fill pass wrote a different length than the counting pass found"
+            );
         }
         CooccurrenceGraph {
             graph: DiGraph::from_sorted_rows(n, offsets, targets, weights),

@@ -44,6 +44,7 @@ mod access;
 mod events;
 pub mod json;
 mod metrics;
+pub mod process;
 mod report;
 mod span;
 

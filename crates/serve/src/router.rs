@@ -225,6 +225,7 @@ fn metrics(state: &AppState) -> Response {
     obs::metrics()
         .gauge("serve.uptime_seconds")
         .set(state.started.elapsed().as_secs_f64());
+    obs::process::record_memory();
     if let Some(role) = &state.replica {
         obs::metrics()
             .gauge("serve.replica_lag_versions")
@@ -649,6 +650,22 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("serve_uptime_seconds"), "{text}");
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn metrics_report_the_process_resident_set() {
+        let text = body_text(&route(&request("GET", "/metrics", ""), &state(), "t-test"));
+        let gauge = |name: &str| -> f64 {
+            text.lines()
+                .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+                .and_then(|v| v.parse().ok())
+                .unwrap_or_else(|| panic!("no {name} sample in {text}"))
+        };
+        let resident = gauge("process_resident_bytes");
+        let peak = gauge("process_peak_resident_bytes");
+        assert!(resident > 0.0, "{text}");
+        assert!(peak >= resident, "peak {peak} below resident {resident}");
     }
 
     #[test]

@@ -25,7 +25,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use viralcast_model::CascadeModel;
-use viralcast_obs::{self as obs, warn, JsonValue};
+use viralcast_obs::{self as obs, warn, JsonValue, Level};
 use viralcast_propagation::CascadeSet;
 use viralcast_store::EventStore;
 
@@ -140,11 +140,17 @@ fn retrain_once(
                     &[0.01, 0.05, 0.25, 1.0, 5.0, 30.0, 120.0],
                 )
                 .record(seconds);
-            obs::info(
-                "serve.retrain",
-                &format!("published snapshot v{version} from {count} cascades in {seconds:.2}s"),
-                &[],
-            );
+            if obs::logger().enabled(Level::Info) {
+                let resident =
+                    obs::process::memory().map_or(JsonValue::Null, |m| m.resident_bytes.into());
+                obs::info(
+                    "serve.retrain",
+                    &format!(
+                        "published snapshot v{version} from {count} cascades in {seconds:.2}s"
+                    ),
+                    &[("resident_bytes", resident)],
+                );
+            }
             report_publish_lag(&batch.traces, version);
             if let (Some(es), Some(offset)) = (event_store, covered) {
                 let published = store.current();
@@ -176,33 +182,38 @@ fn retrain_once(
 /// latency of the snapshot that now covers it: the histogram
 /// `serve.ingest_to_publish_ms`, the last-batch gauge
 /// `serve.lag.ingest_to_publish_ms` (the worst lag of this publish),
-/// and one log line joining the trace ID to the snapshot version.
+/// and, with info logging on, one log line joining the trace ID to the
+/// snapshot version.
 fn report_publish_lag(traces: &[crate::ingest::TraceMark], version: u64) {
+    if traces.is_empty() {
+        return;
+    }
+    let histogram =
+        obs::metrics().histogram_exponential("serve.ingest_to_publish_ms", 1.0, 2.0, 16);
+    let log = obs::logger().enabled(Level::Info);
     let mut worst_ms = 0.0f64;
     for mark in traces {
         let lag_ms = mark.enqueued.elapsed().as_secs_f64() * 1e3;
         worst_ms = worst_ms.max(lag_ms);
-        obs::metrics()
-            .histogram_exponential("serve.ingest_to_publish_ms", 1.0, 2.0, 16)
-            .record(lag_ms);
-        obs::info(
-            "serve.retrain",
-            &format!(
-                "trace {} ({} cascade(s)) covered by snapshot v{version} after {lag_ms:.1}ms",
-                mark.trace_id, mark.cascades
-            ),
-            &[
-                ("trace_id", JsonValue::from(mark.trace_id.as_str())),
-                ("snapshot_version", JsonValue::from(version)),
-                ("lag_ms", JsonValue::from(lag_ms)),
-            ],
-        );
+        histogram.record(lag_ms);
+        if log {
+            obs::info(
+                "serve.retrain",
+                &format!(
+                    "trace {} ({} cascade(s)) covered by snapshot v{version} after {lag_ms:.1}ms",
+                    mark.trace_id, mark.cascades
+                ),
+                &[
+                    ("trace_id", JsonValue::from(mark.trace_id.as_str())),
+                    ("snapshot_version", JsonValue::from(version)),
+                    ("lag_ms", JsonValue::from(lag_ms)),
+                ],
+            );
+        }
     }
-    if !traces.is_empty() {
-        obs::metrics()
-            .gauge("serve.lag.ingest_to_publish_ms")
-            .set(worst_ms);
-    }
+    obs::metrics()
+        .gauge("serve.lag.ingest_to_publish_ms")
+        .set(worst_ms);
 }
 
 #[cfg(test)]

@@ -532,6 +532,21 @@ no_pair_hashing() {
     fi
 }
 
+# The co-occurrence count sizes its CSR arrays in a first pass and fills
+# them in a second; fail if the count core leaves targets or weights to
+# grow from an empty Vec (every trainer drain then leaves a trail of
+# doubled-and-freed blocks in the heap). The bracket keeps this script
+# from matching itself.
+cooccurrence_sized_once() {
+    local body
+    body="$(sed -n '/    fn count</,/^    }/p' crates/graph/src/cooccurrence.rs)"
+    if [ -z "$body" ] \
+        || grep -nE '(targets|weights)[^=]*= Vec::[n]ew\(\)' <<<"$body"; then
+        echo "CooccurrenceGraph::count is gone or grows its CSR arrays from Vec::new(); count each row's survivors first and allocate them at that length" >&2
+        return 1
+    fi
+}
+
 # Community detection counts the symmetrised co-occurrence graph in one
 # pass (CooccurrenceGraph::build_undirected); fail if detect_communities
 # goes missing or builds the directed graph and its undirected view again.
@@ -751,6 +766,7 @@ run one_test_stack
 run one_selection
 run one_scan
 run no_pair_hashing
+run cooccurrence_sized_once
 run communities_skip_the_directed_graph
 run sweep_is_check_free
 run slpa_votes_without_branches
