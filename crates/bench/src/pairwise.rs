@@ -159,11 +159,6 @@ impl PairwiseModel {
         self.index.get(&(u, v)).map_or(0.0, |&i| self.rates[i])
     }
 
-    /// Number of free parameters.
-    pub fn parameter_count(&self) -> usize {
-        self.rates.len()
-    }
-
     /// Held-out log-likelihood of a corpus under the fitted rates
     /// (unseen pairs contribute the rate floor).
     pub fn log_likelihood(&self, cascades: &[IndexedCascade]) -> f64 {
@@ -213,7 +208,7 @@ mod tests {
             times: vec![0.0, 0.1, 0.2, 0.3],
         }];
         let (model, _) = PairwiseModel::fit(&cascades, &PairwiseConfig::default());
-        assert_eq!(model.parameter_count(), 6);
+        assert_eq!(model.rates.len(), 6);
     }
 
     #[test]
@@ -233,7 +228,7 @@ mod tests {
         // And better than the init.
         let init = PairwiseModel {
             index: model.index.clone(),
-            rates: vec![0.1; model.parameter_count()],
+            rates: vec![0.1; model.rates.len()],
         };
         assert!(model.log_likelihood(&cascades) >= init.log_likelihood(&cascades));
     }

@@ -24,26 +24,19 @@ pub fn rendezvous_order(key: u64, shards: usize) -> Vec<usize> {
     order
 }
 
-/// The owning shard for `key`, if there is any shard at all.
-pub fn owner(key: u64, shards: usize) -> Option<usize> {
-    (0..shards).max_by(|&a, &b| score(key, a).cmp(&score(key, b)).then(b.cmp(&a)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn owner_is_the_head_of_the_order() {
+    fn order_is_a_permutation() {
         for key in 0..200u64 {
             let order = rendezvous_order(key, 5);
-            assert_eq!(order.len(), 5);
-            assert_eq!(owner(key, 5), Some(order[0]));
             let mut sorted = order.clone();
             sorted.sort_unstable();
             assert_eq!(sorted, vec![0, 1, 2, 3, 4], "not a permutation: {order:?}");
         }
-        assert_eq!(owner(7, 0), None);
+        assert!(rendezvous_order(7, 0).is_empty());
     }
 
     #[test]
@@ -51,10 +44,10 @@ mod tests {
         // The defining rendezvous property: keys not owned by the
         // removed shard keep their owner among the survivors.
         for key in 0..500u64 {
-            let full = owner(key, 4).unwrap();
+            let full = rendezvous_order(key, 4)[0];
             if full < 3 {
                 // Drop shard 3: owners 0..2 must be unchanged.
-                assert_eq!(owner(key, 3), Some(full), "key {key} moved");
+                assert_eq!(rendezvous_order(key, 3)[0], full, "key {key} moved");
             }
         }
     }
@@ -63,7 +56,7 @@ mod tests {
     fn keys_spread_across_shards() {
         let mut counts = [0usize; 4];
         for key in 0..4000u64 {
-            counts[owner(key, 4).unwrap()] += 1;
+            counts[rendezvous_order(key, 4)[0]] += 1;
         }
         for (shard, &count) in counts.iter().enumerate() {
             assert!(

@@ -68,7 +68,7 @@ impl HealthBoard {
     }
 
     /// Records what `shard` reported about itself on `/healthz`.
-    pub fn record_report(&self, shard: usize, nodes: u64, version: u64) {
+    fn record_report(&self, shard: usize, nodes: u64, version: u64) {
         self.shards[shard].nodes.store(nodes, Ordering::Relaxed);
         self.shards[shard].version.store(version, Ordering::Relaxed);
     }
@@ -97,15 +97,8 @@ impl HealthBoard {
             .unwrap_or(0)
     }
 
-    /// Shard ids currently believed healthy, ascending.
-    pub fn healthy_shards(&self) -> Vec<usize> {
-        (0..self.shards.len())
-            .filter(|&s| self.is_healthy(s))
-            .collect()
-    }
-
     /// Number of shards currently believed healthy.
-    pub fn healthy_count(&self) -> usize {
+    fn healthy_count(&self) -> usize {
         self.shards
             .iter()
             .filter(|s| s.healthy.load(Ordering::Relaxed))
@@ -114,7 +107,7 @@ impl HealthBoard {
 }
 
 /// One `/healthz` probe of one shard; updates the board in place.
-pub fn probe_shard(board: &HealthBoard, shard: usize, addr: &SocketAddr, timeout: Duration) {
+fn probe_shard(board: &HealthBoard, shard: usize, addr: &SocketAddr, timeout: Duration) {
     match client::request_with_options(addr, "GET", "/healthz", None, &[], timeout) {
         Ok(response) if response.status == 200 => {
             board.mark_up(shard);
@@ -188,10 +181,10 @@ mod tests {
     #[test]
     fn board_tracks_marks_and_maxima() {
         let board = HealthBoard::new(3);
-        assert_eq!(board.healthy_shards(), vec![0, 1, 2]);
+        assert_eq!(board.healthy_count(), 3);
         board.mark_down(1);
         assert!(!board.is_healthy(1));
-        assert_eq!(board.healthy_shards(), vec![0, 2]);
+        assert!(board.is_healthy(0) && board.is_healthy(2));
         assert_eq!(board.healthy_count(), 2);
         board.mark_up(1);
         assert_eq!(board.healthy_count(), 3);

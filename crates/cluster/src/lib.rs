@@ -10,8 +10,8 @@
 //!
 //! - [`hashing`] — rendezvous (highest-random-weight) hashing, the
 //!   stable way `/v1/ingest` picks the shard that owns a seed site;
-//! - [`placement`] — membership vectors: round-robin, or SLPA
-//!   communities greedily bin-packed onto shards;
+//! - [`placement`] — membership vectors: SLPA communities greedily
+//!   bin-packed onto shards;
 //! - [`manifest`] — the `viralcast-cluster-manifest/v2` file every
 //!   shard and the router boot from, and the [`serve::RowBlock`] each
 //!   shard derives from it;

@@ -3,21 +3,13 @@
 //! Community-aligned placement keeps each SLPA community on one shard —
 //! per the paper's decomposition, intra-community hazard mass dominates,
 //! so a cascade's hot candidate rows land on the shard its seed already
-//! lives on. The fallback is plain round-robin, which needs no model at
-//! all. Both are deterministic: the same inputs always produce the same
-//! vector, so every shard and the router derive identical row blocks
-//! from one manifest.
+//! lives on. (The fallback, round-robin, needs no vector: a round-robin
+//! manifest compiles to `RowBlock::round_robin`.) The placement is
+//! deterministic: the same inputs always produce the same vector, so
+//! every shard and the router derive identical row blocks from one
+//! manifest.
 
 use viralcast_community::Partition;
-
-/// Round-robin membership: node `v` lives on shard `v % shards`.
-///
-/// # Panics
-/// Panics if `shards == 0`.
-pub fn round_robin(nodes: usize, shards: usize) -> Vec<usize> {
-    assert!(shards > 0, "cluster must have at least one shard");
-    (0..nodes).map(|v| v % shards).collect()
-}
 
 /// Community-aligned membership: whole communities are greedily
 /// bin-packed onto shards, largest community first (ties broken by the
@@ -54,19 +46,6 @@ pub fn community_aligned(partition: &Partition, shards: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn round_robin_cycles() {
-        assert_eq!(round_robin(5, 2), vec![0, 1, 0, 1, 0]);
-        assert_eq!(round_robin(3, 5), vec![0, 1, 2]);
-        assert!(round_robin(0, 1).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn round_robin_rejects_zero_shards() {
-        round_robin(3, 0);
-    }
 
     #[test]
     fn communities_stay_whole() {

@@ -64,10 +64,6 @@ pub struct RouterConfig {
     pub retry: RetryPolicy,
     /// HTTP parsing limits for client connections.
     pub limits: HttpLimits,
-    /// Per-connection read timeout (client side).
-    pub read_timeout: Duration,
-    /// Per-connection write timeout (client side).
-    pub write_timeout: Duration,
 }
 
 impl Default for RouterConfig {
@@ -80,8 +76,6 @@ impl Default for RouterConfig {
             shard_timeout: Duration::from_secs(2),
             retry: RetryPolicy::default(),
             limits: HttpLimits::default(),
-            read_timeout: Duration::from_secs(5),
-            write_timeout: Duration::from_secs(5),
         }
     }
 }
@@ -191,8 +185,6 @@ pub fn start_router(manifest: ClusterManifest, config: RouterConfig) -> io::Resu
     let listener = listen(
         ListenerConfig {
             workers: config.workers,
-            read_timeout: config.read_timeout,
-            write_timeout: config.write_timeout,
             limits: config.limits,
             shed_message: "router overloaded; retry later",
             ..ListenerConfig::new(config.addr, "router")

@@ -3,8 +3,8 @@
 //! Figure 1 of the paper annotates the clustering tree's inner nodes with
 //! their Ward distance and leaf count and reads off three regional
 //! clusters. [`Dendrogram`] supports exactly those uses: cutting the tree
-//! into `k` flat clusters, cutting at a distance, and summarising the top
-//! merges for textual display.
+//! into `k` flat clusters and summarising the top merges for textual
+//! display.
 
 use crate::ward::Merge;
 use serde::{Deserialize, Serialize};
@@ -32,16 +32,6 @@ impl Dendrogram {
         Dendrogram { leaf_count, merges }
     }
 
-    /// Number of leaves.
-    pub fn leaf_count(&self) -> usize {
-        self.leaf_count
-    }
-
-    /// The merges, sorted by Ward distance.
-    pub fn merges(&self) -> &[Merge] {
-        &self.merges
-    }
-
     /// Flat clustering with exactly `k` clusters (1 ≤ k ≤ leaves):
     /// applies the first `n − k` merges and labels the resulting groups
     /// `0..k` in order of their smallest leaf.
@@ -52,12 +42,6 @@ impl Dendrogram {
             self.leaf_count
         );
         self.cut_after(self.leaf_count - k)
-    }
-
-    /// Flat clustering keeping only merges with `distance <= threshold`.
-    pub fn cut_distance(&self, threshold: f64) -> Vec<usize> {
-        let applied = self.merges.partition_point(|m| m.distance <= threshold);
-        self.cut_after(applied)
     }
 
     /// The `k` highest merges (the annotated inner nodes of Figure 1),
@@ -160,15 +144,6 @@ mod tests {
     }
 
     #[test]
-    fn cut_by_distance() {
-        let d = sample();
-        assert_eq!(d.cut_distance(0.5), vec![0, 1, 2, 3]);
-        assert_eq!(d.cut_distance(1.5), vec![0, 0, 1, 2]);
-        assert_eq!(d.cut_distance(3.0), vec![0, 0, 1, 1]);
-        assert_eq!(d.cut_distance(10.0), vec![0, 0, 0, 0]);
-    }
-
-    #[test]
     fn top_merges_highest_first() {
         let t = sample().top_merges(2);
         assert_eq!(t, vec![(5.0, 4), (2.0, 2)]);
@@ -209,7 +184,7 @@ mod proptests {
         for case in 0..48 {
             let m = random_matrix(&mut StdRng::seed_from_u64(case));
             let d = Dendrogram::new(m.len(), ward_linkage(&m));
-            let n = d.leaf_count();
+            let n = m.len();
             for k in 1..=n {
                 let mut labels = d.cut_k(k);
                 labels.sort_unstable();

@@ -38,9 +38,6 @@ pub enum Balance {
 /// [`Partition`].
 #[derive(Clone, Debug)]
 pub struct MergeHierarchy {
-    base: Partition,
-    /// Permutation of community ids: left-to-right leaf order.
-    leaf_order: Vec<usize>,
     /// Nodes grouped by leaf, in leaf order.
     node_order: Vec<NodeId>,
     /// Inverse of `node_order`: node index → position.
@@ -116,24 +113,11 @@ impl MergeHierarchy {
         }
 
         MergeHierarchy {
-            base,
-            leaf_order,
             node_order,
             node_pos,
             leaf_starts,
             levels,
         }
-    }
-
-    /// The leaf partition the hierarchy was built from.
-    pub fn base(&self) -> &Partition {
-        &self.base
-    }
-
-    /// Left-to-right leaf order: community ids of the base partition as
-    /// laid out by the balancing strategy.
-    pub fn leaf_order(&self) -> &[usize] {
-        &self.leaf_order
     }
 
     /// Number of levels (level 0 = leaves, last level = one group). Zero
@@ -143,7 +127,8 @@ impl MergeHierarchy {
     }
 
     /// Number of groups at `level`.
-    pub fn group_count(&self, level: usize) -> usize {
+    #[cfg(test)]
+    fn group_count(&self, level: usize) -> usize {
         self.levels[level].len()
     }
 
@@ -170,8 +155,9 @@ impl MergeHierarchy {
 
     /// The partition induced by `level`'s groups (community of a node =
     /// its group index).
-    pub fn partition_at(&self, level: usize) -> Partition {
-        let mut raw = vec![0usize; self.base.node_count()];
+    #[cfg(test)]
+    fn partition_at(&self, level: usize) -> Partition {
+        let mut raw = vec![0usize; self.node_order.len()];
         for (gi, range) in self.node_ranges(level).into_iter().enumerate() {
             for p in range {
                 raw[self.node_order[p].index()] = gi;
@@ -193,23 +179,6 @@ impl MergeHierarchy {
             }
         }
         out
-    }
-
-    /// Largest group node-count at `level` divided by the mean — the load
-    /// imbalance factor the balancing ablation measures.
-    pub fn imbalance(&self, level: usize) -> f64 {
-        let ranges = self.node_ranges(level);
-        if ranges.is_empty() {
-            return 1.0;
-        }
-        let sizes: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
-        let max = *sizes.iter().max().unwrap() as f64;
-        let mean = sizes.iter().sum::<usize>() as f64 / sizes.len() as f64;
-        if mean == 0.0 {
-            1.0
-        } else {
-            max / mean
-        }
     }
 }
 
@@ -309,9 +278,10 @@ mod tests {
     #[test]
     fn node_count_balance_improves_imbalance() {
         let base = partition(&[40, 1, 1, 1, 1, 1, 1, 40]);
+        let largest = |h: &MergeHierarchy| h.node_ranges(1).iter().map(|r| r.len()).max();
         let plain = MergeHierarchy::build(base.clone(), Balance::LeafCount);
         let balanced = MergeHierarchy::build(base, Balance::NodeCount);
-        assert!(balanced.imbalance(1) <= plain.imbalance(1));
+        assert!(largest(&balanced) <= largest(&plain));
     }
 
     #[test]

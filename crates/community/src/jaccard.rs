@@ -9,7 +9,7 @@ use viralcast_graph::NodeId;
 
 /// Jaccard index of two node sets given as *sorted, deduplicated*
 /// slices. Empty-vs-empty is defined as 1 (identical sets).
-pub fn jaccard_index(a: &[NodeId], b: &[NodeId]) -> f64 {
+fn jaccard_index(a: &[NodeId], b: &[NodeId]) -> f64 {
     debug_assert!(
         a.windows(2).all(|w| w[0] < w[1]),
         "input must be sorted/deduped"
@@ -39,7 +39,7 @@ pub fn jaccard_index(a: &[NodeId], b: &[NodeId]) -> f64 {
 }
 
 /// Jaccard distance `1 − index`.
-pub fn jaccard_distance(a: &[NodeId], b: &[NodeId]) -> f64 {
+fn jaccard_distance(a: &[NodeId], b: &[NodeId]) -> f64 {
     1.0 - jaccard_index(a, b)
 }
 

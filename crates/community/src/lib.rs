@@ -14,8 +14,8 @@
 //!    sets of news events, rendered as a dendrogram ([`dendrogram`]).
 //!
 //! [`partition`] holds the shared [`Partition`] type and [`metrics`] the
-//! quality measures (modularity, NMI) used to validate detection against
-//! planted SBM ground truth.
+//! quality measure (NMI) used to validate detection against planted SBM
+//! ground truth.
 
 #![warn(missing_docs)]
 

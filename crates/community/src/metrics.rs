@@ -1,43 +1,11 @@
-//! Partition quality measures: modularity and normalised mutual
-//! information.
+//! Partition quality: normalised mutual information.
 //!
 //! The paper relies on SLPA finding the planted structure but never
-//! quantifies it; these metrics back the claim in our tests and in the
-//! community bench — NMI against SBM ground truth, weighted modularity
-//! on co-occurrence graphs.
+//! quantifies it; NMI against SBM ground truth backs the claim in our
+//! tests.
 
 use crate::partition::Partition;
-use viralcast_graph::{DiGraph, NodeId};
-
-/// Newman's modularity `Q` of a partition on the undirected view of a
-/// weighted graph:
-/// `Q = Σ_c (w_in(c)/W − (deg(c)/2W)²)` with `W` the total undirected
-/// edge weight.
-pub fn modularity(graph: &DiGraph, partition: &Partition) -> f64 {
-    assert_eq!(graph.node_count(), partition.node_count());
-    let und = graph.to_undirected();
-    // In the symmetric representation every undirected edge appears
-    // twice, so the directed total is 2W.
-    let two_w = und.total_weight();
-    if two_w == 0.0 {
-        return 0.0;
-    }
-    let k = partition.community_count();
-    let mut w_in = vec![0.0; k]; // 2 × internal weight
-    let mut deg = vec![0.0; k]; // weighted degree sum
-    for u in und.nodes() {
-        let cu = partition.community_of(u);
-        for (v, w) in und.out_edges(u) {
-            deg[cu] += w;
-            if partition.community_of(v) == cu {
-                w_in[cu] += w;
-            }
-        }
-    }
-    (0..k)
-        .map(|c| w_in[c] / two_w - (deg[c] / two_w).powi(2))
-        .sum()
-}
+use viralcast_graph::NodeId;
 
 /// Normalised mutual information between two partitions of the same node
 /// set, in `[0, 1]`; 1 means identical up to label permutation. Uses the
@@ -90,43 +58,6 @@ pub fn nmi(a: &Partition, b: &Partition) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use viralcast_graph::GraphBuilder;
-
-    fn two_cliques() -> DiGraph {
-        let mut b = GraphBuilder::new(6);
-        for base in [0u32, 3] {
-            for i in 0..3 {
-                for j in (i + 1)..3 {
-                    b.add_undirected_edge(NodeId(base + i), NodeId(base + j), 1.0);
-                }
-            }
-        }
-        b.add_undirected_edge(NodeId(2), NodeId(3), 1.0);
-        b.build()
-    }
-
-    #[test]
-    fn modularity_rewards_true_communities() {
-        let g = two_cliques();
-        let good = Partition::from_membership(&[0, 0, 0, 1, 1, 1]);
-        let bad = Partition::from_membership(&[0, 1, 0, 1, 0, 1]);
-        let whole = Partition::whole(6);
-        assert!(modularity(&g, &good) > modularity(&g, &bad));
-        assert!(modularity(&g, &good) > modularity(&g, &whole));
-    }
-
-    #[test]
-    fn modularity_of_whole_partition_is_zero() {
-        let g = two_cliques();
-        let q = modularity(&g, &Partition::whole(6));
-        assert!(q.abs() < 1e-12, "got {q}");
-    }
-
-    #[test]
-    fn modularity_empty_graph_is_zero() {
-        let g = DiGraph::empty(4);
-        assert_eq!(modularity(&g, &Partition::singletons(4)), 0.0);
-    }
 
     #[test]
     fn nmi_identical_partitions_is_one() {
@@ -170,7 +101,6 @@ mod proptests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use viralcast_graph::GraphBuilder;
 
     /// NMI is symmetric and bounded.
     #[test]
@@ -188,26 +118,6 @@ mod proptests {
             let ba = nmi(&b, &a);
             assert!((ab - ba).abs() < 1e-9, "case {case}: {ab} vs {ba}");
             assert!((0.0..=1.0).contains(&ab), "case {case}: {ab}");
-        }
-    }
-
-    /// Modularity is bounded above by 1.
-    #[test]
-    fn modularity_bounded() {
-        for case in 0..48 {
-            let mut rng = StdRng::seed_from_u64(case);
-            let mut b = GraphBuilder::new(8);
-            for _ in 0..rng.gen_range(1..30usize) {
-                let (u, v) = (rng.gen_range(0u32..8), rng.gen_range(0u32..8));
-                let w = rng.gen_range(0.1f64..3.0);
-                if u != v {
-                    b.add_undirected_edge(NodeId(u), NodeId(v), w);
-                }
-            }
-            let g = b.build();
-            let raw: Vec<usize> = (0..8).map(|_| rng.gen_range(0usize..4)).collect();
-            let q = modularity(&g, &Partition::from_membership(&raw));
-            assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&q), "case {case}: {q}");
         }
     }
 }

@@ -40,14 +40,6 @@ impl Partition {
         }
     }
 
-    /// The all-singletons partition over `n` nodes.
-    pub fn singletons(n: usize) -> Self {
-        Partition {
-            membership: (0..n).collect(),
-            community_count: n,
-        }
-    }
-
     /// One community containing every node.
     pub fn whole(n: usize) -> Self {
         Partition {
@@ -95,24 +87,10 @@ impl Partition {
         sizes
     }
 
-    /// A coarser partition obtained by merging communities: `groups[i]`
-    /// is the new community of old community `i`.
-    ///
-    /// # Panics
-    /// Panics if `groups.len() != community_count`.
-    pub fn coarsen(&self, groups: &[usize]) -> Partition {
-        assert_eq!(
-            groups.len(),
-            self.community_count,
-            "coarsening map must cover every community"
-        );
-        let raw: Vec<usize> = self.membership.iter().map(|&c| groups[c]).collect();
-        Partition::from_membership(&raw)
-    }
-
     /// Whether `other` refines `self` (every community of `other` is
     /// contained in one community of `self`).
-    pub fn is_refined_by(&self, other: &Partition) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_refined_by(&self, other: &Partition) -> bool {
         if self.node_count() != other.node_count() {
             return false;
         }
@@ -144,7 +122,7 @@ mod tests {
 
     #[test]
     fn singletons_and_whole() {
-        let s = Partition::singletons(4);
+        let s = Partition::from_membership(&[0, 1, 2, 3]);
         assert_eq!(s.community_count(), 4);
         let w = Partition::whole(4);
         assert_eq!(w.community_count(), 1);
@@ -160,15 +138,6 @@ mod tests {
         assert_eq!(cs[1], vec![NodeId(1), NodeId(3)]);
         assert_eq!(cs[2], vec![NodeId(4)]);
         assert_eq!(p.sizes(), vec![2, 2, 1]);
-    }
-
-    #[test]
-    fn coarsen_merges_groups() {
-        let p = Partition::from_membership(&[0, 1, 2, 3]);
-        let merged = p.coarsen(&[0, 0, 1, 1]);
-        assert_eq!(merged.community_count(), 2);
-        assert_eq!(merged.membership(), &[0, 0, 1, 1]);
-        assert!(merged.is_refined_by(&p));
     }
 
     #[test]
@@ -189,12 +158,6 @@ mod tests {
         let a = Partition::whole(3);
         let b = Partition::whole(4);
         assert!(!a.is_refined_by(&b));
-    }
-
-    #[test]
-    #[should_panic(expected = "must cover")]
-    fn coarsen_shape_checked() {
-        Partition::from_membership(&[0, 1]).coarsen(&[0]);
     }
 
     #[test]
@@ -248,23 +211,6 @@ mod proptests {
             let sizes = p.sizes();
             assert_eq!(sizes.iter().sum::<usize>(), raw.len(), "case {case}");
             assert!(sizes.iter().all(|&s| s > 0), "case {case}: {sizes:?}");
-        }
-    }
-
-    /// Coarsening always yields a partition refined by the original.
-    #[test]
-    fn coarsen_refinement() {
-        for case in 0..256 {
-            let mut rng = StdRng::seed_from_u64(case);
-            let raw = membership(&mut rng, 6, 1..40);
-            let merge_mod = rng.gen_range(1usize..4);
-            let p = Partition::from_membership(&raw);
-            let groups: Vec<usize> = (0..p.community_count()).map(|c| c % merge_mod).collect();
-            let coarse = p.coarsen(&groups);
-            assert!(
-                coarse.is_refined_by(&p),
-                "case {case}: merge_mod {merge_mod}"
-            );
         }
     }
 }

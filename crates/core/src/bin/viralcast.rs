@@ -28,6 +28,7 @@ use rand::SeedableRng;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::time::Duration;
 use viralcast::obs::{self, JsonValue};
 use viralcast::prelude::*;
 use viralcast::propagation::store;
@@ -640,7 +641,7 @@ fn resolve_cluster(
 }
 
 fn serve_cmd(flags: &Flags) -> Result<Attrs, CliError> {
-    use viralcast::model::{CascadeModel, EmbeddingBackend, NetInfBackend, NetInfConfig, BACKENDS};
+    use viralcast::model::{CascadeModel, EmbeddingBackend, NetInfBackend, NetInfConfig};
     use viralcast::serve;
 
     if flags.has("follow") {
@@ -651,13 +652,8 @@ fn serve_cmd(flags: &Flags) -> Result<Attrs, CliError> {
             "--poll-interval tunes the replication poll; pass --follow LEADER to enable it",
         ));
     }
-    let backend = flags.get("backend").map_or(EmbeddingBackend::ID, |b| b);
-    if !BACKENDS.contains(&backend) {
-        return Err(usage_err(format!(
-            "unknown --backend {backend:?} (known backends: {})",
-            BACKENDS.join(", ")
-        )));
-    }
+    let (backend, source) = model_source(flags)?;
+    let retrain_interval = flags.secs("retrain-interval", Duration::from_secs(5))?;
     let cluster = resolve_cluster(
         flags,
         backend,
@@ -669,15 +665,8 @@ fn serve_cmd(flags: &Flags) -> Result<Attrs, CliError> {
         (None, None) => "127.0.0.1:8080".to_string(),
     };
     let workers = flags.usize("workers", 4)?;
-    let retrain_interval = flags.f64("retrain-interval", 5.0)?;
     let min_batch = flags.usize("min-retrain-batch", 1)?;
     let ingest_capacity = flags.usize("ingest-capacity", 4096)?;
-    if !retrain_interval.is_finite() || retrain_interval <= 0.0 {
-        return Err(usage_err(format!(
-            "--retrain-interval must be a positive number of seconds \
-             (got {retrain_interval})"
-        )));
-    }
     let data_dir = flags.opt_path("data-dir");
     let access_log = flags.opt_path("access-log");
     let wal_defaults = viralcast::store::WalOptions::default();
@@ -698,28 +687,12 @@ fn serve_cmd(flags: &Flags) -> Result<Attrs, CliError> {
 
     // Boot model: embed loads a trained embedding file; netinf fits its
     // sparse greedy graph from a cascade corpus right here at boot.
-    let model: std::sync::Arc<dyn CascadeModel> = match backend {
-        EmbeddingBackend::ID => {
-            if flags.has("corpus") {
-                return Err(usage_err(
-                    "--corpus is only meaningful with --backend netinf \
-                     (the embed backend loads --embeddings)",
-                ));
-            }
-            let emb_path = flags.require_path("embeddings")?;
+    let model: std::sync::Arc<dyn CascadeModel> = match source {
+        ModelSource::Embeddings(emb_path) => {
             let embeddings = Embeddings::load_json(&emb_path).map_err(runtime_err)?;
             std::sync::Arc::new(EmbeddingBackend::new(embeddings))
         }
-        NetInfBackend::ID => {
-            if flags.has("embeddings") {
-                return Err(usage_err(
-                    "--embeddings is only meaningful with --backend embed \
-                     (the netinf backend fits from --corpus)",
-                ));
-            }
-            let corpus_path = flags.opt_path("corpus").ok_or_else(|| {
-                usage_err("--backend netinf needs --corpus FILE (cascades to fit at boot)")
-            })?;
+        ModelSource::Corpus(corpus_path) => {
             let corpus = load_corpus(&corpus_path).map_err(runtime_err)?;
             let fitted = {
                 let _span = Span::enter("netinf_fit");
@@ -727,7 +700,6 @@ fn serve_cmd(flags: &Flags) -> Result<Attrs, CliError> {
             };
             std::sync::Arc::new(fitted)
         }
-        _ => unreachable!("validated against BACKENDS above"),
     };
     let (nodes, topics) = (model.node_count(), model.topic_count());
     let shard_block = match &cluster {
@@ -743,7 +715,7 @@ fn serve_cmd(flags: &Flags) -> Result<Attrs, CliError> {
         addr,
         workers,
         trainer: serve::TrainerConfig {
-            interval: std::time::Duration::from_secs_f64(retrain_interval),
+            interval: retrain_interval,
             min_batch,
         },
         ingest_capacity,
@@ -790,13 +762,7 @@ fn serve_cmd(flags: &Flags) -> Result<Attrs, CliError> {
             },
         );
     }
-    println!("press ctrl-c to stop");
-
-    let shutdown = serve::install_ctrlc();
-    while !shutdown.load(std::sync::atomic::Ordering::SeqCst) {
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    }
-    println!("shutting down…");
+    wait_for_ctrlc();
     let final_version = handle.snapshots().version();
     handle.shutdown();
     println!("stopped at snapshot v{final_version}");
@@ -863,15 +829,10 @@ fn serve_follow_cmd(flags: &Flags) -> Result<Attrs, CliError> {
         }
     }
     let defaults = replica::FollowerConfig::new(leader);
-    let poll_interval = flags.f64("poll-interval", defaults.poll_interval.as_secs_f64())?;
-    if !poll_interval.is_finite() || poll_interval <= 0.0 {
-        return Err(usage_err(
-            "--poll-interval must be a positive number of seconds",
-        ));
-    }
+    let poll_interval = flags.secs("poll-interval", defaults.poll_interval)?;
 
     let mut config = replica::FollowerConfig {
-        poll_interval: std::time::Duration::from_secs_f64(poll_interval),
+        poll_interval,
         serve: serve::ServeConfig {
             addr: flags.get("addr").unwrap_or("127.0.0.1:8080").to_string(),
             workers: flags.usize("workers", 4)?,
@@ -906,7 +867,8 @@ fn serve_follow_cmd(flags: &Flags) -> Result<Attrs, CliError> {
     );
     println!(
         "following leader http://{leader}: booted from snapshot v{boot_version}, \
-         polling every {poll_interval:.2}s (writes are refused with a leader redirect)"
+         polling every {:.2}s (writes are refused with a leader redirect)",
+        poll_interval.as_secs_f64()
     );
     if let (Some((_, i, n)), Some(block)) = (&cluster, &shard_block) {
         println!(
@@ -914,13 +876,7 @@ fn serve_follow_cmd(flags: &Flags) -> Result<Attrs, CliError> {
             block.owned_count()
         );
     }
-    println!("press ctrl-c to stop");
-
-    let shutdown = serve::install_ctrlc();
-    while !shutdown.load(std::sync::atomic::Ordering::SeqCst) {
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    }
-    println!("shutting down…");
+    wait_for_ctrlc();
     let status = handle.status();
     let applied = status.applied_version();
     let lag = status.lag_versions();
@@ -1057,43 +1013,25 @@ fn router_cmd(flags: &Flags) -> Result<Attrs, CliError> {
     use viralcast::cluster;
 
     let manifest_path = flags.require_path("cluster-manifest")?;
-    let manifest = cluster::ClusterManifest::load(&manifest_path).map_err(runtime_err)?;
     let defaults = cluster::RouterConfig::default();
-    let probe_interval = flags.f64("probe-interval", defaults.probe_interval.as_secs_f64())?;
-    let shard_timeout = flags.f64("shard-timeout", defaults.shard_timeout.as_secs_f64())?;
-    if !probe_interval.is_finite() || probe_interval <= 0.0 {
-        return Err(usage_err(
-            "--probe-interval must be a positive number of seconds",
-        ));
-    }
-    if !shard_timeout.is_finite() || shard_timeout <= 0.0 {
-        return Err(usage_err(
-            "--shard-timeout must be a positive number of seconds",
-        ));
-    }
     let config = cluster::RouterConfig {
         addr: flags.get("addr").unwrap_or(&defaults.addr).to_string(),
         workers: flags.usize("workers", defaults.workers)?,
         fanout_workers: flags.usize("fanout-workers", defaults.fanout_workers)?,
-        probe_interval: std::time::Duration::from_secs_f64(probe_interval),
-        shard_timeout: std::time::Duration::from_secs_f64(shard_timeout),
+        probe_interval: flags.secs("probe-interval", defaults.probe_interval)?,
+        shard_timeout: flags.secs("shard-timeout", defaults.shard_timeout)?,
         ..defaults
     };
     if config.workers == 0 || config.fanout_workers == 0 {
         return Err(usage_err("--workers and --fanout-workers must be positive"));
     }
+    let manifest = cluster::ClusterManifest::load(&manifest_path).map_err(runtime_err)?;
 
     let shards = manifest.shard_count();
     let handle = cluster::start_router(manifest, config).map_err(runtime_err)?;
     let bound = handle.local_addr();
     println!("viralcast-router listening on http://{bound} fronting {shards} shard(s)");
-    println!("press ctrl-c to stop");
-
-    let shutdown = viralcast::serve::install_ctrlc();
-    while !shutdown.load(std::sync::atomic::Ordering::SeqCst) {
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    }
-    println!("shutting down…");
+    wait_for_ctrlc();
     handle.shutdown();
     println!("stopped");
     Ok(vec![
@@ -1106,17 +1044,8 @@ fn chaos_cmd(flags: &Flags) -> Result<Attrs, CliError> {
     use viralcast::chaos;
 
     let defaults = chaos::ChaosConfig::default();
-    let steady = flags.f64("steady", defaults.steady.as_secs_f64())?;
-    let recovery_timeout =
-        flags.f64("recovery-timeout", defaults.recovery_timeout.as_secs_f64())?;
-    if !steady.is_finite() || steady <= 0.0 {
-        return Err(usage_err("--steady must be a positive number of seconds"));
-    }
-    if !recovery_timeout.is_finite() || recovery_timeout <= 0.0 {
-        return Err(usage_err(
-            "--recovery-timeout must be a positive number of seconds",
-        ));
-    }
+    let steady = flags.secs("steady", defaults.steady)?;
+    let recovery_timeout = flags.secs("recovery-timeout", defaults.recovery_timeout)?;
     let cycles = flags.u64("cycles", u64::from(defaults.cycles))?;
     if cycles == 0 {
         return Err(usage_err("--cycles must be positive"));
@@ -1139,45 +1068,18 @@ fn chaos_cmd(flags: &Flags) -> Result<Attrs, CliError> {
     if followers > 4 {
         return Err(usage_err("--followers supports at most 4 per shard"));
     }
-    let backend = flags
-        .get("backend")
-        .map_or(viralcast::model::EmbeddingBackend::ID, |b| b);
-    if !viralcast::model::BACKENDS.contains(&backend) {
-        return Err(usage_err(format!(
-            "unknown --backend {backend:?} (known backends: {})",
-            viralcast::model::BACKENDS.join(", ")
-        )));
-    }
-    let corpus = flags.opt_path("corpus");
-    let embeddings = if backend == viralcast::model::NetInfBackend::ID {
-        if flags.has("embeddings") {
-            return Err(usage_err(
-                "--embeddings is only meaningful with --backend embed \
-                 (the netinf backend fits from --corpus)",
-            ));
-        }
-        if corpus.is_none() {
-            return Err(usage_err(
-                "--backend netinf needs --corpus FILE for the child daemons to fit at boot",
-            ));
-        }
-        PathBuf::new()
-    } else {
-        if corpus.is_some() {
-            return Err(usage_err(
-                "--corpus is only meaningful with --backend netinf \
-                 (the embed backend loads --embeddings)",
-            ));
-        }
-        flags.require_path("embeddings")?
+    let (backend, source) = model_source(flags)?;
+    let (embeddings, corpus) = match source {
+        ModelSource::Embeddings(path) => (path, None),
+        ModelSource::Corpus(path) => (PathBuf::new(), Some(path)),
     };
     let config = chaos::ChaosConfig {
         embeddings,
         data_dir: flags.require_path("data-dir")?,
         workers: flags.usize("workers", defaults.workers)?,
         cycles: cycles.min(10_000) as u32,
-        steady: std::time::Duration::from_secs_f64(steady),
-        recovery_timeout: std::time::Duration::from_secs_f64(recovery_timeout),
+        steady,
+        recovery_timeout,
         seed: flags.u64("seed", defaults.seed)?,
         cluster_shards,
         followers,
@@ -1188,6 +1090,7 @@ fn chaos_cmd(flags: &Flags) -> Result<Attrs, CliError> {
         .opt_path("out")
         .unwrap_or_else(|| PathBuf::from("BENCH_chaos.json"));
 
+    let steady = steady.as_secs_f64();
     if config.cluster_shards >= 2 {
         println!(
             "chaos: {} worker(s) through a router over {} shard(s) \
@@ -1287,6 +1190,62 @@ fn chaos_cmd(flags: &Flags) -> Result<Attrs, CliError> {
     Ok(attrs)
 }
 
+/// Where a daemon's model comes from, per `--backend` (default embed).
+enum ModelSource {
+    /// The embed backend loads a trained embedding file.
+    Embeddings(PathBuf),
+    /// The netinf backend fits its graph from a cascade corpus at boot.
+    Corpus(PathBuf),
+}
+
+/// The one model-source rule of `serve` and `chaos`: `--backend` names a
+/// known backend, embed needs `--embeddings FILE`, netinf needs
+/// `--corpus FILE`, and the other backend's flag is refused.
+fn model_source(flags: &Flags) -> Result<(&str, ModelSource), CliError> {
+    use viralcast::model::{EmbeddingBackend, NetInfBackend, BACKENDS};
+
+    let backend = flags.get("backend").unwrap_or(EmbeddingBackend::ID);
+    let (source, needs, refuses, other): (fn(PathBuf) -> ModelSource, _, _, _) = match backend {
+        EmbeddingBackend::ID => (
+            ModelSource::Embeddings,
+            "embeddings",
+            "corpus",
+            NetInfBackend::ID,
+        ),
+        NetInfBackend::ID => (
+            ModelSource::Corpus,
+            "corpus",
+            "embeddings",
+            EmbeddingBackend::ID,
+        ),
+        _ => {
+            return Err(usage_err(format!(
+                "unknown --backend {backend:?} (known backends: {})",
+                BACKENDS.join(", ")
+            )))
+        }
+    };
+    if flags.has(refuses) {
+        return Err(usage_err(format!(
+            "--{refuses} is only meaningful with --backend {other} (--backend {backend} reads --{needs})"
+        )));
+    }
+    let path = flags
+        .opt_path(needs)
+        .ok_or_else(|| usage_err(format!("--backend {backend} needs --{needs} FILE")))?;
+    Ok((backend, source(path)))
+}
+
+/// Blocks a daemon command until ctrl-c (SIGINT) or SIGTERM.
+fn wait_for_ctrlc() {
+    println!("press ctrl-c to stop");
+    let shutdown = viralcast::serve::install_ctrlc();
+    while !shutdown.load(std::sync::atomic::Ordering::SeqCst) {
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    println!("shutting down…");
+}
+
 /// Writes a `BENCH_*.json` run report: the standard report envelope
 /// (schema + metrics snapshot) around the bench's own attributes.
 fn save_bench_report(command: &str, attrs: &Attrs, out: &Path) -> Result<(), CliError> {
@@ -1378,6 +1337,17 @@ impl Flags {
 
     fn f64(&self, key: &str, default: f64) -> Result<f64, CliError> {
         Ok(self.parsed(key)?.unwrap_or(default))
+    }
+
+    /// A positive number of seconds (`default` when absent).
+    fn secs(&self, key: &str, default: Duration) -> Result<Duration, CliError> {
+        let secs = self.f64(key, default.as_secs_f64())?;
+        match Duration::try_from_secs_f64(secs) {
+            Ok(d) if !d.is_zero() => Ok(d),
+            _ => Err(usage_err(format!(
+                "--{key} must be a positive number of seconds (got {secs})"
+            ))),
+        }
     }
 
     fn opt_path(&self, key: &str) -> Option<PathBuf> {

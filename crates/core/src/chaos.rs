@@ -167,16 +167,6 @@ pub struct ChaosSummary {
 }
 
 impl ChaosSummary {
-    /// Zero acked-event loss, every restart inside its deadline,
-    /// (cluster mode) never a 5xx while degraded, and (follower mode)
-    /// never a degraded read at all.
-    pub fn passed(&self) -> bool {
-        self.missing.is_empty()
-            && self.post_recovery_5xx == 0
-            && self.non_partial_5xx == 0
-            && self.degraded_reads == 0
-    }
-
     /// The summary as run-report attributes (the `BENCH_chaos.json`
     /// payload beyond the standard report envelope).
     pub fn attrs(&self) -> Vec<(String, JsonValue)> {
@@ -218,7 +208,7 @@ impl ChaosSummary {
 /// whose second infection fires at `t = seq + 1`, so the sequence
 /// number survives the trip through HTTP, the WAL, and replay. `nodes`
 /// is the served model's node count (must be ≥ 2 for a valid cascade).
-pub fn encode_seq_body(seq: u64, nodes: usize) -> String {
+fn encode_seq_body(seq: u64, nodes: usize) -> String {
     let n = (nodes as u64).max(2);
     let a = seq % n;
     let mut b = (seq + 1) % n;
@@ -233,7 +223,7 @@ pub fn encode_seq_body(seq: u64, nodes: usize) -> String {
 
 /// Recovers the sequence number [`encode_seq_body`] planted in a
 /// replayed cascade; `None` for cascades this harness did not write.
-pub fn decode_seq(cascade: &Cascade) -> Option<u64> {
+fn decode_seq(cascade: &Cascade) -> Option<u64> {
     let infections = cascade.infections();
     if infections.len() != 2 {
         return None;
@@ -270,7 +260,7 @@ pub fn verify_recovered(data_dir: &Path, acked: &BTreeSet<u64>) -> io::Result<Ve
 /// [`verify_recovered`] over several data directories at once — the
 /// cluster mode's final audit, where an acked ingest may sit in *any*
 /// shard's log (ingests fail over while their owner is down).
-pub fn verify_recovered_across(
+fn verify_recovered_across(
     data_dirs: &[PathBuf],
     acked: &BTreeSet<u64>,
 ) -> io::Result<VerifyOutcome> {
@@ -290,7 +280,7 @@ pub fn verify_recovered_across(
 
 /// Extracts the bound address from the daemon's
 /// `viralcast-serve listening on http://HOST:PORT (...)` startup line.
-pub fn parse_listen_line(line: &str) -> Option<SocketAddr> {
+fn parse_listen_line(line: &str) -> Option<SocketAddr> {
     let rest = line.split("http://").nth(1)?;
     let addr = rest.split(|c: char| c.is_whitespace() || c == '(').next()?;
     addr.parse().ok()
@@ -1109,7 +1099,6 @@ mod tests {
             non_partial_5xx: 0,
             degraded_reads: 0,
         };
-        assert!(summary.passed());
         let json = JsonValue::Obj(summary.attrs()).render();
         for needle in [
             "\"kill_cycles\":3",
@@ -1126,24 +1115,5 @@ mod tests {
         ] {
             assert!(json.contains(needle), "{needle} missing from {json}");
         }
-
-        let lossy = ChaosSummary {
-            missing: vec![42],
-            ..summary.clone()
-        };
-        assert!(!lossy.passed());
-
-        let outage = ChaosSummary {
-            non_partial_5xx: 1,
-            ..summary.clone()
-        };
-        assert!(!outage.passed());
-
-        // With followers a degraded (partial) read is itself a failure.
-        let degraded = ChaosSummary {
-            degraded_reads: 2,
-            ..summary
-        };
-        assert!(!degraded.passed());
     }
 }

@@ -33,23 +33,6 @@ pub struct InferenceOutcome {
     pub timings: StageTimings,
 }
 
-impl InferenceOutcome {
-    /// Seconds spent building the (symmetrised) co-occurrence graph.
-    pub fn cooccurrence_seconds(&self) -> f64 {
-        self.timings.seconds_of(&["cooccurrence"])
-    }
-
-    /// Seconds spent in SLPA.
-    pub fn slpa_seconds(&self) -> f64 {
-        self.timings.seconds_of(&["slpa"])
-    }
-
-    /// Total seconds across all pipeline stages.
-    pub fn total_seconds(&self) -> f64 {
-        self.timings.child_seconds()
-    }
-}
-
 /// Runs the full pipeline on a training corpus.
 pub fn infer_embeddings(cascades: &CascadeSet, options: &InferOptions) -> InferenceOutcome {
     let recorder = obs::Recorder::new("infer");
@@ -342,11 +325,13 @@ mod tests {
         // The optimiser's tree is grafted in, so its seconds live in
         // its children.
         let hierarchical = out.timings.child("hierarchical").unwrap();
-        let sum = out.cooccurrence_seconds() + out.slpa_seconds() + hierarchical.subtree_seconds();
+        let sum = out.timings.seconds_of(&["cooccurrence"])
+            + out.timings.seconds_of(&["slpa"])
+            + hierarchical.subtree_seconds();
         assert!(
-            (sum - out.total_seconds()).abs() < 1e-9,
+            (sum - out.timings.child_seconds()).abs() < 1e-9,
             "stages {sum} vs total {}",
-            out.total_seconds()
+            out.timings.child_seconds()
         );
     }
 

@@ -136,67 +136,6 @@ fn unknown_command_fails_with_usage() {
 }
 
 #[test]
-fn missing_required_flag_is_reported() {
-    let out = bin().arg("infer").output().unwrap();
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--corpus"), "stderr: {stderr}");
-}
-
-#[test]
-fn unknown_flag_exits_with_usage_code() {
-    let out = bin()
-        .args(["infer", "--corpus", "whatever.jsonl", "--frobnicate", "3"])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--frobnicate"), "stderr: {stderr}");
-    assert!(stderr.contains("USAGE"), "stderr: {stderr}");
-}
-
-#[test]
-fn malformed_flag_value_exits_with_usage_code() {
-    let out = bin()
-        .args(["simulate-sbm", "--out", "x.jsonl", "--nodes", "many"])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--nodes"), "stderr: {stderr}");
-    assert!(stderr.contains("malformed"), "stderr: {stderr}");
-}
-
-#[test]
-fn missing_flag_value_exits_with_usage_code() {
-    // `--seed` followed by another flag has no value.
-    let out = bin()
-        .args(["simulate-sbm", "--seed", "--out", "x.jsonl"])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--seed"), "stderr: {stderr}");
-}
-
-#[test]
-fn bad_log_level_exits_with_usage_code() {
-    let out = bin()
-        .args([
-            "influencers",
-            "--embeddings",
-            "x.json",
-            "--log-level",
-            "loud",
-        ])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--log-level"), "stderr: {stderr}");
-}
-
-#[test]
 fn infer_writes_run_report_and_trace() {
     let corpus = temp("obs-corpus.jsonl");
     let embeddings = temp("obs-emb.json");
@@ -327,5 +266,218 @@ fn predict_rejects_mismatched_universes() {
     assert!(stderr.contains("nodes"), "stderr: {stderr}");
     for p in [corpus, embeddings, small] {
         std::fs::remove_file(p).ok();
+    }
+}
+
+/// Every CLI usage rule, one row each: the command line breaks exactly
+/// one rule and must exit 2 with an `error:` line naming the flag (or
+/// quoting the rule's message) and the usage text after it. File
+/// arguments name paths that do not exist, so a rule checked only after
+/// a file is read would fail the row with a runtime error (exit 1)
+/// instead; the router rows get a real manifest because the router
+/// needs one before its flags mean anything.
+#[test]
+fn every_usage_rule_exits_2_naming_its_flag() {
+    let manifest = temp("usage-rules-manifest.json");
+    viralcast::cluster::ClusterManifest::round_robin(&["127.0.0.1:9".parse().unwrap()])
+        .unwrap()
+        .save(&manifest)
+        .unwrap();
+    let manifest = manifest.to_str().unwrap();
+    let absent = "absent-input-file";
+    let follow = ["serve", "--follow", "127.0.0.1:9"];
+
+    let chaos = ["chaos", "--embeddings", absent, "--data-dir", absent];
+
+    let mut rows: Vec<(Vec<&str>, &str)> = vec![
+        // The flag parser, shared by every command.
+        (vec!["infer"], "--corpus"),
+        (
+            vec!["infer", "--corpus", absent, "--frobnicate", "3"],
+            "--frobnicate",
+        ),
+        (
+            vec!["simulate-sbm", "--out", absent, "--nodes", "many"],
+            "malformed value \"many\" for --nodes",
+        ),
+        (vec!["simulate-sbm", "--seed", "--out", absent], "--seed"),
+        (
+            vec!["infer", "--corpus", absent, "stray"],
+            "unexpected argument \"stray\"",
+        ),
+        (
+            vec![
+                "simulate-sbm",
+                "--seed",
+                "1",
+                "--seed",
+                "2",
+                "--out",
+                absent,
+            ],
+            "--seed",
+        ),
+        (
+            vec!["influencers", "--embeddings", absent, "--log-level", "loud"],
+            "--log-level",
+        ),
+        // Command rules.
+        (vec!["serve", "--backend", "bogus"], "--backend"),
+        (vec!["chaos", "--backend", "bogus"], "--backend"),
+        (
+            vec!["serve", "--embeddings", absent, "--corpus", absent],
+            "--corpus",
+        ),
+        (
+            vec!["chaos", "--embeddings", absent, "--corpus", absent],
+            "--corpus",
+        ),
+        (
+            vec![
+                "serve",
+                "--backend",
+                "netinf",
+                "--corpus",
+                absent,
+                "--embeddings",
+                absent,
+            ],
+            "--embeddings",
+        ),
+        (
+            vec![
+                "chaos",
+                "--backend",
+                "netinf",
+                "--corpus",
+                absent,
+                "--embeddings",
+                absent,
+            ],
+            "--embeddings",
+        ),
+        (vec!["serve", "--backend", "netinf"], "--corpus"),
+        (vec!["chaos", "--backend", "netinf"], "--corpus"),
+        (vec!["serve", "--poll-interval", "1"], "--poll-interval"),
+        (
+            vec!["serve", "--embeddings", absent, "--fsync", "always"],
+            "--fsync",
+        ),
+        (
+            vec!["serve", "--embeddings", absent, "--shard", "0/2"],
+            "--shard",
+        ),
+        (
+            vec![
+                "serve",
+                "--embeddings",
+                absent,
+                "--shard",
+                "2/2",
+                "--cluster-manifest",
+                manifest,
+            ],
+            "--shard",
+        ),
+        (
+            vec!["serve", "--embeddings", absent, "--segment-bytes", "0"],
+            "--segment-bytes",
+        ),
+        (vec!["serve", "--follow", "nowhere"], "--follow"),
+        (
+            vec!["router", "--cluster-manifest", manifest, "--workers", "0"],
+            "--workers",
+        ),
+        (vec!["cluster-plan", "--out", absent], "--shards"),
+        (
+            vec!["cluster-plan", "--out", absent, "--shards", "nowhere"],
+            "--shards",
+        ),
+        (
+            vec![
+                "cluster-plan",
+                "--out",
+                absent,
+                "--shards",
+                "127.0.0.1:9",
+                "--backend",
+                "bogus",
+            ],
+            "--backend",
+        ),
+        (
+            vec![
+                "cluster-plan",
+                "--out",
+                absent,
+                "--shards",
+                "127.0.0.1:9",
+                "--followers",
+                "nowhere",
+            ],
+            "--followers",
+        ),
+    ];
+    for (flag, value, needle) in [
+        ("--cycles", "0", "--cycles"),
+        ("--cluster", "1", "--cluster"),
+        ("--cluster", "17", "--cluster"),
+        ("--followers", "1", "--followers"),
+    ] {
+        let mut args = chaos.to_vec();
+        args.extend([flag, value]);
+        rows.push((args, needle));
+    }
+    let mut args = chaos.to_vec();
+    args.extend(["--cluster", "2", "--followers", "5"]);
+    rows.push((args, "--followers"));
+    for value in ["0", "-1"] {
+        rows.push((
+            vec!["serve", "--embeddings", absent, "--retrain-interval", value],
+            "--retrain-interval",
+        ));
+        let mut poll = follow.to_vec();
+        poll.extend(["--poll-interval", value]);
+        rows.push((poll, "--poll-interval"));
+        for flag in ["--probe-interval", "--shard-timeout"] {
+            rows.push((
+                vec!["router", "--cluster-manifest", manifest, flag, value],
+                flag,
+            ));
+        }
+        for flag in ["--steady", "--recovery-timeout"] {
+            let mut args = chaos.to_vec();
+            args.extend([flag, value]);
+            rows.push((args, flag));
+        }
+    }
+    for (flag, value) in [
+        ("--embeddings", absent),
+        ("--corpus", absent),
+        ("--backend", "embed"),
+        ("--data-dir", absent),
+        ("--fsync", "always"),
+        ("--segment-bytes", "4096"),
+        ("--retrain-interval", "1"),
+        ("--min-retrain-batch", "1"),
+    ] {
+        let mut args = follow.to_vec();
+        args.extend([flag, value]);
+        rows.push((args, flag));
+    }
+
+    for (args, flag) in rows {
+        let out = bin().args(&args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        let first = stderr.lines().next().unwrap_or("");
+        assert!(
+            first.starts_with("error:") && first.contains(flag),
+            "{args:?}: the error line does not name {flag}: {first}"
+        );
+        assert!(
+            stderr.contains("USAGE"),
+            "{args:?}: no usage text: {stderr}"
+        );
     }
 }

@@ -140,7 +140,8 @@ pub fn accumulate_gradients(
 
 /// Reference `O(s²·K)` gradient for validation: differentiates the naive
 /// likelihood term by term.
-pub fn gradients_naive(c: &IndexedCascade, a: &[f64], b: &[f64], k: usize) -> (Vec<f64>, Vec<f64>) {
+#[cfg(test)]
+fn gradients_naive(c: &IndexedCascade, a: &[f64], b: &[f64], k: usize) -> (Vec<f64>, Vec<f64>) {
     let s = c.len();
     let mut ga = vec![0.0; a.len()];
     let mut gb = vec![0.0; b.len()];

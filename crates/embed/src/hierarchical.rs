@@ -52,8 +52,8 @@ impl Default for HierarchicalConfig {
 }
 
 /// Summary of one executed level. Wall-clock timings live in
-/// [`InferenceReport::timings`] (see [`InferenceReport::optimize_seconds`]
-/// / [`InferenceReport::split_seconds`]), not here.
+/// [`InferenceReport::timings`] (`level.{i}` → `split`, `optimize`), not
+/// here.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct LevelSummary {
     /// Level index in the merge tree (0 = SLPA leaves).
@@ -94,19 +94,6 @@ impl InferenceReport {
     /// Final log-likelihood of the last executed level.
     pub fn final_ll(&self) -> f64 {
         self.levels.last().map_or(0.0, |l| l.final_ll)
-    }
-
-    /// Seconds spent in gradient work at one level (`0.0` when the
-    /// timing tree is absent, e.g. after deserialisation).
-    pub fn optimize_seconds(&self, level: usize) -> f64 {
-        let name = format!("level.{level}");
-        self.timings.seconds_of(&[&name, "optimize"])
-    }
-
-    /// Seconds spent splitting cascades for one level.
-    pub fn split_seconds(&self, level: usize) -> f64 {
-        let name = format!("level.{level}");
-        self.timings.seconds_of(&[&name, "split"])
     }
 }
 
@@ -175,7 +162,7 @@ pub fn infer_warm(
     let mut emb = init.reorder(hierarchy.node_layout());
 
     // A private recorder: callers (the pipeline, the CLI) graft the
-    // returned tree into their own via `StageTimings::push_child`.
+    // returned tree into their own via `Recorder::attach_child`.
     let recorder = obs::Recorder::new("hierarchical");
     let mut levels = Vec::new();
     {

@@ -26,7 +26,8 @@ pub const RATE_FLOOR: f64 = 1e-12;
 
 /// Log-likelihood of one (sub-)cascade under matrices `a`, `b`
 /// (row-major, `k` columns, rows indexed by `IndexedCascade::rows`).
-pub fn cascade_log_likelihood(c: &IndexedCascade, a: &[f64], b: &[f64], k: usize) -> f64 {
+#[cfg(test)]
+pub(crate) fn cascade_log_likelihood(c: &IndexedCascade, a: &[f64], b: &[f64], k: usize) -> f64 {
     forward_sweep(c, a, b, k, &mut vec![0.0; k], &mut vec![0.0; k])
 }
 
@@ -74,7 +75,8 @@ fn forward_sweep(
 
 /// Reference `O(s²·K)` implementation of eq. 8, used to validate the
 /// linear-time sweep in tests.
-pub fn cascade_log_likelihood_naive(c: &IndexedCascade, a: &[f64], b: &[f64], k: usize) -> f64 {
+#[cfg(test)]
+fn cascade_log_likelihood_naive(c: &IndexedCascade, a: &[f64], b: &[f64], k: usize) -> f64 {
     let s = c.len();
     let mut ll = 0.0;
     for i in 1..s {

@@ -63,7 +63,7 @@ pub fn split_cascades(
 
 /// As [`split_cascades`], for explicit position ranges (must be sorted
 /// and disjoint, as produced by the hierarchy).
-pub fn split_cascades_by_ranges(
+fn split_cascades_by_ranges(
     set: &CascadeSet,
     hierarchy: &MergeHierarchy,
     ranges: &[Range<usize>],

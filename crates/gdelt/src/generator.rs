@@ -96,18 +96,6 @@ impl Default for GdeltConfig {
     }
 }
 
-/// A smaller default for tests and quick runs.
-impl GdeltConfig {
-    /// A scaled-down world (600 sites) that keeps every structural
-    /// property but generates in milliseconds.
-    pub fn small() -> Self {
-        GdeltConfig {
-            sites: 600,
-            ..GdeltConfig::default()
-        }
-    }
-}
-
 /// A fully generated world.
 #[derive(Clone, Debug)]
 pub struct GdeltWorld {
@@ -344,7 +332,13 @@ mod tests {
 
     fn small_world(seed: u64) -> GdeltWorld {
         let mut rng = StdRng::seed_from_u64(seed);
-        GdeltWorld::generate(GdeltConfig::small(), &mut rng)
+        // 600 sites keep every structural property and generate in
+        // milliseconds.
+        let config = GdeltConfig {
+            sites: 600,
+            ..GdeltConfig::default()
+        };
+        GdeltWorld::generate(config, &mut rng)
     }
 
     #[test]

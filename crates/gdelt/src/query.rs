@@ -55,18 +55,6 @@ pub fn coreport_backbone(table: &MentionTable, events: &[u32], threshold: usize)
     BackboneGraph::build(table.site_count(), &sets, threshold)
 }
 
-/// Events whose total report count exceeds `min_reports` — the "top one
-/// million most reported news events" style filter of Section VI-B.
-pub fn events_with_min_reports(table: &MentionTable, min_reports: usize) -> Vec<u32> {
-    table
-        .reports_per_event()
-        .iter()
-        .enumerate()
-        .filter(|&(_, &c)| c >= min_reports)
-        .map(|(e, _)| e as u32)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,12 +140,6 @@ mod tests {
         let bb = coreport_backbone(&table(), &[0, 1, 2, 3], 2);
         assert!(bb.graph().has_edge(NodeId(0), NodeId(1)));
         assert!(!bb.graph().has_edge(NodeId(0), NodeId(2)));
-    }
-
-    #[test]
-    fn min_reports_filter() {
-        assert_eq!(events_with_min_reports(&table(), 2), vec![0, 1, 2]);
-        assert_eq!(events_with_min_reports(&table(), 3), Vec::<u32>::new());
     }
 
     #[test]

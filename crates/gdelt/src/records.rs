@@ -129,20 +129,6 @@ impl MentionTable {
         CascadeSet::new(self.site_count, cascades)
     }
 
-    /// The sites that reported `event` within the first `hours` hours —
-    /// the early adopters of the Figure 12 protocol.
-    pub fn early_reporters(&self, event: u32, hours: f64) -> Vec<NodeId> {
-        let mut out: Vec<NodeId> = self
-            .mentions
-            .iter()
-            .filter(|m| m.event == event && m.hour <= hours)
-            .map(|m| m.site)
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
     /// Writes the table as CSV (`site,event,hour` with a header).
     pub fn save_csv(&self, path: &Path) -> std::io::Result<()> {
         let mut w = BufWriter::new(std::fs::File::create(path)?);
@@ -297,14 +283,6 @@ mod tests {
         let set = t.to_cascade_set();
         assert_eq!(set.cascades()[0].len(), 2);
         assert_eq!(set.cascades()[0].time_of(NodeId(1)), Some(1.0));
-    }
-
-    #[test]
-    fn early_reporters_respect_cutoff() {
-        let t = table();
-        assert_eq!(t.early_reporters(1, 1.0), vec![NodeId(2), NodeId(3)]);
-        assert_eq!(t.early_reporters(1, 10.0).len(), 3);
-        assert!(t.early_reporters(2, 10.0).is_empty());
     }
 
     #[test]

@@ -39,7 +39,7 @@ impl Region {
     }
 
     /// Domain suffix used for synthetic site names.
-    pub fn tld(self) -> &'static str {
+    fn tld(self) -> &'static str {
         match self {
             Region::UnitedStates => "com",
             Region::Europe => "co.uk",

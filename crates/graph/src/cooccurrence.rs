@@ -332,11 +332,6 @@ impl CooccurrenceGraph {
         &self.graph
     }
 
-    /// Consumes self, returning the directed graph.
-    pub fn into_graph(self) -> DiGraph {
-        self.graph
-    }
-
     /// `c(u)` — the number of cascades containing `u`.
     pub fn cascade_count(&self, u: NodeId) -> usize {
         self.cascade_counts[u.index()]

@@ -106,7 +106,8 @@ impl DiGraph {
     }
 
     /// Total weight over all directed edges.
-    pub fn total_weight(&self) -> f64 {
+    #[cfg(test)]
+    fn total_weight(&self) -> f64 {
         self.weights.iter().sum()
     }
 
@@ -234,11 +235,6 @@ impl GraphBuilder {
             n,
             edges: Vec::with_capacity(m),
         }
-    }
-
-    /// Number of nodes this builder was created for.
-    pub fn node_count(&self) -> usize {
-        self.n
     }
 
     /// Adds a directed edge. Duplicate `(u, v)` pairs are merged at build

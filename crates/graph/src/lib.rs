@@ -16,8 +16,6 @@
 //!   detection.
 //! * [`backbone`] — the thresholded co-reporting backbone network of
 //!   Figure 2.
-//! * [`metrics`] — degree statistics, connected components, clustering
-//!   coefficients and density, used to sanity-check generated graphs.
 //!
 //! All generators are deterministic given a seeded RNG; nothing in this
 //! crate spawns threads.
@@ -27,7 +25,6 @@
 pub mod backbone;
 pub mod cooccurrence;
 pub mod digraph;
-pub mod metrics;
 pub mod node;
 pub mod powerlaw;
 pub mod sbm;

@@ -41,11 +41,6 @@ impl PowerLaw {
         self.x_min * (1.0 - u).powf(-1.0 / (self.exponent - 1.0))
     }
 
-    /// Draws `count` samples.
-    pub fn sample_many<R: Rng>(&self, count: usize, rng: &mut R) -> Vec<f64> {
-        (0..count).map(|_| self.sample(rng)).collect()
-    }
-
     /// Hill maximum-likelihood estimate of the exponent from samples that
     /// are all `≥ x_min`: `γ̂ = 1 + n / Σ ln(x_i / x_min)`.
     ///
@@ -123,7 +118,7 @@ mod tests {
     fn mle_recovers_exponent() {
         let pl = PowerLaw::new(2.5, 1.0);
         let mut rng = StdRng::seed_from_u64(2);
-        let xs = pl.sample_many(50_000, &mut rng);
+        let xs: Vec<f64> = (0..50_000).map(|_| pl.sample(&mut rng)).collect();
         let est = PowerLaw::mle_exponent(&xs, 1.0).unwrap();
         assert!(
             (est - 2.5).abs() < 0.05,
@@ -166,8 +161,13 @@ mod tests {
     fn heavier_tail_for_smaller_exponent() {
         // Smaller γ ⇒ heavier tail ⇒ larger high quantiles.
         let mut rng = StdRng::seed_from_u64(3);
-        let light = PowerLaw::new(3.5, 1.0).sample_many(20_000, &mut rng);
-        let heavy = PowerLaw::new(1.8, 1.0).sample_many(20_000, &mut rng);
+        let mut draw = |pl: PowerLaw| {
+            (0..20_000)
+                .map(|_| pl.sample(&mut rng))
+                .collect::<Vec<f64>>()
+        };
+        let light = draw(PowerLaw::new(3.5, 1.0));
+        let heavy = draw(PowerLaw::new(1.8, 1.0));
         let q = |mut v: Vec<f64>| {
             v.sort_by(|a, b| a.partial_cmp(b).unwrap());
             v[(v.len() as f64 * 0.999) as usize]

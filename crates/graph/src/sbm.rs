@@ -40,13 +40,6 @@ impl SbmConfig {
         }
     }
 
-    /// Same community structure and densities, different node count
-    /// (the Figure 11 sweep uses N = 1 000, 2 000, 4 000).
-    pub fn with_nodes(mut self, nodes: usize) -> Self {
-        self.nodes = nodes;
-        self
-    }
-
     /// Community membership implied by this configuration: node `i` belongs
     /// to community `i / community_size` (the last community may be larger
     /// or smaller than the rest by the division remainder).
@@ -54,13 +47,8 @@ impl SbmConfig {
         (0..self.nodes).map(|i| i / self.community_size).collect()
     }
 
-    /// Number of planted communities.
-    pub fn community_count(&self) -> usize {
-        self.nodes.div_ceil(self.community_size)
-    }
-
     /// Expected mean degree of the undirected graph.
-    pub fn expected_mean_degree(&self) -> f64 {
+    fn expected_mean_degree(&self) -> f64 {
         let c = self.community_size as f64;
         let n = self.nodes as f64;
         (c - 1.0) * self.intra_prob + (n - c) * self.inter_prob
@@ -135,7 +123,8 @@ mod tests {
     fn paper_default_matches_section_vi() {
         let c = SbmConfig::paper_default();
         assert_eq!(c.nodes, 2_000);
-        assert_eq!(c.community_count(), 50);
+        // 50 communities of 40 nodes: the last node is in community 49.
+        assert_eq!(c.ground_truth().last(), Some(&49));
         // "The average degree of nodes is approximately 10."
         let d = c.expected_mean_degree();
         assert!((9.0..11.0).contains(&d), "expected ~10, got {d}");
@@ -150,7 +139,6 @@ mod tests {
             inter_prob: 0.0,
         };
         assert_eq!(c.ground_truth(), vec![0, 0, 0, 0, 1, 1, 1, 1, 2, 2]);
-        assert_eq!(c.community_count(), 3);
     }
 
     #[test]
@@ -218,20 +206,15 @@ mod tests {
 
     #[test]
     fn deterministic_for_fixed_seed() {
-        let c = SbmConfig::paper_default().with_nodes(500);
+        let c = SbmConfig {
+            nodes: 500,
+            ..SbmConfig::paper_default()
+        };
         let g1 = generate(&c, &mut StdRng::seed_from_u64(9));
         let g2 = generate(&c, &mut StdRng::seed_from_u64(9));
         let e1: Vec<_> = g1.edges().collect();
         let e2: Vec<_> = g2.edges().collect();
         assert_eq!(e1, e2);
-    }
-
-    #[test]
-    fn with_nodes_changes_only_node_count() {
-        let c = SbmConfig::paper_default().with_nodes(4_000);
-        assert_eq!(c.nodes, 4_000);
-        assert_eq!(c.community_size, 40);
-        assert_eq!(c.community_count(), 100);
     }
 }
 

@@ -31,10 +31,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
-
-    fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
-    }
 }
 
 /// A last-value-wins f64 gauge.
@@ -60,10 +56,6 @@ impl Gauge {
     /// Current value.
     pub fn get(&self) -> f64 {
         f64::from_bits(self.bits.load(Ordering::Relaxed))
-    }
-
-    fn reset(&self) {
-        self.set(0.0);
     }
 }
 
@@ -130,18 +122,6 @@ impl Histogram {
         f64::from_bits(self.sum_bits.load(Ordering::Relaxed))
     }
 
-    fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum_bits.store(0f64.to_bits(), Ordering::Relaxed);
-        self.min_bits
-            .store(f64::INFINITY.to_bits(), Ordering::Relaxed);
-        self.max_bits
-            .store(f64::NEG_INFINITY.to_bits(), Ordering::Relaxed);
-    }
-
     fn snapshot(&self) -> HistogramSnapshot {
         let count = self.count();
         HistogramSnapshot {
@@ -193,7 +173,7 @@ impl HistogramSnapshot {
     /// observation and the unbounded overflow bucket interpolates between
     /// the last bound and `max` instead of running off to infinity.
     /// Returns `None` for an empty histogram or `q` outside `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
+    fn quantile(&self, q: f64) -> Option<f64> {
         if self.count == 0 || !(0.0..=1.0).contains(&q) {
             return None;
         }
@@ -509,20 +489,6 @@ impl MetricsRegistry {
         self.histogram(name, &exponential_bounds(start, factor, count))
     }
 
-    /// Zeroes every registered metric in place — existing handles stay
-    /// attached (the CLI resets between a warm-up and a measured run).
-    pub fn reset(&self) {
-        for c in read_or_recover(&self.counters).values() {
-            c.reset();
-        }
-        for g in read_or_recover(&self.gauges).values() {
-            g.reset();
-        }
-        for h in read_or_recover(&self.histograms).values() {
-            h.reset();
-        }
-    }
-
     /// A consistent-enough copy of every metric (each value is read
     /// atomically; the set is whatever was registered at call time).
     pub fn snapshot(&self) -> MetricsSnapshot {
@@ -601,21 +567,6 @@ mod tests {
         let h2 = r.histogram("h", &[99.0]);
         assert!(Arc::ptr_eq(&h1, &h2));
         assert_eq!(h2.snapshot().bounds, vec![1.0, 2.0]);
-    }
-
-    #[test]
-    fn reset_zeroes_in_place() {
-        let r = MetricsRegistry::new();
-        let c = r.counter("c");
-        let h = r.histogram("h", &[1.0]);
-        c.incr(7);
-        h.record(0.5);
-        r.reset();
-        assert_eq!(c.get(), 0);
-        assert_eq!(h.count(), 0);
-        // Handles acquired before the reset still feed the registry.
-        c.incr(1);
-        assert_eq!(r.snapshot().counters["c"], 1);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! its guard drops, which lets a library (e.g. the hierarchical
 //! optimiser) own its private timing tree while the caller owns the
 //! surrounding one and grafts the returned subtree in with
-//! [`StageTimings::push_child`].
+//! [`Recorder::attach_child`].
 //!
 //! Span paths are tracked per thread. The intended pattern — and how the
 //! pipeline uses it — is that coordinating code on one thread opens the
@@ -73,7 +73,7 @@ impl StageTimings {
     }
 
     /// Appends a finished subtree (e.g. a callee's recorder output).
-    pub fn push_child(&mut self, child: StageTimings) {
+    fn push_child(&mut self, child: StageTimings) {
         self.children.push(child);
     }
 

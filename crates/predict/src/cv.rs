@@ -130,7 +130,8 @@ mod tests {
     fn pooled_counts_cover_every_sample() {
         let (xs, ys) = dataset(20, 40);
         let report = cross_validate(&xs, &ys, 5, &SvmConfig::default(), 1);
-        assert_eq!(report.pooled.total(), 60);
+        let m = report.pooled;
+        assert_eq!(m.tp + m.fp + m.fn_ + m.tn, 60);
     }
 
     #[test]

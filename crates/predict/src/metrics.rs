@@ -74,21 +74,6 @@ impl BinaryConfusion {
             2.0 * p * r / (p + r)
         }
     }
-
-    /// Overall accuracy.
-    pub fn accuracy(&self) -> f64 {
-        let total = self.tp + self.fp + self.fn_ + self.tn;
-        if total == 0 {
-            0.0
-        } else {
-            (self.tp + self.tn) as f64 / total as f64
-        }
-    }
-
-    /// Total number of samples tallied.
-    pub fn total(&self) -> usize {
-        self.tp + self.fp + self.fn_ + self.tn
-    }
 }
 
 /// A named F1 score with its supporting precision/recall (what the
@@ -121,7 +106,6 @@ mod tests {
     fn perfect_prediction() {
         let m = BinaryConfusion::from_predictions(&[1, -1, 1], &[1, -1, 1]);
         assert_eq!(m.f1(), 1.0);
-        assert_eq!(m.accuracy(), 1.0);
         assert_eq!(m.precision(), 1.0);
         assert_eq!(m.recall(), 1.0);
     }
@@ -144,7 +128,6 @@ mod tests {
         assert_eq!(m.precision(), 0.0);
         assert_eq!(m.recall(), 0.0);
         assert_eq!(m.f1(), 0.0);
-        assert_eq!(m.accuracy(), 1.0);
     }
 
     #[test]
@@ -162,7 +145,6 @@ mod tests {
         let b = BinaryConfusion::from_predictions(&[1, -1], &[-1, 1]);
         a.merge(&b);
         assert_eq!((a.tp, a.fp, a.fn_, a.tn), (1, 1, 1, 1));
-        assert_eq!(a.total(), 4);
     }
 
     #[test]
@@ -197,13 +179,8 @@ mod proptests {
             let truth: Vec<i8> = (0..len).map(|_| pm1()).collect();
             let pred: Vec<i8> = (0..len).map(|_| pm1()).collect();
             let m = BinaryConfusion::from_predictions(&truth, &pred);
-            assert_eq!(m.total(), len, "case {case}");
+            assert_eq!(m.tp + m.fp + m.fn_ + m.tn, len, "case {case}");
             assert!((0.0..=1.0).contains(&m.f1()), "case {case}: f1 {}", m.f1());
-            assert!(
-                (0.0..=1.0).contains(&m.accuracy()),
-                "case {case}: accuracy {}",
-                m.accuracy()
-            );
         }
     }
 }

@@ -73,11 +73,6 @@ impl StandardScaler {
             })
             .collect()
     }
-
-    /// Number of feature dimensions.
-    pub fn dim(&self) -> usize {
-        self.means.len()
-    }
 }
 
 #[cfg(test)]

@@ -135,7 +135,7 @@ impl LinearSvm {
     }
 
     /// The signed decision value `⟨w, x⟩ + b`.
-    pub fn decision(&self, x: &[f64]) -> f64 {
+    fn decision(&self, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.weights.len(), "dimension mismatch");
         self.weights
             .iter()
@@ -152,16 +152,6 @@ impl LinearSvm {
         } else {
             -1
         }
-    }
-
-    /// The learned weight vector (without bias).
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
-
-    /// The learned bias.
-    pub fn bias(&self) -> f64 {
-        self.bias
     }
 }
 
@@ -234,8 +224,8 @@ mod tests {
         let (xs, ys) = blobs(20, 1.5);
         let a = LinearSvm::train(&xs, &ys, &SvmConfig::default());
         let b = LinearSvm::train(&xs, &ys, &SvmConfig::default());
-        assert_eq!(a.weights(), b.weights());
-        assert_eq!(a.bias(), b.bias());
+        assert_eq!(a.weights, b.weights);
+        assert_eq!(a.bias, b.bias);
     }
 
     #[test]

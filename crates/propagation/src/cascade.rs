@@ -116,13 +116,8 @@ impl Cascade {
 
     /// The node sequence in infection order (used by the co-occurrence
     /// graph builder).
-    pub fn node_sequence(&self) -> Vec<NodeId> {
+    fn node_sequence(&self) -> Vec<NodeId> {
         self.infections.iter().map(|i| i.node).collect()
-    }
-
-    /// Whether `u` is infected in this cascade.
-    pub fn contains(&self, u: NodeId) -> bool {
-        self.infections.iter().any(|i| i.node == u)
     }
 
     /// Infection time of `u`, if infected.
@@ -144,19 +139,6 @@ impl Cascade {
     pub fn early_adopters(&self, window: f64, fraction: f64) -> &[Infection] {
         let cutoff = self.seed().time + window * fraction;
         self.prefix_until(cutoff)
-    }
-
-    /// A new cascade truncated to `time ≤ cutoff`, or `None` if nothing
-    /// survives.
-    pub fn truncate(&self, cutoff: f64) -> Option<Cascade> {
-        let prefix = self.prefix_until(cutoff);
-        if prefix.is_empty() {
-            None
-        } else {
-            Some(Cascade {
-                infections: prefix.to_vec(),
-            })
-        }
     }
 }
 
@@ -289,17 +271,8 @@ mod tests {
     }
 
     #[test]
-    fn truncate_keeps_prefix_or_none() {
-        let c = Cascade::new(vec![inf(0, 1.0), inf(1, 2.0)]).unwrap();
-        assert_eq!(c.truncate(1.5).unwrap().len(), 1);
-        assert!(c.truncate(0.5).is_none());
-    }
-
-    #[test]
-    fn time_of_and_contains() {
+    fn time_of_finds_infected_nodes() {
         let c = Cascade::new(vec![inf(0, 1.0), inf(5, 2.0)]).unwrap();
-        assert!(c.contains(NodeId(5)));
-        assert!(!c.contains(NodeId(3)));
         assert_eq!(c.time_of(NodeId(5)), Some(2.0));
         assert_eq!(c.time_of(NodeId(3)), None);
     }
@@ -394,17 +367,6 @@ mod proptests {
                 "case {case}: prefix shrinks from {lo} to {hi}"
             );
             assert!(c.prefix_until(hi).len() <= c.len(), "case {case}");
-        }
-    }
-
-    /// Truncation at the last time returns the whole cascade.
-    #[test]
-    fn truncate_at_end_is_identity() {
-        for case in 0..256 {
-            let infs = infection_list(&mut StdRng::seed_from_u64(case));
-            let c = Cascade::new(infs).unwrap();
-            let last = c.infections().last().unwrap().time;
-            assert_eq!(c.truncate(last).unwrap().len(), c.len(), "case {case}");
         }
     }
 }

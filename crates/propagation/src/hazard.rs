@@ -8,9 +8,7 @@
 //! The paper's model (eqs. 6–7) uses the constant hazard
 //! `h_uv(Δt) = ⟨A_u, B_v⟩` — an exponential delay — because the minimum
 //! of `K` independent exponentials with rates `A_{u,k} B_{v,k}` is again
-//! exponential with the summed rate. A Rayleigh variant (linear hazard,
-//! common in the NetRate literature the paper builds on) is provided for
-//! ablation studies.
+//! exponential with the summed rate.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -84,58 +82,6 @@ impl HazardFunction for Exponential {
     }
 }
 
-/// Rayleigh delay: `h(Δt) = αΔt`, `S(Δt) = e^{−αΔt²/2}`.
-///
-/// Used by the NetRate family as an alternative transmission model; we
-/// keep it for the hazard-shape ablation.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct Rayleigh {
-    /// Scale `α > 0`.
-    pub alpha: f64,
-}
-
-impl Rayleigh {
-    /// A Rayleigh delay with scale `α`.
-    ///
-    /// # Panics
-    /// Panics if `alpha` is not strictly positive and finite.
-    pub fn new(alpha: f64) -> Self {
-        assert!(
-            alpha > 0.0 && alpha.is_finite(),
-            "alpha must be positive, got {alpha}"
-        );
-        Rayleigh { alpha }
-    }
-}
-
-impl HazardFunction for Rayleigh {
-    #[inline]
-    fn hazard(&self, dt: f64) -> f64 {
-        self.alpha * dt
-    }
-
-    #[inline]
-    fn survival(&self, dt: f64) -> f64 {
-        (-self.alpha * dt * dt / 2.0).exp()
-    }
-
-    #[inline]
-    fn log_survival(&self, dt: f64) -> f64 {
-        -self.alpha * dt * dt / 2.0
-    }
-
-    #[inline]
-    fn sample<R: Rng>(&self, rng: &mut R) -> f64 {
-        let u: f64 = rng.gen_range(0.0..1.0);
-        (-2.0 * (1.0 - u).ln() / self.alpha).sqrt()
-    }
-
-    #[inline]
-    fn mean(&self) -> f64 {
-        (std::f64::consts::PI / (2.0 * self.alpha)).sqrt()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,7 +99,6 @@ mod tests {
     #[test]
     fn exponential_survival_at_zero_is_one() {
         assert_eq!(Exponential::new(3.0).survival(0.0), 1.0);
-        assert_eq!(Rayleigh::new(3.0).survival(0.0), 1.0);
     }
 
     #[test]
@@ -166,25 +111,9 @@ mod tests {
     }
 
     #[test]
-    fn rayleigh_sample_mean_matches_formula() {
-        let r = Rayleigh::new(1.5);
-        let mut rng = StdRng::seed_from_u64(2);
-        let n = 100_000;
-        let mean: f64 = (0..n).map(|_| r.sample(&mut rng)).sum::<f64>() / n as f64;
-        assert!((mean - r.mean()).abs() < 0.01, "sample mean {mean}");
-    }
-
-    #[test]
-    fn rayleigh_hazard_grows_linearly() {
-        let r = Rayleigh::new(2.0);
-        assert_eq!(r.hazard(0.0), 0.0);
-        assert!((r.hazard(3.0) - 6.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn survival_is_consistent_with_hazard_integral() {
         // S(t) = exp(-∫h); numerically integrate and compare.
-        let r = Rayleigh::new(0.8);
+        let r = Exponential::new(0.8);
         let t = 2.0;
         let steps = 100_000;
         let h = t / steps as f64;
@@ -242,24 +171,6 @@ mod proptests {
                 "case {case}: rate {rate}, S({hi})"
             );
             assert!(e.sample(&mut rng) >= 0.0, "case {case}: rate {rate}");
-        }
-    }
-
-    #[test]
-    fn rayleigh_laws() {
-        for case in 0..64 {
-            let mut rng = StdRng::seed_from_u64(case);
-            let (alpha, lo, hi) = parameter_and_delays(&mut rng);
-            let r = Rayleigh::new(alpha);
-            assert!(
-                r.survival(lo) >= r.survival(hi),
-                "case {case}: alpha {alpha}, {lo} vs {hi}"
-            );
-            assert!(
-                (0.0..=1.0).contains(&r.survival(hi)),
-                "case {case}: alpha {alpha}, S({hi})"
-            );
-            assert!(r.sample(&mut rng) >= 0.0, "case {case}: alpha {alpha}");
         }
     }
 }

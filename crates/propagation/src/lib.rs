@@ -14,8 +14,7 @@
 //!   invariants (strictly increasing times, distinct nodes), plus
 //!   [`CascadeSet`] for corpora of cascades.
 //! * [`hazard`] — delay distributions as hazard/survival function pairs.
-//!   The paper's model is [`hazard::Exponential`]; a Rayleigh alternative
-//!   is provided for ablations.
+//!   The paper's model is [`hazard::Exponential`].
 //! * [`rates`] — pluggable `u → v` rate providers: raw edge weights or
 //!   planted ground-truth influence/selectivity embeddings whose inner
 //!   product is the rate, exactly the parametric form the inference stage
@@ -37,6 +36,6 @@ pub mod stats;
 pub mod store;
 
 pub use cascade::{Cascade, CascadeError, CascadeSet, Infection};
-pub use hazard::{Exponential, HazardFunction, Rayleigh};
+pub use hazard::{Exponential, HazardFunction};
 pub use rates::{planted_embeddings, EdgeWeightRates, EmbeddingRates, PlantedConfig, RateProvider};
 pub use simulator::{SimulationConfig, Simulator};

@@ -66,11 +66,6 @@ impl EmbeddingRates {
         EmbeddingRates { n, k, a, b }
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.n
-    }
-
     /// Number of topics.
     pub fn topic_count(&self) -> usize {
         self.k
@@ -225,7 +220,7 @@ mod tests {
         let membership = vec![0, 1, 2, 1];
         let mut rng = StdRng::seed_from_u64(1);
         let e = planted_embeddings(&membership, &PlantedConfig::default(), &mut rng);
-        assert_eq!(e.node_count(), 4);
+        assert_eq!(e.n, 4);
         assert_eq!(e.topic_count(), 3);
         assert_eq!(e.influence(NodeId(2)).len(), 3);
     }

@@ -102,11 +102,6 @@ impl<'g, P: RateProvider> Simulator<'g, P> {
         }
     }
 
-    /// The simulator's configuration.
-    pub fn config(&self) -> &SimulationConfig {
-        &self.config
-    }
-
     /// Simulates one cascade from a given seed node at time 0.
     ///
     /// ```

@@ -1,9 +1,9 @@
 //! Corpus-level cascade statistics.
 //!
-//! Section II of the paper characterises the GDELT data through exactly
-//! these lenses: the short life cycle of events (most reported within the
-//! first ~50 hours), the locality of cascades, and the skew of per-site
-//! participation. These helpers compute the corresponding numbers for any
+//! Section II of the paper characterises the GDELT data through these
+//! lenses: the short life cycle of events (most reported within the
+//! first ~50 hours) and the locality of cascades. These helpers compute
+//! the corresponding numbers for any
 //! [`CascadeSet`] so harnesses can print them alongside paper values.
 
 use crate::cascade::CascadeSet;
@@ -28,7 +28,7 @@ pub struct SampleSummary {
 
 impl SampleSummary {
     /// Summarises a sample; returns zeros for an empty input.
-    pub fn from_samples(samples: &[f64]) -> Self {
+    fn from_samples(samples: &[f64]) -> Self {
         if samples.is_empty() {
             return SampleSummary {
                 count: 0,
@@ -80,18 +80,6 @@ pub fn size_histogram(set: &CascadeSet, bin_width: usize) -> Vec<(usize, usize)>
         .enumerate()
         .map(|(i, count)| (i * bin_width, count))
         .collect()
-}
-
-/// Per-node participation counts: how many cascades each node appears in
-/// (the per-site event counts of Figure 3).
-pub fn participation_counts(set: &CascadeSet) -> Vec<usize> {
-    let mut counts = vec![0usize; set.node_count()];
-    for c in set.cascades() {
-        for inf in c.infections() {
-            counts[inf.node.index()] += 1;
-        }
-    }
-    counts
 }
 
 /// Fraction of cascades whose infections stay within one group of
@@ -178,12 +166,6 @@ mod tests {
         let h = size_histogram(&corpus(), 1);
         let total: usize = h.iter().map(|&(_, c)| c).sum();
         assert_eq!(total, 3);
-    }
-
-    #[test]
-    fn participation_counts_per_node() {
-        let p = participation_counts(&corpus());
-        assert_eq!(p, vec![2, 1, 1, 1, 1, 0]);
     }
 
     #[test]

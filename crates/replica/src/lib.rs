@@ -167,7 +167,8 @@ impl FollowerHandle {
     }
 
     /// The snapshot store serving reads (the poller publishes into it).
-    pub fn snapshots(&self) -> Arc<SnapshotStore> {
+    #[cfg(test)]
+    fn snapshots(&self) -> Arc<SnapshotStore> {
         self.server.snapshots()
     }
 

@@ -41,16 +41,15 @@ const ACCEPT_BACKOFF_MAX: Duration = Duration::from_secs(1);
 /// for the acceptor to notice before the next attempt.
 const WAKE_RETRY: Duration = Duration::from_millis(100);
 
+/// Per-connection read and write timeout of every front door.
+const IO_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// What one front door listens on and reports as.
 pub struct ListenerConfig {
     /// Bind address (`host:port`; port 0 picks an ephemeral port).
     pub addr: String,
     /// Connection workers (at least one is spawned).
     pub workers: usize,
-    /// Per-connection read timeout.
-    pub read_timeout: Duration,
-    /// Per-connection write timeout.
-    pub write_timeout: Duration,
     /// HTTP parsing limits.
     pub limits: HttpLimits,
     /// Metric, log-target and thread-name prefix: `serve` | `router`.
@@ -63,14 +62,12 @@ pub struct ListenerConfig {
 }
 
 impl ListenerConfig {
-    /// `addr` under `prefix` with the daemon's defaults: 4 workers, 5 s
-    /// timeouts, default limits, no access log.
+    /// `addr` under `prefix` with the daemon's defaults: 4 workers,
+    /// default limits, no access log.
     pub fn new(addr: impl Into<String>, prefix: &'static str) -> ListenerConfig {
         ListenerConfig {
             addr: addr.into(),
             workers: 4,
-            read_timeout: Duration::from_secs(5),
-            write_timeout: Duration::from_secs(5),
             limits: HttpLimits::default(),
             prefix,
             shed_message: "server overloaded; retry later",
@@ -153,7 +150,6 @@ pub fn listen(
     let socket = TcpListener::bind(&config.addr)?;
     let addr = socket.local_addr()?;
     let (prefix, workers) = (config.prefix, config.workers.max(1));
-    let (read_timeout, write_timeout) = (config.read_timeout, config.write_timeout);
     let door = Arc::new(Door { config, handler });
     let worker = Arc::clone(&door);
     let pool = BoundedPool::new(
@@ -196,8 +192,8 @@ pub fn listen(
                 // A peer can reset between `accept` and here; count it,
                 // but one log line per hostile connect would be a lever.
                 if stream.set_nodelay(true).is_err()
-                    || stream.set_read_timeout(Some(read_timeout)).is_err()
-                    || stream.set_write_timeout(Some(write_timeout)).is_err()
+                    || stream.set_read_timeout(Some(IO_TIMEOUT)).is_err()
+                    || stream.set_write_timeout(Some(IO_TIMEOUT)).is_err()
                 {
                     door.count("accept_errors");
                     continue;

@@ -93,7 +93,8 @@ impl ReplicaStatus {
     }
 
     /// Highest leader version seen so far.
-    pub fn leader_version(&self) -> u64 {
+    #[cfg(test)]
+    fn leader_version(&self) -> u64 {
         self.leader_version.load(Ordering::SeqCst)
     }
 }

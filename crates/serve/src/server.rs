@@ -8,7 +8,7 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use viralcast_model::{BackendMismatch, CascadeModel};
 use viralcast_obs as obs;
 use viralcast_store::{EventStore, WalOptions};
@@ -27,10 +27,6 @@ pub struct ServeConfig {
     pub addr: String,
     /// Worker threads handling requests (≥ 1).
     pub workers: usize,
-    /// Per-connection read timeout.
-    pub read_timeout: Duration,
-    /// Per-connection write timeout.
-    pub write_timeout: Duration,
     /// Background trainer cadence.
     pub trainer: TrainerConfig,
     /// Ingest buffer capacity (cascades).
@@ -47,8 +43,6 @@ pub struct ServeConfig {
     /// Path of the JSONL access log (one line per request). `None`
     /// disables access logging.
     pub access_log: Option<PathBuf>,
-    /// When `/healthz` reports `degraded` instead of `ok`.
-    pub degrade: router::DegradeThresholds,
     /// Candidate row block this daemon owns when serving as one shard
     /// of a cluster; `None` (the default) serves every row.
     pub shard: Option<crate::shard::RowBlock>,
@@ -65,15 +59,12 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:8080".into(),
             workers: 4,
-            read_timeout: Duration::from_secs(5),
-            write_timeout: Duration::from_secs(5),
             trainer: TrainerConfig::default(),
             ingest_capacity: 4096,
             limits: HttpLimits::default(),
             data_dir: None,
             wal: WalOptions::default(),
             access_log: None,
-            degrade: router::DegradeThresholds::default(),
             shard: None,
             replica: None,
         }
@@ -235,15 +226,13 @@ pub fn start(
         store: event_store.clone(),
         shed_retry_after_ms: config.trainer.interval.as_millis().max(1) as u64,
         started: Instant::now(),
-        degrade: config.degrade,
+        degrade: router::DegradeThresholds::default(),
         shard: config.shard.clone().map(Arc::new),
         replica: config.replica.clone(),
     };
     let listener = listen(
         ListenerConfig {
             workers: config.workers,
-            read_timeout: config.read_timeout,
-            write_timeout: config.write_timeout,
             limits: config.limits,
             access_log,
             ..ListenerConfig::new(config.addr, "serve")
@@ -278,6 +267,7 @@ mod tests {
     use super::*;
     use crate::client;
     use std::net::TcpListener;
+    use std::time::Duration;
 
     fn config() -> ServeConfig {
         ServeConfig {

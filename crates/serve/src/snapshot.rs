@@ -44,7 +44,8 @@ fn set_version_gauge(version: u64) {
 
 impl SnapshotStore {
     /// A store whose first snapshot (version 1) wraps `model`.
-    pub fn new(model: Arc<dyn CascadeModel>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(model: Arc<dyn CascadeModel>) -> Self {
         Self::with_version(model, 1)
     }
 

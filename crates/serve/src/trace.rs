@@ -27,7 +27,7 @@ pub fn trace_id_for(req: &Request) -> String {
 /// non-empty, at most [`MAX_TRACE_ID_LEN`] bytes, and made of printable
 /// ASCII excluding the characters that would need escaping in an HTTP
 /// header or a JSON string (`"`, `\`, and whitespace).
-pub fn is_valid_trace_id(id: &str) -> bool {
+fn is_valid_trace_id(id: &str) -> bool {
     !id.is_empty()
         && id.len() <= MAX_TRACE_ID_LEN
         && id

@@ -157,7 +157,7 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
 
 /// The temp-file path `atomic_write` stages through: a dot-prefixed
 /// sibling so the rename never crosses filesystems.
-pub fn temp_sibling(path: &Path) -> PathBuf {
+fn temp_sibling(path: &Path) -> PathBuf {
     let name = path
         .file_name()
         .and_then(|n| n.to_str())
@@ -166,7 +166,7 @@ pub fn temp_sibling(path: &Path) -> PathBuf {
 }
 
 /// Name of the embeddings file a checkpoint of `version` writes.
-pub fn checkpoint_file_name(version: u64) -> String {
+fn checkpoint_file_name(version: u64) -> String {
     format!("checkpoint-{version}.bin")
 }
 

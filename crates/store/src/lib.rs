@@ -144,11 +144,6 @@ impl EventStore {
         Ok((store, recovery))
     }
 
-    /// The data directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Index the next appended record will get — also the exclusive
     /// upper bound of everything durable so far.
     pub fn next_index(&self) -> u64 {

@@ -238,11 +238,6 @@ impl Wal {
         ))
     }
 
-    /// The directory this log lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Index the next appended record will get.
     pub fn next_index(&self) -> u64 {
         self.next_index

@@ -723,6 +723,29 @@ front_door_never_sleeps() {
     fi
 }
 
+# Every `pub fn` under crates/ and src/ is called from some other file:
+# its name appears as a word in another .rs file of the workspace or of
+# benchmark/src. An item only its own file uses is private (or, if only
+# its tests use it, test-only); one nobody calls is deleted. Only the
+# file itself is left out of the search (by path, not by base name), and
+# the match is by name, so a collision with a same-named item elsewhere
+# can only hide a caller-less item from this leg, never flag one that
+# has a caller.
+every_pub_fn_has_a_caller() {
+    local f n found=""
+    for f in $(find crates src -name '*.rs' -path '*src*'); do
+        for n in $(grep -oE 'pub fn [a-z_0-9]+' "$f" | awk '{print $3}' | sort -u); do
+            grep -rlw --include='*.rs' "$n" crates src tests examples benchmark/src |
+                grep -vxF "$f" >/dev/null || found+="$f $n"$'\n'
+        done
+    done
+    if [ -n "$found" ]; then
+        printf '%s' "$found" >&2
+        echo "the pub fns above have no caller outside their own file; make each private, test-only, or delete it" >&2
+        return 1
+    fi
+}
+
 # Property tests are seeded loops over `rand` (DESIGN §9); fail if a use
 # of the second idiom's crate comes back (the `mod proptests` module
 # names stay).
@@ -773,6 +796,7 @@ run slpa_votes_without_branches
 run front_door_never_sleeps
 run libraries_hold_the_product
 run one_objective
+run every_pub_fn_has_a_caller
 run cargo fmt --all --check
 run cargo clippy --workspace --all-targets -- -D warnings
 if [ "$build" -eq 1 ]; then
