@@ -71,6 +71,20 @@ impl Dataset {
 
     /// The size that puts the top `fraction` of cascades in the positive
     /// class (e.g. `0.2` for the paper's "top 20 %" operating point).
+    ///
+    /// The target is `m = ⌈fraction·n⌉` positives (at least one), and `q`
+    /// is the `m`-th largest size. If the cascades of size `q` end at
+    /// rank `m`, the threshold is `q − 1` and exactly `m` are positive.
+    /// If a tie block at `q` straddles rank `m`, no threshold gives
+    /// exactly `m`: the candidates are `q − 1` (the whole block positive)
+    /// and `q` (the whole block negative), and the one whose positive
+    /// count is nearer `m` wins. An equal distance goes to `q − 1`, and
+    /// `q` is never taken when it would leave no positives.
+    ///
+    /// Ties are the rule on the synthetic GDELT world: an event floods
+    /// every community it reaches, so final sizes come in whole multiples
+    /// of `community_size`, and counting the whole block at the cut can
+    /// call up to 48 % of the held-out events viral where 20 % is asked for.
     pub fn top_fraction_threshold(&self, fraction: f64) -> usize {
         assert!((0.0..=1.0).contains(&fraction));
         if self.sizes.is_empty() {
@@ -78,8 +92,15 @@ impl Dataset {
         }
         let mut sorted = self.sizes.clone();
         sorted.sort_unstable_by(|a, b| b.cmp(a));
-        let idx = ((sorted.len() as f64 * fraction).ceil() as usize).clamp(1, sorted.len());
-        sorted[idx - 1].saturating_sub(1)
+        let m = ((sorted.len() as f64 * fraction).ceil() as usize).clamp(1, sorted.len());
+        let q = sorted[m - 1];
+        let above = sorted.partition_point(|&s| s > q);
+        let at_least = sorted.partition_point(|&s| s >= q);
+        if above > 0 && m - above < at_least - m {
+            q
+        } else {
+            q.saturating_sub(1)
+        }
     }
 }
 
@@ -220,6 +241,40 @@ mod tests {
         assert_eq!(t, 8);
         let labels = ds.labels_for_threshold(t);
         assert_eq!(labels.iter().filter(|&&y| y == 1).count(), 2);
+    }
+
+    /// `(size, count)` blocks → the threshold and its positive count.
+    fn cut(blocks: &[(usize, usize)]) -> (usize, usize) {
+        let sizes: Vec<usize> = blocks
+            .iter()
+            .flat_map(|&(s, c)| std::iter::repeat(s).take(c))
+            .collect();
+        let ds = Dataset {
+            features: vec![vec![0.0; 3]; sizes.len()],
+            sizes,
+        };
+        let t = ds.top_fraction_threshold(0.2);
+        let positives = ds
+            .labels_for_threshold(t)
+            .iter()
+            .filter(|&&y| y == 1)
+            .count();
+        (t, positives)
+    }
+
+    #[test]
+    fn top_fraction_threshold_takes_the_nearer_side_of_a_tie_block() {
+        // 20 cascades in blocks of 40, so ⌈0.2·20⌉ = 4 should be viral.
+        // The 4th largest is 80, tied with six more: counting the block
+        // makes 10 positive (6 off), excluding it 3 (1 off).
+        assert_eq!(cut(&[(200, 1), (120, 2), (80, 7), (40, 10)]), (80, 3));
+        // Here the block is the nearer side: 5 (1 off) beats 2 (2 off).
+        assert_eq!(cut(&[(160, 2), (80, 3), (40, 15)]), (79, 5));
+        // Equal distance, 5 vs 3 against 4: the block stays positive.
+        assert_eq!(cut(&[(160, 3), (80, 2), (40, 15)]), (79, 5));
+        // The top block straddles the cut: excluding it would leave no
+        // positives, so it stays positive however far off it is.
+        assert_eq!(cut(&[(80, 10), (40, 10)]), (79, 10));
     }
 
     #[test]

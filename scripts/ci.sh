@@ -757,10 +757,12 @@ one_test_stack() {
     fi
 }
 
-# The whole workspace suite in one command. Three statistical-quality
-# thresholds fail under the stand-in rand's RNG stream (see
-# .claude/skills/verify/SKILL.md); the leg passes iff every failing test
-# is one of them.
+# The whole workspace suite in one command. Two tests fail on known
+# program faults (see .claude/skills/verify/SKILL.md): the influencer
+# ranking reads the gauge-dependent `‖A_u‖` (ROADMAP item 1), and the
+# incremental refit, which re-detects communities on the new batch alone,
+# does not raise that batch's likelihood (ROADMAP item 5). The leg passes
+# iff every failing test is one of them.
 workspace_tests() {
     local log failed
     log=$(mktemp)
@@ -771,7 +773,6 @@ workspace_tests() {
     failed=$(sed -n 's/^test \(.*\) \.\.\. FAILED$/\1/p' "$log" | sort -u)
     if [ -n "$failed" ] && ! grep -vxF \
         -e 'pipeline::tests::incremental_update_improves_on_new_data' \
-        -e 'full_gdelt_prediction_pipeline_runs' \
         -e 'influencer_ranking_recovers_boosted_nodes' <<<"$failed"; then
         echo "known baseline failures only:" $failed
         rm -f "$log"
