@@ -1,17 +1,13 @@
 //! `viralcast-cluster`: a sharded serve cluster behind one thin router.
 //!
 //! A single daemon on one box caps the node universe the north star can
-//! reach; the SLPA communities the inference pipeline already computes
-//! give a natural disjoint partition of the embedding rows, so the
-//! cluster shards by community (falling back to deterministic
-//! round-robin) and scatter-gathers reads across the shards.
+//! reach, so the cluster splits the embedding rows across shards and
+//! scatter-gathers reads across them. Ownership has one rule: shard `i`
+//! of `N` owns node `v` iff `v mod N = i`. It decides both the rows a
+//! shard scans and the leader that takes an ingest seeded at `v`.
 //!
 //! Layering, bottom to top:
 //!
-//! - [`hashing`] — rendezvous (highest-random-weight) hashing, the
-//!   stable way `/v1/ingest` picks the shard that owns a seed site;
-//! - [`placement`] — membership vectors: SLPA communities greedily
-//!   bin-packed onto shards;
 //! - [`manifest`] — the `viralcast-cluster-manifest/v2` file every
 //!   shard and the router boot from, and the [`serve::RowBlock`] each
 //!   shard derives from it;
@@ -22,7 +18,8 @@
 //!   reachability state;
 //! - [`router`] — the cluster's handler table behind the serve crate's
 //!   listener ([`serve::listener::listen`], the same front door the
-//!   daemon uses): routes ingests to the owning shard, fans reads out
+//!   daemon uses): routes an ingest to the leader owning its seed site
+//!   (walking `(owner + i) mod N` past dead leaders), fans reads out
 //!   on a [`serve::BoundedPool`] with per-shard deadlines, and degrades
 //!   to `"partial": true` responses instead of failing when shards are
 //!   down.
@@ -32,14 +29,12 @@
 
 #![warn(missing_docs)]
 
-pub mod hashing;
 pub mod health;
 pub mod manifest;
 pub mod merge;
-pub mod placement;
 pub mod router;
 
-pub use manifest::{ClusterManifest, Placement, ShardSpec, MANIFEST_FORMAT};
+pub use manifest::{ClusterManifest, ShardSpec, MANIFEST_FORMAT};
 pub use merge::{merge_topk, Ranked};
 pub use router::{start_router, RouterConfig, RouterHandle};
 

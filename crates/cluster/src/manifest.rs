@@ -2,31 +2,21 @@
 //!
 //! Shards and the router must agree exactly on who owns which embedding
 //! rows; the manifest is the single source of that truth. It names the
-//! shards (id + address) and the placement rule — `"round-robin"` needs
-//! nothing else, `"membership"` carries an explicit node → shard vector
-//! (the output of community-aligned placement). Both derivations are
-//! deterministic, so N shards and the router reading the same file
-//! always produce N disjoint [`RowBlock`]s covering every node.
+//! shards (id + address, plus followers) and the backend. Ownership has
+//! one rule, written as `"placement": "round-robin"`: shard `i` of `N`
+//! owns node `v` iff `v mod N = i`, so N shards and the router reading
+//! the same file always derive N disjoint [`RowBlock`]s covering every
+//! node.
 
 use std::net::SocketAddr;
 use std::path::Path;
+use viralcast_model::RowBlock;
 use viralcast_obs::JsonValue;
 use viralcast_serve::json;
-use viralcast_serve::shard::RowBlock;
 
 /// The format tag every manifest is written with: shards may carry
 /// follower addresses.
 pub const MANIFEST_FORMAT: &str = "viralcast-cluster-manifest/v2";
-
-/// How nodes map onto shards.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Placement {
-    /// Node `v` lives on shard `v % shards` — the deterministic
-    /// fallback that needs no model.
-    RoundRobin,
-    /// Explicit node → shard vector (community-aligned placement).
-    Membership(Vec<usize>),
-}
 
 /// One shard's identity and address.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -46,8 +36,6 @@ pub struct ShardSpec {
 /// A validated cluster layout.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ClusterManifest {
-    /// The placement rule.
-    pub placement: Placement,
     /// The shards, sorted by id (`shards[i].id == i`).
     pub shards: Vec<ShardSpec>,
     /// The backend id every shard must serve (`"embed"`, `"netinf"`).
@@ -64,7 +52,26 @@ impl ClusterManifest {
     /// # Errors
     /// The address list must be non-empty and duplicate-free.
     pub fn round_robin(addrs: &[SocketAddr]) -> Result<ClusterManifest, String> {
-        Self::build(addrs, Placement::RoundRobin)
+        if addrs.is_empty() {
+            return Err("manifest must name at least one shard".into());
+        }
+        for (i, a) in addrs.iter().enumerate() {
+            if addrs[..i].contains(a) {
+                return Err(format!("duplicate shard address {a}"));
+            }
+        }
+        Ok(ClusterManifest {
+            shards: addrs
+                .iter()
+                .enumerate()
+                .map(|(id, &addr)| ShardSpec {
+                    id,
+                    addr,
+                    followers: Vec::new(),
+                })
+                .collect(),
+            backend: viralcast_model::EmbeddingBackend::ID.to_string(),
+        })
     }
 
     /// The same manifest with a different (registered) backend id.
@@ -80,53 +87,6 @@ impl ClusterManifest {
         }
         self.backend = backend.to_string();
         Ok(self)
-    }
-
-    /// A membership manifest: `membership[v]` is the shard owning node
-    /// `v` (see `placement::community_aligned`).
-    ///
-    /// # Errors
-    /// Every membership value must be a valid shard index, and the
-    /// address list non-empty and duplicate-free.
-    pub fn with_membership(
-        addrs: &[SocketAddr],
-        membership: Vec<usize>,
-    ) -> Result<ClusterManifest, String> {
-        if let Some((v, &m)) = membership
-            .iter()
-            .enumerate()
-            .find(|(_, &m)| m >= addrs.len())
-        {
-            return Err(format!(
-                "membership[{v}] = {m} is not a shard id (manifest has {} shards)",
-                addrs.len()
-            ));
-        }
-        Self::build(addrs, Placement::Membership(membership))
-    }
-
-    fn build(addrs: &[SocketAddr], placement: Placement) -> Result<ClusterManifest, String> {
-        if addrs.is_empty() {
-            return Err("manifest must name at least one shard".into());
-        }
-        for (i, a) in addrs.iter().enumerate() {
-            if addrs[..i].contains(a) {
-                return Err(format!("duplicate shard address {a}"));
-            }
-        }
-        Ok(ClusterManifest {
-            placement,
-            shards: addrs
-                .iter()
-                .enumerate()
-                .map(|(id, &addr)| ShardSpec {
-                    id,
-                    addr,
-                    followers: Vec::new(),
-                })
-                .collect(),
-            backend: viralcast_model::EmbeddingBackend::ID.to_string(),
-        })
     }
 
     /// Attaches follower addresses per shard (`followers[i]` replicates
@@ -184,25 +144,13 @@ impl ClusterManifest {
     }
 
     /// Derives the candidate row block shard `shard` owns for a model
-    /// with `node_count` rows.
+    /// with `node_count` rows: every node `v` with `v % shard_count() ==
+    /// shard`.
     ///
     /// # Errors
-    /// `shard` must be in range, and a membership placement must cover
-    /// exactly `node_count` nodes — a manifest built for a different
-    /// universe is refused rather than silently misrouted.
+    /// `shard` must be in range.
     pub fn row_block(&self, shard: usize, node_count: usize) -> Result<RowBlock, String> {
-        match &self.placement {
-            Placement::RoundRobin => RowBlock::round_robin(node_count, shard, self.shard_count()),
-            Placement::Membership(membership) => {
-                if membership.len() != node_count {
-                    return Err(format!(
-                        "manifest membership covers {} nodes but the model has {node_count}",
-                        membership.len()
-                    ));
-                }
-                RowBlock::from_membership(membership, shard, self.shard_count())
-            }
-        }
+        RowBlock::round_robin(node_count, shard, self.shard_count())
     }
 
     /// Parses and validates a manifest document.
@@ -269,86 +217,56 @@ impl ClusterManifest {
             _ => return Err("missing \"backend\" string".into()),
         };
         match json::get(&doc, "placement") {
-            Some(JsonValue::Str(kind)) if kind == "round-robin" => {
-                if json::get(&doc, "membership").is_some() {
-                    return Err("round-robin placement must not carry a membership".into());
-                }
-                Self::round_robin(&addrs)?
-                    .with_backend(&backend)?
-                    .with_followers(followers)
+            Some(JsonValue::Str(kind)) if kind == "round-robin" => {}
+            Some(JsonValue::Str(kind)) => {
+                return Err(format!(
+                    "unknown placement {kind:?}: \"round-robin\" (node v on shard v mod N) \
+                     is the only placement rule"
+                ))
             }
-            Some(JsonValue::Str(kind)) if kind == "membership" => {
-                let raw = json::as_arr(
-                    json::get(&doc, "membership")
-                        .ok_or("membership placement requires a \"membership\" array")?,
-                )
-                .ok_or("\"membership\" must be an array")?;
-                let membership = raw
-                    .iter()
-                    .enumerate()
-                    .map(|(v, m)| {
-                        json::as_u64(m)
-                            .map(|m| m as usize)
-                            .ok_or(format!("membership[{v}] must be a non-negative integer"))
-                    })
-                    .collect::<Result<Vec<usize>, String>>()?;
-                Self::with_membership(&addrs, membership)?
-                    .with_backend(&backend)?
-                    .with_followers(followers)
-            }
-            Some(JsonValue::Str(kind)) => Err(format!(
-                "unknown placement {kind:?} (expected \"round-robin\" or \"membership\")"
-            )),
-            _ => Err("missing \"placement\" string".into()),
+            _ => return Err("missing \"placement\" string".into()),
         }
+        if json::get(&doc, "membership").is_some() {
+            return Err("round-robin placement must not carry a membership".into());
+        }
+        Self::round_robin(&addrs)?
+            .with_backend(&backend)?
+            .with_followers(followers)
     }
 
     /// The manifest's JSON document, always under the v2 tag.
     pub fn to_json(&self) -> JsonValue {
-        let mut fields = vec![
+        JsonValue::obj(vec![
             ("format", JsonValue::from(MANIFEST_FORMAT)),
             ("backend", JsonValue::from(self.backend.as_str())),
+            ("placement", JsonValue::from("round-robin")),
             (
-                "placement",
-                JsonValue::from(match self.placement {
-                    Placement::RoundRobin => "round-robin",
-                    Placement::Membership(_) => "membership",
-                }),
+                "shards",
+                JsonValue::Arr(
+                    self.shards
+                        .iter()
+                        .map(|s| {
+                            let mut spec = vec![
+                                ("id", JsonValue::from(s.id)),
+                                ("addr", JsonValue::from(s.addr.to_string())),
+                            ];
+                            if !s.followers.is_empty() {
+                                spec.push((
+                                    "followers",
+                                    JsonValue::Arr(
+                                        s.followers
+                                            .iter()
+                                            .map(|f| JsonValue::from(f.to_string()))
+                                            .collect(),
+                                    ),
+                                ));
+                            }
+                            JsonValue::obj(spec)
+                        })
+                        .collect(),
+                ),
             ),
-        ];
-        if let Placement::Membership(m) = &self.placement {
-            fields.push((
-                "membership",
-                JsonValue::Arr(m.iter().map(|&s| JsonValue::from(s)).collect()),
-            ));
-        }
-        fields.push((
-            "shards",
-            JsonValue::Arr(
-                self.shards
-                    .iter()
-                    .map(|s| {
-                        let mut spec = vec![
-                            ("id", JsonValue::from(s.id)),
-                            ("addr", JsonValue::from(s.addr.to_string())),
-                        ];
-                        if !s.followers.is_empty() {
-                            spec.push((
-                                "followers",
-                                JsonValue::Arr(
-                                    s.followers
-                                        .iter()
-                                        .map(|f| JsonValue::from(f.to_string()))
-                                        .collect(),
-                                ),
-                            ));
-                        }
-                        JsonValue::obj(spec)
-                    })
-                    .collect(),
-            ),
-        ));
-        JsonValue::obj(fields)
+        ])
     }
 
     /// Reads and validates a manifest file.
@@ -423,17 +341,6 @@ mod tests {
     }
 
     #[test]
-    fn membership_manifest_round_trips() {
-        let m = ClusterManifest::with_membership(&addrs(2), vec![0, 1, 1, 0]).unwrap();
-        let back = ClusterManifest::parse(&m.to_json().render()).unwrap();
-        assert_eq!(back, m);
-        let block = back.row_block(1, 4).unwrap();
-        assert!(block.contains(NodeId(1)));
-        assert!(block.contains(NodeId(2)));
-        assert!(!block.contains(NodeId(0)));
-    }
-
-    #[test]
     fn shards_parse_in_any_order_but_ids_must_be_dense() {
         let text = r#"{
             "format": "viralcast-cluster-manifest/v2",
@@ -486,12 +393,8 @@ mod tests {
                 "unknown placement",
             ),
             (
-                r#"{"format":"viralcast-cluster-manifest/v2","backend":"embed","placement":"membership","shards":[{"id":0,"addr":"127.0.0.1:7001"}]}"#,
-                "requires a \"membership\"",
-            ),
-            (
-                r#"{"format":"viralcast-cluster-manifest/v2","backend":"embed","placement":"membership","membership":[0,5],"shards":[{"id":0,"addr":"127.0.0.1:7001"}]}"#,
-                "not a shard id",
+                r#"{"format":"viralcast-cluster-manifest/v2","backend":"embed","placement":"membership","membership":[0,0],"shards":[{"id":0,"addr":"127.0.0.1:7001"}]}"#,
+                "\"round-robin\" (node v on shard v mod N) is the only placement rule",
             ),
             (
                 r#"{"format":"viralcast-cluster-manifest/v2","backend":"embed","placement":"round-robin","membership":[0],"shards":[{"id":0,"addr":"127.0.0.1:7001"}]}"#,
@@ -572,19 +475,17 @@ mod tests {
 
     #[test]
     fn row_blocks_from_one_manifest_tile_the_universe() {
-        let m = ClusterManifest::with_membership(&addrs(3), vec![2, 0, 1, 0, 2, 1]).unwrap();
-        let blocks: Vec<RowBlock> = (0..3).map(|s| m.row_block(s, 6).unwrap()).collect();
-        for v in 0..6u32 {
-            assert_eq!(
-                blocks.iter().filter(|b| b.contains(NodeId(v))).count(),
-                1,
-                "node {v}"
-            );
+        let m = ClusterManifest::round_robin(&addrs(3)).unwrap();
+        let blocks: Vec<RowBlock> = (0..3).map(|s| m.row_block(s, 7).unwrap()).collect();
+        for v in 0..7u32 {
+            let owners: Vec<usize> = blocks
+                .iter()
+                .filter(|b| b.contains(NodeId(v)))
+                .map(RowBlock::shard)
+                .collect();
+            assert_eq!(owners, [v as usize % 3], "node {v}");
         }
-        // Membership length must match the model universe.
-        let err = m.row_block(0, 7).unwrap_err();
-        assert!(err.contains("covers 6 nodes"), "{err}");
-        assert!(m.row_block(9, 6).is_err());
+        assert!(m.row_block(9, 7).is_err());
     }
 
     #[test]
@@ -604,9 +505,12 @@ mod tests {
     /// whatever parses is a manifest `parse` would write back unchanged.
     #[test]
     fn every_cut_and_every_flip_never_panics() {
-        let valid = ClusterManifest::with_membership(&addrs(2), vec![0, 1, 1, 0])
+        let valid = ClusterManifest::round_robin(&addrs(2))
             .unwrap()
-            .with_followers(vec![vec!["127.0.0.1:8001".parse().unwrap()], vec![]])
+            .with_followers(vec![
+                vec!["127.0.0.1:8001".parse().unwrap()],
+                vec!["127.0.0.1:8002".parse().unwrap()],
+            ])
             .unwrap()
             .to_json()
             .render();

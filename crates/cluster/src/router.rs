@@ -1,13 +1,14 @@
 //! The scatter-gather router: the cluster's single HTTP front door.
 //!
 //! Clients talk to the router exactly as they would to a single-box
-//! daemon. Behind it, `/v1/ingest` is routed to the shard that owns the
-//! cascade's seed site (rendezvous hashing, walking the deterministic
-//! failover order when the owner is down), `/v1/hazard` is forwarded to
-//! any healthy shard (every shard holds the full embeddings), and
-//! `/v1/predict` + `/v1/influencers` scatter to all healthy shards on a
-//! bounded fan-out pool with a per-shard deadline, then merge the
-//! shard-local rankings with the streaming top-k merge.
+//! daemon. Behind it, `/v1/ingest` is routed to the leader of shard
+//! `v mod N`, where `v` is the cascade's seed site — the same rule that
+//! decides the rows each shard scans — walking on to shards
+//! `(v + 1) mod N, …` when that leader is down; `/v1/hazard` is
+//! forwarded to any healthy shard (every shard holds the full
+//! embeddings); and `/v1/predict` + `/v1/influencers` scatter to all
+//! healthy shards on a bounded fan-out pool with a per-shard deadline,
+//! then merge the shard-local rankings with the streaming top-k merge.
 //!
 //! The router degrades instead of failing: a shard that misses its
 //! deadline or refuses the connection is marked unhealthy on the spot
@@ -37,7 +38,6 @@ use viralcast_serve::json;
 use viralcast_serve::listener::{listen, Listener, ListenerConfig};
 use viralcast_serve::pool::BoundedPool;
 
-use crate::hashing;
 use crate::health::{HealthBoard, Prober};
 use crate::manifest::ClusterManifest;
 use crate::merge::{merge_topk, Ranked};
@@ -305,9 +305,10 @@ fn seed_site(body: &JsonValue) -> Option<u64> {
         .map(|(node, _)| node)
 }
 
-/// Routes an ingest to the shard owning its seed site, walking the
-/// rendezvous failover order (healthy shards first) when the owner is
-/// unreachable.
+/// Routes an ingest to the leader of shard `seed mod N`, the shard owning
+/// its seed site, then on to the leaders of `(seed + 1) mod N, …`
+/// (healthy ones first) when that one is unreachable. A body with no
+/// seed site takes the round-robin cursor instead.
 fn ingest(req: &Request, state: &RouterState, trace_id: &str) -> Response {
     let Ok(text) = std::str::from_utf8(&req.body) else {
         return Response::error(400, "request body is not valid UTF-8");
@@ -319,9 +320,10 @@ fn ingest(req: &Request, state: &RouterState, trace_id: &str) -> Response {
     let key = seed_site(&body).unwrap_or_else(|| state.cursor.fetch_add(1, Ordering::Relaxed));
     // Writes go to leaders only — followers answer ingest with a 409
     // redirect.
-    let leaders: Vec<usize> = hashing::rendezvous_order(key, state.manifest.shard_count())
-        .into_iter()
-        .map(|shard| state.leader_slot(shard))
+    let shards = state.manifest.shard_count();
+    let owner = (key % shards as u64) as usize;
+    let leaders: Vec<usize> = (0..shards)
+        .map(|i| state.leader_slot((owner + i) % shards))
         .collect();
     match forward_first(state, &leaders, "POST", "/v1/ingest", Some(text), trace_id) {
         Some(response) => {
@@ -959,5 +961,53 @@ mod tests {
             response.body
         );
         handle.shutdown();
+    }
+
+    #[test]
+    fn ingest_goes_to_the_leader_of_seed_mod_n_then_to_the_next() {
+        // Each fake leader answers with a body naming its own index.
+        let live = [
+            fake_shard(r#"{"shard":0}"#),
+            fake_shard(r#"{"shard":1}"#),
+            fake_shard(r#"{"shard":2}"#),
+        ];
+        for dead in [None, Some(0), Some(1), Some(2)] {
+            let mut addrs = live;
+            if let Some(d) = dead {
+                addrs[d] = dead_addr();
+            }
+            let handle = start_router(
+                ClusterManifest::round_robin(&addrs).unwrap(),
+                RouterConfig {
+                    addr: "127.0.0.1:0".into(),
+                    workers: 1,
+                    retry: RetryPolicy {
+                        max_attempts: 1,
+                        ..RetryPolicy::default()
+                    },
+                    ..RouterConfig::default()
+                },
+            )
+            .unwrap();
+            for seed in 0..6usize {
+                let owner = seed % 3;
+                let expect = if dead == Some(owner) {
+                    (owner + 1) % 3
+                } else {
+                    owner
+                };
+                let body = format!(r#"{{"cascades":[[{{"node":{seed},"time":0.0}}]]}}"#);
+                let response =
+                    client::request(&handle.local_addr(), "POST", "/v1/ingest", Some(&body))
+                        .unwrap();
+                assert_eq!(response.status, 200, "seed {seed}, dead {dead:?}");
+                assert_eq!(
+                    response.body,
+                    format!(r#"{{"shard":{expect}}}"#),
+                    "seed {seed}, dead {dead:?}"
+                );
+            }
+            handle.shutdown();
+        }
     }
 }

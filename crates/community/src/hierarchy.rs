@@ -163,7 +163,7 @@ impl MergeHierarchy {
                 raw[self.node_order[p].index()] = gi;
             }
         }
-        Partition::from_membership(&raw)
+        Partition::from_labels(&raw)
     }
 
     /// Levels to execute so that the run terminates once the group count
@@ -191,7 +191,7 @@ mod tests {
         for (c, &s) in sizes.iter().enumerate() {
             raw.extend(std::iter::repeat_n(c, s));
         }
-        Partition::from_membership(&raw)
+        Partition::from_labels(&raw)
     }
 
     #[test]
@@ -295,7 +295,7 @@ mod tests {
 
     #[test]
     fn empty_partition_yields_empty_hierarchy() {
-        let h = MergeHierarchy::build(Partition::from_membership(&[]), Balance::LeafCount);
+        let h = MergeHierarchy::build(Partition::from_labels(&[]), Balance::LeafCount);
         assert_eq!(h.level_count(), 0);
         assert!(h.node_layout().is_empty());
         assert!(h.levels_until(4).is_empty());
@@ -330,7 +330,7 @@ mod proptests {
             } else {
                 Balance::LeafCount
             };
-            let base = Partition::from_membership(&raw);
+            let base = Partition::from_labels(&raw);
             let h = MergeHierarchy::build(base.clone(), mode);
             assert!(h.level_count() >= 1, "case {case}");
             for level in 0..h.level_count() {
@@ -365,7 +365,7 @@ mod proptests {
         for case in 0..48 {
             let k = StdRng::seed_from_u64(case).gen_range(1usize..40);
             let raw: Vec<usize> = (0..k).collect();
-            let h = MergeHierarchy::build(Partition::from_membership(&raw), Balance::LeafCount);
+            let h = MergeHierarchy::build(Partition::from_labels(&raw), Balance::LeafCount);
             for l in 0..h.level_count() - 1 {
                 assert_eq!(
                     h.group_count(l + 1),

@@ -61,22 +61,22 @@ mod tests {
 
     #[test]
     fn nmi_identical_partitions_is_one() {
-        let p = Partition::from_membership(&[0, 0, 1, 1, 2]);
+        let p = Partition::from_labels(&[0, 0, 1, 1, 2]);
         assert!((nmi(&p, &p) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn nmi_invariant_to_label_permutation() {
-        let a = Partition::from_membership(&[0, 0, 1, 1]);
-        let b = Partition::from_membership(&[1, 1, 0, 0]);
+        let a = Partition::from_labels(&[0, 0, 1, 1]);
+        let b = Partition::from_labels(&[1, 1, 0, 0]);
         assert!((nmi(&a, &b) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn nmi_independent_partitions_is_low() {
         // Orthogonal partitioning of a 4-element set.
-        let a = Partition::from_membership(&[0, 0, 1, 1]);
-        let b = Partition::from_membership(&[0, 1, 0, 1]);
+        let a = Partition::from_labels(&[0, 0, 1, 1]);
+        let b = Partition::from_labels(&[0, 1, 0, 1]);
         assert!(nmi(&a, &b) < 0.01);
     }
 
@@ -89,8 +89,8 @@ mod tests {
 
     #[test]
     fn nmi_partial_agreement_in_between() {
-        let a = Partition::from_membership(&[0, 0, 0, 1, 1, 1]);
-        let b = Partition::from_membership(&[0, 0, 1, 1, 1, 1]);
+        let a = Partition::from_labels(&[0, 0, 0, 1, 1, 1]);
+        let b = Partition::from_labels(&[0, 0, 1, 1, 1, 1]);
         let v = nmi(&a, &b);
         assert!(v > 0.2 && v < 1.0, "got {v}");
     }
@@ -112,8 +112,8 @@ mod proptests {
                 .collect();
             // Derive b from a by regrouping to keep lengths equal.
             let rb: Vec<usize> = ra.iter().map(|&x| x / 2).collect();
-            let a = Partition::from_membership(&ra);
-            let b = Partition::from_membership(&rb);
+            let a = Partition::from_labels(&ra);
+            let b = Partition::from_labels(&rb);
             let ab = nmi(&a, &b);
             let ba = nmi(&b, &a);
             assert!((ab - ba).abs() < 1e-9, "case {case}: {ab} vs {ba}");

@@ -19,7 +19,7 @@ pub struct Partition {
 impl Partition {
     /// Builds a partition from raw membership labels, compacting the
     /// label space to `0..k` while preserving first-appearance order.
-    pub fn from_membership(raw: &[usize]) -> Self {
+    pub fn from_labels(raw: &[usize]) -> Self {
         let mut remap: Vec<Option<usize>> = Vec::new();
         let mut membership = Vec::with_capacity(raw.len());
         let mut next = 0usize;
@@ -114,15 +114,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn from_membership_compacts_labels() {
-        let p = Partition::from_membership(&[7, 7, 3, 9, 3]);
+    fn from_labels_compacts_labels() {
+        let p = Partition::from_labels(&[7, 7, 3, 9, 3]);
         assert_eq!(p.community_count(), 3);
         assert_eq!(p.membership(), &[0, 0, 1, 2, 1]);
     }
 
     #[test]
     fn singletons_and_whole() {
-        let s = Partition::from_membership(&[0, 1, 2, 3]);
+        let s = Partition::from_labels(&[0, 1, 2, 3]);
         assert_eq!(s.community_count(), 4);
         let w = Partition::whole(4);
         assert_eq!(w.community_count(), 1);
@@ -132,7 +132,7 @@ mod tests {
 
     #[test]
     fn communities_listing() {
-        let p = Partition::from_membership(&[0, 1, 0, 1, 2]);
+        let p = Partition::from_labels(&[0, 1, 0, 1, 2]);
         let cs = p.communities();
         assert_eq!(cs[0], vec![NodeId(0), NodeId(2)]);
         assert_eq!(cs[1], vec![NodeId(1), NodeId(3)]);
@@ -142,14 +142,14 @@ mod tests {
 
     #[test]
     fn refinement_is_reflexive() {
-        let p = Partition::from_membership(&[0, 1, 0, 2]);
+        let p = Partition::from_labels(&[0, 1, 0, 2]);
         assert!(p.is_refined_by(&p));
     }
 
     #[test]
     fn refinement_rejects_cross_cutting() {
-        let a = Partition::from_membership(&[0, 0, 1, 1]);
-        let b = Partition::from_membership(&[0, 1, 1, 0]);
+        let a = Partition::from_labels(&[0, 0, 1, 1]);
+        let b = Partition::from_labels(&[0, 1, 1, 0]);
         assert!(!a.is_refined_by(&b));
     }
 
@@ -162,7 +162,7 @@ mod tests {
 
     #[test]
     fn empty_partition() {
-        let p = Partition::from_membership(&[]);
+        let p = Partition::from_labels(&[]);
         assert_eq!(p.node_count(), 0);
         assert_eq!(p.community_count(), 0);
         assert!(p.communities().is_empty());
@@ -187,7 +187,7 @@ mod proptests {
     fn compaction_preserves_structure() {
         for case in 0..256 {
             let raw = membership(&mut StdRng::seed_from_u64(case), 10, 0..50);
-            let p = Partition::from_membership(&raw);
+            let p = Partition::from_labels(&raw);
             for i in 0..raw.len() {
                 for j in 0..raw.len() {
                     assert_eq!(
@@ -197,7 +197,7 @@ mod proptests {
                     );
                 }
             }
-            let q = Partition::from_membership(p.membership());
+            let q = Partition::from_labels(p.membership());
             assert_eq!(p.membership(), q.membership(), "case {case}");
         }
     }
@@ -207,7 +207,7 @@ mod proptests {
     fn sizes_partition_nodes() {
         for case in 0..256 {
             let raw = membership(&mut StdRng::seed_from_u64(case), 8, 1..60);
-            let p = Partition::from_membership(&raw);
+            let p = Partition::from_labels(&raw);
             let sizes = p.sizes();
             assert_eq!(sizes.iter().sum::<usize>(), raw.len(), "case {case}");
             assert!(sizes.iter().all(|&s| s > 0), "case {case}: {sizes:?}");

@@ -222,7 +222,7 @@ impl Slpa {
         }
 
         let raw: Vec<usize> = (0..n).map(|u| memories.dominant(u)).collect();
-        let partition = Partition::from_membership(&raw);
+        let partition = Partition::from_labels(&raw);
         obs::metrics()
             .counter("slpa.iterations")
             .incr(self.config.iterations as u64);
@@ -621,7 +621,7 @@ mod proptests {
                     let config = SlpaConfig { iterations, seed };
                     assert_eq!(
                         Slpa::new(config).run(&g).partition,
-                        Partition::from_membership(&reference_run(config, &g)),
+                        Partition::from_labels(&reference_run(config, &g)),
                         "case {case}: n {n}, {iterations} rounds, seed {seed}"
                     );
                 }

@@ -151,7 +151,7 @@ USAGE:
                            [--shard I/N --cluster-manifest FILE]
   viralcast cluster-plan   --out FILE --shards HOST:PORT,HOST:PORT,…
                            [--followers HOST:PORT,…;HOST:PORT,…]
-                           [--corpus FILE] [--topics K] [--backend embed|netinf]
+                           [--backend embed|netinf]
   viralcast router         --cluster-manifest FILE [--addr HOST:PORT]
                            [--workers N] [--fanout-workers N]
                            [--probe-interval SECS] [--shard-timeout SECS]
@@ -202,12 +202,12 @@ SERVE:
 
 CLUSTER:
   cluster-plan writes a shard manifest (schema
-  viralcast-cluster-manifest/v2) assigning every embedding row to one of
-  the --shards addresses: round-robin by default, community-aligned when
-  --corpus is given (each shard then owns whole SLPA communities, so
-  scatter answers cluster by community). Each shard is an ordinary serve
-  daemon started with --shard I/N --cluster-manifest FILE: it loads the
-  full model but scans only its own candidate rows. The manifest records
+  viralcast-cluster-manifest/v2) over the --shards addresses. Ownership
+  has one rule: shard I of N owns node v iff v mod N = I, both for the
+  candidate rows it scans and for the ingests seeded at v. Each shard
+  is an ordinary serve daemon started with --shard I/N
+  --cluster-manifest FILE: it loads the full model but scans only its
+  own candidate rows. The manifest records
   one backend id for the whole cluster (--backend on cluster-plan,
   default embed); a shard or router started against a manifest whose
   backend disagrees with its own refuses to boot, so mixed-backend
@@ -222,8 +222,9 @@ CLUSTER:
   ingest always routes to leaders.
 
   router terminates client HTTP in front of the shards named by the
-  manifest: POST /v1/ingest forwards to the shard owning the cascade's
-  seed node (rendezvous hashing, with failover to the survivors),
+  manifest: POST /v1/ingest forwards to the leader of the shard owning
+  the cascade's seed node v (shard v mod N, then v+1 mod N, … past dead
+  leaders),
   POST /v1/predict and GET /v1/influencers scatter to every shard under
   a per-shard deadline (--shard-timeout, default 2) and merge the top-k
   answers. A background probe every --probe-interval seconds (default
@@ -326,8 +327,6 @@ fn command_flags(command: &str) -> Option<Vec<FlagSpec>> {
             ("out", true),
             ("shards", true),
             ("followers", true),
-            ("corpus", true),
-            ("topics", true),
             ("backend", true),
         ],
         "router" => &[
@@ -920,30 +919,8 @@ fn cluster_plan_cmd(flags: &Flags) -> Result<Attrs, CliError> {
     let backend = flags
         .get("backend")
         .map_or(viralcast::model::EmbeddingBackend::ID, |b| b);
-    let manifest = match flags.opt_path("corpus") {
-        Some(corpus_path) => {
-            let topics = flags.usize("topics", 8)?;
-            let corpus = load_corpus(&corpus_path)?;
-            let options = InferOptions {
-                topics,
-                ..InferOptions::default()
-            };
-            let partition = {
-                let _span = Span::enter("detect_communities");
-                viralcast::pipeline::detect_communities(&corpus, &options)
-            };
-            println!(
-                "aligning {} node(s) across {} communities onto {} shard(s)…",
-                corpus.node_count(),
-                partition.community_count(),
-                addrs.len()
-            );
-            let membership = cluster::placement::community_aligned(&partition, addrs.len());
-            cluster::ClusterManifest::with_membership(&addrs, membership).map_err(runtime_err)?
-        }
-        None => cluster::ClusterManifest::round_robin(&addrs).map_err(runtime_err)?,
-    };
-    let manifest = manifest
+    let manifest = cluster::ClusterManifest::round_robin(&addrs)
+        .map_err(runtime_err)?
         .with_backend(backend)
         .map_err(|e| usage_err(format!("--backend: {e}")))?;
     // ';'-separated per-shard groups of comma-separated follower
@@ -976,12 +953,8 @@ fn cluster_plan_cmd(flags: &Flags) -> Result<Attrs, CliError> {
     };
     manifest.save(&out).map_err(runtime_err)?;
 
-    let placement = match &manifest.placement {
-        cluster::Placement::RoundRobin => "round-robin",
-        cluster::Placement::Membership(_) => "community-aligned",
-    };
     println!(
-        "wrote {placement} manifest for {} {} shard(s) to {}",
+        "wrote round-robin manifest for {} {} shard(s) to {}",
         manifest.shard_count(),
         manifest.backend,
         out.display()
@@ -1004,7 +977,6 @@ fn cluster_plan_cmd(flags: &Flags) -> Result<Attrs, CliError> {
     Ok(vec![
         ("shards".into(), manifest.shard_count().into()),
         ("followers".into(), followers_total.into()),
-        ("placement".into(), placement.into()),
         ("backend".into(), manifest.backend.clone().into()),
     ])
 }

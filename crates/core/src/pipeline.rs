@@ -168,7 +168,7 @@ mod tests {
             2,
         );
         let out = infer_embeddings(e.train(), &InferOptions::default());
-        let planted = Partition::from_membership(&e.planted_membership());
+        let planted = Partition::from_labels(&e.planted_membership());
         let score = nmi(&out.partition, &planted);
         assert!(score > 0.7, "NMI {score} too low");
     }

@@ -417,6 +417,31 @@ fn every_usage_rule_exits_2_naming_its_flag() {
             ],
             "--followers",
         ),
+        // Round-robin is the only placement: no corpus, no SLPA topics.
+        (
+            vec![
+                "cluster-plan",
+                "--out",
+                absent,
+                "--shards",
+                "127.0.0.1:9",
+                "--corpus",
+                absent,
+            ],
+            "--corpus",
+        ),
+        (
+            vec![
+                "cluster-plan",
+                "--out",
+                absent,
+                "--shards",
+                "127.0.0.1:9",
+                "--topics",
+                "8",
+            ],
+            "--topics",
+        ),
     ];
     for (flag, value, needle) in [
         ("--cycles", "0", "--cycles"),

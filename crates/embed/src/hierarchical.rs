@@ -260,7 +260,7 @@ mod tests {
     }
 
     fn two_block_partition() -> Partition {
-        Partition::from_membership(&[0, 0, 0, 1, 1, 1])
+        Partition::from_labels(&[0, 0, 0, 1, 1, 1])
     }
 
     #[test]
@@ -351,7 +351,7 @@ mod tests {
         // verify that the community with fast cascades maps back to the
         // right original node ids.
         let set = corpus(6, 100);
-        let p = Partition::from_membership(&[1, 1, 1, 0, 0, 0]); // reversed labels
+        let p = Partition::from_labels(&[1, 1, 1, 0, 0, 0]); // reversed labels
         let cfg = HierarchicalConfig {
             topics: 2,
             ..HierarchicalConfig::default()

@@ -57,9 +57,7 @@ impl Default for InferOptions {
 /// Stages 1–2: the symmetrised co-occurrence graph, counted in one pass
 /// (no directed graph or transpose is built), then SLPA communities. The
 /// per-stage spans (`cooccurrence`, `slpa`) land in whatever recorder
-/// the caller has installed. Public so cluster placement (`viralcast
-/// cluster-plan`) can align shard ownership with the same communities
-/// inference parallelises over.
+/// the caller has installed.
 pub fn detect_communities(cascades: &CascadeSet, options: &InferOptions) -> Partition {
     let undirected = CooccurrenceGraph::build_undirected(
         cascades.node_count(),

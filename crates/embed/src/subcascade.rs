@@ -122,7 +122,7 @@ mod tests {
     /// 6 nodes, communities {0,1,2} and {3,4,5}.
     fn hierarchy() -> MergeHierarchy {
         MergeHierarchy::build(
-            Partition::from_membership(&[0, 0, 0, 1, 1, 1]),
+            Partition::from_labels(&[0, 0, 0, 1, 1, 1]),
             Balance::LeafCount,
         )
     }
@@ -241,8 +241,7 @@ mod proptests {
                 infs.insert(rng.gen_range(0u32..8), rng.gen_range(0.0f64..10.0));
             }
             let n = membership.len();
-            let h =
-                MergeHierarchy::build(Partition::from_membership(&membership), Balance::LeafCount);
+            let h = MergeHierarchy::build(Partition::from_labels(&membership), Balance::LeafCount);
             let c =
                 Cascade::new(infs.iter().map(|(&u, &t)| Infection::new(u, t)).collect()).unwrap();
             let set = CascadeSet::new(n, vec![c.clone()]);

@@ -4,12 +4,11 @@
 //! loads the *full* model (rates need every selectivity row) but
 //! answers `/v1/predict` and `/v1/influencers` only for the candidate
 //! rows it owns. Ownership is a [`RowBlock`]: the ascending list of the
-//! node ids a shard owns, derived either round-robin or from an explicit
-//! shard-membership vector (community-aligned placement). A scan walks
-//! that list, so a shard scores only its own rows. Blocks produced for
-//! shards `0..total` from the same derivation are disjoint and cover
-//! every node, which is what makes the router's merged top-k exactly
-//! equal the single-box ranking.
+//! node ids a shard owns, by the cluster's one rule — shard `i` of `total`
+//! owns node `v` iff `v mod total = i`. A scan walks that list, so a
+//! shard scores only its own rows. The blocks of shards `0..total` are
+//! disjoint and cover every node, which is what makes the router's
+//! merged top-k exactly equal the single-box ranking.
 
 use viralcast_graph::NodeId;
 
@@ -25,13 +24,17 @@ pub struct RowBlock {
 }
 
 impl RowBlock {
-    /// Deterministic fallback placement: shard `i` of `total` owns every
-    /// node `v` with `v % total == i`.
+    /// Shard `i` of `total` owns every node `v` with `v % total == i`.
     ///
     /// # Errors
     /// `total` must be ≥ 1 and `shard < total`.
     pub fn round_robin(node_count: usize, shard: usize, total: usize) -> Result<RowBlock, String> {
-        check_shape(shard, total)?;
+        if total == 0 {
+            return Err("cluster must have at least one shard".into());
+        }
+        if shard >= total {
+            return Err(format!("shard index {shard} out of range (total {total})"));
+        }
         let rows = (shard..node_count)
             .step_by(total)
             .map(NodeId::new)
@@ -40,38 +43,6 @@ impl RowBlock {
             shard,
             total,
             node_count,
-            rows,
-        })
-    }
-
-    /// Placement from an explicit membership vector: `membership[v]` is
-    /// the shard that owns node `v` (community-aligned placement bins
-    /// whole SLPA communities onto shards and hands the result here).
-    ///
-    /// # Errors
-    /// `total` must be ≥ 1, `shard < total`, and every membership value
-    /// must be a valid shard id.
-    pub fn from_membership(
-        membership: &[usize],
-        shard: usize,
-        total: usize,
-    ) -> Result<RowBlock, String> {
-        check_shape(shard, total)?;
-        if let Some((v, &m)) = membership.iter().enumerate().find(|(_, &m)| m >= total) {
-            return Err(format!(
-                "membership[{v}] = {m} is not a shard id (cluster has {total} shards)"
-            ));
-        }
-        let rows = membership
-            .iter()
-            .enumerate()
-            .filter(|&(_, &m)| m == shard)
-            .map(|(v, _)| NodeId::new(v))
-            .collect();
-        Ok(RowBlock {
-            shard,
-            total,
-            node_count: membership.len(),
             rows,
         })
     }
@@ -111,16 +82,6 @@ impl RowBlock {
     }
 }
 
-fn check_shape(shard: usize, total: usize) -> Result<(), String> {
-    if total == 0 {
-        return Err("cluster must have at least one shard".into());
-    }
-    if shard >= total {
-        return Err(format!("shard index {shard} out of range (total {total})"));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,23 +103,9 @@ mod tests {
     }
 
     #[test]
-    fn membership_blocks_follow_the_vector() {
-        let membership = [0, 0, 1, 2, 1];
-        let b1 = RowBlock::from_membership(&membership, 1, 3).unwrap();
-        assert_eq!(b1.owned_count(), 2);
-        assert!(b1.contains(NodeId(2)));
-        assert!(b1.contains(NodeId(4)));
-        assert!(!b1.contains(NodeId(0)));
-        assert_eq!(b1.shard(), 1);
-        assert_eq!(b1.total(), 3);
-    }
-
-    #[test]
     fn shapes_are_validated() {
         assert!(RowBlock::round_robin(5, 0, 0).is_err());
         assert!(RowBlock::round_robin(5, 3, 3).is_err());
-        let err = RowBlock::from_membership(&[0, 7], 0, 2).unwrap_err();
-        assert!(err.contains("membership[1] = 7"), "{err}");
     }
 
     #[test]

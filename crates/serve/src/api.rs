@@ -7,11 +7,10 @@
 
 use crate::json;
 use viralcast_graph::NodeId;
-use viralcast_model::CascadeModel;
+use viralcast_model::{CascadeModel, RowBlock};
 use viralcast_obs::JsonValue;
 use viralcast_propagation::{Cascade, Infection};
 
-use crate::shard::RowBlock;
 use crate::snapshot::ModelSnapshot;
 
 /// `POST /v1/hazard` body: pairwise rate queries.
@@ -391,7 +390,6 @@ mod tests {
 
     #[test]
     fn shard_filter_restricts_candidates_to_owned_rows() {
-        use crate::shard::RowBlock;
         let snap = snapshot();
         // Shard 1 of 2 (round-robin over 3 nodes) owns only node 1.
         let block = RowBlock::round_robin(3, 1, 2).unwrap();
@@ -416,7 +414,6 @@ mod tests {
 
     #[test]
     fn shard_filtered_rankings_tile_the_unsharded_ranking() {
-        use crate::shard::RowBlock;
         let snap = snapshot();
         let req = parse_predict(&parse(r#"{"cascade":[{"node":0,"time":0.0}],"top":3}"#).unwrap())
             .unwrap();

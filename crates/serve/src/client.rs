@@ -255,10 +255,9 @@ impl RetryPolicy {
     }
 }
 
-/// SplitMix64's finalizer: a well-mixed stateless hash. Seeds the retry
-/// jitter here, and scores `(key, shard)` pairs in the cluster's
-/// rendezvous hashing.
-pub fn splitmix64(seed: u64) -> u64 {
+/// SplitMix64's finalizer: a well-mixed stateless hash that seeds the
+/// retry jitter.
+fn splitmix64(seed: u64) -> u64 {
     let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -14,9 +14,6 @@
 //!   re-exported under the path the endpoint codecs import;
 //! - [`http`] — bounded request parsing and response framing;
 //! - [`snapshot`] — the `Arc`-swapped [`snapshot::ModelSnapshot`] store;
-//! - [`shard`] — [`shard::RowBlock`] candidate-row ownership, the unit a
-//!   cluster places on each daemon (re-exported from `viralcast-model`,
-//!   where the trait's batched scans consume it);
 //! - [`ingest`] — the bounded cascade buffer behind `POST /v1/ingest`;
 //! - [`replica`] — follower-role state: the leader's address plus the
 //!   lag record a replication poller keeps current (the poller itself
@@ -56,7 +53,6 @@ pub mod pool;
 pub mod replica;
 pub mod router;
 pub mod server;
-pub mod shard;
 pub mod shutdown;
 pub mod signal;
 pub mod snapshot;
@@ -73,7 +69,6 @@ pub use pool::BoundedPool;
 pub use replica::{ReplicaRole, ReplicaStatus};
 pub use router::DegradeThresholds;
 pub use server::{start, BootRecovery, ServeConfig, ServerHandle};
-pub use shard::RowBlock;
 pub use shutdown::Shutdown;
 pub use signal::install_ctrlc;
 pub use snapshot::{ModelSnapshot, SnapshotStore};
@@ -89,4 +84,4 @@ pub use viralcast_store as store;
 /// [`model::EmbeddingBackend`], and [`model::NetInfBackend`] without a
 /// separate dependency.
 pub use viralcast_model as model;
-pub use viralcast_model::{BackendMismatch, CascadeModel};
+pub use viralcast_model::{BackendMismatch, CascadeModel, RowBlock};

@@ -10,8 +10,8 @@ use crate::http::{Request, Response};
 use crate::ingest::IngestBuffer;
 use crate::json;
 use crate::replica::ReplicaRole;
-use crate::shard::RowBlock;
 use crate::snapshot::SnapshotStore;
+use viralcast_model::RowBlock;
 
 /// When `/healthz` flips from `ok` to `degraded`: the daemon is still
 /// serving (the endpoint stays 200), but it is falling behind in a way

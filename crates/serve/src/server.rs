@@ -45,7 +45,7 @@ pub struct ServeConfig {
     pub access_log: Option<PathBuf>,
     /// Candidate row block this daemon owns when serving as one shard
     /// of a cluster; `None` (the default) serves every row.
-    pub shard: Option<crate::shard::RowBlock>,
+    pub shard: Option<viralcast_model::RowBlock>,
     /// Follower role: `Some` makes this daemon a read-only replica —
     /// the trainer thread is not spawned (snapshots arrive from the
     /// leader through [`SnapshotStore::publish_version`]), ingest is

@@ -639,6 +639,19 @@ one_load_driver() {
     fi
 }
 
+# One ownership rule: shard I of N owns node v iff v mod N = I, for the
+# rows it scans and the ingests seeded at v. Fail if community-aligned
+# placement, a membership row block, rendezvous ingest hashing or the
+# placement enum comes back. The bracket in each alternative keeps this
+# script from matching itself.
+one_ownership_rule() {
+    if grep -rnE 'community_[a]ligned|from_[m]embership|rendezvous_[o]rder|Placement[:]:' \
+        crates/ src/; then
+        echo "a second shard-ownership rule reappeared; shard I of N owns node v iff v mod N = I" >&2
+        return 1
+    fi
+}
+
 # A library crate holds what the pipeline and the daemon run: the
 # baselines the paper argues against live with the ablation harnesses in
 # crates/bench, nothing outside benchmark/ names criterion, and core
@@ -789,6 +802,7 @@ run one_load_driver
 run one_test_stack
 run one_selection
 run one_scan
+run one_ownership_rule
 run no_pair_hashing
 run cooccurrence_sized_once
 run communities_skip_the_directed_graph

@@ -95,7 +95,7 @@ fn slpa_partition_matches_planted_blocks() {
     use viralnews::viralcast::community::metrics::nmi;
     let experiment = local_world(3);
     let outcome = infer_embeddings(experiment.train(), &InferOptions::default());
-    let planted = Partition::from_membership(&experiment.planted_membership());
+    let planted = Partition::from_labels(&experiment.planted_membership());
     let score = nmi(&outcome.partition, &planted);
     assert!(score > 0.7, "community NMI only {score}");
 }
