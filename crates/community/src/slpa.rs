@@ -189,7 +189,7 @@ impl Slpa {
                 // Its label is stored at `hits[count]` and kept by the
                 // increment; a repeated label's store is overwritten.
                 let mut count = 0;
-                for (&speaker, &w) in neighbors.iter().zip(weights) {
+                for (&speaker, w) in neighbors.iter().zip(weights) {
                     let label = memories.speak(speaker.index(), &mut rng);
                     let slot = label as usize;
                     tally[slot] += w;
@@ -551,7 +551,7 @@ mod proptests {
                     continue;
                 }
                 let mut votes: Vec<(usize, f64)> = Vec::with_capacity(neighbors.len());
-                for (&speaker, &w) in neighbors.iter().zip(graph.out_weights(lu)) {
+                for (&speaker, w) in neighbors.iter().zip(graph.out_weights(lu)) {
                     let label = memories[speaker.index()].speak(&mut rng);
                     match votes.binary_search_by_key(&label, |v| v.0) {
                         Ok(i) => votes[i].1 += w,

@@ -2,11 +2,13 @@
 //!
 //! `detect_communities` counts the symmetrised co-occurrence graph
 //! without the directed graph or its transpose, and sizes its CSR arrays
-//! exactly before it fills them. The chain it replaced — the directed
-//! graph, its transpose, then their merge — held all three at once,
-//! about 2.3–2.6× the undirected CSR; arrays grown by doubling left up to
-//! 2× and, on every retrain of a serving daemon, a trail of freed blocks
-//! that fragments the heap. A counting global allocator measures the
+//! exactly before it fills them. An entry is a target and a `u32` weight
+//! id, 8 bytes; each distinct weight is stored once. The chain it
+//! replaced — the directed graph, its transpose, then their merge — held
+//! all three at once, about 2.3–2.5× the undirected CSR; arrays grown by
+//! doubling left up to 2× and, on every retrain of a serving daemon, a
+//! trail of freed blocks that fragments the heap. A counting global
+//! allocator measures the
 //! peak and counts every growing `realloc` of a large block, on a
 //! `train_sbm`-shaped corpus, a served-fit-shaped corpus and one drain
 //! batch of that served world. This binary holds one test, so nothing
@@ -161,7 +163,7 @@ fn communities_allocate_the_graph_once_near_its_size() {
         ("served fit", served.train()),
         ("drain batch", &batch),
     ] {
-        let (reference, (want, edges)) = heap_of(|| {
+        let (reference, (want, edges, distinct)) = heap_of(|| {
             let directed = CooccurrenceGraph::build(
                 train.node_count(),
                 &train.node_sequences(),
@@ -172,16 +174,25 @@ fn communities_allocate_the_graph_once_near_its_size() {
             );
             let undirected = directed.undirected();
             let partition = Slpa::new(options.slpa).run(&undirected).partition;
-            (partition, undirected.edge_count())
+            (
+                partition,
+                undirected.edge_count(),
+                undirected.distinct_weights(),
+            )
         });
         let (heap, got) = heap_of(|| detect_communities(train, &options));
         assert_eq!(got, want, "{name}: partitions differ");
 
-        let csr = (train.node_count() + 1) * size_of::<usize>()
-            + edges * (size_of::<NodeId>() + size_of::<f64>());
+        // Each entry is a target and a weight id; each distinct weight is
+        // stored once.
+        let offsets = (train.node_count() + 1) * size_of::<usize>();
+        let csr = offsets
+            + edges * (size_of::<NodeId>() + size_of::<u32>())
+            + distinct * size_of::<f64>();
         // Exact sizing leaves only the per-call scratch beyond the CSR:
-        // 1.07–1.11× on these three shapes. Arrays grown by doubling
-        // reached 1.71× (served fit) and 1.81× (drain batch).
+        // 1.11–1.18× on these three shapes. Arrays grown by doubling
+        // reached 1.71× (served fit) and 1.81× (drain batch) of the
+        // 12-byte-an-entry CSR of the time.
         let bound = csr * 5 / 4;
         assert!(
             heap.peak <= bound,
@@ -193,6 +204,14 @@ fn communities_allocate_the_graph_once_near_its_size() {
             "{name}: the directed chain's peak {} B is not above {bound} B, \
              so the allocator counts nothing",
             reference.peak
+        );
+        // With one `f64` per entry the CSR alone took `edges · 12` bytes;
+        // interned weights bring the whole call to 0.74–0.79× of that.
+        let per_edge_f64 = offsets + edges * (size_of::<NodeId>() + size_of::<f64>());
+        assert!(
+            heap.peak < per_edge_f64,
+            "{name}: peak {} B not below the {per_edge_f64} B of a CSR with a weight per edge",
+            heap.peak
         );
         // Each growing realloc of a large block leaves a freed block of
         // its old size behind; a drain that left them on every batch

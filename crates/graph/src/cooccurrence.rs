@@ -22,7 +22,9 @@
 //! order, every occurrence of `u` adds its successors into a dense
 //! `count[v]` row while a `touched` list records first hits; `touched` is
 //! sorted, each `(v, c(u, v))` is weighed and filtered, the survivors are
-//! appended straight to the CSR arrays, and the row is zeroed again
+//! appended straight to the CSR arrays (each weight interned into the
+//! graph's table of distinct weights, see [`crate::digraph`]), and the
+//! row is zeroed again
 //! through `touched`. The rows are counted twice: a first pass, with no
 //! sort and no push, only counts each row's survivors, so the CSR arrays
 //! are allocated once at their exact length and never grow — a caller
@@ -40,7 +42,7 @@
 //! `c(v, u)` side by side and is written as `w(u, v) + w(v, u)` directly.
 //! Neither the directed graph nor its transpose is ever allocated.
 
-use crate::digraph::DiGraph;
+use crate::digraph::{DiGraph, WeightTable};
 use crate::node::NodeId;
 use viralcast_obs as obs;
 
@@ -268,7 +270,8 @@ impl CooccurrenceGraph {
 
         // Second pass: the same rows again, sorted and written.
         let mut targets = Vec::with_capacity(offsets[n]);
-        let mut weights = Vec::with_capacity(offsets[n]);
+        let mut weight_ids = Vec::with_capacity(offsets[n]);
+        let mut table = WeightTable::default();
         let (mut pair_increments, mut pairs_seen) = (0usize, 0usize);
         for u in 0..n {
             pair_increments += tally_row(u, &mut count, &mut touched);
@@ -277,7 +280,7 @@ impl CooccurrenceGraph {
             for v in touched.drain(..) {
                 if let Some(w) = entry(u, v, std::mem::take(&mut count[v.index()])) {
                     targets.push(v);
-                    weights.push(w);
+                    weight_ids.push(table.intern(w));
                 }
             }
             debug_assert_eq!(
@@ -287,7 +290,7 @@ impl CooccurrenceGraph {
             );
         }
         CooccurrenceGraph {
-            graph: DiGraph::from_sorted_rows(n, offsets, targets, weights),
+            graph: DiGraph::from_sorted_rows(n, offsets, targets, weight_ids, table.into_values()),
             cascade_counts,
             pair_increments,
             pairs_seen,
@@ -295,7 +298,8 @@ impl CooccurrenceGraph {
     }
 
     /// Adds this build to `cooccurrence.{sequences, pair_increments,
-    /// pairs_seen}` and sets the `cooccurrence.edges` gauge. After
+    /// pairs_seen}` and sets the `cooccurrence.{edges, distinct_weights}`
+    /// gauges — the second is the size of the graph's weight table. After
     /// [`build_undirected`](Self::build_undirected) — the pipeline's path —
     /// the increments count every pair from both ends, `pairs_seen`
     /// counts unordered pairs from each end and `edges` is the
@@ -314,6 +318,9 @@ impl CooccurrenceGraph {
         registry
             .gauge("cooccurrence.edges")
             .set(self.graph.edge_count() as f64);
+        registry
+            .gauge("cooccurrence.distinct_weights")
+            .set(self.graph.distinct_weights() as f64);
         obs::debug(
             "cooccurrence",
             "graph built",
@@ -323,6 +330,7 @@ impl CooccurrenceGraph {
                 ("pair_increments", self.pair_increments.into()),
                 ("pairs_seen", self.pairs_seen.into()),
                 ("edges", self.graph.edge_count().into()),
+                ("distinct_weights", self.graph.distinct_weights().into()),
             ],
         );
     }

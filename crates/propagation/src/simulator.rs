@@ -146,7 +146,7 @@ impl<'g, P: RateProvider> Simulator<'g, P> {
             if infections.len() >= cap {
                 break;
             }
-            for (v, _) in self.graph.out_edges(node) {
+            for &v in self.graph.out_neighbors(node) {
                 if infected[v.index()] {
                     continue;
                 }

@@ -533,16 +533,33 @@ no_pair_hashing() {
 }
 
 # The co-occurrence count sizes its CSR arrays in a first pass and fills
-# them in a second; fail if the count core leaves targets or weights to
-# grow from an empty Vec (every trainer drain then leaves a trail of
+# them in a second; fail if the count core leaves targets or weight ids
+# to grow from an empty Vec (every trainer drain then leaves a trail of
 # doubled-and-freed blocks in the heap). The bracket keeps this script
 # from matching itself.
 cooccurrence_sized_once() {
     local body
     body="$(sed -n '/    fn count</,/^    }/p' crates/graph/src/cooccurrence.rs)"
     if [ -z "$body" ] \
-        || grep -nE '(targets|weights)[^=]*= Vec::[n]ew\(\)' <<<"$body"; then
+        || grep -nE '(targets|weight_ids)[^=]*= Vec::[n]ew\(\)' <<<"$body"; then
         echo "CooccurrenceGraph::count is gone or grows its CSR arrays from Vec::new(); count each row's survivors first and allocate them at that length" >&2
+        return 1
+    fi
+}
+
+# DiGraph stores each distinct weight once and each edge as a target plus
+# a u32 id into that table (8 bytes an entry, not 12); fail if a per-edge
+# f64 array comes back to the struct or to from_sorted_rows, the
+# constructor every graph goes through.
+one_weight_table() {
+    local fields signature
+    fields="$(sed -n '/^pub struct DiGraph {/,/^}/p' crates/graph/src/digraph.rs)"
+    signature="$(sed -n '/fn from_sorted_rows(/,/) -> DiGraph/p' crates/graph/src/digraph.rs)"
+    if [ -z "$fields" ] || [ -z "$signature" ] \
+        || ! grep -q 'weight_ids: Vec<u32>' <<<"$fields" \
+        || ! grep -q 'weight_ids: Vec<u32>' <<<"$signature" \
+        || printf '%s\n%s\n' "$fields" "$signature" | grep -v 'weight_values' | grep -n 'Vec<f64>'; then
+        echo "DiGraph or from_sorted_rows carries a weight per edge again; store weight_ids: Vec<u32> into the one weight_values table" >&2
         return 1
     fi
 }
@@ -805,6 +822,7 @@ run one_scan
 run one_ownership_rule
 run no_pair_hashing
 run cooccurrence_sized_once
+run one_weight_table
 run communities_skip_the_directed_graph
 run sweep_is_check_free
 run slpa_votes_without_branches
