@@ -2,9 +2,12 @@
 //! cluster behind the router must produce byte-identical `/v1/predict`
 //! and `/v1/influencers` rankings to a single-box daemon serving the
 //! same model, and must degrade to `"partial": true` — never a 5xx —
-//! when one shard stops.
+//! when one shard stops; every ingest the router acks must survive in
+//! some shard's durable log even when its owner stops mid-stream.
 
+use std::collections::BTreeSet;
 use std::net::SocketAddr;
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use viralcast_cluster::serve::{self, client};
@@ -30,12 +33,18 @@ fn model() -> Embeddings {
 }
 
 fn start_daemon(shard: Option<serve::RowBlock>) -> serve::ServerHandle {
+    start_configured(serve::ServeConfig {
+        shard,
+        ..serve::ServeConfig::default()
+    })
+}
+
+fn start_configured(config: serve::ServeConfig) -> serve::ServerHandle {
     let retrain: serve::RetrainFn = Box::new(|current, _| Ok(std::sync::Arc::clone(current)));
     let config = serve::ServeConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
-        shard,
-        ..serve::ServeConfig::default()
+        ..config
     };
     let backend = viralcast_cluster::serve::model::EmbeddingBackend::new(model());
     serve::start(std::sync::Arc::new(backend), retrain, config).expect("daemon boots")
@@ -232,4 +241,92 @@ fn a_routed_predict_does_not_wait_out_an_accept_poll() {
     for shard in shards {
         shard.shutdown();
     }
+}
+
+/// The router's durability contract: an ingest it answered 200 sits in
+/// the write-ahead log of *some* shard, even when the shard owning its
+/// seed stopped mid-stream and the router failed it over to the next
+/// one. Each cascade carries its sequence number as its second
+/// infection time, so the union of both logs' replays names every
+/// acked ingest.
+#[test]
+fn router_acked_ingests_survive_a_shard_loss_in_the_union_of_logs() {
+    const DURABLE_SHARDS: usize = 2;
+    let dirs: Vec<PathBuf> = (0..DURABLE_SHARDS)
+        .map(|i| {
+            let dir = std::env::temp_dir()
+                .join(format!("viralcast-router-union-{}-{i}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            dir
+        })
+        .collect();
+    let mut shards: Vec<serve::ServerHandle> = dirs
+        .iter()
+        .enumerate()
+        .map(|(i, dir)| {
+            start_configured(serve::ServeConfig {
+                // The default WAL fsyncs every append, and a trainer that
+                // never drains keeps every acked ingest pending in it.
+                data_dir: Some(dir.clone()),
+                trainer: serve::TrainerConfig {
+                    interval: Duration::from_secs(3600),
+                    min_batch: usize::MAX,
+                },
+                shard: Some(
+                    serve::RowBlock::round_robin(NODES, i, DURABLE_SHARDS).expect("row block"),
+                ),
+                ..serve::ServeConfig::default()
+            })
+        })
+        .collect();
+    let addrs: Vec<SocketAddr> = shards.iter().map(|h| h.local_addr()).collect();
+    let router = start_cluster_router(&addrs);
+    let router_addr = router.local_addr();
+
+    // Seeds `seq % NODES` alternate between the shards; shard 1 stops
+    // halfway, so its later seeds fail over to shard 0.
+    let mut acked: BTreeSet<u64> = BTreeSet::new();
+    for seq in 0..40u64 {
+        if seq == 20 {
+            shards.pop().expect("two shards").shutdown();
+        }
+        let (seed, next) = (seq % NODES as u64, (seq + 1) % NODES as u64);
+        let body = format!(
+            r#"{{"cascades":[[{{"node":{seed},"time":0.0}},{{"node":{next},"time":{}.0}}]]}}"#,
+            seq + 1
+        );
+        let reply = client::request(&router_addr, "POST", "/v1/ingest", Some(&body))
+            .expect("router ingest");
+        if reply.status == 200 {
+            acked.insert(seq);
+        }
+    }
+    router.shutdown();
+    for shard in shards {
+        shard.shutdown();
+    }
+    assert_eq!(acked.len(), 40, "a live shard 0 must take every ingest");
+
+    let mut recovered: BTreeSet<u64> = BTreeSet::new();
+    let mut failed_over = 0usize;
+    for (i, dir) in dirs.iter().enumerate() {
+        let (store, recovery) =
+            serve::store::EventStore::open(dir, serve::store::WalOptions::default())
+                .expect("replay a shard log");
+        store.abandon();
+        for cascade in &recovery.pending {
+            let infections = cascade.infections();
+            recovered.insert(infections[1].time as u64 - 1);
+            if i == 0 && infections[0].node.index() % DURABLE_SHARDS == 1 {
+                failed_over += 1;
+            }
+        }
+        let _ = std::fs::remove_dir_all(dir);
+    }
+    let missing: Vec<u64> = acked.difference(&recovered).copied().collect();
+    assert!(missing.is_empty(), "acked ingests lost: {missing:?}");
+    assert!(
+        failed_over > 0,
+        "no cascade seeded on shard 1 reached shard 0's log"
+    );
 }

@@ -7,10 +7,9 @@
 //! display.
 
 use crate::ward::Merge;
-use serde::{Deserialize, Serialize};
 
 /// A dendrogram: `n` leaves plus the `n − 1` merges that join them.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Dendrogram {
     leaf_count: usize,
     merges: Vec<Merge>,

@@ -21,12 +21,11 @@
 //!   paper leaves as future work, built here for the ablation bench).
 
 use crate::partition::Partition;
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use viralcast_graph::NodeId;
 
 /// How to order leaves before adjacent pairing.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Balance {
     /// Balance branches by leaf count (paper's simple design).
     LeafCount,

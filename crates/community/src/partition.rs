@@ -5,12 +5,11 @@
 //! communities do not have any intersection, the Write-Write conflicts
 //! can be completely avoided").
 
-use serde::{Deserialize, Serialize};
 use viralcast_graph::NodeId;
 
 /// A disjoint partition of nodes `0..n` into dense communities
 /// `0..community_count`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Partition {
     membership: Vec<usize>,
     community_count: usize,

@@ -38,12 +38,11 @@
 use crate::partition::Partition;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use serde::{Deserialize, Serialize};
 use viralcast_graph::{DiGraph, NodeId};
 use viralcast_obs as obs;
 
 /// SLPA parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SlpaConfig {
     /// Number of speaker-listener rounds (the original paper suggests
     /// ≥ 20; memories then hold `iterations + 1` labels).

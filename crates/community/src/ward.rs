@@ -18,11 +18,10 @@
 //! and yield the same dendrogram as the naive global-minimum algorithm.
 
 use crate::jaccard::CondensedMatrix;
-use serde::{Deserialize, Serialize};
 
 /// One agglomeration step, in the SciPy linkage convention: leaves are
 /// clusters `0..n`, and the cluster created by step `s` has id `n + s`.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Merge {
     /// Smaller of the two merged cluster ids.
     pub left: usize,

@@ -157,8 +157,7 @@ USAGE:
                            [--probe-interval SECS] [--shard-timeout SECS]
   viralcast chaos          --embeddings FILE --data-dir DIR [--workers N]
                            [--backend embed|netinf] [--corpus FILE]
-                           [--cycles C] [--steady SECS] [--cluster N]
-                           [--followers M]
+                           [--cycles C] [--steady SECS]
                            [--recovery-timeout SECS] [--seed S] [--out FILE]
 
 SERVE:
@@ -243,20 +242,6 @@ CHAOS:
   (default 30). --out FILE (default BENCH_chaos.json) gets kill cycles,
   recovery p50/p99, acked-vs-recovered counts, shed rate, and the
   steady-vs-disrupted p99 degradation ratio.
-
-  --cluster N (N ≥ 2) aims the kill loop at a sharded cluster instead:
-  N shard daemons under a round-robin manifest behind a router child,
-  load driven through the router, one seeded-random shard SIGKILLed per
-  cycle. While the shard is down the router must answer /v1/predict
-  with HTTP 200 and \"partial\": true — any 5xx fails the run — and the
-  final durability replay unions every shard's data dir. The report
-  gains partial_responses and non_partial_5xx.
-
-  --followers M (with --cluster) also boots M serve --follow replicas
-  per shard leader, named in the manifest, and *strengthens* the
-  assertion: while a leader is down its followers must keep reads fully answered —
-  every probe must stay \"partial\": false, and any degraded read fails
-  the run (reported as degraded_reads).
 
 OBSERVABILITY (all commands):
   --log-level L     stderr logging: off|error|warn|info|debug|trace (default info)
@@ -343,8 +328,6 @@ fn command_flags(command: &str) -> Option<Vec<FlagSpec>> {
             ("corpus", true),
             ("data-dir", true),
             ("workers", true),
-            ("cluster", true),
-            ("followers", true),
             ("cycles", true),
             ("steady", true),
             ("recovery-timeout", true),
@@ -663,7 +646,7 @@ fn serve_cmd(flags: &Flags) -> Result<Attrs, CliError> {
         (None, Some((manifest, i, _))) => manifest.addr_of(*i).to_string(),
         (None, None) => "127.0.0.1:8080".to_string(),
     };
-    let workers = flags.usize("workers", 4)?;
+    let workers = flags.count("workers", 4)?;
     let min_batch = flags.usize("min-retrain-batch", 1)?;
     let ingest_capacity = flags.usize("ingest-capacity", 4096)?;
     let data_dir = flags.opt_path("data-dir");
@@ -834,7 +817,7 @@ fn serve_follow_cmd(flags: &Flags) -> Result<Attrs, CliError> {
         poll_interval,
         serve: serve::ServeConfig {
             addr: flags.get("addr").unwrap_or("127.0.0.1:8080").to_string(),
-            workers: flags.usize("workers", 4)?,
+            workers: flags.count("workers", 4)?,
             ingest_capacity: flags.usize("ingest-capacity", 4096)?,
             access_log: flags.opt_path("access-log"),
             ..serve::ServeConfig::default()
@@ -988,15 +971,12 @@ fn router_cmd(flags: &Flags) -> Result<Attrs, CliError> {
     let defaults = cluster::RouterConfig::default();
     let config = cluster::RouterConfig {
         addr: flags.get("addr").unwrap_or(&defaults.addr).to_string(),
-        workers: flags.usize("workers", defaults.workers)?,
-        fanout_workers: flags.usize("fanout-workers", defaults.fanout_workers)?,
+        workers: flags.count("workers", defaults.workers)?,
+        fanout_workers: flags.count("fanout-workers", defaults.fanout_workers)?,
         probe_interval: flags.secs("probe-interval", defaults.probe_interval)?,
         shard_timeout: flags.secs("shard-timeout", defaults.shard_timeout)?,
         ..defaults
     };
-    if config.workers == 0 || config.fanout_workers == 0 {
-        return Err(usage_err("--workers and --fanout-workers must be positive"));
-    }
     let manifest = cluster::ClusterManifest::load(&manifest_path).map_err(runtime_err)?;
 
     let shards = manifest.shard_count();
@@ -1018,28 +998,8 @@ fn chaos_cmd(flags: &Flags) -> Result<Attrs, CliError> {
     let defaults = chaos::ChaosConfig::default();
     let steady = flags.secs("steady", defaults.steady)?;
     let recovery_timeout = flags.secs("recovery-timeout", defaults.recovery_timeout)?;
-    let cycles = flags.u64("cycles", u64::from(defaults.cycles))?;
-    if cycles == 0 {
-        return Err(usage_err("--cycles must be positive"));
-    }
-    let cluster_shards = flags.usize("cluster", defaults.cluster_shards)?;
-    if cluster_shards == 1 {
-        return Err(usage_err(
-            "--cluster needs at least 2 shards (omit it for single-box chaos)",
-        ));
-    }
-    if cluster_shards > 16 {
-        return Err(usage_err("--cluster supports at most 16 shards"));
-    }
-    let followers = flags.usize("followers", defaults.followers)?;
-    if followers > 0 && cluster_shards < 2 {
-        return Err(usage_err(
-            "--followers needs --cluster N (followers replicate shard leaders)",
-        ));
-    }
-    if followers > 4 {
-        return Err(usage_err("--followers supports at most 4 per shard"));
-    }
+    let cycles = flags.count("cycles", defaults.cycles as usize)?;
+    let workers = flags.count("workers", defaults.workers)?;
     let (backend, source) = model_source(flags)?;
     let (embeddings, corpus) = match source {
         ModelSource::Embeddings(path) => (path, None),
@@ -1048,13 +1008,11 @@ fn chaos_cmd(flags: &Flags) -> Result<Attrs, CliError> {
     let config = chaos::ChaosConfig {
         embeddings,
         data_dir: flags.require_path("data-dir")?,
-        workers: flags.usize("workers", defaults.workers)?,
+        workers,
         cycles: cycles.min(10_000) as u32,
         steady,
         recovery_timeout,
         seed: flags.u64("seed", defaults.seed)?,
-        cluster_shards,
-        followers,
         backend: backend.to_string(),
         corpus,
     };
@@ -1063,19 +1021,10 @@ fn chaos_cmd(flags: &Flags) -> Result<Attrs, CliError> {
         .unwrap_or_else(|| PathBuf::from("BENCH_chaos.json"));
 
     let steady = steady.as_secs_f64();
-    if config.cluster_shards >= 2 {
-        println!(
-            "chaos: {} worker(s) through a router over {} shard(s) \
-             ({} follower(s) per shard), {} kill cycle(s), \
-             {steady:.1}s steady load each…",
-            config.workers, config.cluster_shards, config.followers, config.cycles
-        );
-    } else {
-        println!(
-            "chaos: {} worker(s), {} kill cycle(s), {steady:.1}s steady load each…",
-            config.workers, config.cycles
-        );
-    }
+    println!(
+        "chaos: {} worker(s), {} kill cycle(s), {steady:.1}s steady load each…",
+        config.workers, config.cycles
+    );
     let summary = {
         let _span = Span::enter("chaos");
         viralcast::chaos::run(&config).map_err(runtime_err)?
@@ -1109,14 +1058,6 @@ fn chaos_cmd(flags: &Flags) -> Result<Attrs, CliError> {
             .map_or("-".to_string(), |x| format!("{x:.1}×")),
         summary.post_recovery_5xx
     );
-    if config.cluster_shards >= 2 {
-        println!(
-            "router while a shard was down: {} partial response(s), \
-             {} non-partial 5xx, {} degraded read(s)",
-            summary.partial_responses, summary.non_partial_5xx, summary.degraded_reads
-        );
-    }
-
     let attrs: Attrs = summary.attrs();
     save_bench_report("chaos", &attrs, &out)?;
     println!("bench report written to {}", out.display());
@@ -1143,20 +1084,6 @@ fn chaos_cmd(flags: &Flags) -> Result<Attrs, CliError> {
         return Err(runtime_err(format!(
             "{} request(s) answered 5xx after the daemon reported healthy",
             summary.post_recovery_5xx
-        )));
-    }
-    if summary.non_partial_5xx > 0 {
-        return Err(runtime_err(format!(
-            "{} router response(s) were 5xx instead of a partial answer \
-             while a shard was down",
-            summary.non_partial_5xx
-        )));
-    }
-    if summary.degraded_reads > 0 {
-        return Err(runtime_err(format!(
-            "{} read(s) degraded to partial while a leader was down even \
-             though its follower(s) should have masked the outage",
-            summary.degraded_reads
         )));
     }
     Ok(attrs)
@@ -1305,6 +1232,14 @@ impl Flags {
 
     fn u64(&self, key: &str, default: u64) -> Result<u64, CliError> {
         Ok(self.parsed(key)?.unwrap_or(default))
+    }
+
+    /// A positive count (`default` when absent).
+    fn count(&self, key: &str, default: usize) -> Result<usize, CliError> {
+        match self.usize(key, default)? {
+            0 => Err(usage_err(format!("--{key} must be positive"))),
+            n => Ok(n),
+        }
     }
 
     fn f64(&self, key: &str, default: f64) -> Result<f64, CliError> {

@@ -21,33 +21,12 @@
 //! lands in `BENCH_chaos.json` with the same envelope as the other
 //! bench harnesses.
 //!
-//! With `followers ≥ 1` (cluster mode only) every shard leader also
-//! gets that many `serve --follow` replica children, the manifest
-//! names the follower topology, and the assertion
-//! *strengthens*: while a leader is a corpse the router must keep
-//! answering reads with `"partial": false` — the follower masks the
-//! outage entirely — so any degraded (partial) read fails the run
-//! instead of being required by it.
-//!
 //! The workload client is [`viralcast_serve::client::request_with_retry`],
 //! so workers ride out each restart with capped jittered backoff instead
 //! of dying with the daemon; exhausted retry budgets are reported as
 //! `io_errors` but only acked-record loss and recovery timeouts fail
 //! the run.
-//!
-//! With `cluster_shards ≥ 2` the harness targets a different failure
-//! domain: it boots N `serve --shard i/N` children behind a
-//! `viralcast router` child, drives the *router*, and SIGKILLs one
-//! randomly chosen shard per cycle instead of the whole daemon. While
-//! the shard is down the router must keep answering `/v1/predict` with
-//! HTTP 200 and `"partial": true` — a 5xx (or a full outage dressed as
-//! a complete answer) is the failure the mode exists to catch, counted
-//! in `non_partial_5xx`. Durability is verified the same way, except
-//! the final replay unions every shard's data directory (ingests fail
-//! over between shards while one is down).
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 use std::io::{self, BufRead, BufReader};
 use std::net::SocketAddr;
@@ -56,7 +35,6 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-use viralcast_cluster::ClusterManifest;
 use viralcast_obs::{self as obs, JsonValue};
 use viralcast_propagation::Cascade;
 use viralcast_serve::client;
@@ -83,18 +61,8 @@ pub struct ChaosConfig {
     pub steady: Duration,
     /// How long a restarted daemon gets to answer `/healthz` again.
     pub recovery_timeout: Duration,
-    /// Seed for the workers' retry jitter (and the cluster mode's
-    /// victim selection).
+    /// Seed for the workers' retry jitter.
     pub seed: u64,
-    /// `0` (or `1`) runs the single-box kill loop; `≥ 2` boots that
-    /// many shards behind a router and kills one random shard per
-    /// cycle instead.
-    pub cluster_shards: usize,
-    /// Cluster mode only: snapshot-replica followers per shard leader.
-    /// With `≥ 1`, reads must stay **non-partial** while a leader is
-    /// down (the follower answers for it); any degraded read fails the
-    /// run.
-    pub followers: usize,
 }
 
 impl Default for ChaosConfig {
@@ -109,8 +77,6 @@ impl Default for ChaosConfig {
             steady: Duration::from_secs(2),
             recovery_timeout: Duration::from_secs(30),
             seed: 1,
-            cluster_shards: 0,
-            followers: 0,
         }
     }
 }
@@ -153,17 +119,6 @@ pub struct ChaosSummary {
     pub retries: u64,
     /// 5xx responses observed while the daemon was supposedly healthy.
     pub post_recovery_5xx: u64,
-    /// Cluster mode: router probe responses carrying `"partial": true`
-    /// while a shard was down (0 for single-box runs).
-    pub partial_responses: u64,
-    /// Cluster mode: router probes that answered 5xx (or failed below
-    /// HTTP) while a shard was down — the router's one forbidden
-    /// behaviour. Always 0 for single-box runs.
-    pub non_partial_5xx: u64,
-    /// Follower mode: reads that came back `"partial": true` while a
-    /// leader was down even though its follower should have masked the
-    /// outage. Must be 0; always 0 without followers.
-    pub degraded_reads: u64,
 }
 
 impl ChaosSummary {
@@ -197,9 +152,6 @@ impl ChaosSummary {
             ("io_errors".into(), self.io_errors.into()),
             ("retries".into(), self.retries.into()),
             ("post_recovery_5xx".into(), self.post_recovery_5xx.into()),
-            ("partial_responses".into(), self.partial_responses.into()),
-            ("non_partial_5xx".into(), self.non_partial_5xx.into()),
-            ("degraded_reads".into(), self.degraded_reads.into()),
         ]
     }
 }
@@ -254,23 +206,10 @@ pub struct VerifyOutcome {
 /// Replays `data_dir` in-process (the daemon is dead by now) and checks
 /// every acked sequence number against what the log actually holds.
 pub fn verify_recovered(data_dir: &Path, acked: &BTreeSet<u64>) -> io::Result<VerifyOutcome> {
-    verify_recovered_across(std::slice::from_ref(&data_dir.to_path_buf()), acked)
-}
-
-/// [`verify_recovered`] over several data directories at once — the
-/// cluster mode's final audit, where an acked ingest may sit in *any*
-/// shard's log (ingests fail over while their owner is down).
-fn verify_recovered_across(
-    data_dirs: &[PathBuf],
-    acked: &BTreeSet<u64>,
-) -> io::Result<VerifyOutcome> {
-    let mut recovered: BTreeSet<u64> = BTreeSet::new();
-    for dir in data_dirs {
-        let (store, recovery) = EventStore::open(dir, WalOptions::default())?;
-        // Read-only pass: skip the close-time sync.
-        store.abandon();
-        recovered.extend(recovery.pending.iter().filter_map(decode_seq));
-    }
+    let (store, recovery) = EventStore::open(data_dir, WalOptions::default())?;
+    // Read-only pass: skip the close-time sync.
+    store.abandon();
+    let recovered: BTreeSet<u64> = recovery.pending.iter().filter_map(decode_seq).collect();
     let missing: Vec<u64> = acked.difference(&recovered).copied().collect();
     Ok(VerifyOutcome {
         recovered: recovered.len() as u64,
@@ -320,15 +259,6 @@ struct Shared {
 /// reported through [`ChaosSummary::missing`] so the caller can print
 /// the evidence before failing.
 pub fn run(config: &ChaosConfig) -> Result<ChaosSummary, String> {
-    if config.workers == 0 {
-        return Err("--workers must be positive".into());
-    }
-    if config.cycles == 0 {
-        return Err("--cycles must be positive".into());
-    }
-    if config.cluster_shards >= 2 {
-        return run_cluster(config);
-    }
     ensure_empty_data_dir(&config.data_dir)?;
 
     let (mut child, first_addr) = spawn_daemon(config)?;
@@ -407,15 +337,7 @@ pub fn run(config: &ChaosConfig) -> Result<ChaosSummary, String> {
         .collect();
     let verify = verify_recovered(&config.data_dir, &acked)
         .map_err(|e| format!("cannot replay {}: {e}", config.data_dir.display()))?;
-    Ok(finish_summary(
-        &results,
-        recovery_ms,
-        &acked,
-        verify,
-        0,
-        0,
-        0,
-    ))
+    Ok(finish_summary(&results, recovery_ms, &acked, verify))
 }
 
 /// Refuses a non-empty data directory (creating it if absent), so the
@@ -438,257 +360,13 @@ fn ensure_empty_data_dir(data_dir: &Path) -> Result<(), String> {
     }
 }
 
-/// How many partial-response probes each down-window collects before
-/// moving on to the respawn.
-const PARTIALS_PER_CYCLE: u64 = 3;
-
-/// The cluster kill loop: N shard children behind a router child, one
-/// random shard SIGKILLed per cycle. While the shard is down the router
-/// is probed directly: every `/v1/predict` answer must stay HTTP 200,
-/// and the cycle must produce at least one `"partial": true` body
-/// before its recovery deadline — a router that 5xxes (or stalls) while
-/// one shard is dead fails the run. The final durability audit unions
-/// every shard's data directory, because ingests fail over to surviving
-/// shards while their owner is down.
-fn run_cluster(config: &ChaosConfig) -> Result<ChaosSummary, String> {
-    let shards = config.cluster_shards;
-    ensure_empty_data_dir(&config.data_dir)?;
-
-    // Reserve one loopback port per daemon (leaders first, then every
-    // follower), then free them for the children to bind: the manifest
-    // must name fixed addresses.
-    let reserved: Vec<SocketAddr> = {
-        let listeners = (0..shards * (1 + config.followers))
-            .map(|_| std::net::TcpListener::bind("127.0.0.1:0"))
-            .collect::<io::Result<Vec<_>>>()
-            .map_err(|e| format!("cannot reserve shard ports: {e}"))?;
-        listeners
-            .iter()
-            .map(|l| l.local_addr().expect("bound listener has an address"))
-            .collect()
-    };
-    let addrs: Vec<SocketAddr> = reserved[..shards].to_vec();
-    let follower_addrs: Vec<Vec<SocketAddr>> = (0..shards)
-        .map(|i| {
-            reserved[shards + i * config.followers..shards + (i + 1) * config.followers].to_vec()
-        })
-        .collect();
-    let manifest = ClusterManifest::round_robin(&addrs)?
-        .with_backend(&config.backend)?
-        .with_followers(follower_addrs.clone())?;
-    let manifest_path = config.data_dir.join("cluster-manifest.json");
-    manifest.save(&manifest_path)?;
-
-    let shard_dirs: Vec<PathBuf> = (0..shards)
-        .map(|i| config.data_dir.join(format!("shard-{i}")))
-        .collect();
-    // Every early return below drops these guards, which kills and
-    // reaps whatever part of the fleet had booted.
-    let mut children: Vec<ChildGuard> = Vec::with_capacity(shards);
-    for i in 0..shards {
-        let extra = vec![
-            "--shard".to_string(),
-            format!("{i}/{shards}"),
-            "--cluster-manifest".to_string(),
-            manifest_path.display().to_string(),
-        ];
-        let (child, _) = spawn_serve(config, &addrs[i].to_string(), &shard_dirs[i], &extra)
-            .map_err(|e| format!("shard {i}: {e}"))?;
-        children.push(child);
-    }
-    let (router, router_addr) = spawn_router(&manifest_path).map_err(|e| format!("router: {e}"))?;
-    let mut follower_children: Vec<ChildGuard> = Vec::new();
-
-    // Wait for every shard, then boot the followers (their first fetch
-    // needs a live leader), then for the router's view of the model to
-    // populate (its /healthz reports nodes once its prober has reached
-    // a shard).
-    let boot_deadline = Instant::now() + config.recovery_timeout;
-    for (i, addr) in addrs.iter().enumerate() {
-        await_health(addr, boot_deadline)
-            .map_err(|e| format!("shard {i} never became healthy: {e}"))?;
-    }
-    for i in 0..shards {
-        for (j, addr) in follower_addrs[i].iter().enumerate() {
-            let (child, _) = spawn_follower(&addrs[i], addr, i, shards, &manifest_path)
-                .map_err(|e| format!("follower {j} of shard {i}: {e}"))?;
-            follower_children.push(child);
-            await_health(addr, boot_deadline)
-                .map_err(|e| format!("follower {j} of shard {i} never became healthy: {e}"))?;
-        }
-    }
-    let nodes = await_node_count(&router_addr, boot_deadline)
-        .map_err(|e| format!("router never reported the model: {e}"))?;
-
-    let shared = Shared {
-        phase: AtomicU8::new(PHASE_RUN),
-        disrupted: AtomicBool::new(false),
-        addr: Mutex::new(router_addr),
-        next_seq: AtomicU64::new(0),
-    };
-    let mut victim_rng = StdRng::seed_from_u64(config.seed);
-
-    let mut results: Vec<ChaosWorker> = Vec::new();
-    let mut recovery_ms: Vec<f64> = Vec::new();
-    let mut partial_responses = 0u64;
-    let mut non_partial_5xx = 0u64;
-    let mut degraded_reads = 0u64;
-    let mut loop_error: Option<String> = None;
-    std::thread::scope(|scope| {
-        let shared = &shared;
-        let handles: Vec<_> = (0..config.workers)
-            .map(|w| {
-                let seed = config
-                    .seed
-                    .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(w as u64 + 1));
-                scope.spawn(move || worker_loop(shared, nodes, seed))
-            })
-            .collect();
-
-        let probe_body = r#"{"cascade":[{"node":0,"time":0.0}],"top":5}"#;
-        for cycle in 1..=config.cycles {
-            std::thread::sleep(config.steady);
-            let victim = victim_rng.gen_range(0..shards);
-            shared.disrupted.store(true, Ordering::SeqCst);
-            let killed_at = Instant::now();
-            children[victim].kill_quietly();
-            let deadline = killed_at + config.recovery_timeout;
-
-            // Interrogate the router while the shard is a corpse.
-            // Without followers it must degrade (200 + "partial": true),
-            // never 5xx; with followers the shard's replica must mask
-            // the outage entirely, so the same probe must stay
-            // "partial": false and any degraded read is a failure.
-            let mut partials_seen = 0u64;
-            let mut full_seen = 0u64;
-            let target = PARTIALS_PER_CYCLE;
-            while partials_seen.max(full_seen) < target && Instant::now() < deadline {
-                match client::request(&router_addr, "POST", "/v1/predict", Some(probe_body)) {
-                    Ok(resp) if resp.status >= 500 => non_partial_5xx += 1,
-                    Ok(resp) if resp.status == 200 => {
-                        if resp.body.contains("\"partial\":true") {
-                            partials_seen += 1;
-                            if config.followers > 0 {
-                                degraded_reads += 1;
-                            }
-                        } else {
-                            full_seen += 1;
-                        }
-                    }
-                    Ok(_) | Err(_) => {}
-                }
-                std::thread::sleep(Duration::from_millis(25));
-            }
-            partial_responses += partials_seen;
-            if config.followers > 0 && full_seen < target {
-                loop_error = Some(format!(
-                    "cycle {cycle}: router never answered a full (non-partial) read \
-                     while leader {victim} was down despite its follower(s)"
-                ));
-                break;
-            }
-            if config.followers == 0 && partials_seen == 0 {
-                loop_error = Some(format!(
-                    "cycle {cycle}: router never answered partial while shard {victim} was down"
-                ));
-                break;
-            }
-
-            match spawn_serve(
-                config,
-                &addrs[victim].to_string(),
-                &shard_dirs[victim],
-                &[
-                    "--shard".to_string(),
-                    format!("{victim}/{shards}"),
-                    "--cluster-manifest".to_string(),
-                    manifest_path.display().to_string(),
-                ],
-            ) {
-                Ok((next_child, _)) => {
-                    children[victim] = next_child;
-                    if let Err(e) = await_health(&addrs[victim], deadline) {
-                        loop_error = Some(format!("cycle {cycle}: {e}"));
-                        break;
-                    }
-                    let elapsed = killed_at.elapsed().as_secs_f64() * 1000.0;
-                    recovery_ms.push(elapsed);
-                    shared.disrupted.store(false, Ordering::SeqCst);
-                    let while_down = if config.followers > 0 {
-                        format!("{full_seen} full read(s) via follower(s) while down")
-                    } else {
-                        format!("{partials_seen} partial response(s) while down")
-                    };
-                    obs::info(
-                        "chaos",
-                        &format!(
-                            "cycle {cycle}: shard {victim} recovered in {elapsed:.0} ms \
-                             ({while_down})"
-                        ),
-                        &[("addr", addrs[victim].to_string().into())],
-                    );
-                }
-                Err(e) => {
-                    loop_error = Some(format!("cycle {cycle}: respawn of shard {victim}: {e}"));
-                    break;
-                }
-            }
-        }
-        if loop_error.is_none() {
-            // A final steady window so post-recovery behaviour is observed.
-            std::thread::sleep(config.steady);
-        }
-        shared.phase.store(PHASE_STOP, Ordering::SeqCst);
-        for handle in handles {
-            results.push(handle.join().unwrap_or_default());
-        }
-    });
-    // The ultimate crash: SIGKILL everything, then audit every disk.
-    // Followers have no disk of their own — only leader WALs count.
-    drop((children, follower_children, router));
-    if let Some(e) = loop_error {
-        return Err(e);
-    }
-
-    let acked: BTreeSet<u64> = results
-        .iter()
-        .flat_map(|r| r.acked.iter().copied())
-        .collect();
-    let verify = verify_recovered_across(&shard_dirs, &acked)
-        .map_err(|e| format!("cannot replay the shard data dirs: {e}"))?;
-    Ok(finish_summary(
-        &results,
-        recovery_ms,
-        &acked,
-        verify,
-        partial_responses,
-        non_partial_5xx,
-        degraded_reads,
-    ))
-}
-
-/// Polls `/healthz` until it reports a non-empty model (a router's view
-/// populates only after its first successful shard probe).
-fn await_node_count(addr: &SocketAddr, deadline: Instant) -> Result<usize, String> {
-    loop {
-        match probe_node_count(addr) {
-            Ok(nodes) => return Ok(nodes),
-            Err(e) if Instant::now() > deadline => return Err(e),
-            Err(_) => std::thread::sleep(Duration::from_millis(20)),
-        }
-    }
-}
-
 /// Folds the per-worker tallies, recovery samples, and replay verdict
-/// into the run summary. Shared by the single-box and cluster paths.
+/// into the run summary.
 fn finish_summary(
     results: &[ChaosWorker],
     recovery_ms: Vec<f64>,
     acked: &BTreeSet<u64>,
     verify: VerifyOutcome,
-    partial_responses: u64,
-    non_partial_5xx: u64,
-    degraded_reads: u64,
 ) -> ChaosSummary {
     let mut steady_us: Vec<u64> = results
         .iter()
@@ -734,9 +412,6 @@ fn finish_summary(
         io_errors: sum(|r| r.io_errors),
         retries: sum(|r| r.retries),
         post_recovery_5xx: sum(|r| r.post_recovery_5xx),
-        partial_responses,
-        non_partial_5xx,
-        degraded_reads,
     }
 }
 
@@ -811,17 +486,6 @@ fn worker_loop(shared: &Shared, nodes: usize, seed: u64) -> ChaosWorker {
 /// is effectively disabled so every acked ingest stays in the WAL for
 /// the final replay instead of being folded into a checkpoint.
 fn spawn_daemon(config: &ChaosConfig) -> Result<(ChildGuard, SocketAddr), String> {
-    spawn_serve(config, "127.0.0.1:0", &config.data_dir, &[])
-}
-
-/// Spawns one `viralcast serve` child — the single-box daemon, or one
-/// shard of the cluster when `extra` carries `--shard`/`--cluster-manifest`.
-fn spawn_serve(
-    config: &ChaosConfig,
-    addr: &str,
-    data_dir: &Path,
-    extra: &[String],
-) -> Result<(ChildGuard, SocketAddr), String> {
     let exe = std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?;
     let mut cmd = Command::new(exe);
     cmd.arg("serve").arg("--backend").arg(&config.backend);
@@ -834,9 +498,9 @@ fn spawn_serve(
         }
     }
     cmd.arg("--data-dir")
-        .arg(data_dir)
+        .arg(&config.data_dir)
         .arg("--addr")
-        .arg(addr)
+        .arg("127.0.0.1:0")
         .arg("--fsync")
         .arg("always")
         .arg("--retrain-interval")
@@ -846,64 +510,13 @@ fn spawn_serve(
         .arg("--ingest-capacity")
         .arg("1000000")
         .arg("--log-level")
-        .arg("error");
-    for arg in extra {
-        cmd.arg(arg);
-    }
-    spawn_and_scrape(cmd, "serve")
-}
-
-/// Spawns one `viralcast serve --follow` replica child of the leader at
-/// `leader`, bound to `addr` and shard-scoped like its leader. The
-/// tight `--poll-interval` keeps replica lag far below the kill cadence.
-fn spawn_follower(
-    leader: &SocketAddr,
-    addr: &SocketAddr,
-    shard: usize,
-    shards: usize,
-    manifest_path: &Path,
-) -> Result<(ChildGuard, SocketAddr), String> {
-    let exe = std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?;
-    let mut cmd = Command::new(exe);
-    cmd.arg("serve")
-        .arg("--follow")
-        .arg(leader.to_string())
-        .arg("--addr")
-        .arg(addr.to_string())
-        .arg("--shard")
-        .arg(format!("{shard}/{shards}"))
-        .arg("--cluster-manifest")
-        .arg(manifest_path)
-        .arg("--poll-interval")
-        .arg("0.05")
-        .arg("--log-level")
-        .arg("error");
-    spawn_and_scrape(cmd, "follower")
-}
-
-/// Spawns the `viralcast router` child fronting the cluster.
-fn spawn_router(manifest_path: &Path) -> Result<(ChildGuard, SocketAddr), String> {
-    let exe = std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?;
-    let mut cmd = Command::new(exe);
-    cmd.arg("router")
-        .arg("--cluster-manifest")
-        .arg(manifest_path)
-        .arg("--addr")
-        .arg("127.0.0.1:0")
-        .arg("--log-level")
-        .arg("error");
-    spawn_and_scrape(cmd, "router")
-}
-
-/// Spawns a child and scrapes the bound address from its
-/// `… listening on http://HOST:PORT …` startup banner.
-fn spawn_and_scrape(mut cmd: Command, kind: &str) -> Result<(ChildGuard, SocketAddr), String> {
+        .arg("error")
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null());
     let mut child = ChildGuard(
-        cmd.stdin(Stdio::null())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .map_err(|e| format!("cannot spawn {kind} child: {e}"))?,
+        cmd.spawn()
+            .map_err(|e| format!("cannot spawn serve child: {e}"))?,
     );
     let stdout = child.0.stdout.take().expect("stdout was piped");
     let mut reader = BufReader::new(stdout);
@@ -912,9 +525,9 @@ fn spawn_and_scrape(mut cmd: Command, kind: &str) -> Result<(ChildGuard, SocketA
         line.clear();
         let n = reader
             .read_line(&mut line)
-            .map_err(|e| format!("reading {kind} child stdout: {e}"))?;
+            .map_err(|e| format!("reading serve child stdout: {e}"))?;
         if n == 0 {
-            return Err(format!("{kind} child exited before announcing its address"));
+            return Err("serve child exited before announcing its address".into());
         }
         if let Some(addr) = parse_listen_line(&line) {
             // Keep draining in the background so the child never blocks
@@ -1095,9 +708,6 @@ mod tests {
             io_errors: 2,
             retries: 9,
             post_recovery_5xx: 0,
-            partial_responses: 6,
-            non_partial_5xx: 0,
-            degraded_reads: 0,
         };
         let json = JsonValue::Obj(summary.attrs()).render();
         for needle in [
@@ -1109,9 +719,6 @@ mod tests {
             "\"p99_degradation\":10",
             "\"shed_rate\":",
             "\"post_recovery_5xx\":0",
-            "\"partial_responses\":6",
-            "\"non_partial_5xx\":0",
-            "\"degraded_reads\":0",
         ] {
             assert!(json.contains(needle), "{needle} missing from {json}");
         }

@@ -10,7 +10,6 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use viralcast_graph::{sbm, DiGraph, SbmConfig};
 use viralcast_propagation::{
     planted_embeddings, CascadeSet, EmbeddingRates, PlantedConfig, RateProvider, SimulationConfig,
@@ -18,7 +17,7 @@ use viralcast_propagation::{
 };
 
 /// Configuration of a full synthetic experiment.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SbmExperimentConfig {
     /// Graph shape (paper default: 2 000 nodes, α = 0.2, β = 0.001).
     pub sbm: SbmConfig,

@@ -9,13 +9,12 @@
 //! news site u's coverage", these rankings have a direct operational
 //! reading.
 
-use serde::{Deserialize, Serialize};
 use viralcast_embed::Embeddings;
 use viralcast_graph::NodeId;
 use viralcast_model::{CascadeModel, EmbeddingBackend};
 
 /// One ranked influencer.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct InfluencerRank {
     /// The node.
     pub node: NodeId,

@@ -18,13 +18,12 @@ use crate::pgd::{optimize, PgdConfig, PgdReport};
 use crate::subcascade::{split_cascades, IndexedCascade};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use viralcast_community::{Balance, MergeHierarchy, Partition};
 use viralcast_obs::{self as obs, StageTimings};
 use viralcast_propagation::CascadeSet;
 
 /// Configuration of the hierarchical inference.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct HierarchicalConfig {
     /// Number of latent topics `K`.
     pub topics: usize,
@@ -54,7 +53,7 @@ impl Default for HierarchicalConfig {
 /// Summary of one executed level. Wall-clock timings live in
 /// [`InferenceReport::timings`] (`level.{i}` → `split`, `optimize`), not
 /// here.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LevelSummary {
     /// Level index in the merge tree (0 = SLPA leaves).
     pub level: usize,
@@ -72,16 +71,13 @@ pub struct LevelSummary {
 }
 
 /// Full inference trace.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct InferenceReport {
     /// Per-level summaries, bottom to top.
     pub levels: Vec<LevelSummary>,
     /// Aggregated wall-clock span timings, rooted at `"hierarchical"`
     /// with one `level.{i}` child per executed level, each holding
-    /// `split` and `optimize` children. Not serialised (observability
-    /// data travels via the run report, not the model trace); a
-    /// deserialised report has an empty tree.
-    #[serde(skip, default)]
+    /// `split` and `optimize` children.
     pub timings: StageTimings,
 }
 

@@ -15,11 +15,10 @@ use crate::embedding::Embeddings;
 use crate::pgd::{optimize, PgdConfig, PgdReport};
 use crate::subcascade::IndexedCascade;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// Outcome of one parallel level.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LevelReport {
     /// Per-group optimiser reports, in group order.
     pub groups: Vec<PgdReport>,

@@ -16,7 +16,6 @@
 
 use crate::gradient::{accumulate_gradients, GradScratch};
 use crate::subcascade::IndexedCascade;
-use serde::{Deserialize, Serialize};
 use viralcast_obs as obs;
 
 /// Bucket bounds for the per-epoch gradient-norm histogram
@@ -35,7 +34,7 @@ const TOLERANCE: f64 = 1e-5;
 const MAX_VALUE: f64 = 1e3;
 
 /// Optimiser parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PgdConfig {
     /// Maximum number of epochs (full passes over the cascades).
     pub max_epochs: usize,
@@ -57,7 +56,7 @@ impl Default for PgdConfig {
 }
 
 /// What one optimisation run did.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PgdReport {
     /// Number of gradient epochs executed (rollback epochs included).
     pub epochs: usize,

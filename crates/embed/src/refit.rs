@@ -9,7 +9,6 @@
 //! the one statement of the pipeline's defaults, so a daemon retrains
 //! the same way `viralcast infer` fits.
 
-use serde::{Deserialize, Serialize};
 use viralcast_community::{Partition, Slpa, SlpaConfig};
 use viralcast_graph::cooccurrence::{CooccurrenceGraph, CooccurrenceOptions};
 use viralcast_propagation::CascadeSet;
@@ -18,7 +17,7 @@ use crate::hierarchical::{infer_warm, HierarchicalConfig, InferenceReport};
 use crate::Embeddings;
 
 /// Options for the full inference pipeline.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct InferOptions {
     /// Number of latent topics `K`.
     pub topics: usize,

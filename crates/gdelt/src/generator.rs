@@ -23,7 +23,6 @@
 use crate::records::{Mention, MentionTable};
 use crate::site::{NewsSite, Region};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use viralcast_graph::powerlaw::PowerLaw;
 use viralcast_graph::{DiGraph, GraphBuilder, NodeId};
 use viralcast_propagation::{
@@ -31,7 +30,7 @@ use viralcast_propagation::{
 };
 
 /// World-generation parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct GdeltConfig {
     /// Number of news sites (paper: 6 000 most popular).
     pub sites: usize,

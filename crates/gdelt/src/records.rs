@@ -8,14 +8,13 @@
 //! prediction input of Figure 12), and conversion to cascades for the
 //! inference stage.
 
-use serde::{Deserialize, Serialize};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 use viralcast_graph::NodeId;
 use viralcast_propagation::{Cascade, CascadeSet, Infection};
 
 /// One mention record.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Mention {
     /// Reporting site.
     pub site: NodeId,
@@ -26,7 +25,7 @@ pub struct Mention {
 }
 
 /// A table of mention records over a fixed site/event universe.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct MentionTable {
     site_count: usize,
     event_count: usize,

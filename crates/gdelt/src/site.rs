@@ -1,12 +1,11 @@
 //! News sites: identity, region, language, popularity.
 
-use serde::{Deserialize, Serialize};
 use viralcast_graph::NodeId;
 
 /// The regional blocks visible in the paper's Figures 1–2: a large US
 /// cluster, a European cluster (UK + continental sites), an Australian
 /// cluster, and a residual mixed group.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Region {
     /// United States outlets.
     UnitedStates,
@@ -73,7 +72,7 @@ impl std::fmt::Display for Region {
 }
 
 /// One synthetic news outlet.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct NewsSite {
     /// Dense node id shared with graphs and cascades.
     pub id: NodeId,
@@ -129,14 +128,5 @@ mod tests {
     fn display_is_short() {
         assert_eq!(Region::UnitedStates.to_string(), "US");
         assert_eq!(Region::Mixed.to_string(), "Mixed");
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let s = NewsSite::new(NodeId(7), Region::Europe, "de", 6_000.0);
-        let json = serde_json::to_string(&s).unwrap();
-        let back: NewsSite = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.name, s.name);
-        assert_eq!(back.region, s.region);
     }
 }

@@ -9,11 +9,10 @@
 //! log-binned histogram.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A continuous power-law (Pareto) distribution with density
 /// `p(x) ∝ x^(−exponent)` for `x ≥ x_min`.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PowerLaw {
     /// Scaling exponent `γ > 1`.
     pub exponent: f64,
@@ -63,7 +62,7 @@ impl PowerLaw {
 }
 
 /// One bar of a logarithmically binned histogram.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LogBin {
     /// Inclusive lower edge.
     pub lo: f64,

@@ -14,10 +14,9 @@
 use crate::digraph::{DiGraph, GraphBuilder};
 use crate::node::NodeId;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a planted-partition SBM.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SbmConfig {
     /// Total number of nodes.
     pub nodes: usize,

@@ -11,10 +11,9 @@ use crate::scaler::StandardScaler;
 use crate::svm::{LinearSvm, SvmConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Result of one cross-validation run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CvReport {
     /// Pooled confusion across folds.
     pub pooled: BinaryConfusion,

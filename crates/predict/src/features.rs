@@ -10,12 +10,11 @@
 //! * `normA = ‖Σ_i A_i‖` — total influence mass of the early adopters;
 //! * `maxA = max_k (Σ_i A_i)_k` — the strongest single-topic push.
 
-use serde::{Deserialize, Serialize};
 use viralcast_embed::Embeddings;
 use viralcast_graph::NodeId;
 
 /// The three early-adopter features of Section V.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CascadeFeatures {
     /// Maximum pairwise Euclidean distance between influence vectors.
     pub diver_a: f64,

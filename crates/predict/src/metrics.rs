@@ -5,10 +5,8 @@
 //! positive ("viral") class, which is the right call because high
 //! thresholds make the classes heavily unbalanced.
 
-use serde::{Deserialize, Serialize};
-
 /// A binary confusion matrix; the positive class is "viral".
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BinaryConfusion {
     /// Viral predicted viral.
     pub tp: usize,
@@ -78,7 +76,7 @@ impl BinaryConfusion {
 
 /// A named F1 score with its supporting precision/recall (what the
 /// figure harnesses print).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct F1Score {
     /// Precision of the positive class.
     pub precision: f64,

@@ -11,13 +11,12 @@
 use crate::cv::cross_validate;
 use crate::features::extract_features;
 use crate::svm::SvmConfig;
-use serde::{Deserialize, Serialize};
 use viralcast_embed::Embeddings;
 use viralcast_graph::NodeId;
 use viralcast_propagation::CascadeSet;
 
 /// What part of each test cascade the predictor may see.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PredictionTask {
     /// The observation-window length used when the cascades were
     /// generated (sets the early-adopter cutoff scale).
@@ -52,7 +51,7 @@ impl Default for PredictionTask {
 
 /// Extracted per-cascade data: features of the early adopters plus the
 /// final cascade size.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Dataset {
     /// Row-major feature matrix `[diverA, normA, maxA]`.
     pub features: Vec<Vec<f64>>,
@@ -130,7 +129,7 @@ pub fn extract_dataset(
 }
 
 /// One point of the Figure 9/12 curve.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SweepPoint {
     /// Size threshold defining the positive class.
     pub threshold: usize,

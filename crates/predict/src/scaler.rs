@@ -5,10 +5,8 @@
 //! by row norms while `normA` grows with adopter count), so the pipeline
 //! fits a scaler on the training folds and applies it to the test fold.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-dimension zero-mean unit-variance scaler.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct StandardScaler {
     means: Vec<f64>,
     stds: Vec<f64>,

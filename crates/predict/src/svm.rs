@@ -17,10 +17,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Training hyper-parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SvmConfig {
     /// L2 regularisation strength `λ`.
     pub lambda: f64,
@@ -49,7 +48,7 @@ impl Default for SvmConfig {
 }
 
 /// A trained linear classifier `sign(⟨w, x⟩ + b)`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LinearSvm {
     weights: Vec<f64>,
     bias: f64,

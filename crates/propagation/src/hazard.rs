@@ -11,7 +11,6 @@
 //! exponential with the summed rate.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A parametric delay distribution expressed through its hazard/survival
 /// pair, with enough structure to simulate and to score likelihoods.
@@ -33,7 +32,7 @@ pub trait HazardFunction: Clone + Send + Sync {
 }
 
 /// Exponential delay: `h(Δt) = λ`, `S(Δt) = e^{−λΔt}`.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Exponential {
     /// Rate `λ > 0`.
     pub rate: f64,

@@ -11,7 +11,6 @@
 //!   experiments a well-specified target and lets tests check recovery.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use viralcast_graph::NodeId;
 
 /// Supplies the exponential rate of each directed link.
@@ -44,9 +43,8 @@ impl RateProvider for EdgeWeightRates<'_> {
 
 /// Ground-truth influence/selectivity embeddings; the link rate is the
 /// inner product `⟨A_u, B_v⟩` (paper eq. 6).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct EmbeddingRates {
-    n: usize,
     k: usize,
     /// Influence matrix, row-major `n × k`.
     a: Vec<f64>,
@@ -63,7 +61,7 @@ impl EmbeddingRates {
             a.iter().chain(b.iter()).all(|&x| x >= 0.0 && x.is_finite()),
             "embeddings must be non-negative and finite"
         );
-        EmbeddingRates { n, k, a, b }
+        EmbeddingRates { k, a, b }
     }
 
     /// Number of topics.
@@ -96,7 +94,7 @@ impl RateProvider for EmbeddingRates {
 }
 
 /// Configuration of planted ground-truth embeddings.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PlantedConfig {
     /// Mean on-topic component (a node is "on topic" for its own
     /// community's topic).
@@ -220,7 +218,7 @@ mod tests {
         let membership = vec![0, 1, 2, 1];
         let mut rng = StdRng::seed_from_u64(1);
         let e = planted_embeddings(&membership, &PlantedConfig::default(), &mut rng);
-        assert_eq!(e.n, 4);
+        assert_eq!(e.a.len(), 4 * 3);
         assert_eq!(e.topic_count(), 3);
         assert_eq!(e.influence(NodeId(2)).len(), 3);
     }

@@ -18,13 +18,12 @@ use crate::cascade::{Cascade, CascadeSet, Infection};
 use crate::hazard::{Exponential, HazardFunction};
 use crate::rates::RateProvider;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use viralcast_graph::{DiGraph, NodeId};
 
 /// Simulation parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SimulationConfig {
     /// Length of the observation window; infections after it are
     /// discarded and the process stops.

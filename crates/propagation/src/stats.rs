@@ -7,10 +7,9 @@
 //! [`CascadeSet`] so harnesses can print them alongside paper values.
 
 use crate::cascade::CascadeSet;
-use serde::{Deserialize, Serialize};
 
 /// Five-number-ish summary of a sample.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SampleSummary {
     /// Sample size.
     pub count: usize,

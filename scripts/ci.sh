@@ -320,24 +320,29 @@ smoke_backends() {
 }
 
 # Sharded-cluster smoke: a 2-shard round-robin manifest, two shard
-# daemons, and the scatter-gather router in front. A 50-read burst
-# through the router must see zero 5xx; after SIGKILLing one shard the
-# router must keep answering /v1/predict with HTTP 200 and
-# "partial":true — any 5xx during the outage fails the leg.
+# daemons, a snapshot-replica follower of shard 0's leader, and the
+# scatter-gather router in front. A 50-read burst through the router
+# must see zero 5xx. After SIGKILLing shard 0's leader, its follower
+# must mask the outage: every read stays HTTP 200 with "partial":false
+# (at least 3 of them). After SIGKILLing shard 1, which has no
+# follower, the router must keep answering /v1/predict with HTTP 200
+# and "partial":true — any 5xx during either outage fails the leg.
 smoke_cluster() {
-    local tmp fixture manifest port0 port1 rport pid0 pid1 rpid reply partial
+    local tmp fixture manifest port0 port1 fport rport pid0 pid1 fpid rpid reply full partial
     tmp="$(mktemp -d)"
     trap 'rm -rf "$tmp"' RETURN
     fixture="$tmp/embeddings.json"
     manifest="$tmp/cluster-manifest.json"
     write_fixture "$fixture"
 
-    # The manifest names fixed shard ports up front; $RANDOM keeps
-    # reruns from colliding.
+    # The manifest names fixed shard and follower ports up front;
+    # $RANDOM keeps reruns from colliding.
     port0=$((20000 + RANDOM % 20000))
     port1=$((port0 + 1))
+    fport=$((port0 + 2))
     if ! target/release/viralcast cluster-plan --out "$manifest" \
-        --shards "127.0.0.1:$port0,127.0.0.1:$port1"; then
+        --shards "127.0.0.1:$port0,127.0.0.1:$port1" \
+        --followers "127.0.0.1:$fport;"; then
         echo "cluster-plan failed" >&2
         return 1
     fi
@@ -348,27 +353,65 @@ smoke_cluster() {
     target/release/viralcast serve --embeddings "$fixture" --workers 2 \
         --shard 1/2 --cluster-manifest "$manifest" >"$tmp/shard1.log" 2>&1 &
     pid1=$!
+    # The follower's boot fetch needs a live leader.
+    if ! await_health "$port0" | grep -q '"status":"ok"'; then
+        echo "shard 0 never became healthy" >&2
+        cat "$tmp/shard0.log" >&2
+        kill "$pid0" "$pid1" 2>/dev/null || true
+        return 1
+    fi
+    target/release/viralcast serve --follow "127.0.0.1:$port0" \
+        --addr "127.0.0.1:$fport" --workers 2 --poll-interval 0.1 \
+        --shard 0/2 --cluster-manifest "$manifest" >"$tmp/follower.log" 2>&1 &
+    fpid=$!
     target/release/viralcast router --cluster-manifest "$manifest" \
         --addr 127.0.0.1:0 --probe-interval 0.2 >"$tmp/router.log" 2>&1 &
     rpid=$!
 
     rport="$(await_port "$tmp/router.log")"
-    # The router reports "ok" only once its prober has seen every shard
+    # The router reports "ok" only once its prober has seen every site
     # healthy, so one await covers the whole cluster.
     if [ -z "$rport" ] || ! await_health "$rport" | grep -q '"status":"ok"'; then
         echo "cluster never became healthy" >&2
-        cat "$tmp/router.log" "$tmp/shard0.log" "$tmp/shard1.log" >&2
-        kill "$pid0" "$pid1" "$rpid" 2>/dev/null || true
+        cat "$tmp/router.log" "$tmp/shard0.log" "$tmp/shard1.log" "$tmp/follower.log" >&2
+        kill "$pid0" "$pid1" "$fpid" "$rpid" 2>/dev/null || true
         return 1
     fi
 
     if ! read_burst "$rport" >/dev/null; then
         echo "router failed a read under healthy-cluster load" >&2
-        kill "$pid0" "$pid1" "$rpid" 2>/dev/null || true
+        kill "$pid0" "$pid1" "$fpid" "$rpid" 2>/dev/null || true
         return 1
     fi
 
-    # One shard dies hard; the router must degrade, not fail.
+    # Shard 0's leader dies hard; its follower must keep reads whole.
+    kill -9 "$pid0"
+    full=0
+    for _ in $(seq 1 25); do
+        reply="$(http_post "$rport" /v1/predict \
+            '{"cascade":[{"node":0,"time":0.0}],"top":3}' 2>/dev/null || true)"
+        case "$reply" in
+            *'HTTP/1.1 5'*|*'"partial":true'*)
+                echo "router answered 5xx or partial while shard 0's follower was up" >&2
+                echo "$reply" >&2
+                kill "$pid1" "$fpid" "$rpid" 2>/dev/null || true
+                return 1
+                ;;
+            'HTTP/1.1 200'*'"partial":false'*)
+                full=$((full + 1))
+                [ "$full" -ge 3 ] && break
+                ;;
+        esac
+        sleep 0.2
+    done
+    if [ "$full" -lt 3 ]; then
+        echo "router served $full full answer(s) after shard 0's leader died (need 3)" >&2
+        cat "$tmp/router.log" "$tmp/follower.log" >&2
+        kill "$pid1" "$fpid" "$rpid" 2>/dev/null || true
+        return 1
+    fi
+
+    # Shard 1 has no follower; the router must degrade, not fail.
     kill -9 "$pid1"
     partial=0
     for _ in $(seq 1 25); do
@@ -378,7 +421,7 @@ smoke_cluster() {
             *'HTTP/1.1 5'*)
                 echo "router answered 5xx while a shard was down" >&2
                 echo "$reply" >&2
-                kill "$pid0" "$rpid" 2>/dev/null || true
+                kill "$fpid" "$rpid" 2>/dev/null || true
                 return 1
                 ;;
             *'"partial":true'*) partial=1; break ;;
@@ -388,12 +431,12 @@ smoke_cluster() {
     if [ "$partial" -ne 1 ]; then
         echo "router never served a partial response during the outage" >&2
         cat "$tmp/router.log" >&2
-        kill "$pid0" "$rpid" 2>/dev/null || true
+        kill "$fpid" "$rpid" 2>/dev/null || true
         return 1
     fi
 
-    interrupt_within_2s "$pid0" "$rpid"
-    echo "cluster smoke test OK (router port $rport, partial answer after shard kill)"
+    interrupt_within_2s "$fpid" "$rpid"
+    echo "cluster smoke test OK (router port $rport, $full full answers via the follower, partial answer after shard kill)"
 }
 
 # Replication smoke: a leader and one `serve --follow` follower. The
@@ -644,6 +687,19 @@ one_yardstick() {
     fi
 }
 
+# One kill loop: `chaos` SIGKILLs one single-box daemon. Cluster and
+# follower SIGKILLs are smoke_cluster's and smoke_replica's, and the
+# union replay across shard logs is an in-process cluster test. Fail if
+# the cluster kill loop, its spawners or its report fields come back.
+# The bracket in each alternative keeps this script from matching itself.
+one_kill_loop() {
+    if grep -rnE 'run_[c]luster|spawn_[r]outer|spawn_[f]ollower|non_partial_[5]xx|degraded_[r]eads' \
+        crates/ src/ scripts/ README.md DESIGN.md; then
+        echo "a second kill loop reappeared; cluster kills belong to smoke_cluster" >&2
+        return 1
+    fi
+}
+
 # One load driver: viralbench (benchmark/). Fail if the second closed-loop
 # driver, its scenario generator, its report or the client's endpoint
 # rotation comes back. The bracket in each alternative keeps this script
@@ -815,6 +871,7 @@ workspace_tests() {
 }
 
 run one_yardstick
+run one_kill_loop
 run one_load_driver
 run one_test_stack
 run one_selection
