@@ -197,7 +197,9 @@ SERVE:
   durability flags (--embeddings, --corpus, --backend, --data-dir,
   --fsync, --segment-bytes, --retrain-interval, --min-retrain-batch)
   are rejected with --follow. With --shard/--cluster-manifest the
-  follower scopes its candidate scan exactly like its leader.
+  follower scopes its candidate scan exactly like its leader, and
+  without --addr it binds the one follower address the manifest plans
+  for its shard (several planned followers make --addr required).
 
 CLUSTER:
   cluster-plan writes a shard manifest (schema
@@ -589,13 +591,9 @@ fn parse_shard_flag(flags: &Flags) -> Result<Option<(usize, usize)>, CliError> {
 }
 
 /// Resolves `--shard I/N` with `--cluster-manifest FILE` (both or
-/// neither) into the loaded manifest plus the shard's position, after
-/// checking the manifest plans the backend this daemon runs — `running`
-/// words where that backend came from for the mismatch error.
+/// neither) into the loaded manifest plus the shard's position.
 fn resolve_cluster(
     flags: &Flags,
-    backend: &str,
-    running: &str,
 ) -> Result<Option<(viralcast::cluster::ClusterManifest, usize, usize)>, CliError> {
     let (path, (i, n)) = match (flags.opt_path("cluster-manifest"), parse_shard_flag(flags)?) {
         (Some(path), Some(shard)) => (path, shard),
@@ -607,12 +605,6 @@ fn resolve_cluster(
         }
     };
     let manifest = viralcast::cluster::ClusterManifest::load(&path).map_err(runtime_err)?;
-    if manifest.backend != backend {
-        return Err(runtime_err(format!(
-            "the cluster manifest plans a {:?} cluster but {running}",
-            manifest.backend
-        )));
-    }
     if manifest.shard_count() != n {
         return Err(runtime_err(format!(
             "--shard {i}/{n} disagrees with the manifest's {} shard(s)",
@@ -620,6 +612,22 @@ fn resolve_cluster(
         )));
     }
     Ok(Some((manifest, i, n)))
+}
+
+/// Fails unless a resolved manifest plans the backend this daemon runs —
+/// `running` words where that backend came from for the mismatch error.
+fn check_cluster_backend(
+    cluster: &Option<(viralcast::cluster::ClusterManifest, usize, usize)>,
+    backend: &str,
+    running: &str,
+) -> Result<(), CliError> {
+    match cluster {
+        Some((manifest, _, _)) if manifest.backend != backend => Err(runtime_err(format!(
+            "the cluster manifest plans a {:?} cluster but {running}",
+            manifest.backend
+        ))),
+        _ => Ok(()),
+    }
 }
 
 fn serve_cmd(flags: &Flags) -> Result<Attrs, CliError> {
@@ -636,8 +644,9 @@ fn serve_cmd(flags: &Flags) -> Result<Attrs, CliError> {
     }
     let (backend, source) = model_source(flags)?;
     let retrain_interval = flags.secs("retrain-interval", Duration::from_secs(5))?;
-    let cluster = resolve_cluster(
-        flags,
+    let cluster = resolve_cluster(flags)?;
+    check_cluster_backend(
+        &cluster,
         backend,
         &format!("this shard was started with --backend {backend:?}"),
     )?;
@@ -812,12 +821,30 @@ fn serve_follow_cmd(flags: &Flags) -> Result<Attrs, CliError> {
     }
     let defaults = replica::FollowerConfig::new(leader);
     let poll_interval = flags.secs("poll-interval", defaults.poll_interval)?;
+    let workers = flags.count("workers", 4)?;
+    let cluster = resolve_cluster(flags)?;
+    // A shard follower binds the one follower address the manifest plans
+    // for it, as a shard leader binds `addr_of(i)`.
+    let addr = match (flags.get("addr"), &cluster) {
+        (Some(a), _) => a.to_string(),
+        (None, Some((manifest, i, _))) => match manifest.followers_of(*i) {
+            [one] => one.to_string(),
+            planned => {
+                return Err(usage_err(format!(
+                    "--addr is required: the cluster manifest plans {} follower(s) \
+                     for shard {i} ({planned:?}), not one address to bind",
+                    planned.len()
+                )))
+            }
+        },
+        (None, None) => "127.0.0.1:8080".to_string(),
+    };
 
     let mut config = replica::FollowerConfig {
         poll_interval,
         serve: serve::ServeConfig {
-            addr: flags.get("addr").unwrap_or("127.0.0.1:8080").to_string(),
-            workers: flags.count("workers", 4)?,
+            addr,
+            workers,
             ingest_capacity: flags.usize("ingest-capacity", 4096)?,
             access_log: flags.opt_path("access-log"),
             ..serve::ServeConfig::default()
@@ -831,8 +858,8 @@ fn serve_follow_cmd(flags: &Flags) -> Result<Attrs, CliError> {
     let (backend, boot_version) = (boot.backend.clone(), boot.version);
     let (nodes, topics) = (boot.model.node_count(), boot.model.topic_count());
 
-    let cluster = resolve_cluster(
-        flags,
+    check_cluster_backend(
+        &cluster,
         &backend,
         &format!("the leader streams {backend:?} snapshots"),
     )?;

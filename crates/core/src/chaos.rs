@@ -33,7 +33,6 @@ use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use viralcast_obs::{self as obs, JsonValue};
 use viralcast_propagation::Cascade;
@@ -246,8 +245,6 @@ struct Shared {
     phase: AtomicU8,
     /// Set across each kill → healthy-again window.
     disrupted: AtomicBool,
-    /// Where the (current) daemon listens; swapped after each restart.
-    addr: Mutex<SocketAddr>,
     /// Global ingest sequence allocator.
     next_seq: AtomicU64,
 }
@@ -261,15 +258,15 @@ struct Shared {
 pub fn run(config: &ChaosConfig) -> Result<ChaosSummary, String> {
     ensure_empty_data_dir(&config.data_dir)?;
 
-    let (mut child, first_addr) = spawn_daemon(config)?;
+    // Every respawn binds the address the first boot was given, so the
+    // workers' retries reach the restarted daemon.
+    let (mut child, addr) = spawn_daemon(config, "127.0.0.1:0")?;
     let boot_deadline = Instant::now() + config.recovery_timeout;
-    await_health(&first_addr, boot_deadline)
-        .map_err(|e| format!("daemon never became healthy: {e}"))?;
-    let nodes = probe_node_count(&first_addr)?;
+    await_health(&addr, boot_deadline).map_err(|e| format!("daemon never became healthy: {e}"))?;
+    let nodes = probe_node_count(&addr)?;
     let shared = Shared {
         phase: AtomicU8::new(PHASE_RUN),
         disrupted: AtomicBool::new(false),
-        addr: Mutex::new(first_addr),
         next_seq: AtomicU64::new(0),
     };
 
@@ -283,7 +280,7 @@ pub fn run(config: &ChaosConfig) -> Result<ChaosSummary, String> {
                 let seed = config
                     .seed
                     .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(w as u64 + 1));
-                scope.spawn(move || worker_loop(shared, nodes, seed))
+                scope.spawn(move || worker_loop(shared, addr, nodes, seed))
             })
             .collect();
 
@@ -292,22 +289,21 @@ pub fn run(config: &ChaosConfig) -> Result<ChaosSummary, String> {
             shared.disrupted.store(true, Ordering::SeqCst);
             let killed_at = Instant::now();
             child.kill_quietly();
-            match spawn_daemon(config) {
-                Ok((next_child, next_addr)) => {
+            match spawn_daemon(config, &addr.to_string()) {
+                Ok((next_child, _)) => {
                     child = next_child;
                     let deadline = killed_at + config.recovery_timeout;
-                    if let Err(e) = await_health(&next_addr, deadline) {
+                    if let Err(e) = await_health(&addr, deadline) {
                         loop_error = Some(format!("cycle {cycle}: {e}"));
                         break;
                     }
                     let elapsed = killed_at.elapsed().as_secs_f64() * 1000.0;
                     recovery_ms.push(elapsed);
-                    *shared.addr.lock().expect("addr lock poisoned") = next_addr;
                     shared.disrupted.store(false, Ordering::SeqCst);
                     obs::info(
                         "chaos",
                         &format!("cycle {cycle}: recovered in {elapsed:.0} ms"),
-                        &[("addr", next_addr.to_string().into())],
+                        &[("addr", addr.to_string().into())],
                     );
                 }
                 Err(e) => {
@@ -419,7 +415,7 @@ fn finish_summary(
 /// fourth exchange is a predict read instead, so the read path's
 /// degradation is measured too), tally the outcome into the steady or
 /// disrupted bucket.
-fn worker_loop(shared: &Shared, nodes: usize, seed: u64) -> ChaosWorker {
+fn worker_loop(shared: &Shared, addr: SocketAddr, nodes: usize, seed: u64) -> ChaosWorker {
     let mut result = ChaosWorker::default();
     // Restarts take longer than a shed burst: give chaos workers a
     // deeper retry budget than the client's default.
@@ -444,7 +440,6 @@ fn worker_loop(shared: &Shared, nodes: usize, seed: u64) -> ChaosWorker {
             body = encode_seq_body(seq, nodes);
         }
         let trace_id = format!("chaos-{seq:x}");
-        let addr = *shared.addr.lock().expect("addr lock poisoned");
         let disrupted = shared.disrupted.load(Ordering::SeqCst);
         let started = Instant::now();
         let outcome = client::request_with_retry(
@@ -481,11 +476,12 @@ fn worker_loop(shared: &Shared, nodes: usize, seed: u64) -> ChaosWorker {
     result
 }
 
-/// Spawns `viralcast serve` (this same binary) over the chaos data dir
-/// and scrapes the bound address from its startup banner. The trainer
+/// Spawns `viralcast serve` (this same binary) over the chaos data dir,
+/// listening on `addr`, and scrapes the bound address from its startup
+/// banner (`addr` may ask for an ephemeral port). The trainer
 /// is effectively disabled so every acked ingest stays in the WAL for
 /// the final replay instead of being folded into a checkpoint.
-fn spawn_daemon(config: &ChaosConfig) -> Result<(ChildGuard, SocketAddr), String> {
+fn spawn_daemon(config: &ChaosConfig, addr: &str) -> Result<(ChildGuard, SocketAddr), String> {
     let exe = std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?;
     let mut cmd = Command::new(exe);
     cmd.arg("serve").arg("--backend").arg(&config.backend);
@@ -500,7 +496,7 @@ fn spawn_daemon(config: &ChaosConfig) -> Result<(ChildGuard, SocketAddr), String
     cmd.arg("--data-dir")
         .arg(&config.data_dir)
         .arg("--addr")
-        .arg("127.0.0.1:0")
+        .arg(addr)
         .arg("--fsync")
         .arg("always")
         .arg("--retrain-interval")

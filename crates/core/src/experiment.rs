@@ -12,8 +12,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use viralcast_graph::{sbm, DiGraph, SbmConfig};
 use viralcast_propagation::{
-    planted_embeddings, CascadeSet, EmbeddingRates, PlantedConfig, RateProvider, SimulationConfig,
-    Simulator,
+    planted_embeddings, CascadeSet, Embeddings, PlantedConfig, SimulationConfig, Simulator,
 };
 
 /// Configuration of a full synthetic experiment.
@@ -65,7 +64,7 @@ impl Default for SbmExperimentConfig {
 pub struct SbmExperiment {
     config: SbmExperimentConfig,
     graph: DiGraph,
-    ground_truth: EmbeddingRates,
+    ground_truth: Embeddings,
     train: CascadeSet,
     test: CascadeSet,
 }
@@ -109,7 +108,7 @@ impl SbmExperiment {
     }
 
     /// The planted ground-truth rates.
-    pub fn ground_truth(&self) -> &EmbeddingRates {
+    pub fn ground_truth(&self) -> &Embeddings {
         &self.ground_truth
     }
 

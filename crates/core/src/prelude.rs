@@ -25,6 +25,6 @@ pub use viralcast_predict::{
     StandardScaler, SvmConfig, SweepPoint,
 };
 pub use viralcast_propagation::{
-    planted_embeddings, Cascade, CascadeSet, EmbeddingRates, Exponential, HazardFunction,
-    Infection, PlantedConfig, RateProvider, SimulationConfig, Simulator,
+    planted_embeddings, Cascade, CascadeSet, Infection, PlantedConfig, RateProvider,
+    SimulationConfig, Simulator,
 };

@@ -275,7 +275,8 @@ fn predict_rejects_mismatched_universes() {
 /// arguments name paths that do not exist, so a rule checked only after
 /// a file is read would fail the row with a runtime error (exit 1)
 /// instead; the router rows get a real manifest because the router
-/// needs one before its flags mean anything.
+/// needs one before its flags mean anything, and so does the follower
+/// row whose manifest plans two followers for its shard.
 #[test]
 fn every_usage_rule_exits_2_naming_its_flag() {
     let manifest = temp("usage-rules-manifest.json");
@@ -284,6 +285,17 @@ fn every_usage_rule_exits_2_naming_its_flag() {
         .save(&manifest)
         .unwrap();
     let manifest = manifest.to_str().unwrap();
+    let two_followers = temp("usage-rules-two-followers.json");
+    viralcast::cluster::ClusterManifest::round_robin(&["127.0.0.1:9".parse().unwrap()])
+        .unwrap()
+        .with_followers(vec![vec![
+            "127.0.0.1:10".parse().unwrap(),
+            "127.0.0.1:11".parse().unwrap(),
+        ]])
+        .unwrap()
+        .save(&two_followers)
+        .unwrap();
+    let two_followers = two_followers.to_str().unwrap();
     let absent = "absent-input-file";
     let follow = ["serve", "--follow", "127.0.0.1:9"];
 
@@ -384,6 +396,20 @@ fn every_usage_rule_exits_2_naming_its_flag() {
             "--segment-bytes",
         ),
         (vec!["serve", "--follow", "nowhere"], "--follow"),
+        // A shard follower binds the manifest's one planned follower
+        // address; with two planned, --addr must pick.
+        (
+            vec![
+                "serve",
+                "--follow",
+                "127.0.0.1:9",
+                "--shard",
+                "0/1",
+                "--cluster-manifest",
+                two_followers,
+            ],
+            "--addr",
+        ),
         (
             vec!["router", "--cluster-manifest", manifest, "--workers", "0"],
             "--workers",

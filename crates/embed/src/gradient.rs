@@ -15,9 +15,9 @@
 //! that makes the stochastic-gradient inference "fast" in the paper's
 //! terms.
 
-use crate::embedding::dot;
 use crate::likelihood::RATE_FLOOR;
 use crate::subcascade::IndexedCascade;
+use viralcast_propagation::dot;
 
 /// Reusable workspace for the gradient sweeps (avoids per-cascade
 /// allocation in the optimiser's hot loop).

@@ -12,10 +12,10 @@
 //! the desired size around [`infer`] (that is exactly how the Figure
 //! 10/13 harnesses sweep core counts).
 
-use crate::embedding::Embeddings;
 use crate::parallel::{run_level, LevelReport};
 use crate::pgd::{optimize, PgdConfig, PgdReport};
 use crate::subcascade::{split_cascades, IndexedCascade};
+use crate::Embeddings;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use viralcast_community::{Balance, MergeHierarchy, Partition};

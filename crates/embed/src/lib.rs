@@ -11,9 +11,12 @@
 //! prescribe: workers own disjoint row blocks of `A` and `B`, so there
 //! are no write-write conflicts and no locks.
 //!
+//! The `n × K` matrix pair itself, [`Embeddings`], is the rate model the
+//! simulator draws from as well, so it lives in `viralcast-propagation`
+//! and is re-exported here.
+//!
 //! Module map:
 //!
-//! * [`embedding`] — the `n × K` matrix pair with layout permutations.
 //! * [`likelihood`] — eq. 8 in `O(s·K)` per cascade.
 //! * [`gradient`] — eqs. 12–16 via prefix/suffix sweeps, also `O(s·K)`.
 //! * [`subcascade`] — Algorithm 1 lines 1–11: splitting cascades into
@@ -34,7 +37,6 @@
 
 #![warn(missing_docs)]
 
-pub mod embedding;
 pub mod gradient;
 pub mod hierarchical;
 pub mod likelihood;
@@ -43,7 +45,6 @@ pub mod pgd;
 pub mod refit;
 pub mod subcascade;
 
-pub use embedding::{EmbeddingFileError, Embeddings, EMBEDDINGS_FORMAT};
 pub use hierarchical::{
     infer, infer_sequential, infer_warm, initial_embeddings, HierarchicalConfig, InferenceReport,
     LevelSummary,
@@ -51,3 +52,4 @@ pub use hierarchical::{
 pub use pgd::{PgdConfig, PgdReport};
 pub use refit::{detect_communities, refit, InferOptions, UpdateError};
 pub use subcascade::IndexedCascade;
+pub use viralcast_propagation::{EmbeddingFileError, Embeddings, EMBEDDINGS_FORMAT};

@@ -17,8 +17,8 @@
 //! same timestamp is treated as a predecessor of the ones after it,
 //! matching the simulator's deterministic tie-breaking.
 
-use crate::embedding::dot;
 use crate::subcascade::IndexedCascade;
+use viralcast_propagation::dot;
 
 /// Floor applied inside `ln(·)` and to gradient denominators so that
 /// all-zero rows cannot produce `−∞` or division by zero.

@@ -11,9 +11,9 @@
 //! worker count, which the tests exploit: a single-community level must
 //! reproduce the sequential optimiser exactly.
 
-use crate::embedding::Embeddings;
 use crate::pgd::{optimize, PgdConfig, PgdReport};
 use crate::subcascade::IndexedCascade;
+use crate::Embeddings;
 use rayon::prelude::*;
 use std::ops::Range;
 

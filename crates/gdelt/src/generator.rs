@@ -26,7 +26,7 @@ use rand::Rng;
 use viralcast_graph::powerlaw::PowerLaw;
 use viralcast_graph::{DiGraph, GraphBuilder, NodeId};
 use viralcast_propagation::{
-    planted_embeddings, EmbeddingRates, PlantedConfig, SimulationConfig, Simulator,
+    assert_valid_rates, planted_embeddings, Embeddings, PlantedConfig, SimulationConfig, Simulator,
 };
 
 /// World-generation parameters.
@@ -107,7 +107,7 @@ pub struct GdeltWorld {
     config: GdeltConfig,
     sites: Vec<NewsSite>,
     graph: DiGraph,
-    rates: EmbeddingRates,
+    rates: Embeddings,
     /// Topical community of each site (region-nested).
     membership: Vec<usize>,
     /// Cumulative popularity for seed sampling.
@@ -170,18 +170,15 @@ impl GdeltWorld {
         // Matthew effect.
         let mut rates = planted_embeddings(&membership, &config.planted, rng);
         let k = rates.topic_count();
-        let n = config.sites;
-        let mut a = Vec::with_capacity(n * k);
-        let mut b = Vec::with_capacity(n * k);
-        #[allow(clippy::needless_range_loop)] // u indexes sites and both matrices
-        for u in 0..n {
-            let boost = 1.0 + (sites[u].popularity / config.popularity_cutoff).ln();
-            for t in 0..k {
-                a.push(rates.influence(NodeId::new(u))[t] * boost);
-                b.push(rates.selectivity(NodeId::new(u))[t] * boost);
+        let (a, b) = rates.matrices_mut();
+        for ((row_a, row_b), site) in a.chunks_mut(k).zip(b.chunks_mut(k)).zip(&sites) {
+            let boost = 1.0 + (site.popularity / config.popularity_cutoff).ln();
+            for x in row_a.iter_mut().chain(row_b) {
+                *x *= boost;
             }
         }
-        rates = EmbeddingRates::from_matrices(n, k, a, b);
+        assert_valid_rates(&rates);
+        let n = config.sites;
 
         // --- Co-follow graph: popularity-proportional sampling, mostly
         // intra-region.
@@ -273,7 +270,7 @@ impl GdeltWorld {
     }
 
     /// Ground-truth rates (for recovery checks).
-    pub fn ground_truth(&self) -> &EmbeddingRates {
+    pub fn ground_truth(&self) -> &Embeddings {
         &self.rates
     }
 

@@ -18,8 +18,8 @@
 //! compiler unrolls for K = 8 and K = 16 and a runtime value otherwise;
 //! the body is the same generic function.
 
-use viralcast_embed::embedding::dot;
 use viralcast_graph::NodeId;
+use viralcast_propagation::dot;
 
 use crate::{rank_order, RowBlock};
 

@@ -1,14 +1,19 @@
-//! The influence/selectivity matrix pair.
+//! The influence/selectivity matrix pair: the paper's one rate model.
 //!
 //! `A` and `B` are dense row-major `n × K` matrices of non-negative
-//! reals. The number of latent variables is `2nK` — "linear to the number
-//! of nodes", the paper's headline advantage over `O(n²)` edge models.
+//! reals, and the rate of `u → v` is `⟨A_u, B_v⟩` (eqs. 6–7). The same
+//! type holds a generated world's planted truth (which the simulator
+//! draws delays from) and the fit the inference stage recovers, so the
+//! two compare entry by entry. The number of latent variables is `2nK` —
+//! "linear to the number of nodes", the paper's headline advantage over
+//! `O(n²)` edge models.
 //!
 //! For the parallel algorithms the matrices can be *re-laid-out*: rows
 //! permuted so that each community occupies a contiguous block
 //! ([`Embeddings::reorder`]), handed out as disjoint `&mut` blocks, and
 //! permuted back ([`Embeddings::restore`]) when inference finishes.
 
+use crate::store::atomic_write;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use viralcast_graph::NodeId;
@@ -89,7 +94,8 @@ impl Embeddings {
         &self.b
     }
 
-    /// Mutable views of both matrices (for the optimisers).
+    /// Mutable views of both matrices (for the optimisers, and for
+    /// generators that rescale a planted truth in place).
     pub fn matrices_mut(&mut self) -> (&mut [f64], &mut [f64]) {
         (&mut self.a, &mut self.b)
     }
@@ -97,7 +103,7 @@ impl Embeddings {
     /// The modelled transmission rate `⟨A_u, B_v⟩` (eq. 6).
     ///
     /// ```
-    /// use viralcast_embed::Embeddings;
+    /// use viralcast_propagation::Embeddings;
     /// use viralcast_graph::NodeId;
     /// let emb = Embeddings::from_matrices(
     ///     2, 2,
@@ -170,12 +176,10 @@ impl Embeddings {
     /// [`EMBEDDINGS_FORMAT`] so [`Embeddings::load_json`] can reject
     /// foreign or stale files by name instead of by parse failure.
     ///
-    /// The write is atomic: the JSON is staged in a temp file in the
-    /// same directory, fsynced, and renamed over the target, so a crash
-    /// mid-save leaves either the previous file or the new one — never
-    /// a torn mix.
+    /// The write goes through [`atomic_write`], so a crash mid-save
+    /// leaves either the previous file or the new one — never a torn
+    /// mix.
     pub fn save_json(&self, path: &std::path::Path) -> Result<(), EmbeddingFileError> {
-        use std::io::Write as _;
         #[derive(Serialize)]
         struct SaveFile<'a> {
             format: &'a str,
@@ -192,18 +196,7 @@ impl Embeddings {
             b: &self.b,
         })
         .map_err(|e| EmbeddingFileError::Format(format!("serialisation failed: {e}")))?;
-        // Dot-prefixed sibling so the rename never crosses filesystems.
-        let name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or("embeddings");
-        let tmp = path.with_file_name(format!(".{name}.tmp"));
-        {
-            let mut file = std::fs::File::create(&tmp)?;
-            file.write_all(json.as_bytes())?;
-            file.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)?;
+        atomic_write(path, json.as_bytes())?;
         Ok(())
     }
 
@@ -344,6 +337,12 @@ mod tests {
         let e = Embeddings::from_matrices(2, 2, vec![1.0, 2.0, 0.5, 0.0], vec![0.0, 1.0, 3.0, 4.0]);
         // ⟨A_0, B_1⟩ = 1*3 + 2*4 = 11
         assert_eq!(e.rate(NodeId(0), NodeId(1)), 11.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "shape mismatch")]
+    fn matrix_shape_checked() {
+        Embeddings::from_matrices(2, 2, vec![1.0; 3], vec![1.0; 4]);
     }
 
     #[test]

@@ -5,11 +5,13 @@
 //!
 //! * [`EdgeWeightRates`] — rates proportional to graph edge weights, for
 //!   driving propagation on an arbitrary weighted topology;
-//! * [`EmbeddingRates`] — rates `⟨A_u, B_v⟩` from *planted* ground-truth
-//!   influence/selectivity vectors, the exact parametric family the
-//!   inference algorithm later recovers. This gives the synthetic
-//!   experiments a well-specified target and lets tests check recovery.
+//! * [`Embeddings`] — rates `⟨A_u, B_v⟩`; [`planted_embeddings`] plants
+//!   a ground truth in the exact parametric family the inference
+//!   algorithm later recovers. This gives the synthetic experiments a
+//!   well-specified target and lets tests compare truth and fit
+//!   directly.
 
+use crate::embedding::{dot, Embeddings};
 use rand::Rng;
 use viralcast_graph::NodeId;
 
@@ -41,56 +43,26 @@ impl RateProvider for EdgeWeightRates<'_> {
     }
 }
 
-/// Ground-truth influence/selectivity embeddings; the link rate is the
-/// inner product `⟨A_u, B_v⟩` (paper eq. 6).
-#[derive(Clone, Debug)]
-pub struct EmbeddingRates {
-    k: usize,
-    /// Influence matrix, row-major `n × k`.
-    a: Vec<f64>,
-    /// Selectivity matrix, row-major `n × k`.
-    b: Vec<f64>,
-}
-
-impl EmbeddingRates {
-    /// Wraps explicit matrices (row-major, `n × k` each).
-    pub fn from_matrices(n: usize, k: usize, a: Vec<f64>, b: Vec<f64>) -> Self {
-        assert_eq!(a.len(), n * k, "influence matrix shape mismatch");
-        assert_eq!(b.len(), n * k, "selectivity matrix shape mismatch");
-        assert!(
-            a.iter().chain(b.iter()).all(|&x| x >= 0.0 && x.is_finite()),
-            "embeddings must be non-negative and finite"
-        );
-        EmbeddingRates { k, a, b }
-    }
-
-    /// Number of topics.
-    pub fn topic_count(&self) -> usize {
-        self.k
-    }
-
-    /// Influence row of `u`.
-    pub fn influence(&self, u: NodeId) -> &[f64] {
-        let i = u.index() * self.k;
-        &self.a[i..i + self.k]
-    }
-
-    /// Selectivity row of `v`.
-    pub fn selectivity(&self, v: NodeId) -> &[f64] {
-        let i = v.index() * self.k;
-        &self.b[i..i + self.k]
-    }
-}
-
-impl RateProvider for EmbeddingRates {
+/// The link rate is the inner product `⟨A_u, B_v⟩` (paper eq. 6).
+impl RateProvider for Embeddings {
     #[inline]
     fn rate(&self, u: NodeId, v: NodeId) -> f64 {
-        self.influence(u)
-            .iter()
-            .zip(self.selectivity(v))
-            .map(|(x, y)| x * y)
-            .sum()
+        dot(self.influence(u), self.selectivity(v))
     }
+}
+
+/// Panics unless every entry of `truth` is non-negative and finite, so
+/// every rate the simulator draws a delay from is a valid exponential
+/// rate. A generator checks its planted truth with this once it is final.
+pub fn assert_valid_rates(truth: &Embeddings) {
+    assert!(
+        truth
+            .influence_matrix()
+            .iter()
+            .chain(truth.selectivity_matrix())
+            .all(|&x| x >= 0.0 && x.is_finite()),
+        "embeddings must be non-negative and finite"
+    );
 }
 
 /// Configuration of planted ground-truth embeddings.
@@ -125,7 +97,7 @@ pub fn planted_embeddings<R: Rng>(
     membership: &[usize],
     config: &PlantedConfig,
     rng: &mut R,
-) -> EmbeddingRates {
+) -> Embeddings {
     assert!(
         config.on_topic > 0.0 && config.off_topic >= 0.0 && (0.0..1.0).contains(&config.jitter),
         "invalid planted configuration"
@@ -152,7 +124,9 @@ pub fn planted_embeddings<R: Rng>(
             b[u * k + t] = draw(mean, rng);
         }
     }
-    EmbeddingRates::from_matrices(n, k, a, b)
+    let truth = Embeddings::from_matrices(n, k, a, b);
+    assert_valid_rates(&truth);
+    truth
 }
 
 #[cfg(test)]
@@ -176,23 +150,23 @@ mod tests {
     fn embedding_rate_is_inner_product() {
         let a = vec![1.0, 2.0, /* node 1 */ 0.0, 1.0];
         let b = vec![3.0, 1.0, /* node 1 */ 2.0, 2.0];
-        let e = EmbeddingRates::from_matrices(2, 2, a, b);
+        let e = Embeddings::from_matrices(2, 2, a, b);
         // rate(0 -> 1) = A_0 · B_1 = 1*2 + 2*2 = 6
-        assert_eq!(e.rate(NodeId(0), NodeId(1)), 6.0);
+        assert_eq!(RateProvider::rate(&e, NodeId(0), NodeId(1)), 6.0);
         // rate(1 -> 0) = A_1 · B_0 = 0*3 + 1*1 = 1
-        assert_eq!(e.rate(NodeId(1), NodeId(0)), 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "shape mismatch")]
-    fn matrix_shape_checked() {
-        EmbeddingRates::from_matrices(2, 2, vec![1.0; 3], vec![1.0; 4]);
+        assert_eq!(RateProvider::rate(&e, NodeId(1), NodeId(0)), 1.0);
     }
 
     #[test]
     #[should_panic(expected = "non-negative")]
     fn negative_embeddings_rejected() {
-        EmbeddingRates::from_matrices(1, 1, vec![-1.0], vec![1.0]);
+        assert_valid_rates(&Embeddings::from_matrices(1, 1, vec![-1.0], vec![1.0]));
+    }
+
+    #[test]
+    #[should_panic(expected = "finite")]
+    fn non_finite_embeddings_rejected() {
+        assert_valid_rates(&Embeddings::from_matrices(1, 1, vec![1.0], vec![f64::NAN]));
     }
 
     #[test]
@@ -218,7 +192,7 @@ mod tests {
         let membership = vec![0, 1, 2, 1];
         let mut rng = StdRng::seed_from_u64(1);
         let e = planted_embeddings(&membership, &PlantedConfig::default(), &mut rng);
-        assert_eq!(e.a.len(), 4 * 3);
+        assert_eq!(e.influence_matrix().len(), 4 * 3);
         assert_eq!(e.topic_count(), 3);
         assert_eq!(e.influence(NodeId(2)).len(), 3);
     }

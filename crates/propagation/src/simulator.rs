@@ -13,9 +13,13 @@
 //! push the tentative arrival; stale arrivals at already-infected nodes
 //! are skipped on pop. For exponential delays this produces exactly the
 //! first-passage times of the continuous-time SI process.
+//!
+//! The delay law is the paper's constant hazard (eqs. 6–7): a link with
+//! rate `λ` has survival `S(Δt) = e^{−λΔt}` and mean delay `1/λ`, and the
+//! minimum of `K` independent exponentials with rates `A_{u,k} B_{v,k}`
+//! is again exponential with the summed rate `⟨A_u, B_v⟩`.
 
 use crate::cascade::{Cascade, CascadeSet, Infection};
-use crate::hazard::{Exponential, HazardFunction};
 use crate::rates::RateProvider;
 use rand::Rng;
 use std::cmp::Ordering;
@@ -153,7 +157,13 @@ impl<'g, P: RateProvider> Simulator<'g, P> {
                 if rate <= 0.0 {
                     continue;
                 }
-                let delay = Exponential::new(rate).sample(rng);
+                assert!(
+                    rate.is_finite(),
+                    "rate must be positive and finite, got {rate}"
+                );
+                // Inverse CDF of the exponential delay; 1 − U avoids ln(0).
+                let u: f64 = rng.gen_range(0.0..1.0);
+                let delay = -(1.0 - u).ln() / rate;
                 let arrival = time + delay;
                 if arrival <= self.config.observation_window {
                     heap.push(Arrival {
@@ -363,6 +373,50 @@ mod tests {
         let corpus = sim.simulate_corpus_parallel(25, 3);
         assert_eq!(corpus.len(), 25);
         assert!(corpus.cascades().iter().all(|c| c.len() == 2));
+    }
+
+    /// Every link transmits at the same rate, whatever the graph says.
+    struct Constant(f64);
+
+    impl RateProvider for Constant {
+        fn rate(&self, _u: NodeId, _v: NodeId) -> f64 {
+            self.0
+        }
+    }
+
+    #[test]
+    fn second_infection_time_has_mean_one_over_rate() {
+        let g = path_graph(2);
+        for rate in [0.5, 2.0] {
+            let sim = Simulator::new(&g, Constant(rate), config(1e9));
+            let mut rng = StdRng::seed_from_u64(1);
+            let n = 20_000;
+            let mean = (0..n)
+                .map(|_| sim.simulate_from(NodeId(0), &mut rng).infections()[1].time)
+                .sum::<f64>()
+                / n as f64;
+            // The standard error is 1/(rate·√n) ≈ 0.7 % of the mean.
+            assert!(
+                (mean * rate - 1.0).abs() < 0.03,
+                "rate {rate}: mean delay {mean}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "positive and finite")]
+    fn nan_rate_rejected() {
+        let g = path_graph(2);
+        let sim = Simulator::new(&g, Constant(f64::NAN), config(1.0));
+        sim.simulate_from(NodeId(0), &mut StdRng::seed_from_u64(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "positive and finite")]
+    fn infinite_rate_rejected() {
+        let g = path_graph(2);
+        let sim = Simulator::new(&g, Constant(f64::INFINITY), config(1.0));
+        sim.simulate_from(NodeId(0), &mut StdRng::seed_from_u64(1));
     }
 
     #[test]

@@ -1,15 +1,18 @@
-//! Persistence for cascade corpora.
+//! Persistence for cascade corpora, and the one atomic file write.
 //!
 //! Corpora are stored as a small JSON header line followed by one JSON
 //! cascade per line. JSON-lines keeps the files greppable and streamable,
 //! and lets the harnesses regenerate expensive corpora once and reuse
 //! them across figures.
+//!
+//! Every file the workspace replaces whole — a corpus, an embeddings
+//! file, a checkpoint and its manifest — goes through [`atomic_write`].
 
 use crate::cascade::{Cascade, CascadeSet};
 use serde::{Deserialize, Serialize};
-use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::path::Path;
+use std::fs::{self, File, OpenOptions};
+use std::io::{self, BufRead, BufReader, Write};
+use std::path::{Path, PathBuf};
 
 #[derive(Serialize, Deserialize)]
 struct Header {
@@ -46,22 +49,58 @@ impl From<io::Error> for StoreError {
     }
 }
 
-/// Writes a corpus to `path` in JSON-lines form.
+/// Writes a corpus to `path` in JSON-lines form, atomically.
 pub fn save(set: &CascadeSet, path: &Path) -> Result<(), StoreError> {
-    let mut w = BufWriter::new(File::create(path)?);
+    let mut w = Vec::new();
     let header = Header {
         format: FORMAT.to_string(),
         node_count: set.node_count(),
         cascade_count: set.len(),
     };
     serde_json::to_writer(&mut w, &header).map_err(|e| StoreError::Format(e.to_string()))?;
-    w.write_all(b"\n")?;
+    w.push(b'\n');
     for c in set.cascades() {
         serde_json::to_writer(&mut w, c).map_err(|e| StoreError::Format(e.to_string()))?;
-        w.write_all(b"\n")?;
+        w.push(b'\n');
     }
-    w.flush()?;
+    atomic_write(path, &w)?;
     Ok(())
+}
+
+/// Writes `bytes` to `path` atomically: temp file in the same directory,
+/// fsync, rename over the target. A crash at any point leaves either the
+/// old file or the new one, never a torn mix.
+pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let tmp = temp_sibling(path);
+    {
+        let mut file = OpenOptions::new()
+            .create(true)
+            .write(true)
+            .truncate(true)
+            .open(&tmp)?;
+        file.write_all(bytes)?;
+        file.sync_all()?;
+    }
+    fs::rename(&tmp, path)?;
+    // Persist the rename itself (the directory entry) where possible;
+    // failure here (e.g. exotic filesystems) degrades durability, not
+    // correctness, so it is not fatal.
+    if let Some(parent) = path.parent() {
+        if let Ok(dir) = File::open(parent) {
+            let _ = dir.sync_all();
+        }
+    }
+    Ok(())
+}
+
+/// The temp-file path `atomic_write` stages through: a dot-prefixed
+/// sibling so the rename never crosses filesystems.
+fn temp_sibling(path: &Path) -> PathBuf {
+    let name = path
+        .file_name()
+        .and_then(|n| n.to_str())
+        .unwrap_or("atomic");
+    path.with_file_name(format!(".{name}.tmp"))
 }
 
 /// Reads a corpus previously written by [`save`].
@@ -134,6 +173,40 @@ mod tests {
         assert_eq!(loaded.node_count(), set.node_count());
         assert_eq!(loaded.cascades(), set.cascades());
         std::fs::remove_file(&path).ok();
+    }
+
+    fn tmp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "viralcast-corpus-{tag}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn atomic_write_survives_a_stale_temp_file() {
+        let dir = tmp_dir("stale");
+        let target = dir.join("file.txt");
+        // A previous crash left a partial temp behind.
+        fs::write(temp_sibling(&target), b"partial garbage").unwrap();
+        atomic_write(&target, b"good").unwrap();
+        assert_eq!(fs::read(&target).unwrap(), b"good");
+        assert!(!temp_sibling(&target).exists());
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn save_replaces_an_existing_corpus_through_a_temp_file() {
+        let dir = tmp_dir("replace");
+        let path = dir.join("corpus.jsonl");
+        fs::write(&path, "an older, longer corpus file ".repeat(64)).unwrap();
+        save(&sample_set(), &path).unwrap();
+        assert_eq!(load(&path).unwrap().cascades(), sample_set().cascades());
+        assert!(!temp_sibling(&path).exists());
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -26,11 +26,12 @@
 //! so a bit-flipped checkpoint is detected at load rather than silently
 //! served.
 
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Write};
-use std::path::{Path, PathBuf};
+use std::fs::{self, File};
+use std::io::{self, Read};
+use std::path::Path;
 use std::sync::Arc;
 use viralcast_model::CascadeModel;
+use viralcast_propagation::store::atomic_write;
 
 use crate::codec::{frame, read_frame, FrameRead};
 
@@ -127,42 +128,6 @@ impl Manifest {
     pub fn save(&self, dir: &Path) -> io::Result<()> {
         atomic_write(&dir.join(MANIFEST_FILE), self.render().as_bytes())
     }
-}
-
-/// Writes `bytes` to `path` atomically: temp file in the same directory,
-/// fsync, rename over the target. A crash at any point leaves either the
-/// old file or the new one, never a torn mix.
-pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let tmp = temp_sibling(path);
-    {
-        let mut file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&tmp)?;
-        file.write_all(bytes)?;
-        file.sync_all()?;
-    }
-    fs::rename(&tmp, path)?;
-    // Persist the rename itself (the directory entry) where possible;
-    // failure here (e.g. exotic filesystems) degrades durability, not
-    // correctness, so it is not fatal.
-    if let Some(parent) = path.parent() {
-        if let Ok(dir) = File::open(parent) {
-            let _ = dir.sync_all();
-        }
-    }
-    Ok(())
-}
-
-/// The temp-file path `atomic_write` stages through: a dot-prefixed
-/// sibling so the rename never crosses filesystems.
-fn temp_sibling(path: &Path) -> PathBuf {
-    let name = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .unwrap_or("atomic");
-    path.with_file_name(format!(".{name}.tmp"))
 }
 
 /// Name of the embeddings file a checkpoint of `version` writes.
@@ -267,7 +232,7 @@ mod tests {
         decode_checkpoint(bytes, EmbeddingBackend::ID).err()
     }
 
-    fn tmp_dir(tag: &str) -> PathBuf {
+    fn tmp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!(
             "viralcast-ckpt-{tag}-{}-{:?}",
             std::process::id(),
@@ -395,17 +360,5 @@ mod tests {
         let mut lied = CHECKPOINT_MAGIC.to_vec();
         lied.extend_from_slice(&frame(&payload));
         assert!(decode_error(&lied).unwrap().contains("disagrees"));
-    }
-
-    #[test]
-    fn atomic_write_survives_a_stale_temp_file() {
-        let dir = tmp_dir("stale");
-        let target = dir.join("file.txt");
-        // A previous crash left a partial temp behind.
-        fs::write(temp_sibling(&target), b"partial garbage").unwrap();
-        atomic_write(&target, b"good").unwrap();
-        assert_eq!(fs::read(&target).unwrap(), b"good");
-        assert!(!temp_sibling(&target).exists());
-        fs::remove_dir_all(&dir).ok();
     }
 }

@@ -29,7 +29,7 @@ pub mod fault;
 pub mod wal;
 
 pub use checkpoint::{
-    atomic_write, decode_checkpoint, encode_model, load_model_checkpoint, save_checkpoint, Manifest,
+    decode_checkpoint, encode_model, load_model_checkpoint, save_checkpoint, Manifest,
 };
 pub use codec::{CodecError, FrameRead};
 pub use fault::{FaultHandle, FaultKind, FaultPlan};

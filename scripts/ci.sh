@@ -194,7 +194,10 @@ smoke_serve() {
 # drives it with sequence-tagged ingests, SIGKILLs and restarts it three
 # times, then replays the data dir and exits non-zero on any acked-event
 # loss or 5xx-after-recovery. The leg additionally requires the report
-# to exist, parse, and record the full kill-cycle count with zero loss.
+# to exist, parse, and record the full kill-cycle count with zero loss,
+# no exhausted retry budget (each respawn binds the first boot's
+# address, so retries reach the restarted daemon) and a measured
+# disrupted p99.
 smoke_chaos() {
     local tmp fixture bench
     tmp="$(mktemp -d)"
@@ -236,6 +239,17 @@ smoke_chaos() {
     fi
     if ! grep -q '"post_recovery_5xx": *0\b' "$bench"; then
         echo "chaos observed 5xx responses after recovery" >&2
+        cat "$bench" >&2
+        return 1
+    fi
+    if ! grep -q '"io_errors": *0\b' "$bench"; then
+        echo "chaos requests exhausted their retries (did a respawn move the port?)" >&2
+        cat "$bench" >&2
+        return 1
+    fi
+    if ! grep -qE '"disrupted_p99_ms": *[0-9]' "$bench" \
+        || ! grep -qE '"p99_degradation": *[0-9]' "$bench"; then
+        echo "chaos measured no disrupted p99 or p99 degradation" >&2
         cat "$bench" >&2
         return 1
     fi
@@ -360,8 +374,10 @@ smoke_cluster() {
         kill "$pid0" "$pid1" 2>/dev/null || true
         return 1
     fi
+    # No --addr: the follower binds the one address the manifest plans
+    # for shard 0's follower.
     target/release/viralcast serve --follow "127.0.0.1:$port0" \
-        --addr "127.0.0.1:$fport" --workers 2 --poll-interval 0.1 \
+        --workers 2 --poll-interval 0.1 \
         --shard 0/2 --cluster-manifest "$manifest" >"$tmp/follower.log" 2>&1 &
     fpid=$!
     target/release/viralcast router --cluster-manifest "$manifest" \
@@ -700,6 +716,20 @@ one_kill_loop() {
     fi
 }
 
+# One rate model: an `Embeddings` is both a world's planted truth and the
+# fit, and the simulator draws exponential delays inline. Fail if the
+# truth-only matrix type, the one-impl hazard trait, its exponential
+# struct or its module comes back. The bracket in each alternative keeps
+# this script from matching itself.
+one_rate_model() {
+    if grep -rnE 'Embedding[R]ates|Hazard[F]unction|struct [E]xponential' \
+        crates/ src/ tests/ examples/ \
+        || find crates/ src/ tests/ examples/ -name 'hazar[d].rs' | grep .; then
+        echo "a second rate model reappeared; the truth is an Embeddings and delays are drawn inline" >&2
+        return 1
+    fi
+}
+
 # One load driver: viralbench (benchmark/). Fail if the second closed-loop
 # driver, its scenario generator, its report or the client's endpoint
 # rotation comes back. The bracket in each alternative keeps this script
@@ -877,6 +907,7 @@ run one_test_stack
 run one_selection
 run one_scan
 run one_ownership_rule
+run one_rate_model
 run no_pair_hashing
 run cooccurrence_sized_once
 run one_weight_table

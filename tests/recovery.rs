@@ -107,9 +107,7 @@ fn influencer_ranking_recovers_boosted_nodes() {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use viralnews::viralcast::graph::sbm;
-    use viralnews::viralcast::propagation::{
-        planted_embeddings, EmbeddingRates, SimulationConfig, Simulator,
-    };
+    use viralnews::viralcast::propagation::{planted_embeddings, SimulationConfig, Simulator};
 
     let sbm_config = SbmConfig {
         nodes: 120,
@@ -119,7 +117,7 @@ fn influencer_ranking_recovers_boosted_nodes() {
     };
     let mut rng = StdRng::seed_from_u64(4);
     let graph = sbm::generate(&sbm_config, &mut rng);
-    let base = planted_embeddings(
+    let mut rates = planted_embeddings(
         &sbm_config.ground_truth(),
         &PlantedConfig {
             on_topic: 1.2,
@@ -128,17 +126,10 @@ fn influencer_ranking_recovers_boosted_nodes() {
         },
         &mut rng,
     );
-    let k = base.topic_count();
-    let mut a = Vec::new();
-    let mut b = Vec::new();
-    for u in 0..120 {
-        let boost = if u < 8 { 3.0 } else { 1.0 };
-        for t in 0..k {
-            a.push(base.influence(NodeId::new(u))[t] * boost);
-            b.push(base.selectivity(NodeId::new(u))[t]);
-        }
+    let k = rates.topic_count();
+    for x in &mut rates.matrices_mut().0[..8 * k] {
+        *x *= 3.0;
     }
-    let rates = EmbeddingRates::from_matrices(120, k, a, b);
     let sim = Simulator::new(
         &graph,
         rates,

@@ -19,12 +19,12 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use viralnews::viralcast::cluster::{merge_topk, Ranked};
-use viralnews::viralcast::embed::embedding::dot;
 use viralnews::viralcast::embed::Embeddings;
 use viralnews::viralcast::graph::NodeId;
 use viralnews::viralcast::model::{
     rank_order, CascadeModel, EmbeddingBackend, NetInfBackend, RowBlock,
 };
+use viralnews::viralcast::propagation::dot;
 
 const WIDTHS: [usize; 6] = [0, 1, 3, 8, 16, 17];
 const NODES: [usize; 8] = [0, 3, 4, 5, 255, 256, 257, 1031];
