@@ -9,11 +9,11 @@
 //!   P(u) = Σ_{v ≻ u} B_v,   Q(u) = Σ_{v ≻ u} t_v B_v
 //! ```
 //!
-//! One forward sweep accumulates `H`, `G` and the denominators
-//! `d_v = ⟨H(v), B_v⟩`; one backward sweep accumulates `P`, `Q` and
-//! `R = Σ B_v / d_v`. Total cost `O(s·K)` per cascade — the property
-//! that makes the stochastic-gradient inference "fast" in the paper's
-//! terms.
+//! One forward sweep ([`sweep_forward`]) accumulates `H`, `G`, `∇B`
+//! and the denominators `d_v = ⟨H(v), B_v⟩`; one backward sweep
+//! ([`sweep_backward`]) accumulates `P`, `Q` and `R = Σ B_v / d_v` into
+//! `∇A`. Total cost `O(s·K)` per cascade — the property that makes the
+//! stochastic-gradient inference "fast" in the paper's terms.
 
 use crate::likelihood::RATE_FLOOR;
 use crate::subcascade::IndexedCascade;
@@ -49,6 +49,10 @@ impl GradScratch {
 /// `a` / `b`) and returns the cascade's log-likelihood at the current
 /// parameters. The gradient is *added*, so callers can batch over many
 /// cascades into one accumulator, exactly like Algorithm 1's `dA`/`dB`.
+///
+/// The composition of [`sweep_forward`] and [`sweep_backward`]; the
+/// optimiser runs the two halves apart, the backward one only for a
+/// step it keeps.
 pub fn accumulate_gradients(
     c: &IndexedCascade,
     a: &[f64],
@@ -59,35 +63,47 @@ pub fn accumulate_gradients(
     scratch: &mut GradScratch,
 ) -> f64 {
     debug_assert_eq!(a.len(), grad_a.len());
+    let mut denom = std::mem::take(&mut scratch.denom);
+    denom.clear();
+    let ll = sweep_forward(c, a, b, k, grad_b, &mut denom, scratch);
+    sweep_backward(c, b, k, grad_a, &denom, scratch);
+    scratch.denom = denom;
+    ll
+}
+
+/// The forward half of the sweep: `H`, `G` prefixes, `∇B_v` added into
+/// `grad_b` and the log-likelihood terms. Pushes the denominators
+/// `d_v = max(⟨H(v), B_v⟩, RATE_FLOOR)` onto `denom`, one per non-seed
+/// infection in cascade order, for [`sweep_backward`]; returns the
+/// cascade's log-likelihood, bit for bit
+/// [`crate::likelihood::corpus_log_likelihood`]'s term.
+pub(crate) fn sweep_forward(
+    c: &IndexedCascade,
+    a: &[f64],
+    b: &[f64],
+    k: usize,
+    grad_b: &mut [f64],
+    denom: &mut Vec<f64>,
+    scratch: &mut GradScratch,
+) -> f64 {
     debug_assert_eq!(b.len(), grad_b.len());
     let row = |v: u32| v as usize * k..(v as usize + 1) * k;
     // Sliced to `k` once, so every zipped loop below has one known length.
     let (h, g) = (&mut scratch.h[..k], &mut scratch.g[..k]);
-    let (p, q, r) = (
-        &mut scratch.p[..k],
-        &mut scratch.q[..k],
-        &mut scratch.r[..k],
-    );
-    let denom = &mut scratch.denom;
     let mut infections = c.rows.iter().zip(&c.times);
     let Some((&seed, &t_seed)) = infections.next() else {
         return 0.0;
     };
     h.fill(0.0);
     g.fill(0.0);
-    p.fill(0.0);
-    q.fill(0.0);
-    r.fill(0.0);
-    denom.clear();
 
-    // Forward sweep: H, G prefixes; ∇B_v and LL terms; denominators.
     // The seed has no predecessor: it only enters the prefixes.
     for ((h, g), &av) in h.iter_mut().zip(g.iter_mut()).zip(&a[row(seed)]) {
         *h += av;
         *g += t_seed * av;
     }
     let mut ll = 0.0;
-    for (&v, &tv) in infections.clone() {
+    for (&v, &tv) in infections {
         let bv = &b[row(v)];
         let hb = dot(h, bv);
         let d = hb.max(RATE_FLOOR);
@@ -100,12 +116,38 @@ pub fn accumulate_gradients(
             *g += tv * av;
         }
     }
+    ll
+}
 
-    // Backward sweep: P, Q, R suffixes; ∇A_u. `denom` holds one entry
-    // per non-seed infection, in cascade order.
-    let mut successors = infections.zip(denom.iter()).rev();
+/// The backward half of the sweep: `P`, `Q`, `R` suffixes and `∇A_u`
+/// added into `grad_a`. `denom` is what [`sweep_forward`] pushed for
+/// `c`: one entry per non-seed infection, in cascade order.
+pub(crate) fn sweep_backward(
+    c: &IndexedCascade,
+    b: &[f64],
+    k: usize,
+    grad_a: &mut [f64],
+    denom: &[f64],
+    scratch: &mut GradScratch,
+) {
+    let row = |v: u32| v as usize * k..(v as usize + 1) * k;
+    let (p, q, r) = (
+        &mut scratch.p[..k],
+        &mut scratch.q[..k],
+        &mut scratch.r[..k],
+    );
+    let mut infections = c.rows.iter().zip(&c.times);
+    let Some((&seed, &t_seed)) = infections.next() else {
+        return;
+    };
+    debug_assert_eq!(denom.len(), c.rows.len() - 1);
+    p.fill(0.0);
+    q.fill(0.0);
+    r.fill(0.0);
+
+    let mut successors = infections.zip(denom).rev();
     let Some(((&last, &t_last), &d)) = successors.next() else {
-        return ll;
+        return;
     };
     // The last infection has no successor: it only folds its B row into
     // the suffix sums.
@@ -135,7 +177,6 @@ pub fn accumulate_gradients(
     {
         *ga += t_seed * p - q + r;
     }
-    ll
 }
 
 /// Reference `O(s²·K)` gradient for validation: differentiates the naive

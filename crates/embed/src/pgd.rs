@@ -14,7 +14,7 @@
 //! step scaling adapt the optimiser to a corpus, no caller ever set them,
 //! and a step rule is changed here, in one file, not through a config.
 
-use crate::gradient::{accumulate_gradients, GradScratch};
+use crate::gradient::{sweep_backward, sweep_forward, GradScratch};
 use crate::subcascade::IndexedCascade;
 use viralcast_obs as obs;
 
@@ -147,21 +147,26 @@ pub fn optimize(
     let objective_gauge = metrics.gauge("pgd.objective");
     let grad_norm_hist = metrics.histogram("pgd.grad_norm", &GRAD_NORM_BOUNDS);
 
+    // One epoch buffer of denominators: every cascade's, in corpus order.
+    let mut denoms = Vec::new();
+
     while epochs < config.max_epochs {
         epochs += 1;
         epoch_counter.incr(1);
         swept_counter.incr(infections);
-        grad_a.fill(0.0);
+        // The forward half at the trial point: the data log-likelihood,
+        // `∇B` and the denominators the backward half reads.
         grad_b.fill(0.0);
+        denoms.clear();
         let mut data_ll = 0.0;
         for c in cascades {
-            data_ll += accumulate_gradients(
+            data_ll += sweep_forward(
                 c,
                 &trial_a,
                 &trial_b,
                 k,
-                &mut grad_a,
                 &mut grad_b,
+                &mut denoms,
                 &mut scratch,
             );
         }
@@ -184,6 +189,15 @@ pub fn optimize(
                 break;
             }
         } else {
+            // The backward half, for a kept point only: `∇A` from the
+            // denominators its forward half left.
+            grad_a.fill(0.0);
+            let mut rest = denoms.as_slice();
+            for c in cascades {
+                let (denom, tail) = rest.split_at(c.len().saturating_sub(1));
+                sweep_backward(c, &trial_b, k, &mut grad_a, denom, &mut scratch);
+                rest = tail;
+            }
             history.push(ll);
             accepted_counter.incr(1);
             objective_gauge.set(ll);

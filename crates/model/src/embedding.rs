@@ -123,9 +123,8 @@ impl CascadeModel for EmbeddingBackend {
             }
         }
         let b = emb.selectivity_matrix();
-        top_k(emb.node_count(), top, infected, owned, |rows, out| {
-            score_rows(&h, b, rows, out)
-        })
+        let score = |rows: &[NodeId], out: &mut [f64]| score_rows(&h, b, rows, out);
+        top_k(emb.node_count(), top, infected, owned, h.len(), score)
     }
 
     fn influencers(
@@ -143,7 +142,9 @@ impl CascadeModel for EmbeddingBackend {
                 ));
             }
         }
-        Ok(top_k(emb.node_count(), top, &[], owned, |rows, out| {
+        // A topic's score reads one entry, a norm the whole row.
+        let width = topic.map_or(emb.topic_count(), |_| 1);
+        let score = |rows: &[NodeId], out: &mut [f64]| {
             for (score, &u) in out.iter_mut().zip(rows) {
                 let row = emb.influence(u);
                 *score = match topic {
@@ -151,7 +152,8 @@ impl CascadeModel for EmbeddingBackend {
                     None => row.iter().map(|x| x * x).sum::<f64>().sqrt(),
                 };
             }
-        }))
+        };
+        Ok(top_k(emb.node_count(), top, &[], owned, width, score))
     }
 
     fn update(&self, fresh: &CascadeSet) -> Result<Arc<dyn CascadeModel>, String> {

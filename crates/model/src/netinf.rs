@@ -282,7 +282,7 @@ impl CascadeModel for NetInfBackend {
                 score[v.index()] += w;
             }
         }
-        top_k(self.node_count, top, infected, owned, |rows, out| {
+        top_k(self.node_count, top, infected, owned, 1, |rows, out| {
             for (s, v) in out.iter_mut().zip(rows) {
                 *s = score[v.index()];
             }
@@ -298,7 +298,8 @@ impl CascadeModel for NetInfBackend {
         if let Some(t) = topic {
             return Err(format!("topic {t} out of range (model has 0 topics)"));
         }
-        Ok(top_k(self.node_count, top, &[], owned, |rows, out| {
+        // A row's score sums its out-edges: a few per row.
+        Ok(top_k(self.node_count, top, &[], owned, 1, |rows, out| {
             for (score, u) in out.iter_mut().zip(rows) {
                 *score = self.edges[u.index()].iter().map(|&(_, w)| w).sum();
             }

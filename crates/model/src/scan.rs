@@ -11,6 +11,17 @@
 //! whose key equals the floor's ranks after the kept row that set it and
 //! is dropped on the same compare.
 //!
+//! A large scan — rows × score width of at least [`SPLIT_WORK`]
+//! multiply-adds — is cut into two contiguous row ranges when a core is
+//! free: the calling thread selects from the first, one scoped helper
+//! thread from the second, each with its own bounded selection and
+//! floor, and the two kept lists are merged under [`rank_order`]. That
+//! order is total over distinct node ids and every score is the same
+//! bits on either thread, so the answer is the sequential one whatever
+//! the thread count or the load. A process-wide count of the threads
+//! scanning ([`SCANNING`]) hands out a helper only while fewer of them
+//! run than there are cores; under saturation every scan runs alone.
+//!
 //! Backends whose scores are inner products score a chunk with
 //! [`score_rows`]: four rows' dot products side by side, each summed in
 //! topic order from `-0.0` — where [`dot`]'s `Sum` starts — so every
@@ -18,7 +29,13 @@
 //! compiler unrolls for K = 8 and K = 16 and a runtime value otherwise;
 //! the body is the same generic function.
 
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
+use std::thread;
+
 use viralcast_graph::NodeId;
+use viralcast_obs as obs;
 use viralcast_propagation::dot;
 
 use crate::{rank_order, RowBlock};
@@ -26,6 +43,50 @@ use crate::{rank_order, RowBlock};
 /// Rows scored per chunk: 256 scores (2 KiB) and their ids (1 KiB) on
 /// the stack.
 const CHUNK: usize = 256;
+
+/// Multiply-adds (rows × score width) from which a scan takes a helper
+/// thread: about 0.15 ms of scoring on a 2-vCPU Xeon (≈ 0.58 ns per
+/// multiply-add there), well above the ≈ 36 µs of CPU a scoped spawn
+/// and join cost. A 60 000 × 16 model's predict scan qualifies; a
+/// 2 000-row model's never does.
+const SPLIT_WORK: usize = 1 << 18;
+
+/// Threads running a large scan right now, helpers included.
+static SCANNING: AtomicUsize = AtomicUsize::new(0);
+
+/// The cores this process may run on, asked once: the standard library
+/// reads cgroup files on every call (≈ 18 µs on a 2-vCPU Xeon).
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// One thread's place in [`SCANNING`], given back on drop.
+struct Claim;
+
+impl Claim {
+    /// The scanning thread itself, always counted.
+    fn scan() -> Claim {
+        SCANNING.fetch_add(1, Ordering::Relaxed);
+        Claim
+    }
+
+    /// A helper, granted while fewer threads scan than there are cores.
+    fn helper() -> Option<Claim> {
+        SCANNING
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                (n < cores()).then_some(n + 1)
+            })
+            .ok()
+            .map(|_| Claim)
+    }
+}
+
+impl Drop for Claim {
+    fn drop(&mut self) {
+        SCANNING.fetch_sub(1, Ordering::Relaxed);
+    }
+}
 
 /// The integer [`f64::total_cmp`] orders by: `a.total_cmp(&b)` is
 /// `order_key(a).cmp(&order_key(b))`.
@@ -42,28 +103,154 @@ fn order_key(score: f64) -> i64 {
 /// and truncating would return.
 ///
 /// `score(rows, out)` writes the score of row `rows[i]` into `out[i]`;
-/// `rows` ascends and holds only rows `owned` holds. At most `2·top`
-/// rows are kept: a full buffer is cut back to its best `top` by
-/// `select_nth_unstable_by` and the worst survivor's key becomes the
-/// floor a later row must beat. Memory follows the rows kept, never
-/// `top` itself, so a hostile `top = usize::MAX` costs what a full sort
-/// would.
+/// `rows` ascends and holds only rows `owned` holds. It may run on two
+/// threads at once, each over its own rows. `width` is the multiply-adds
+/// one row's score costs (the topic count for an inner product); a scan
+/// of at least [`SPLIT_WORK`] of them is split in two when a core is
+/// free, with the same answer.
+///
+/// At most `2·top` rows are kept per part: a full buffer is cut back to
+/// its best `top` by `select_nth_unstable_by` and the worst survivor's
+/// key becomes the floor a later row must beat. Memory follows the rows
+/// kept, never `top` itself, so a hostile `top = usize::MAX` costs what
+/// a full sort would.
 pub fn top_k(
     node_count: usize,
     top: usize,
     infected: &[NodeId],
     owned: Option<&RowBlock>,
-    mut score: impl FnMut(&[NodeId], &mut [f64]),
+    width: usize,
+    score: impl Fn(&[NodeId], &mut [f64]) + Sync,
 ) -> Vec<(NodeId, f64)> {
     if top == 0 {
         return Vec::new();
     }
+    let rows = Span::of(node_count, owned);
+    if rows.len().saturating_mul(width) < SPLIT_WORK {
+        return select(rows, top, infected, &score);
+    }
+    let _scan = Claim::scan();
+    match Claim::helper() {
+        Some(_helper) => select_parts(rows, 2, top, infected, &score),
+        None => select(rows, top, infected, &score),
+    }
+}
+
+/// The rows a scan visits, ascending: every row below a bound, or the
+/// ones a shard owns.
+#[derive(Clone)]
+enum Span<'r> {
+    All(Range<usize>),
+    Listed(&'r [NodeId]),
+}
+
+impl<'r> Span<'r> {
+    /// The rows of `0..node_count` that `owned` holds, or all of them.
+    fn of(node_count: usize, owned: Option<&'r RowBlock>) -> Self {
+        match owned {
+            Some(block) => Span::Listed(block.rows_below(node_count)),
+            None => Span::All(0..node_count),
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Span::All(range) => range.len(),
+            Span::Listed(ids) => ids.len(),
+        }
+    }
+
+    /// Part `i` of `parts` contiguous parts of near-equal length.
+    fn part(&self, i: usize, parts: usize) -> Self {
+        let (start, end) = (self.len() * i / parts, self.len() * (i + 1) / parts);
+        match self {
+            Span::All(range) => Span::All(range.start + start..range.start + end),
+            Span::Listed(ids) => Span::Listed(&ids[start..end]),
+        }
+    }
+
+    /// Calls `visit` on the rows in order, up to [`CHUNK`] at a time.
+    fn chunks(self, mut visit: impl FnMut(&[NodeId])) {
+        match self {
+            Span::Listed(ids) => ids.chunks(CHUNK).for_each(visit),
+            Span::All(range) => {
+                let mut ids = [NodeId(0); CHUNK];
+                for start in range.clone().step_by(CHUNK) {
+                    let rows = &mut ids[..CHUNK.min(range.end - start)];
+                    for (id, v) in rows.iter_mut().zip(start..) {
+                        *id = NodeId::new(v);
+                    }
+                    visit(rows);
+                }
+            }
+        }
+    }
+}
+
+/// [`select`] over `parts` contiguous parts of `rows`: the calling
+/// thread takes the first, one scoped helper each of the rest (a helper
+/// the OS refuses is run here instead), and the kept lists are merged.
+/// The parts hold distinct rows and [`rank_order`] is total over them,
+/// so the answer is [`select`]'s on the whole span for any `parts`.
+fn select_parts<F>(
+    rows: Span<'_>,
+    parts: usize,
+    top: usize,
+    infected: &[NodeId],
+    score: &F,
+) -> Vec<(NodeId, f64)>
+where
+    F: Fn(&[NodeId], &mut [f64]) + Sync,
+{
+    if parts <= 1 {
+        return select(rows, top, infected, score);
+    }
+    thread::scope(|s| {
+        let helpers: Vec<_> = (1..parts)
+            .map(|i| {
+                let part = rows.part(i, parts);
+                let run = part.clone();
+                thread::Builder::new()
+                    .spawn_scoped(s, move || select(run, top, infected, score))
+                    .map_err(|_| part)
+            })
+            .collect();
+        let started = helpers.iter().filter(|h| h.is_ok()).count();
+        obs::metrics()
+            .counter("model.scan.helpers")
+            .incr(started as u64);
+        let mut kept = vec![select(rows.part(0, parts), top, infected, score)];
+        for helper in helpers {
+            kept.push(match helper {
+                Ok(handle) => handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+                Err(part) => select(part, top, infected, score),
+            });
+        }
+        // Each part is sorted: the stable sort merges the runs.
+        let mut merged = Vec::with_capacity(kept.iter().map(Vec::len).sum());
+        merged.extend(kept.into_iter().flatten());
+        merged.sort_by(rank_order);
+        merged.truncate(top);
+        merged
+    })
+}
+
+/// The `top` best of `rows` under [`rank_order`], best first, skipping
+/// the `infected` ones.
+fn select(
+    rows: Span<'_>,
+    top: usize,
+    infected: &[NodeId],
+    score: &impl Fn(&[NodeId], &mut [f64]),
+) -> Vec<(NodeId, f64)> {
     let mut kept: Vec<(NodeId, f64)> = Vec::new();
     // The least key that can still make the cut. Saturating: a floor at
     // `i64::MAX` lets equal keys through, and the next cut drops them.
     let mut floor = i64::MIN;
     let mut chunk = [0.0; CHUNK];
-    let mut visit = |rows: &[NodeId]| {
+    rows.chunks(|rows| {
         let scores = &mut chunk[..rows.len()];
         score(rows, scores);
         for (&v, &s) in rows.iter().zip(scores.iter()) {
@@ -77,20 +264,7 @@ pub fn top_k(
                 floor = order_key(kept[top - 1].1).saturating_add(1);
             }
         }
-    };
-    match owned {
-        Some(block) => block.rows_below(node_count).chunks(CHUNK).for_each(visit),
-        None => {
-            let mut ids = [NodeId(0); CHUNK];
-            for start in (0..node_count).step_by(CHUNK) {
-                let rows = &mut ids[..CHUNK.min(node_count - start)];
-                for (id, v) in rows.iter_mut().zip(start..) {
-                    *id = NodeId::new(v);
-                }
-                visit(rows);
-            }
-        }
-    }
+    });
     kept.sort_unstable_by(rank_order);
     kept.truncate(top);
     kept
@@ -216,7 +390,7 @@ mod tests {
 
     /// `top_k` over a fixed score row.
     fn select(scores: &[f64], top: usize) -> Vec<(NodeId, f64)> {
-        top_k(scores.len(), top, &[], None, |rows, out| {
+        top_k(scores.len(), top, &[], None, 1, |rows, out| {
             for (o, v) in out.iter_mut().zip(rows) {
                 *o = scores[v.index()];
             }
@@ -319,12 +493,14 @@ mod proptests {
         ranked.iter().map(|&(v, s)| (v, s.to_bits())).collect()
     }
 
-    /// `top_k` is the reference bit for bit: dense ties (four score
-    /// values), one score in five NaN / ±∞ / ±0.0, rows laid out
+    /// `top_k` is the reference bit for bit, and so is the selection cut
+    /// into 2–4 contiguous parts on as many threads: dense ties (four
+    /// score values), one score in five NaN / ±∞ / ±0.0, rows laid out
     /// shuffled, ascending (every row beats the floor — the worst case)
     /// and descending (every late row is dropped — the best), across
-    /// chunk boundaries, with and without infected rows and a shard, for
-    /// every `top` around `n` and the hostile `usize::MAX`.
+    /// chunk boundaries and parts shorter than a chunk, with and without
+    /// infected rows (one id repeated) and a shard, for every `top`
+    /// around `n` and the hostile `usize::MAX`.
     #[test]
     fn top_k_equals_the_sorted_prefix() {
         for case in 0..128u64 {
@@ -348,6 +524,9 @@ mod proptests {
             let mut infected: Vec<NodeId> = (0..rng.gen_range(0..6))
                 .map(|_| NodeId::new(rng.gen_range(0..n.max(1))))
                 .collect();
+            if let Some(&again) = infected.first() {
+                infected.push(again);
+            }
             infected.sort_unstable();
             let shard = RowBlock::round_robin(n, rng.gen_range(0..3), 3).unwrap();
             for top in [0, 1, 7, n.saturating_sub(1), n, n + 1, 2 * n, usize::MAX] {
@@ -357,18 +536,30 @@ mod proptests {
                     ("descending", &descending),
                 ] {
                     for owned in [None, Some(&shard)] {
-                        let got = top_k(n, top, &infected, owned, |rows, out| {
+                        let score = |rows: &[NodeId], out: &mut [f64]| {
                             assert!(owned.is_none_or(|b| rows.iter().all(|&v| b.contains(v))));
                             for (o, v) in out.iter_mut().zip(rows) {
                                 *o = scores[v.index()];
                             }
-                        });
+                        };
+                        let want = reference(scores, top, &infected, owned);
+                        let got = top_k(n, top, &infected, owned, 1, score);
                         assert_eq!(
                             bits(&got),
-                            reference(scores, top, &infected, owned),
+                            want,
                             "case {case}: n {n}, top {top}, {order}, shard {}",
                             owned.is_some()
                         );
+                        for parts in 2..=4 {
+                            let rows = Span::of(n, owned);
+                            let split = select_parts(rows, parts, top, &infected, &score);
+                            assert_eq!(
+                                bits(&split),
+                                want,
+                                "case {case}: n {n}, top {top}, {order}, shard {}, {parts} parts",
+                                owned.is_some()
+                            );
+                        }
                         assert!(
                             got.capacity() <= 2 * n.max(4),
                             "case {case}: n {n}, top {top}, {order}: capacity {} follows `top`, not the rows",

@@ -558,9 +558,11 @@ bench_contract() {
         grep -A1 "\"$1\"" "$report" | sed -n 's/.*"value": *\([0-9][0-9.e+-]*\).*/\1/p'
     }
     # The scan sums the infected set once, scores rows four abreast in
-    # fixed chunks and keeps a bounded top-k: ~480 us on the 60000x16
-    # model (306-517 over ten runs on 2 vCPUs). Scoring every candidate
-    # against every source and sorting them all reads ~30000.
+    # fixed chunks, keeps a bounded top-k and scores the second half of
+    # the 60000x16 model's rows on one helper thread when a core is free:
+    # ~365 us (287-396 over seeds 41-45 on 2 vCPUs, 431 on seed 1;
+    # sequential, 440-650). Scoring every candidate against every source
+    # and sorting them all reads ~30000.
     rank="$(layer model.rank_us)"
     if ! grep -q '"correct": *true' "$report" \
         || ! awk -v rank="$rank" 'BEGIN { exit !(rank != "" && rank + 0 < 5000) }'; then
@@ -636,17 +638,35 @@ communities_skip_the_directed_graph() {
     fi
 }
 
-# Algorithm 1's sweep is one zipped pass per direction and an accepted
-# epoch swaps its buffers; fail if an indexed topic loop comes back into
-# accumulate_gradients (a bounds check per element, nothing vectorises)
-# or a block copy into optimize's epoch loop. The bracket keeps this
-# script from matching itself.
+# Algorithm 1's sweep is one zipped pass per direction — a forward half
+# (LL, dB, denominators) and a backward half (dA), composed by
+# accumulate_gradients — and an accepted epoch swaps its buffers; fail
+# if a half goes missing, an indexed topic loop comes back into the
+# sweep (a bounds check per element, nothing vectorises) or a block copy
+# into optimize's epoch loop. The brackets keep this script from
+# matching itself.
 sweep_is_check_free() {
-    if sed -n '/^pub fn accumulate_gradients/,/^}/p' crates/embed/src/gradient.rs \
-        | grep -n 'in 0\.\.[k]\b' \
+    local forward backward
+    forward="$(sed -n '/^pub(crate) fn sweep_[f]orward/,/^}/p' crates/embed/src/gradient.rs)"
+    backward="$(sed -n '/^pub(crate) fn sweep_[b]ackward/,/^}/p' crates/embed/src/gradient.rs)"
+    if [ -z "$forward" ] || [ -z "$backward" ] \
+        || { sed -n '/^pub fn accumulate_gradients/,/^}/p' crates/embed/src/gradient.rs \
+            && printf '%s\n%s\n' "$forward" "$backward"; } | grep -n 'in 0\.\.[k]\b' \
         || sed -n '/^pub fn optimize/,/^}/p' crates/embed/src/pgd.rs \
             | sed -n '/^    while /,/^    }/p' | grep -n 'copy_from_[s]lice'; then
-        echo "an indexed topic loop is back in accumulate_gradients, or a block copy in optimize's epoch loop; zip the rows and swap the buffers" >&2
+        echo "a sweep half is gone, an indexed topic loop is back in the gradient sweep, or a block copy in optimize's epoch loop; zip the rows and swap the buffers" >&2
+        return 1
+    fi
+}
+
+# The scan reads the core count once into a OnceLock: the standard
+# library reads cgroup files on every call (~18 us on 2 vCPUs), which a per-scan
+# call would pay on every request. Fail if the model or serve crates ask
+# on a line without get_or_init. The bracket keeps this script from
+# matching itself.
+core_count_cached() {
+    if grep -rn 'available_[p]arallelism' crates/model/src crates/serve/src | grep -v 'get_or_init'; then
+        echo "the core count is asked outside a OnceLock in crates/model or crates/serve; read it once with get_or_init" >&2
         return 1
     fi
 }
@@ -913,6 +933,7 @@ run cooccurrence_sized_once
 run one_weight_table
 run communities_skip_the_directed_graph
 run sweep_is_check_free
+run core_count_cached
 run slpa_votes_without_branches
 run front_door_never_sleeps
 run libraries_hold_the_product
