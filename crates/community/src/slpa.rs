@@ -38,7 +38,7 @@
 use crate::partition::Partition;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use viralcast_graph::{DiGraph, NodeId};
+use viralcast_graph::{DiGraph, NodeId, RowWeights, WeightRows};
 use viralcast_obs as obs;
 
 /// SLPA parameters.
@@ -161,6 +161,44 @@ impl Slpa {
     pub fn run(&self, graph: &DiGraph) -> SlpaResult {
         let _span = obs::Span::enter("slpa");
         let n = graph.node_count();
+        let memories = match graph.row_weights() {
+            WeightRows::Narrow(weights) => self.propagate(graph, weights),
+            WeightRows::Wide(weights) => self.propagate(graph, weights),
+        };
+        let raw: Vec<usize> = (0..n).map(|u| memories.dominant(u)).collect();
+        let partition = Partition::from_labels(&raw);
+        obs::metrics()
+            .counter("slpa.iterations")
+            .incr(self.config.iterations as u64);
+        // Every round, each listener hears one utterance per adjacency
+        // entry of its row.
+        obs::metrics()
+            .counter("slpa.utterances")
+            .incr((self.config.iterations * graph.edge_count()) as u64);
+        obs::metrics()
+            .gauge("slpa.communities")
+            .set(partition.community_count() as f64);
+        obs::info(
+            "slpa",
+            "label propagation finished",
+            &[
+                ("nodes", n.into()),
+                ("iterations", self.config.iterations.into()),
+                ("communities", partition.community_count().into()),
+            ],
+        );
+        SlpaResult { partition }
+    }
+
+    /// The speaker-listener rounds, with the weights' id width fixed for
+    /// the whole run: each listener reads its row's weights without a
+    /// branch on the width.
+    fn propagate<I: Copy + Into<u32>>(
+        &self,
+        graph: &DiGraph,
+        weights: RowWeights<'_, I>,
+    ) -> Memories {
+        let n = graph.node_count();
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let mut memories = Memories::new(n, self.config.iterations);
         let mut order: Vec<usize> = (0..n).collect();
@@ -182,13 +220,12 @@ impl Slpa {
                 if neighbors.is_empty() {
                     continue;
                 }
-                let weights = graph.out_weights(lu);
                 // `0.0 + w` is `w` bit for bit except at `w = −0.0`, whose
                 // `+0.0` compares equal: a first utterance needs no branch.
                 // Its label is stored at `hits[count]` and kept by the
                 // increment; a repeated label's store is overwritten.
                 let mut count = 0;
-                for (&speaker, w) in neighbors.iter().zip(weights) {
+                for (&speaker, w) in neighbors.iter().zip(weights.of(lu)) {
                     let label = memories.speak(speaker.index(), &mut rng);
                     let slot = label as usize;
                     tally[slot] += w;
@@ -220,29 +257,7 @@ impl Slpa {
             }
         }
 
-        let raw: Vec<usize> = (0..n).map(|u| memories.dominant(u)).collect();
-        let partition = Partition::from_labels(&raw);
-        obs::metrics()
-            .counter("slpa.iterations")
-            .incr(self.config.iterations as u64);
-        // Every round, each listener hears one utterance per adjacency
-        // entry of its row.
-        obs::metrics()
-            .counter("slpa.utterances")
-            .incr((self.config.iterations * graph.edge_count()) as u64);
-        obs::metrics()
-            .gauge("slpa.communities")
-            .set(partition.community_count() as f64);
-        obs::info(
-            "slpa",
-            "label propagation finished",
-            &[
-                ("nodes", n.into()),
-                ("iterations", self.config.iterations.into()),
-                ("communities", partition.community_count().into()),
-            ],
-        );
-        SlpaResult { partition }
+        memories
     }
 }
 
@@ -626,6 +641,31 @@ mod proptests {
                 }
             }
         }
+    }
+
+    /// A graph of more than 65 536 distinct weights carries 32-bit weight
+    /// ids; SLPA reads them through its other instance and still votes
+    /// as the reference does. 400 nodes, each undirected pair `u < v` of
+    /// the first 33 000 with its own weight, so the table holds 66 000.
+    #[test]
+    fn wide_weight_ids_vote_as_the_reference() {
+        let mut b = GraphBuilder::new(400);
+        let pairs = (0..400u32).flat_map(|u| (u + 1..400).map(move |v| (u, v)));
+        for (i, (u, v)) in pairs.take(33_000).enumerate() {
+            let w = 1.0 + i as f64 / f64::from(1 << 20);
+            b.add_edge(NodeId(u), NodeId(v), w);
+            b.add_edge(NodeId(v), NodeId(u), 2.0 * w);
+        }
+        let g = b.build();
+        assert!(matches!(g.row_weights(), WeightRows::Wide(_)));
+        let config = SlpaConfig {
+            iterations: 3,
+            seed: 7,
+        };
+        assert_eq!(
+            Slpa::new(config).run(&g).partition,
+            Partition::from_labels(&reference_run(config, &g))
+        );
     }
 
     /// SLPA always outputs a full partition covering every node.

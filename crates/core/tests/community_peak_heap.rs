@@ -2,8 +2,9 @@
 //!
 //! `detect_communities` counts the symmetrised co-occurrence graph
 //! without the directed graph or its transpose, and sizes its CSR arrays
-//! exactly before it fills them. An entry is a target and a `u32` weight
-//! id, 8 bytes; each distinct weight is stored once. The chain it
+//! exactly before it fills them. An entry is a target and a 16-bit weight
+//! id, 6 bytes, while the graph holds at most 65 536 distinct weights (as
+//! every shape here does); each distinct weight is stored once. The chain it
 //! replaced — the directed graph, its transpose, then their merge — held
 //! all three at once, about 2.3–2.5× the undirected CSR; arrays grown by
 //! doubling left up to 2× and, on every retrain of a serving daemon, a
@@ -183,14 +184,15 @@ fn communities_allocate_the_graph_once_near_its_size() {
         let (heap, got) = heap_of(|| detect_communities(train, &options));
         assert_eq!(got, want, "{name}: partitions differ");
 
-        // Each entry is a target and a weight id; each distinct weight is
-        // stored once.
+        // Each entry is a target and a 16-bit weight id; each distinct
+        // weight is stored once.
         let offsets = (train.node_count() + 1) * size_of::<usize>();
         let csr = offsets
-            + edges * (size_of::<NodeId>() + size_of::<u32>())
+            + edges * (size_of::<NodeId>() + size_of::<u16>())
             + distinct * size_of::<f64>();
         // Exact sizing leaves only the per-call scratch beyond the CSR:
-        // 1.11–1.18× on these three shapes. Arrays grown by doubling
+        // 1.15–1.24× on these three shapes; 32-bit ids would read
+        // 1.47–1.57×. Arrays grown by doubling
         // reached 1.71× (served fit) and 1.81× (drain batch) of the
         // 12-byte-an-entry CSR of the time.
         let bound = csr * 5 / 4;
@@ -206,7 +208,7 @@ fn communities_allocate_the_graph_once_near_its_size() {
             reference.peak
         );
         // With one `f64` per entry the CSR alone took `edges · 12` bytes;
-        // interned weights bring the whole call to 0.74–0.79× of that.
+        // interned weights bring the whole call to 0.58–0.62× of that.
         let per_edge_f64 = offsets + edges * (size_of::<NodeId>() + size_of::<f64>());
         assert!(
             heap.peak < per_edge_f64,

@@ -23,17 +23,18 @@
 //! `count[v]` row while a `touched` list records first hits; `touched` is
 //! sorted, each `(v, c(u, v))` is weighed and filtered, the survivors are
 //! appended straight to the CSR arrays (each weight interned into the
-//! graph's table of distinct weights, see [`crate::digraph`]), and the
-//! row is zeroed again
-//! through `touched`. The rows are counted twice: a first pass, with no
-//! sort and no push, only counts each row's survivors, so the CSR arrays
-//! are allocated once at their exact length and never grow — a caller
-//! that counts on every batch (the serving trainer) leaves no trail of
-//! doubled-and-freed blocks in the heap. No pair is ever hashed and no
-//! edge list is built: the cost is `O(increments + Σ deg·log deg)` time
-//! — `increments` the successors visited, `deg` a row's distinct targets
-//! before `min_weight` — and `O(n + infections + kept edges)` memory,
-//! with no `O(n)` sweep per source.
+//! graph's table of distinct weights and stored as a 16-bit id, or a
+//! 32-bit one past 65 536 distinct weights, see [`crate::digraph`]), and
+//! the row is zeroed again through `touched`. The rows are counted
+//! twice: a first pass, with no sort and no push, only counts each row's
+//! survivors, so the CSR arrays are allocated once at their exact length
+//! and never grow — a caller that counts on every batch (the serving
+//! trainer) leaves no trail of doubled-and-freed blocks in the heap. No
+//! pair is ever hashed and no edge list is built: the cost is
+//! `O(increments + Σ deg·log deg)` time — `increments` the successors
+//! visited, `deg` a row's distinct targets before `min_weight` — and
+//! `O(n + infections + kept edges)` memory, with no `O(n)` sweep per
+//! source.
 //!
 //! Community detection reads only the symmetrised view, and
 //! [`CooccurrenceGraph::build_undirected`] counts it in the same pass:
@@ -42,7 +43,7 @@
 //! `c(v, u)` side by side and is written as `w(u, v) + w(v, u)` directly.
 //! Neither the directed graph nor its transpose is ever allocated.
 
-use crate::digraph::{DiGraph, WeightTable};
+use crate::digraph::{DiGraph, WeightWriter};
 use crate::node::NodeId;
 use viralcast_obs as obs;
 
@@ -270,8 +271,7 @@ impl CooccurrenceGraph {
 
         // Second pass: the same rows again, sorted and written.
         let mut targets = Vec::with_capacity(offsets[n]);
-        let mut weight_ids = Vec::with_capacity(offsets[n]);
-        let mut table = WeightTable::default();
+        let mut weights = WeightWriter::with_capacity(offsets[n]);
         let (mut pair_increments, mut pairs_seen) = (0usize, 0usize);
         for u in 0..n {
             pair_increments += tally_row(u, &mut count, &mut touched);
@@ -280,7 +280,7 @@ impl CooccurrenceGraph {
             for v in touched.drain(..) {
                 if let Some(w) = entry(u, v, std::mem::take(&mut count[v.index()])) {
                     targets.push(v);
-                    weight_ids.push(table.intern(w));
+                    weights.push(w);
                 }
             }
             debug_assert_eq!(
@@ -289,8 +289,9 @@ impl CooccurrenceGraph {
                 "row {u}: the fill pass wrote a different length than the counting pass found"
             );
         }
+        let (weight_ids, weight_values) = weights.finish();
         CooccurrenceGraph {
-            graph: DiGraph::from_sorted_rows(n, offsets, targets, weight_ids, table.into_values()),
+            graph: DiGraph::from_sorted_rows(n, offsets, targets, weight_ids, weight_values),
             cascade_counts,
             pair_increments,
             pairs_seen,

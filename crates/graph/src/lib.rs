@@ -31,6 +31,6 @@ pub mod sbm;
 
 pub use backbone::BackboneGraph;
 pub use cooccurrence::CooccurrenceGraph;
-pub use digraph::{DiGraph, GraphBuilder};
+pub use digraph::{DiGraph, GraphBuilder, RowWeights, WeightRows};
 pub use node::NodeId;
 pub use sbm::SbmConfig;

@@ -72,7 +72,7 @@ impl EmbeddingBackend {
         let body = &payload[8..];
         let cells = n
             .checked_mul(k)
-            .filter(|&c| body.len() == 16 * c)
+            .filter(|&c| c.checked_mul(16) == Some(body.len()))
             .ok_or_else(|| format!("shape {n}x{k} disagrees with {} body bytes", body.len()))?;
         let read = |entries: &[u8]| -> Vec<f64> {
             entries

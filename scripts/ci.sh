@@ -88,7 +88,7 @@ RULES=(
     core_count_cached 'crates/model/src crates/serve/src' '' '(?m)^(?!.*get_or_init).*available_parallelism' ''
     'read the core count once with get_or_init: the standard library reads cgroup files on every call'
 
-    slpa_votes_without_branches crates/community/src/slpa.rs '^    pub fn run(' \
+    slpa_votes_without_branches crates/community/src/slpa.rs '^    fn propagate<' \
     'gen_range' '\A(?:(?!\.sort)[\s\S])*>= max_w[\s\S]*\.sort'
     'draw with the module'"'"'s below, and sort only the labels tied at >= max_w'
 
@@ -248,6 +248,13 @@ bench_contract() {
     if ! awk -v cooc="$cooc" 'BEGIN { exit !(cooc != "" && cooc + 0 < 300) }' \
         || ! grep -qxE '[1-9][0-9]*' <<<"$edges"; then
         echo "graph.cooccurrence_ms (${cooc:-missing}) is 300 ms or more, or graph.cooccurrence_edges (${edges:-missing}) is not a positive integer" >&2
+        return 1
+    fi
+    # The router's merged answers against one box's: the memory figure is
+    # the host's, so only the oracle is checked.
+    bash benchmark/run.sh --workload cluster_read --seed 1 --seconds 2 --trace 0 --report "$tmp/cluster"
+    if ! grep -q '"correct": *true' "$tmp/cluster"; then
+        echo "cluster_read is not correct" >&2
         return 1
     fi
 }
