@@ -25,6 +25,7 @@ fn main() {
     let nodes = flags.usize("nodes", 1_000);
     let cascades = flags.usize("cascades", 1_500);
     let seed = flags.u64("seed", 1);
+    flags.finish();
 
     println!("== Baselines: embedding-SVM vs adopter count vs Hawkes point process ==");
     let experiment = standard_sbm(nodes, cascades, seed);

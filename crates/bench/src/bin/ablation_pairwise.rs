@@ -24,6 +24,9 @@ fn main() {
     let cascades = flags.usize("cascades", 1_000);
     let seed = flags.u64("seed", 1);
     let topics = flags.usize("topics", 8);
+    let l1 = flags.f64("l1", 0.0);
+    let epochs = flags.usize("epochs", 300);
+    flags.finish();
 
     println!("== Node embeddings (2nK params) vs pairwise rates (O(n²) params) ==");
     let experiment = standard_sbm_local(nodes, cascades, seed);
@@ -42,8 +45,8 @@ fn main() {
         topics,
         ..InferOptions::default()
     };
-    options.hierarchical.pgd.l1_penalty = flags.f64("l1", 0.0);
-    options.hierarchical.pgd.max_epochs = flags.usize("epochs", 300);
+    options.hierarchical.pgd.l1_penalty = l1;
+    options.hierarchical.pgd.max_epochs = epochs;
     let (outcome, emb_secs) = timed(|| infer_embeddings(experiment.train(), &options));
     let emb = &outcome.embeddings;
     let emb_train_ll = corpus_log_likelihood(

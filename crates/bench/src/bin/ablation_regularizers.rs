@@ -62,6 +62,7 @@ fn main() {
     let nodes = flags.usize("nodes", 400);
     let cascades = flags.usize("cascades", 600);
     let seed = flags.u64("seed", 3);
+    flags.finish();
 
     println!("== Ablation: suppressing signal-free rates ==");
     let experiment = standard_sbm_local(nodes, cascades, seed);

@@ -4,8 +4,7 @@
 //!
 //! Strategies:
 //! * `sequential` — one optimiser over the whole matrix (t₁ baseline);
-//! * `hier/leaf` — Algorithm 2 with the paper's leaf-count-balanced tree;
-//! * `hier/node` — Algorithm 2 with node-count balancing (future work);
+//! * `hierarchical` — Algorithm 2 on the paper's leaf-count-balanced tree;
 //! * `hogwild` — lock-free racing updates (Recht et al.), the design
 //!   the paper argues *against*.
 //!
@@ -26,6 +25,7 @@ fn main() {
     let cascades = flags.usize("cascades", 1_000);
     let seed = flags.u64("seed", 1);
     let topics = flags.usize("topics", 8);
+    flags.finish();
 
     println!("== Ablation: parallel-inference strategies ==");
     let experiment = standard_sbm(nodes, cascades, seed);
@@ -74,19 +74,7 @@ fn main() {
 
     let ((emb, _), secs) = timed(|| infer(experiment.train(), &partition, &base));
     rows.push(vec![
-        "hier/leaf".into(),
-        format!("{secs:.2}"),
-        format!("{:.1}", corpus_ll(&emb)),
-        format!("{:.3}", f1_of(&emb)),
-    ]);
-
-    let balanced = HierarchicalConfig {
-        balance: Balance::NodeCount,
-        ..base
-    };
-    let ((emb, _), secs) = timed(|| infer(experiment.train(), &partition, &balanced));
-    rows.push(vec![
-        "hier/node".into(),
+        "hierarchical".into(),
         format!("{secs:.2}"),
         format!("{:.1}", corpus_ll(&emb)),
         format!("{:.3}", f1_of(&emb)),
@@ -116,7 +104,7 @@ fn main() {
 
     print_table(&["strategy", "seconds", "final LL", "F1@top-20%"], &rows);
     println!(
-        "\n(hier/* are deterministic for any thread count; hogwild is not — the\n\
+        "\n(hierarchical is deterministic for any thread count; hogwild is not — the\n\
          paper's structural conflict-freedom is what buys reproducibility)"
     );
 }

@@ -31,6 +31,7 @@ fn main() {
     let sample = flags.usize("sample", 800);
     let clusters = flags.usize("clusters", 4);
     let seed = flags.u64("seed", 1);
+    flags.finish();
 
     println!("== Figure 1: hierarchical clustering of news-event cascades ==");
     let mut rng = StdRng::seed_from_u64(seed);

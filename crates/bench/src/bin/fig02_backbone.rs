@@ -25,6 +25,7 @@ fn main() {
     // same ratio of our (smaller) sample.
     let threshold = flags.usize("threshold", (events / 100).max(2));
     let seed = flags.u64("seed", 2);
+    flags.finish();
 
     println!("== Figure 2: backbone co-reporting network ==");
     let mut rng = StdRng::seed_from_u64(seed);

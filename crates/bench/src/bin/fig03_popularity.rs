@@ -23,6 +23,7 @@ fn main() {
     let sites = flags.usize("sites", 6_000);
     let events = flags.usize("events", 2_600);
     let seed = flags.u64("seed", 3);
+    flags.finish();
 
     println!("== Figure 3: news-site popularity histogram ==");
     let mut rng = StdRng::seed_from_u64(seed);

@@ -22,6 +22,7 @@ fn main() {
     let cascades = flags.usize("cascades", 1_500);
     let seed = flags.u64("seed", 1);
     let bins = flags.usize("bins", 8);
+    flags.finish();
 
     println!("== Figures 6–8: early-adopter features vs final cascade size (SBM) ==");
     println!("world: {nodes} nodes, {cascades} cascades, first 2/7 of the window observed");

@@ -20,6 +20,7 @@ fn main() {
     let cascades = flags.usize("cascades", 1_500);
     let seed = flags.u64("seed", 1);
     let bin_width = flags.usize("bin", 50);
+    flags.finish();
 
     println!("== Figure 9: popular-cascade prediction accuracy (SBM) ==");
     let experiment = standard_sbm(nodes, cascades, seed);

@@ -1,31 +1,33 @@
-//! Figure 10 — processing time vs core count for different corpus
-//! sizes.
+//! Figures 10 and 13 — processing time vs core count for different
+//! corpus sizes, and the speedup and efficiency of those same runs.
 //!
 //! The paper times the parallel inference on an SBM graph with 2 000
 //! nodes, processing C = 1 000 / 2 000 / 3 000 cascades on 1, 2, 4, …,
 //! 64 cores, and observes (a) time falls sharply with cores and
-//! (b) time is roughly linear in the number of cascades.
+//! (b) time is roughly linear in the number of cascades. Figure 13 plots
+//! `s_n = t_1 / t_n` and `e_n = s_n / n` (eqs. 20–21) of the same
+//! measurements: near-linear to 8–16 processors, a peak at 32 and
+//! falling efficiency beyond. Both tables come from the one sweep below.
 //!
 //! Community detection runs once per corpus (its parameters are held
 //! fixed across core counts, as in the paper), and only the
 //! hierarchical optimisation is timed. Core counts beyond the machine's
 //! physical parallelism are still measured but flagged — a laptop
 //! cannot reproduce the 64-core end of the x-axis, only the shape up to
-//! its own core count.
+//! its own core count. Each time is kept at the millisecond it is
+//! printed at, so every speedup is the quotient of two printed times.
 //!
-//! Measurements are saved to `target/viralcast-bench/fig10.json` so
-//! that `fig13_speedup` can reuse them.
+//! Flags: `--nodes`, `--max-cores`, `--repeats` (best of), `--seed` and
+//! `--quick` (C = 250 / 500).
 //!
 //! ```text
 //! cargo run --release -p viralcast-bench --bin fig10_time_vs_cores -- \
 //!     --nodes 2000 --max-cores 64 --repeats 1
 //! ```
 
-use viralcast::obs;
 use viralcast::prelude::*;
 use viralcast_bench::{
-    core_sweep, print_table, save_timings, sidecar_path, standard_sbm_local as standard_sbm,
-    time_inference_report, Flags, TimingPoint, TimingSet,
+    core_sweep, print_table, standard_sbm_local as standard_sbm, time_inference, Flags,
 };
 
 fn main() {
@@ -42,82 +44,76 @@ fn main() {
     } else {
         vec![1_000, 2_000, 3_000]
     };
+    flags.finish();
 
     let physical = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("== Figure 10: processing time vs #cores (SBM, {nodes} nodes) ==");
+    println!("== Figures 10 and 13: processing time, speedup and efficiency vs #cores (SBM, {nodes} nodes) ==");
     println!("physical parallelism here: {physical} (points beyond it are oversubscribed)\n");
 
-    let cores = core_sweep(max_cores);
-    let mut set = TimingSet::default();
-    let mut rows = Vec::new();
-    let mut last_timings = None;
-
+    let cores = core_sweep(max_cores.max(1));
+    let hier = HierarchicalConfig {
+        topics: InferOptions::default().topics,
+        ..InferOptions::default().hierarchical
+    };
+    // Per corpus size, the best-of-`repeats` seconds at each core count.
+    let mut times: Vec<Vec<f64>> = Vec::new();
     for &c in &corpus_sizes {
         // Fresh corpus of C cascades; SLPA once.
         let experiment = standard_sbm(nodes, c, seed);
-        let outcome = infer_embeddings(experiment.train(), &InferOptions::default());
-        let partition = outcome.partition;
-        let all = experiment.train().clone();
-        let hier = InferOptions::default().hierarchical;
-        let hier = HierarchicalConfig {
-            topics: InferOptions::default().topics,
-            ..hier
-        };
-        for &p in &cores {
-            let mut best = f64::INFINITY;
-            for _ in 0..repeats.max(1) {
-                let report = time_inference_report(&all, &partition, &hier, p);
-                let seconds = report.total_seconds();
-                if seconds < best {
-                    best = seconds;
-                    last_timings = Some(report.timings);
-                }
-            }
-            set.points.push(TimingPoint {
-                cores: p,
-                cascades: c,
-                nodes,
-                seconds: best,
-            });
-            rows.push(vec![
+        let partition = infer_embeddings(experiment.train(), &InferOptions::default()).partition;
+        let row = cores
+            .iter()
+            .map(|&p| {
+                let best = (0..repeats.max(1))
+                    .map(|_| time_inference(experiment.train(), &partition, &hier, p))
+                    .fold(f64::INFINITY, f64::min);
+                let best = (best * 1e3).round() / 1e3;
+                println!("C = {c:>5}, cores = {p:>3}: {best:.3}s");
+                best
+            })
+            .collect();
+        times.push(row);
+    }
+
+    let mark = |p: usize| format!("{p}{}", if p > physical { "*" } else { "" });
+    let mut time_rows = Vec::new();
+    let mut speedup_rows = Vec::new();
+    for (&c, row) in corpus_sizes.iter().zip(&times) {
+        for (&p, &t) in cores.iter().zip(row) {
+            let speedup = row[0] / t;
+            time_rows.push(vec![format!("{c}"), mark(p), format!("{t:.3}")]);
+            speedup_rows.push(vec![
                 format!("{c}"),
-                format!("{p}{}", if p > physical { "*" } else { "" }),
-                format!("{best:.2}"),
+                mark(p),
+                format!("{speedup:.2}"),
+                format!("{:.2}", speedup / p as f64),
             ]);
-            println!("C = {c:>5}, cores = {p:>3}: {best:.2}s");
         }
     }
 
-    println!("\nsummary (cores marked * exceed physical parallelism):");
-    print_table(&["cascades", "cores", "seconds"], &rows);
+    println!("\nFigure 10, time (cores marked * exceed physical parallelism):");
+    print_table(&["cascades", "cores", "seconds"], &time_rows);
 
     // The paper's second observation: time ~linear in C at fixed cores.
     if corpus_sizes.len() >= 2 {
         println!("\ntime vs corpus size at 1 core (paper: \"generally linear\"):");
-        for &c in &corpus_sizes {
-            if let Some(t) = set.t1(c, nodes) {
-                println!(
-                    "  C = {c:>5}: {t:.2}s  ({:.2} ms/cascade)",
-                    1000.0 * t / c as f64
-                );
-            }
+        for (&c, row) in corpus_sizes.iter().zip(&times) {
+            println!(
+                "  C = {c:>5}: {:.3}s  ({:.2} ms/cascade)",
+                row[0],
+                1000.0 * row[0] / c as f64
+            );
         }
     }
 
-    save_timings("fig10.json", &set);
-
-    // A full observability run report for the sweep: the span tree of
-    // the fastest measured inference plus the global metric counters
-    // accumulated across every repetition.
-    if let Some(timings) = last_timings {
-        let report = RunReport::new(timings, obs::metrics().snapshot())
-            .attr("figure", "fig10")
-            .attr("nodes", nodes)
-            .attr("max_cores", max_cores)
-            .attr("repeats", repeats.max(1));
-        let path = sidecar_path("fig10_run_report.json");
-        if report.save(&path).is_ok() {
-            println!("(run report saved to {})", path.display());
-        }
-    }
+    println!("\nFigure 13, speedup s_n = t1/tn and efficiency e_n = s_n/n:");
+    print_table(
+        &["cascades", "cores", "speedup", "efficiency"],
+        &speedup_rows,
+    );
+    println!(
+        "\n(physical parallelism here: {physical}; the paper's 50× headline needs its\n\
+         64-core testbed — the shape to compare is near-linear scaling to ~8–16\n\
+         workers with efficiency decaying beyond)"
+    );
 }

@@ -13,8 +13,7 @@
 
 use viralcast::prelude::*;
 use viralcast_bench::{
-    core_sweep, print_table, save_timings, standard_sbm_local as standard_sbm, time_inference,
-    Flags, TimingPoint, TimingSet,
+    core_sweep, print_table, standard_sbm_local as standard_sbm, time_inference, Flags,
 };
 
 fn main() {
@@ -30,10 +29,12 @@ fn main() {
     } else {
         vec![1_000, 2_000, 4_000]
     };
+    flags.finish();
 
     println!("== Figure 11: processing time vs #cores across graph sizes (C = {cascades}) ==");
     let cores = core_sweep(max_cores);
-    let mut set = TimingSet::default();
+    // Per graph size, the seconds at each core count.
+    let mut times: Vec<Vec<f64>> = Vec::new();
     let mut rows = Vec::new();
 
     for &n in &node_sizes {
@@ -43,17 +44,14 @@ fn main() {
             topics: InferOptions::default().topics,
             ..InferOptions::default().hierarchical
         };
+        let mut row = Vec::new();
         for &p in &cores {
             let secs = time_inference(experiment.train(), &outcome.partition, &hier, p);
-            set.points.push(TimingPoint {
-                cores: p,
-                cascades,
-                nodes: n,
-                seconds: secs,
-            });
+            row.push(secs);
             rows.push(vec![format!("{n}"), format!("{p}"), format!("{secs:.2}")]);
             println!("N = {n:>5}, cores = {p:>3}: {secs:.2}s");
         }
+        times.push(row);
     }
 
     println!("\nsummary:");
@@ -61,25 +59,13 @@ fn main() {
 
     // The headline comparison: spread across N at each core count.
     println!("\nspread across graph sizes (paper: curves nearly coincide):");
-    for &p in &cores {
-        let times: Vec<f64> = node_sizes
-            .iter()
-            .filter_map(|&n| {
-                set.points
-                    .iter()
-                    .find(|pt| pt.cores == p && pt.nodes == n)
-                    .map(|pt| pt.seconds)
-            })
-            .collect();
-        if times.len() == node_sizes.len() {
-            let min = times.iter().cloned().fold(f64::INFINITY, f64::min);
-            let max = times.iter().cloned().fold(0.0, f64::max);
-            println!(
-                "  cores = {p:>3}: min {min:.2}s, max {max:.2}s, spread {:.0}%",
-                100.0 * (max - min) / min
-            );
-        }
+    for (i, &p) in cores.iter().enumerate() {
+        let at_p = times.iter().map(|row| row[i]);
+        let min = at_p.clone().fold(f64::INFINITY, f64::min);
+        let max = at_p.fold(0.0, f64::max);
+        println!(
+            "  cores = {p:>3}: min {min:.2}s, max {max:.2}s, spread {:.0}%",
+            100.0 * (max - min) / min
+        );
     }
-
-    save_timings("fig11.json", &set);
 }

@@ -25,6 +25,7 @@ fn main() {
     let events = flags.usize("events", 1_800);
     let seed = flags.u64("seed", 7);
     let early_hours = flags.f64("early-hours", 5.0);
+    flags.finish();
 
     println!("== Figure 12: popular news event prediction (synthetic GDELT) ==");
     let mut rng = StdRng::seed_from_u64(seed);

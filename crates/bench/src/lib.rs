@@ -1,11 +1,10 @@
 //! Shared plumbing for the figure-reproduction harnesses.
 //!
 //! Every binary in `src/bin/` regenerates one figure of the paper's
-//! evaluation. They share: flag parsing ([`viralcast::cli::Flags`],
-//! re-exported here), table printing, timing helpers, a standard SBM
-//! world builder, and a JSON sidecar format so that `fig13_speedup` can
-//! reuse `fig10_time_vs_cores` measurements instead of re-running the
-//! sweep.
+//! evaluation; `fig10_time_vs_cores` prints Figure 13's speedup and
+//! efficiency from the times it has just measured. They share: flag
+//! parsing ([`viralcast::cli::Flags`], re-exported here), table printing,
+//! timing helpers and the standard SBM world builders.
 //!
 //! The `ablation_*` binaries compare the paper's pipeline with the
 //! designs it argues against; those baselines are harness code and live
@@ -22,8 +21,6 @@ pub mod hogwild;
 pub mod pairwise;
 pub mod pointprocess;
 
-use serde::{Deserialize, Serialize};
-use std::path::PathBuf;
 pub use viralcast::cli::Flags;
 use viralcast::embed::IndexedCascade;
 use viralcast::prelude::*;
@@ -115,91 +112,8 @@ pub fn standard_sbm_local(nodes: usize, cascades: usize, seed: u64) -> SbmExperi
     )
 }
 
-/// One timing measurement of the parallel inference.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct TimingPoint {
-    /// rayon pool size.
-    pub cores: usize,
-    /// Number of cascades processed.
-    pub cascades: usize,
-    /// Number of graph nodes.
-    pub nodes: usize,
-    /// Wall-clock seconds of the hierarchical inference.
-    pub seconds: f64,
-}
-
-/// A set of timing measurements with enough context to re-derive
-/// speedup/efficiency.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct TimingSet {
-    /// All measured points.
-    pub points: Vec<TimingPoint>,
-}
-
-impl TimingSet {
-    /// `t_1` for a `(cascades, nodes)` workload, if measured.
-    pub fn t1(&self, cascades: usize, nodes: usize) -> Option<f64> {
-        self.points
-            .iter()
-            .find(|p| p.cores == 1 && p.cascades == cascades && p.nodes == nodes)
-            .map(|p| p.seconds)
-    }
-
-    /// Speedup `s_n = t_1 / t_n` for every point of a workload.
-    pub fn speedups(&self, cascades: usize, nodes: usize) -> Vec<(usize, f64)> {
-        let Some(t1) = self.t1(cascades, nodes) else {
-            return Vec::new();
-        };
-        self.points
-            .iter()
-            .filter(|p| p.cascades == cascades && p.nodes == nodes)
-            .map(|p| (p.cores, t1 / p.seconds))
-            .collect()
-    }
-}
-
-/// Where timing sidecars live (`target/viralcast-bench/`).
-pub fn sidecar_path(name: &str) -> PathBuf {
-    let dir = PathBuf::from("target/viralcast-bench");
-    std::fs::create_dir_all(&dir).ok();
-    dir.join(name)
-}
-
-/// Saves a timing set as JSON.
-pub fn save_timings(name: &str, set: &TimingSet) {
-    let path = sidecar_path(name);
-    if let Ok(json) = serde_json::to_string_pretty(set) {
-        if std::fs::write(&path, json).is_ok() {
-            println!("\n(timings saved to {})", path.display());
-        }
-    }
-}
-
-/// Loads a timing set if present.
-pub fn load_timings(name: &str) -> Option<TimingSet> {
-    let text = std::fs::read_to_string(sidecar_path(name)).ok()?;
-    serde_json::from_str(&text).ok()
-}
-
-/// Runs the hierarchical inference on a fixed partition under a rayon
-/// pool of `cores` threads and returns the full [`InferenceReport`],
-/// whose span tree (`report.timings`) carries the per-level wall-clock
-/// breakdown.
-pub fn time_inference_report(
-    cascades: &CascadeSet,
-    partition: &Partition,
-    config: &HierarchicalConfig,
-    cores: usize,
-) -> InferenceReport {
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(cores)
-        .build()
-        .expect("failed to build rayon pool");
-    let (_, report) = pool.install(|| infer(cascades, partition, config));
-    report
-}
-
-/// Wall-clock seconds of one hierarchical inference, read from the
+/// Wall-clock seconds of one hierarchical inference on a fixed
+/// partition under a rayon pool of `cores` threads, read from the
 /// inference's own span-timing tree rather than an external stopwatch —
 /// pool setup and teardown are excluded. Community detection is
 /// excluded too, matching the paper's "the inference algorithm and
@@ -211,10 +125,15 @@ pub fn time_inference(
     config: &HierarchicalConfig,
     cores: usize,
 ) -> f64 {
-    time_inference_report(cascades, partition, config, cores).total_seconds()
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(cores)
+        .build()
+        .expect("failed to build rayon pool");
+    let (_, report) = pool.install(|| infer(cascades, partition, config));
+    report.total_seconds()
 }
 
-/// The default core sweep of Figures 10/13: 1, 2, 4, …, `max`.
+/// The core sweep of Figures 10 and 11: 1, 2, 4, …, `max`.
 pub fn core_sweep(max: usize) -> Vec<usize> {
     let mut cores = Vec::new();
     let mut c = 1;
@@ -293,35 +212,6 @@ mod tests {
             assert!(w[1].0 > w[0].0);
             assert!(w[1].1 > w[0].1);
         }
-    }
-
-    #[test]
-    fn timing_set_speedups() {
-        let set = TimingSet {
-            points: vec![
-                TimingPoint {
-                    cores: 1,
-                    cascades: 100,
-                    nodes: 10,
-                    seconds: 8.0,
-                },
-                TimingPoint {
-                    cores: 4,
-                    cascades: 100,
-                    nodes: 10,
-                    seconds: 2.0,
-                },
-                TimingPoint {
-                    cores: 1,
-                    cascades: 200,
-                    nodes: 10,
-                    seconds: 16.0,
-                },
-            ],
-        };
-        let s = set.speedups(100, 10);
-        assert_eq!(s, vec![(1, 1.0), (4, 4.0)]);
-        assert!(set.speedups(300, 10).is_empty());
     }
 
     #[test]

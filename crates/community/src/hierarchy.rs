@@ -11,27 +11,15 @@
 //!
 //! The layout works because pairing always joins *adjacent* groups: if
 //! leaves are laid out left to right, every ancestor covers a contiguous
-//! leaf interval, hence a contiguous node interval. Balancing then
-//! reduces to choosing the left-to-right *leaf order*:
-//!
-//! * [`Balance::LeafCount`] — keep SLPA's order; the tree is balanced by
-//!   the number of leaves in each branch (the paper's implementation).
-//! * [`Balance::NodeCount`] — interleave large and small communities so
-//!   adjacent pairs have roughly equal node counts (the improvement the
-//!   paper leaves as future work, built here for the ablation bench).
+//! leaf interval, hence a contiguous node interval. The leaves keep
+//! SLPA's order, so the tree is balanced by the number of leaves in each
+//! branch, as in the paper's implementation. Balancing by node count,
+//! which the paper leaves as future work, models at the same speedup
+//! ceiling (ROADMAP item 16), so it is not offered.
 
 use crate::partition::Partition;
 use std::ops::Range;
 use viralcast_graph::NodeId;
-
-/// How to order leaves before adjacent pairing.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Balance {
-    /// Balance branches by leaf count (paper's simple design).
-    LeafCount,
-    /// Balance adjacent pairs by node count (paper's future work).
-    NodeCount,
-}
 
 /// A precomputed merge schedule over the leaf communities of a
 /// [`Partition`].
@@ -49,40 +37,17 @@ pub struct MergeHierarchy {
 }
 
 impl MergeHierarchy {
-    /// Builds the schedule from leaf communities.
-    pub fn build(base: Partition, balance: Balance) -> Self {
+    /// Builds the schedule from leaf communities, in their partition
+    /// order.
+    pub fn build(base: Partition) -> Self {
         let k = base.community_count();
-        let sizes = base.sizes();
-
-        let leaf_order: Vec<usize> = match balance {
-            Balance::LeafCount => (0..k).collect(),
-            Balance::NodeCount => {
-                // Largest-with-smallest interleaving: sort by size
-                // descending, then alternate ends so adjacent pairs sum
-                // to roughly the same node count.
-                let mut by_size: Vec<usize> = (0..k).collect();
-                by_size.sort_by_key(|&c| std::cmp::Reverse(sizes[c]));
-                let mut order = Vec::with_capacity(k);
-                let (mut lo, mut hi) = (0usize, k);
-                while lo < hi {
-                    order.push(by_size[lo]);
-                    lo += 1;
-                    if lo < hi {
-                        hi -= 1;
-                        order.push(by_size[hi]);
-                    }
-                }
-                order
-            }
-        };
 
         // Node layout: concatenate community members in leaf order.
-        let communities = base.communities();
         let mut node_order = Vec::with_capacity(base.node_count());
         let mut leaf_starts = Vec::with_capacity(k + 1);
         leaf_starts.push(0);
-        for &c in &leaf_order {
-            node_order.extend_from_slice(&communities[c]);
+        for members in base.communities() {
+            node_order.extend_from_slice(&members);
             leaf_starts.push(node_order.len());
         }
         let mut node_pos = vec![0usize; base.node_count()];
@@ -195,7 +160,7 @@ mod tests {
 
     #[test]
     fn four_leaves_make_three_levels() {
-        let h = MergeHierarchy::build(partition(&[2, 2, 2, 2]), Balance::LeafCount);
+        let h = MergeHierarchy::build(partition(&[2, 2, 2, 2]));
         assert_eq!(h.level_count(), 3);
         assert_eq!(h.group_count(0), 4);
         assert_eq!(h.group_count(1), 2);
@@ -204,7 +169,7 @@ mod tests {
 
     #[test]
     fn node_ranges_cover_everything() {
-        let h = MergeHierarchy::build(partition(&[3, 1, 2]), Balance::LeafCount);
+        let h = MergeHierarchy::build(partition(&[3, 1, 2]));
         for level in 0..h.level_count() {
             let ranges = h.node_ranges(level);
             let total: usize = ranges.iter().map(|r| r.len()).sum();
@@ -218,7 +183,7 @@ mod tests {
     #[test]
     fn level_zero_matches_base_partition() {
         let base = partition(&[2, 3, 1]);
-        let h = MergeHierarchy::build(base.clone(), Balance::LeafCount);
+        let h = MergeHierarchy::build(base.clone());
         let level0 = h.partition_at(0);
         // Same grouping (community ids may be permuted).
         assert!(level0.is_refined_by(&base) && base.is_refined_by(&level0));
@@ -226,14 +191,14 @@ mod tests {
 
     #[test]
     fn top_level_is_one_group() {
-        let h = MergeHierarchy::build(partition(&[2, 2, 2]), Balance::LeafCount);
+        let h = MergeHierarchy::build(partition(&[2, 2, 2]));
         let top = h.partition_at(h.level_count() - 1);
         assert_eq!(top.community_count(), 1);
     }
 
     #[test]
     fn each_level_refines_the_next() {
-        let h = MergeHierarchy::build(partition(&[1, 2, 3, 4, 5]), Balance::LeafCount);
+        let h = MergeHierarchy::build(partition(&[1, 2, 3, 4, 5]));
         for l in 0..h.level_count() - 1 {
             let fine = h.partition_at(l);
             let coarse = h.partition_at(l + 1);
@@ -248,7 +213,7 @@ mod tests {
 
     #[test]
     fn odd_group_promotes() {
-        let h = MergeHierarchy::build(partition(&[1, 1, 1]), Balance::LeafCount);
+        let h = MergeHierarchy::build(partition(&[1, 1, 1]));
         // 3 -> 2 -> 1
         assert_eq!(h.group_count(0), 3);
         assert_eq!(h.group_count(1), 2);
@@ -257,35 +222,15 @@ mod tests {
 
     #[test]
     fn positions_invert_layout() {
-        let h = MergeHierarchy::build(partition(&[2, 3]), Balance::NodeCount);
+        let h = MergeHierarchy::build(partition(&[2, 3]));
         for (pos, &u) in h.node_layout().iter().enumerate() {
             assert_eq!(h.position_of(u), pos);
         }
     }
 
     #[test]
-    fn node_count_balance_pairs_large_with_small() {
-        // Sizes 10, 1, 9, 2: LeafCount pairs (10,1) and (9,2) by luck of
-        // ordering; shuffle sizes so the orders differ: 1, 10, 2, 9.
-        let h = MergeHierarchy::build(partition(&[1, 10, 2, 9]), Balance::NodeCount);
-        let ranges = h.node_ranges(1);
-        let pair_sizes: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
-        // Balanced pairing: {10,1} and {9,2} -> sizes 11 and 11.
-        assert_eq!(pair_sizes, vec![11, 11]);
-    }
-
-    #[test]
-    fn node_count_balance_improves_imbalance() {
-        let base = partition(&[40, 1, 1, 1, 1, 1, 1, 40]);
-        let largest = |h: &MergeHierarchy| h.node_ranges(1).iter().map(|r| r.len()).max();
-        let plain = MergeHierarchy::build(base.clone(), Balance::LeafCount);
-        let balanced = MergeHierarchy::build(base, Balance::NodeCount);
-        assert!(largest(&balanced) <= largest(&plain));
-    }
-
-    #[test]
     fn levels_until_stops_at_threshold() {
-        let h = MergeHierarchy::build(partition(&[1; 8]), Balance::LeafCount);
+        let h = MergeHierarchy::build(partition(&[1; 8]));
         // Group counts per level: 8, 4, 2, 1.
         assert_eq!(h.levels_until(2), vec![0, 1, 2]);
         assert_eq!(h.levels_until(1), vec![0, 1, 2, 3]);
@@ -294,7 +239,7 @@ mod tests {
 
     #[test]
     fn empty_partition_yields_empty_hierarchy() {
-        let h = MergeHierarchy::build(Partition::from_labels(&[]), Balance::LeafCount);
+        let h = MergeHierarchy::build(Partition::from_labels(&[]));
         assert_eq!(h.level_count(), 0);
         assert!(h.node_layout().is_empty());
         assert!(h.levels_until(4).is_empty());
@@ -302,7 +247,7 @@ mod tests {
 
     #[test]
     fn single_community_is_one_level() {
-        let h = MergeHierarchy::build(Partition::whole(5), Balance::LeafCount);
+        let h = MergeHierarchy::build(Partition::whole(5));
         assert_eq!(h.level_count(), 1);
         assert_eq!(h.node_ranges(0), vec![0..5]);
     }
@@ -314,9 +259,9 @@ mod proptests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// For any base partition and either balance mode: every level's
-    /// ranges tile the node positions, each level refines the next,
-    /// and the top level has one group.
+    /// For any base partition: every level's ranges tile the node
+    /// positions, each level refines the next, and the top level has one
+    /// group.
     #[test]
     fn hierarchy_laws() {
         for case in 0..48 {
@@ -324,13 +269,8 @@ mod proptests {
             let raw: Vec<usize> = (0..rng.gen_range(1..60usize))
                 .map(|_| rng.gen_range(0usize..7))
                 .collect();
-            let mode = if rng.gen_bool(0.5) {
-                Balance::NodeCount
-            } else {
-                Balance::LeafCount
-            };
             let base = Partition::from_labels(&raw);
-            let h = MergeHierarchy::build(base.clone(), mode);
+            let h = MergeHierarchy::build(base.clone());
             assert!(h.level_count() >= 1, "case {case}");
             for level in 0..h.level_count() {
                 let ranges = h.node_ranges(level);
@@ -364,7 +304,7 @@ mod proptests {
         for case in 0..48 {
             let k = StdRng::seed_from_u64(case).gen_range(1usize..40);
             let raw: Vec<usize> = (0..k).collect();
-            let h = MergeHierarchy::build(Partition::from_labels(&raw), Balance::LeafCount);
+            let h = MergeHierarchy::build(Partition::from_labels(&raw));
             for l in 0..h.level_count() - 1 {
                 assert_eq!(
                     h.group_count(l + 1),

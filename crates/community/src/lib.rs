@@ -28,7 +28,7 @@ pub mod slpa;
 pub mod ward;
 
 pub use dendrogram::Dendrogram;
-pub use hierarchy::{Balance, MergeHierarchy};
+pub use hierarchy::MergeHierarchy;
 pub use partition::Partition;
 pub use slpa::{Slpa, SlpaConfig};
 pub use ward::{ward_linkage, Merge};

@@ -136,7 +136,7 @@ viralcast — predicting viral news events in online media
 USAGE:
   viralcast simulate-sbm   --out FILE [--nodes N] [--cascades C] [--seed S] [--local]
   viralcast simulate-gdelt --out FILE [--sites N] [--events E] [--seed S]
-  viralcast infer          --corpus FILE --out FILE [--topics K] [--seed S] [--threads T]
+  viralcast infer          --corpus FILE --out FILE [--topics K] [--threads T]
   viralcast predict        --corpus FILE --embeddings FILE [--window W] [--early F] [--top P]
   viralcast influencers    --embeddings FILE [--top K]
   viralcast serve          --embeddings FILE | --backend netinf --corpus FILE
@@ -278,12 +278,7 @@ fn command_flags(command: &str) -> Option<Vec<FlagSpec>> {
             ("events", true),
             ("seed", true),
         ],
-        "infer" => &[
-            ("corpus", true),
-            ("out", true),
-            ("topics", true),
-            ("seed", true),
-        ],
+        "infer" => &[("corpus", true), ("out", true), ("topics", true)],
         "predict" => &[
             ("corpus", true),
             ("embeddings", true),

@@ -1,19 +1,25 @@
-//! A dependency-free, lenient `--flag value` parser for the example and
+//! A dependency-free `--flag value` parser for the example and
 //! figure-harness binaries.
 //!
 //! Every experiment binary takes a handful of numeric knobs
 //! (`--seed 42 --cascades 3000 …`); this keeps them uniform without
 //! pulling an argument-parsing crate into the offline dependency set.
-//! Unknown flags are accepted and malformed values panic — the
-//! `viralcast` binary has its own strict, table-driven parser (unknown
-//! flag → exit 2).
+//! A binary reads its flags through the getters and then calls
+//! [`Flags::finish`], which panics on a flag no getter read; a malformed
+//! value panics at its getter. The `viralcast` binary has its own
+//! strict, table-driven parser (unknown flag → exit 2).
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::HashSet;
 
 /// Parsed command-line flags.
 #[derive(Clone, Debug, Default)]
 pub struct Flags {
-    values: HashMap<String, String>,
+    /// `(name, value)` in command-line order; a repeated flag's last
+    /// value wins.
+    values: Vec<(String, String)>,
+    /// The names a getter has asked for.
+    read: RefCell<HashSet<String>>,
     /// Bare (non-flag) arguments, in order.
     pub positional: Vec<String>,
 }
@@ -22,8 +28,7 @@ impl Flags {
     /// Parses `--key value` pairs (and bare `--key` as `"true"`) from an
     /// iterator of arguments (without the program name).
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
-        let mut values = HashMap::new();
-        let mut positional = Vec::new();
+        let mut flags = Flags::default();
         let mut iter = args.into_iter().peekable();
         while let Some(arg) = iter.next() {
             if let Some(key) = arg.strip_prefix("--") {
@@ -31,12 +36,12 @@ impl Flags {
                     Some(v) if !v.starts_with("--") => iter.next().unwrap(),
                     _ => "true".to_string(),
                 };
-                values.insert(key.to_string(), value);
+                flags.values.push((key.to_string(), value));
             } else {
-                positional.push(arg);
+                flags.positional.push(arg);
             }
         }
-        Flags { values, positional }
+        flags
     }
 
     /// Parses the process arguments.
@@ -46,12 +51,17 @@ impl Flags {
 
     /// Raw string value of a flag.
     pub fn get(&self, key: &str) -> Option<&str> {
-        self.values.get(key).map(String::as_str)
+        self.read.borrow_mut().insert(key.to_string());
+        self.values
+            .iter()
+            .rev()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
     }
 
     /// Whether a flag was given (with any value).
     pub fn has(&self, key: &str) -> bool {
-        self.values.contains_key(key)
+        self.get(key).is_some()
     }
 
     /// A `usize` flag with a default.
@@ -72,8 +82,22 @@ impl Flags {
         self.parsed(key).unwrap_or(default)
     }
 
+    /// Ends the reads: call once after the binary has read every flag it
+    /// takes, so that a misspelt flag (`--max-core 64`) stops the run
+    /// instead of leaving the default in place.
+    ///
+    /// # Panics
+    /// Panics naming the first flag on the command line that no getter
+    /// read.
+    pub fn finish(&self) {
+        let read = self.read.borrow();
+        if let Some((key, _)) = self.values.iter().find(|(k, _)| !read.contains(k)) {
+            panic!("unknown flag --{key}: this binary never reads it");
+        }
+    }
+
     fn parsed<T: std::str::FromStr>(&self, key: &str) -> Option<T> {
-        self.values.get(key).map(|v| {
+        self.get(key).map(|v| {
             v.parse().unwrap_or_else(|_| {
                 panic!(
                     "flag --{key} expects a {}, got {v:?}",

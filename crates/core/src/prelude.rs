@@ -7,7 +7,7 @@ pub use crate::pipeline::{
     infer_embeddings, update_embeddings, InferOptions, InferenceOutcome, UpdateError,
 };
 
-pub use viralcast_community::{Balance, Dendrogram, MergeHierarchy, Partition, Slpa, SlpaConfig};
+pub use viralcast_community::{Dendrogram, MergeHierarchy, Partition, Slpa, SlpaConfig};
 pub use viralcast_embed::{
     infer, infer_sequential, infer_warm, Embeddings, HierarchicalConfig, InferenceReport, PgdConfig,
 };

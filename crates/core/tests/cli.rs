@@ -334,6 +334,10 @@ fn every_usage_rule_exits_2_naming_its_flag() {
             "--log-level",
         ),
         // Command rules.
+        (
+            vec!["infer", "--corpus", absent, "--out", absent, "--seed", "3"],
+            "--seed",
+        ),
         (vec!["serve", "--backend", "bogus"], "--backend"),
         (vec!["chaos", "--backend", "bogus"], "--backend"),
         (

@@ -10,7 +10,7 @@
 //! The worker count at level `ℓ` is the group count of that level; the
 //! caller controls physical parallelism by installing a rayon pool of
 //! the desired size around [`infer`] (that is exactly how the Figure
-//! 10/13 harnesses sweep core counts).
+//! 10 and 11 harnesses sweep core counts).
 
 use crate::parallel::{run_level, LevelReport};
 use crate::pgd::{optimize, PgdConfig, PgdReport};
@@ -18,7 +18,7 @@ use crate::subcascade::{split_cascades, IndexedCascade};
 use crate::Embeddings;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use viralcast_community::{Balance, MergeHierarchy, Partition};
+use viralcast_community::{MergeHierarchy, Partition};
 use viralcast_obs::{self as obs, StageTimings};
 use viralcast_propagation::CascadeSet;
 
@@ -27,8 +27,6 @@ use viralcast_propagation::CascadeSet;
 pub struct HierarchicalConfig {
     /// Number of latent topics `K`.
     pub topics: usize,
-    /// Leaf ordering / load-balancing strategy for the merge tree.
-    pub balance: Balance,
     /// Stop once a level has at most this many groups (`q` in
     /// Algorithm 2). `1` runs all the way to the root.
     pub stop_groups: usize,
@@ -42,7 +40,6 @@ impl Default for HierarchicalConfig {
     fn default() -> Self {
         HierarchicalConfig {
             topics: 8,
-            balance: Balance::LeafCount,
             stop_groups: 1,
             pgd: PgdConfig::default(),
             seed: 0xCA5C,
@@ -143,7 +140,7 @@ pub fn infer_warm(
         config.topics,
         "initial embeddings and config disagree on K"
     );
-    let hierarchy = MergeHierarchy::build(partition.clone(), config.balance);
+    let hierarchy = MergeHierarchy::build(partition.clone());
     if hierarchy.level_count() == 0 {
         return (
             init.clone(),

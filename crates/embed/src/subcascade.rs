@@ -112,7 +112,7 @@ fn split_cascades_by_ranges(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use viralcast_community::{Balance, Partition};
+    use viralcast_community::Partition;
     use viralcast_propagation::Infection;
 
     fn cascade(pairs: &[(u32, f64)]) -> Cascade {
@@ -121,10 +121,7 @@ mod tests {
 
     /// 6 nodes, communities {0,1,2} and {3,4,5}.
     fn hierarchy() -> MergeHierarchy {
-        MergeHierarchy::build(
-            Partition::from_labels(&[0, 0, 0, 1, 1, 1]),
-            Balance::LeafCount,
-        )
+        MergeHierarchy::build(Partition::from_labels(&[0, 0, 0, 1, 1, 1]))
     }
 
     #[test]
@@ -222,7 +219,7 @@ mod proptests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::collections::BTreeMap;
-    use viralcast_community::{Balance, Partition};
+    use viralcast_community::Partition;
     use viralcast_propagation::Infection;
 
     /// Splitting conserves infections, modulo dropped singletons,
@@ -241,7 +238,7 @@ mod proptests {
                 infs.insert(rng.gen_range(0u32..8), rng.gen_range(0.0f64..10.0));
             }
             let n = membership.len();
-            let h = MergeHierarchy::build(Partition::from_labels(&membership), Balance::LeafCount);
+            let h = MergeHierarchy::build(Partition::from_labels(&membership));
             let c =
                 Cascade::new(infs.iter().map(|(&u, &t)| Infection::new(u, t)).collect()).unwrap();
             let set = CascadeSet::new(n, vec![c.clone()]);

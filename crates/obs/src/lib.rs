@@ -56,7 +56,7 @@ pub use metrics::{
     HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
 };
 pub use report::{RunReport, RUN_REPORT_SCHEMA};
-pub use span::{global_timings, Recorder, RecorderGuard, Span, SpanGuard, StageTimings};
+pub use span::{Recorder, RecorderGuard, Span, SpanGuard, StageTimings};
 
 /// The process-global metrics registry the pipeline stages report into.
 pub fn metrics() -> &'static MetricsRegistry {

@@ -2,10 +2,11 @@
 //!
 //! `Span::enter("slpa")` returns a guard; when the guard drops, the
 //! elapsed time is added to the node at the current span path of the
-//! innermost installed [`Recorder`] (or a process-global fallback when
-//! none is installed). Repeated spans with the same name at the same
-//! path accumulate `seconds` and `count`, so a per-level loop produces
-//! one node per distinct name, not one per iteration.
+//! innermost installed [`Recorder`]. A span opened while no recorder is
+//! installed on its thread records nothing. Repeated spans with the same
+//! name at the same path accumulate `seconds` and `count`, so a
+//! per-level loop produces one node per distinct name, not one per
+//! iteration.
 //!
 //! Recorders nest: installing a second recorder shadows the first until
 //! its guard drops, which lets a library (e.g. the hierarchical
@@ -20,7 +21,7 @@
 
 use crate::json::JsonValue;
 use std::cell::RefCell;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Aggregated wall-clock timings of one stage and its sub-stages.
@@ -189,26 +190,6 @@ struct Frame {
 
 thread_local! {
     static FRAMES: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
-    static GLOBAL_PATH: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
-}
-
-fn global_inner() -> &'static Arc<RecorderInner> {
-    static GLOBAL: OnceLock<Arc<RecorderInner>> = OnceLock::new();
-    GLOBAL.get_or_init(|| {
-        Arc::new(RecorderInner {
-            root: Mutex::new(StageTimings::new("global")),
-        })
-    })
-}
-
-/// A snapshot of the process-global fallback tree (spans recorded while
-/// no recorder was installed on their thread).
-pub fn global_timings() -> StageTimings {
-    global_inner()
-        .root
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clone()
 }
 
 impl Recorder {
@@ -281,62 +262,41 @@ pub struct Span;
 
 impl Span {
     /// Opens a span; the elapsed time is recorded when the returned
-    /// guard drops.
+    /// guard drops, if a recorder is installed on this thread.
     pub fn enter(name: impl Into<String>) -> SpanGuard {
-        let name = name.into();
-        let (target, path, global) = FRAMES.with(|f| {
+        let open = FRAMES.with(|f| {
             let mut frames = f.borrow_mut();
-            if let Some(top) = frames.last_mut() {
-                top.path.push(name.clone());
-                (Arc::clone(&top.inner), top.path.clone(), false)
-            } else {
-                let path = GLOBAL_PATH.with(|p| {
-                    let mut p = p.borrow_mut();
-                    p.push(name.clone());
-                    p.clone()
-                });
-                (Arc::clone(global_inner()), path, true)
-            }
+            frames.last_mut().map(|top| {
+                top.path.push(name.into());
+                (Arc::clone(&top.inner), top.path.clone(), Instant::now())
+            })
         });
-        SpanGuard {
-            target,
-            path,
-            global,
-            start: Instant::now(),
-        }
+        SpanGuard { open }
     }
 }
 
 /// Records its span's elapsed time on drop.
 pub struct SpanGuard {
-    target: Arc<RecorderInner>,
-    path: Vec<String>,
-    global: bool,
-    start: Instant,
+    /// The recorder, the span's path in it and its start; `None` when no
+    /// recorder was installed at `enter`.
+    open: Option<(Arc<RecorderInner>, Vec<String>, Instant)>,
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let elapsed = self.start.elapsed().as_secs_f64();
-        if self.global {
-            GLOBAL_PATH.with(|p| {
-                let mut p = p.borrow_mut();
-                if p.last() == self.path.last() {
-                    p.pop();
+        let Some((target, path, start)) = self.open.take() else {
+            return;
+        };
+        let elapsed = start.elapsed().as_secs_f64();
+        FRAMES.with(|f| {
+            let mut frames = f.borrow_mut();
+            if let Some(top) = frames.last_mut() {
+                if Arc::ptr_eq(&top.inner, &target) && top.path.last() == path.last() {
+                    top.path.pop();
                 }
-            });
-        } else {
-            FRAMES.with(|f| {
-                let mut frames = f.borrow_mut();
-                if let Some(top) = frames.last_mut() {
-                    if Arc::ptr_eq(&top.inner, &self.target) && top.path.last() == self.path.last()
-                    {
-                        top.path.pop();
-                    }
-                }
-            });
-        }
-        self.target.record(&self.path, elapsed);
+            }
+        });
+        target.record(&path, elapsed);
     }
 }
 
@@ -399,13 +359,18 @@ mod tests {
     }
 
     #[test]
-    fn uninstalled_spans_go_to_the_global_tree() {
-        let before = global_timings().seconds_of(&["orphan-test-span"]);
+    fn a_span_with_no_recorder_records_nothing() {
+        let recorder = Recorder::new("run");
+        let orphan = Span::enter("orphan");
         {
-            let _s = Span::enter("orphan-test-span");
+            let _g = recorder.install();
+            drop(orphan);
+            let _s = Span::enter("stage");
         }
-        let after = global_timings().seconds_of(&["orphan-test-span"]);
-        assert!(after > before);
+        let tree = recorder.finish();
+        assert!(tree.child("orphan").is_none());
+        assert_eq!(tree.children.len(), 1);
+        assert_eq!(tree.children[0].name, "stage");
     }
 
     #[test]

@@ -29,6 +29,7 @@ fn main() {
     let events = flags.usize("events", 8);
     let seed = flags.u64("seed", 3);
     let mut rng = StdRng::seed_from_u64(seed);
+    flags.finish();
 
     let dir = std::env::temp_dir().join(format!("viralcast-durability-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

@@ -16,6 +16,7 @@ fn main() {
     let flags = Flags::from_env();
     let nodes = flags.usize("nodes", 400);
     let seed = flags.u64("seed", 9);
+    flags.finish();
 
     let config = SbmExperimentConfig {
         sbm: SbmConfig {

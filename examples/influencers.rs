@@ -18,6 +18,7 @@ fn main() {
     let sites = flags.usize("sites", 800);
     let events = flags.usize("events", 1_000);
     let seed = flags.u64("seed", 11);
+    flags.finish();
 
     let mut rng = StdRng::seed_from_u64(seed);
     let world = GdeltWorld::generate(

@@ -15,6 +15,7 @@ use viralnews::viralcast::prelude::*;
 fn main() {
     let flags = Flags::from_env();
     let seed = flags.u64("seed", 42);
+    flags.finish();
 
     // 1. A synthetic world: 400 nodes in 20 communities (Section VI-A,
     //    scaled down for a quick run).

@@ -17,6 +17,7 @@ fn main() {
     let nodes = flags.usize("nodes", 100);
     let seed = flags.u64("seed", 7);
     let topics = flags.usize("topics", 4);
+    flags.finish();
 
     let experiment = SbmExperiment::build(
         &SbmExperimentConfig {

@@ -522,22 +522,32 @@ smoke_ablations() {
 
 # Nothing else CI runs drives the timing harnesses behind EXPERIMENTS.md's
 # Figures 10, 11 and 13 (they time the optimiser alone): each must run
-# to completion on its --quick sizes (fig13 reuses fig10's measurements),
-# and where there are two CPUs fig10 must not flag its 2-core rows as
-# oversubscribed.
+# to completion on its --quick sizes, fig10 must print Figure 13's
+# speedup/efficiency table with every speedup equal to t1/tn of the
+# seconds it printed, and where there are two CPUs fig10 must not flag
+# its 2-core rows as oversubscribed.
 smoke_timing_figures() {
     local out
     if ! out="$(target/release/fig10_time_vs_cores --quick --max-cores 2)" \
-        || ! target/release/fig13_speedup --quick >/dev/null \
         || ! target/release/fig11_time_vs_nodes --quick >/dev/null; then
         echo "a timing figure harness failed" >&2
+        return 1
+    fi
+    if ! grep -qE '^ +cascades +cores +speedup +efficiency$' <<<"$out" \
+        || ! awk '$2 ~ /^[0-9]+\*?$/ && NF == 3 { t[$1, $2] = $3 }
+                  $2 ~ /^[0-9]+\*?$/ && NF == 4 { rows++
+                      want = sprintf("%.2f", t[$1, 1] / t[$1, $2])
+                      if ($3 != want) bad++ }
+                  END { exit !(rows > 0 && !bad) }' <<<"$out"; then
+        echo "fig10 printed no speedup table matching its own times" >&2
+        echo "$out" >&2
         return 1
     fi
     if [ "$(nproc)" -ge 2 ] && grep -E '^ +[0-9]+ +2\*' <<<"$out"; then
         echo "fig10 flags 2 cores as oversubscribed on a $(nproc)-CPU box" >&2
         return 1
     fi
-    echo "timing figures smoke test OK (fig10, fig13, fig11 --quick)"
+    echo "timing figures smoke test OK (fig10 with Figure 13's table, fig11 --quick)"
 }
 
 run source_rules

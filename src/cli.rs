@@ -1,4 +1,4 @@
-//! The lenient `--flag value` parser the examples share. The one
+//! The `--flag value` parser the examples share. The one
 //! implementation is [`viralcast::cli::Flags`]; its tests live here so
 //! the root suite (tier-1) runs them.
 
@@ -57,5 +57,23 @@ mod tests {
         let f = flags(&["--fast", "--seed", "3"]);
         assert_eq!(f.get("fast"), Some("true"));
         assert_eq!(f.u64("seed", 0), 3);
+    }
+
+    #[test]
+    fn finish_accepts_every_flag_read() {
+        let f = flags(&["--quick", "--seed", "3"]);
+        assert!(f.has("quick"));
+        assert_eq!(f.usize("nodes", 10), 10);
+        f.u64("seed", 0);
+        f.finish();
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown flag --max-core")]
+    fn finish_names_the_first_unread_flag() {
+        let f = flags(&["--seed", "3", "--max-core", "64", "--repeat", "2"]);
+        f.usize("max-cores", 2);
+        f.u64("seed", 0);
+        f.finish();
     }
 }

@@ -54,29 +54,3 @@ fn repeated_runs_are_identical() {
     let b = infer(&cascades, &partition, &config).0;
     assert_eq!(a, b);
 }
-
-#[test]
-fn balance_strategies_agree_on_balanced_input() {
-    // With equal-size communities the two leaf orders produce the same
-    // block structure up to permutation; final likelihoods must agree
-    // closely (each block's optimisation is independent).
-    let (cascades, partition) = world();
-    let leaf = HierarchicalConfig {
-        balance: Balance::LeafCount,
-        stop_groups: partition.community_count(), // leaves only
-        ..HierarchicalConfig::default()
-    };
-    let node = HierarchicalConfig {
-        balance: Balance::NodeCount,
-        stop_groups: partition.community_count(),
-        ..HierarchicalConfig::default()
-    };
-    let (_, report_leaf) = infer(&cascades, &partition, &leaf);
-    let (_, report_node) = infer(&cascades, &partition, &node);
-    let ll_leaf = report_leaf.final_ll();
-    let ll_node = report_node.final_ll();
-    assert!(
-        (ll_leaf - ll_node).abs() < 1e-6 * (1.0 + ll_leaf.abs()),
-        "leaf-level likelihood differs across balance strategies: {ll_leaf} vs {ll_node}"
-    );
-}
