@@ -38,7 +38,7 @@
 use crate::partition::Partition;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use viralcast_graph::{DiGraph, NodeId, RowWeights, WeightRows};
+use viralcast_graph::{DiGraph, NodeId, RowTargets, RowWeights, TargetRows, WeightRows};
 use viralcast_obs as obs;
 
 /// SLPA parameters.
@@ -161,9 +161,19 @@ impl Slpa {
     pub fn run(&self, graph: &DiGraph) -> SlpaResult {
         let _span = obs::Span::enter("slpa");
         let n = graph.node_count();
-        let memories = match graph.row_weights() {
-            WeightRows::Narrow(weights) => self.propagate(graph, weights),
-            WeightRows::Wide(weights) => self.propagate(graph, weights),
+        let memories = match (graph.row_targets(), graph.row_weights()) {
+            (TargetRows::Narrow(targets), WeightRows::Narrow(weights)) => {
+                self.propagate(n, targets, weights)
+            }
+            (TargetRows::Narrow(targets), WeightRows::Wide(weights)) => {
+                self.propagate(n, targets, weights)
+            }
+            (TargetRows::Wide(targets), WeightRows::Narrow(weights)) => {
+                self.propagate(n, targets, weights)
+            }
+            (TargetRows::Wide(targets), WeightRows::Wide(weights)) => {
+                self.propagate(n, targets, weights)
+            }
         };
         let raw: Vec<usize> = (0..n).map(|u| memories.dominant(u)).collect();
         let partition = Partition::from_labels(&raw);
@@ -190,15 +200,15 @@ impl Slpa {
         SlpaResult { partition }
     }
 
-    /// The speaker-listener rounds, with the weights' id width fixed for
-    /// the whole run: each listener reads its row's weights without a
-    /// branch on the width.
-    fn propagate<I: Copy + Into<u32>>(
+    /// The speaker-listener rounds over `n` nodes, with the target width
+    /// and the weights' id width fixed for the whole run: each listener
+    /// reads its row without a branch on either width.
+    fn propagate<T: Copy + Into<u32>, I: Copy + Into<u32>>(
         &self,
-        graph: &DiGraph,
+        n: usize,
+        targets: RowTargets<'_, T>,
         weights: RowWeights<'_, I>,
     ) -> Memories {
-        let n = graph.node_count();
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let mut memories = Memories::new(n, self.config.iterations);
         let mut order: Vec<usize> = (0..n).collect();
@@ -216,8 +226,8 @@ impl Slpa {
             shuffle(&mut order, &mut rng);
             for &listener in &order {
                 let lu = NodeId::new(listener);
-                let neighbors = graph.out_neighbors(lu);
-                if neighbors.is_empty() {
+                let neighbors = targets.of(lu);
+                if neighbors.len() == 0 {
                     continue;
                 }
                 // `0.0 + w` is `w` bit for bit except at `w = −0.0`, whose
@@ -225,7 +235,7 @@ impl Slpa {
                 // Its label is stored at `hits[count]` and kept by the
                 // increment; a repeated label's store is overwritten.
                 let mut count = 0;
-                for (&speaker, w) in neighbors.iter().zip(weights.of(lu)) {
+                for (speaker, w) in neighbors.zip(weights.of(lu)) {
                     let label = memories.speak(speaker.index(), &mut rng);
                     let slot = label as usize;
                     tally[slot] += w;
@@ -561,11 +571,11 @@ mod proptests {
             for &listener in &order {
                 let lu = NodeId::new(listener);
                 let neighbors = graph.out_neighbors(lu);
-                if neighbors.is_empty() {
+                if neighbors.len() == 0 {
                     continue;
                 }
                 let mut votes: Vec<(usize, f64)> = Vec::with_capacity(neighbors.len());
-                for (&speaker, w) in neighbors.iter().zip(graph.out_weights(lu)) {
+                for (speaker, w) in neighbors.zip(graph.out_weights(lu)) {
                     let label = memories[speaker.index()].speak(&mut rng);
                     match votes.binary_search_by_key(&label, |v| v.0) {
                         Ok(i) => votes[i].1 += w,
@@ -666,6 +676,48 @@ mod proptests {
             Slpa::new(config).run(&g).partition,
             Partition::from_labels(&reference_run(config, &g))
         );
+    }
+
+    /// Graphs of 65 536 nodes carry 16-bit targets and of 65 537 nodes
+    /// 32-bit ones; SLPA reads each through its own instance — the
+    /// larger also with more than 65 536 distinct weights, so 32-bit ids —
+    /// and votes as the reference does. Every edge joins two of the 400
+    /// highest ids, where a target cut to 16 bits would name another node.
+    #[test]
+    fn both_target_widths_vote_as_the_reference() {
+        let narrow = 1usize << 16;
+        for (n, distinct) in [(narrow, false), (narrow + 1, false), (narrow + 1, true)] {
+            let base = n as u32 - 400;
+            let mut b = GraphBuilder::new(n);
+            let pairs = (0..400u32).flat_map(|u| (u + 1..400).map(move |v| (u, v)));
+            if distinct {
+                // The pairs of `wide_weight_ids_vote_as_the_reference`.
+                for (i, (u, v)) in pairs.take(33_000).enumerate() {
+                    let w = 1.0 + i as f64 / f64::from(1 << 20);
+                    b.add_edge(NodeId(base + u), NodeId(base + v), w);
+                    b.add_edge(NodeId(base + v), NodeId(base + u), 2.0 * w);
+                }
+            } else {
+                // Blocks of 40, each node also tied to its twin in the
+                // next block.
+                for (u, v) in pairs.filter(|&(u, v)| u / 40 == v / 40 || v == u + 40) {
+                    let w = if u / 40 == v / 40 { 1.0 } else { 0.1 };
+                    b.add_undirected_edge(NodeId(base + u), NodeId(base + v), w);
+                }
+            }
+            let g = b.build();
+            assert_eq!(matches!(g.row_targets(), TargetRows::Wide(_)), n > narrow);
+            assert_eq!(matches!(g.row_weights(), WeightRows::Wide(_)), distinct);
+            let config = SlpaConfig {
+                iterations: 3,
+                seed: 7,
+            };
+            assert_eq!(
+                Slpa::new(config).run(&g).partition,
+                Partition::from_labels(&reference_run(config, &g)),
+                "{n} nodes, distinct weights: {distinct}"
+            );
+        }
     }
 
     /// SLPA always outputs a full partition covering every node.

@@ -680,6 +680,14 @@ fn serve_cmd(flags: &Flags) -> Result<Attrs, CliError> {
         }
         ModelSource::Corpus(corpus_path) => {
             let corpus = load_corpus(&corpus_path).map_err(runtime_err)?;
+            if corpus.node_count() > NetInfBackend::MAX_NODES {
+                return Err(runtime_err(format!(
+                    "the netinf backend holds at most {} nodes; {} covers {}",
+                    NetInfBackend::MAX_NODES,
+                    corpus_path.display(),
+                    corpus.node_count()
+                )));
+            }
             let fitted = {
                 let _span = Span::enter("netinf_fit");
                 NetInfBackend::fit(&corpus, NetInfConfig::default())

@@ -78,7 +78,7 @@ impl BackboneGraph {
             stack.push(su);
             while let Some(u) = stack.pop() {
                 out[id].push(u);
-                for &v in self.graph.out_neighbors(u) {
+                for v in self.graph.out_neighbors(u) {
                     if comp[v.index()] == usize::MAX {
                         comp[v.index()] = id;
                         stack.push(v);

@@ -22,10 +22,11 @@
 //! order, every occurrence of `u` adds its successors into a dense
 //! `count[v]` row while a `touched` list records first hits; `touched` is
 //! sorted, each `(v, c(u, v))` is weighed and filtered, the survivors are
-//! appended straight to the CSR arrays (each weight interned into the
-//! graph's table of distinct weights and stored as a 16-bit id, or a
-//! 32-bit one past 65 536 distinct weights, see [`crate::digraph`]), and
-//! the row is zeroed again through `touched`. The rows are counted
+//! appended straight to the CSR arrays (each target at the graph's width,
+//! 16 bits up to 65 536 nodes, and each weight interned into the graph's
+//! table of distinct weights and stored as a 16-bit id, or a 32-bit one
+//! past 65 536 distinct weights, see [`crate::digraph`]), and the row is
+//! zeroed again through `touched`. The rows are counted
 //! twice: a first pass, with no sort and no push, only counts each row's
 //! survivors, so the CSR arrays are allocated once at their exact length
 //! and never grow — a caller that counts on every batch (the serving
@@ -43,7 +44,7 @@
 //! `c(v, u)` side by side and is written as `w(u, v) + w(v, u)` directly.
 //! Neither the directed graph nor its transpose is ever allocated.
 
-use crate::digraph::{DiGraph, WeightWriter};
+use crate::digraph::{DiGraph, Targets, WeightWriter};
 use crate::node::NodeId;
 use viralcast_obs as obs;
 
@@ -270,7 +271,7 @@ impl CooccurrenceGraph {
         }
 
         // Second pass: the same rows again, sorted and written.
-        let mut targets = Vec::with_capacity(offsets[n]);
+        let mut targets = Targets::with_capacity(n, offsets[n]);
         let mut weights = WeightWriter::with_capacity(offsets[n]);
         let (mut pair_increments, mut pairs_seen) = (0usize, 0usize);
         for u in 0..n {

@@ -2,26 +2,36 @@
 //!
 //! The workspace stores graphs in compressed-sparse-row form: one `offsets`
 //! array of length `n + 1` and parallel `targets` / `weight_ids` arrays of
-//! length `m`. Neighbour scans are then contiguous slices — the access
+//! length `m`. A row is then a contiguous run of both arrays — the access
 //! pattern the inference and community-detection loops hammer — and the
 //! whole structure is trivially shareable across rayon workers because it
 //! is never mutated after construction.
+//!
+//! Both per-edge arrays are as narrow as the graph allows, so the
+//! co-occurrence graph — the largest thing a fit builds — takes 4 bytes an
+//! entry, against 12 for a `u32` target and an `f64` weight. A target is
+//! 16 bits on a graph of at most 65 536 nodes and 32 bits on a larger one;
+//! the width follows from `n` alone, so every constructor picks it before
+//! it writes the first edge, and `transpose` and `to_undirected`, which
+//! keep `n`, keep it.
 //!
 //! Each distinct weight is stored once, in a `weight_values` table, and an
 //! edge holds its index. The co-occurrence weight `2·c(u, v) / (c(u) +
 //! c(v))` is a ratio of small cascade counts, so a graph of a million
 //! entries holds a few thousand distinct weights, and a generated graph
 //! whose weights are all `1.0` holds one. An id is therefore 16 bits while
-//! the table holds at most 65 536 weights — 6 bytes an entry, against 12
-//! for a weight per edge — and 32 bits for a graph whose table outgrows
-//! that. Every constructor writes its weights through one
+//! the table holds at most 65 536 weights and 32 bits for a graph whose
+//! table outgrows that. Every constructor writes its weights through one
 //! [`WeightWriter`], which interns them by their bits, so `+0.0` and `−0.0`
 //! stay distinct and every weight reads back bit for bit, and which widens
 //! the ids written so far once, when the table gets its 65 537th weight.
 //! `transpose` moves the ids with their edges and shares the table, so it
-//! keeps the width. [`DiGraph::out_weights`] reads either width; a loop
-//! over every row reads [`DiGraph::row_weights`] instead, which fixes the
-//! width once for the whole loop.
+//! keeps that width too.
+//!
+//! [`DiGraph::out_neighbors`] and [`DiGraph::out_weights`] read either
+//! width, entry by entry; a loop over every row reads
+//! [`DiGraph::row_targets`] and [`DiGraph::row_weights`] instead, which fix
+//! the widths once for the whole loop.
 
 use crate::node::NodeId;
 use std::cmp::Ordering;
@@ -38,15 +48,66 @@ use std::hash::{BuildHasherDefault, Hasher};
 pub struct DiGraph {
     n: usize,
     offsets: Vec<usize>,
-    targets: Vec<NodeId>,
+    targets: Targets,
     /// Per edge, parallel to `targets`: an index into `weight_values`.
     weight_ids: WeightIds,
     /// Each distinct weight once, by bits, in first-seen order.
     weight_values: Vec<f64>,
 }
 
+/// The most nodes a graph may have while its targets are 16-bit.
+const NARROW_NODES: usize = 1 << 16;
+
 /// The most distinct weights a table may hold while its ids are 16-bit.
 const NARROW_TABLE: usize = 1 << 16;
+
+/// Per-edge targets: 16-bit on a graph of at most [`NARROW_NODES`] nodes,
+/// 32-bit on a larger one.
+#[derive(Clone, Debug)]
+pub(crate) enum Targets {
+    Narrow(Vec<u16>),
+    Wide(Vec<u32>),
+}
+
+impl Targets {
+    /// Room for `m` targets at the width a graph of `n` nodes takes.
+    pub(crate) fn with_capacity(n: usize, m: usize) -> Self {
+        if n <= NARROW_NODES {
+            Targets::Narrow(Vec::with_capacity(m))
+        } else {
+            Targets::Wide(Vec::with_capacity(m))
+        }
+    }
+
+    /// Appends `v`, which must be a node of the graph the width was
+    /// chosen for.
+    #[inline]
+    pub(crate) fn push(&mut self, v: NodeId) {
+        match self {
+            Targets::Narrow(targets) => {
+                debug_assert!(v.index() < NARROW_NODES, "target {v} past a 16-bit graph");
+                targets.push(v.0 as u16);
+            }
+            Targets::Wide(targets) => targets.push(v.0),
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Targets::Narrow(targets) => targets.len(),
+            Targets::Wide(targets) => targets.len(),
+        }
+    }
+
+    /// The target at CSR position `slot`.
+    #[inline]
+    fn get(&self, slot: usize) -> NodeId {
+        match self {
+            Targets::Narrow(targets) => NodeId(u32::from(targets[slot])),
+            Targets::Wide(targets) => NodeId(targets[slot]),
+        }
+    }
+}
 
 /// Per-edge ids into a graph's `weight_values`: 16-bit while the table
 /// holds at most [`NARROW_TABLE`] weights, 32-bit when it holds more.
@@ -54,6 +115,36 @@ const NARROW_TABLE: usize = 1 << 16;
 pub(crate) enum WeightIds {
     Narrow(Vec<u16>),
     Wide(Vec<u32>),
+}
+
+/// Every row's targets at the graph's target width, from
+/// [`DiGraph::row_targets`]: `T` is `u16` or `u32`.
+#[derive(Clone, Copy, Debug)]
+pub struct RowTargets<'a, T> {
+    offsets: &'a [usize],
+    targets: &'a [T],
+}
+
+impl<'a, T: Copy + Into<u32>> RowTargets<'a, T> {
+    /// The targets of row `u`, ascending: [`DiGraph::out_neighbors`]
+    /// without a branch on the width.
+    #[inline]
+    pub fn of(&self, u: NodeId) -> impl ExactSizeIterator<Item = NodeId> + 'a {
+        let i = u.index();
+        self.targets[self.offsets[i]..self.offsets[i + 1]]
+            .iter()
+            .map(|&v| NodeId(v.into()))
+    }
+}
+
+/// A graph's targets with their width told apart once: match on it and
+/// hand either arm to one generic loop.
+#[derive(Clone, Copy, Debug)]
+pub enum TargetRows<'a> {
+    /// At most 65 536 nodes.
+    Narrow(RowTargets<'a, u16>),
+    /// More than 65 536 nodes.
+    Wide(RowTargets<'a, u32>),
 }
 
 /// Every row's weights at the graph's id width, from
@@ -66,7 +157,7 @@ pub struct RowWeights<'a, I> {
 }
 
 impl<'a, I: Copy + Into<u32>> RowWeights<'a, I> {
-    /// The weights of row `u`, parallel to [`DiGraph::out_neighbors`].
+    /// The weights of row `u`, parallel to [`RowTargets::of`].
     #[inline]
     pub fn of(&self, u: NodeId) -> impl Iterator<Item = f64> + 'a {
         let values = self.values;
@@ -93,7 +184,7 @@ impl DiGraph {
         DiGraph {
             n,
             offsets: vec![0; n + 1],
-            targets: Vec::new(),
+            targets: Targets::with_capacity(n, 0),
             weight_ids: WeightIds::Narrow(Vec::new()),
             weight_values: Vec::new(),
         }
@@ -116,11 +207,11 @@ impl DiGraph {
         (0..self.n as u32).map(NodeId)
     }
 
-    /// Out-neighbours of `u` as a contiguous slice, sorted by target id.
+    /// Out-neighbours of `u`, ascending by id.
     #[inline]
-    pub fn out_neighbors(&self, u: NodeId) -> &[NodeId] {
+    pub fn out_neighbors(&self, u: NodeId) -> impl ExactSizeIterator<Item = NodeId> + '_ {
         let (lo, hi) = self.row(u);
-        &self.targets[lo..hi]
+        (lo..hi).map(|slot| self.targets.get(slot))
     }
 
     /// Weights parallel to [`DiGraph::out_neighbors`].
@@ -128,6 +219,17 @@ impl DiGraph {
     pub fn out_weights(&self, u: NodeId) -> impl Iterator<Item = f64> + '_ {
         let (lo, hi) = self.row(u);
         (lo..hi).map(|slot| self.weight(slot))
+    }
+
+    /// Every row's targets, their width decided here rather than per
+    /// entry: a loop over many rows matches once and reads each row with
+    /// [`RowTargets::of`].
+    pub fn row_targets(&self) -> TargetRows<'_> {
+        let offsets = &self.offsets[..];
+        match &self.targets {
+            Targets::Narrow(targets) => TargetRows::Narrow(RowTargets { offsets, targets }),
+            Targets::Wide(targets) => TargetRows::Wide(RowTargets { offsets, targets }),
+        }
     }
 
     /// Every row's weights, their id width decided here rather than per
@@ -151,10 +253,8 @@ impl DiGraph {
 
     /// `(target, weight)` pairs leaving `u`.
     pub fn out_edges(&self, u: NodeId) -> impl Iterator<Item = (NodeId, f64)> + '_ {
-        self.out_neighbors(u)
-            .iter()
-            .copied()
-            .zip(self.out_weights(u))
+        let (lo, hi) = self.row(u);
+        (lo..hi).map(|slot| (self.targets.get(slot), self.weight(slot)))
     }
 
     /// Out-degree of `u`.
@@ -167,10 +267,13 @@ impl DiGraph {
     /// Weight of edge `u -> v`, or `None` if absent. `O(log deg(u))`.
     pub fn edge_weight(&self, u: NodeId, v: NodeId) -> Option<f64> {
         let (lo, hi) = self.row(u);
-        self.targets[lo..hi]
-            .binary_search(&v)
-            .ok()
-            .map(|i| self.weight(lo + i))
+        let at = match &self.targets {
+            Targets::Narrow(targets) => u16::try_from(v.0)
+                .ok()
+                .and_then(|v| targets[lo..hi].binary_search(&v).ok()),
+            Targets::Wide(targets) => targets[lo..hi].binary_search(&v.0).ok(),
+        };
+        at.map(|i| self.weight(lo + i))
     }
 
     /// Whether the edge `u -> v` exists.
@@ -200,31 +303,43 @@ impl DiGraph {
     /// The transposed graph (every edge reversed), preserving weights.
     ///
     /// A counting sort by target: sources are visited in ascending order,
-    /// so every transposed row comes out sorted. The weight ids move with
-    /// their edges at their width and the table is shared as it is.
+    /// so every transposed row comes out sorted. The targets and weight
+    /// ids move at their widths and the table is shared as it is.
     /// `O(n + m)`.
     pub fn transpose(&self) -> DiGraph {
+        match &self.targets {
+            Targets::Narrow(targets) => self.transposed(targets, Targets::Narrow),
+            Targets::Wide(targets) => self.transposed(targets, Targets::Wide),
+        }
+    }
+
+    /// [`transpose`](Self::transpose) at the target width `T`, which
+    /// `wrap` keeps.
+    fn transposed<T>(&self, targets: &[T], wrap: fn(Vec<T>) -> Targets) -> DiGraph
+    where
+        T: Copy + Default + Into<u32> + TryFrom<u32>,
+    {
         let mut offsets = vec![0usize; self.n + 1];
-        for &v in &self.targets {
-            offsets[v.index() + 1] += 1;
+        for &v in targets {
+            offsets[v.into() as usize + 1] += 1;
         }
         for i in 0..self.n {
             offsets[i + 1] += offsets[i];
         }
         let (targets, weight_ids) = match &self.weight_ids {
             WeightIds::Narrow(ids) => {
-                let (targets, ids) = self.reversed(&offsets, ids);
+                let (targets, ids) = self.reversed(&offsets, targets, ids);
                 (targets, WeightIds::Narrow(ids))
             }
             WeightIds::Wide(ids) => {
-                let (targets, ids) = self.reversed(&offsets, ids);
+                let (targets, ids) = self.reversed(&offsets, targets, ids);
                 (targets, WeightIds::Wide(ids))
             }
         };
         DiGraph::from_sorted_rows(
             self.n,
             offsets,
-            targets,
+            wrap(targets),
             weight_ids,
             self.weight_values.clone(),
         )
@@ -232,20 +347,31 @@ impl DiGraph {
 
     /// The transpose's targets and ids, given its `offsets`: each edge
     /// `u -> v` lands at the next free slot of row `v`.
-    fn reversed<I: Copy + Default>(&self, offsets: &[usize], ids: &[I]) -> (Vec<NodeId>, Vec<I>) {
+    fn reversed<T, I: Copy + Default>(
+        &self,
+        offsets: &[usize],
+        targets: &[T],
+        ids: &[I],
+    ) -> (Vec<T>, Vec<I>)
+    where
+        T: Copy + Default + Into<u32> + TryFrom<u32>,
+    {
         let mut cursor = offsets[..self.n].to_vec();
-        let mut targets = vec![NodeId(0); ids.len()];
+        let mut sources = vec![T::default(); ids.len()];
         let mut reversed = vec![I::default(); ids.len()];
-        for u in self.nodes() {
-            let (lo, hi) = self.row(u);
-            for (&v, &id) in self.targets[lo..hi].iter().zip(&ids[lo..hi]) {
-                let slot = &mut cursor[v.index()];
-                targets[*slot] = u;
+        for u in 0..self.n {
+            let (lo, hi) = (self.offsets[u], self.offsets[u + 1]);
+            let source = T::try_from(u as u32)
+                .ok()
+                .expect("a source fits the width its graph's targets take");
+            for (&v, &id) in targets[lo..hi].iter().zip(&ids[lo..hi]) {
+                let slot = &mut cursor[v.into() as usize];
+                sources[*slot] = source;
                 reversed[*slot] = id;
                 *slot += 1;
             }
         }
-        (targets, reversed)
+        (sources, reversed)
     }
 
     /// The symmetrised graph: for every unordered pair `{u, v}` both
@@ -258,26 +384,25 @@ impl DiGraph {
     pub fn to_undirected(&self) -> DiGraph {
         let reversed = self.transpose();
         let mut offsets = Vec::with_capacity(self.n + 1);
-        let mut targets = Vec::with_capacity(2 * self.targets.len());
-        let mut weights = WeightWriter::with_capacity(2 * self.targets.len());
+        let mut targets = Targets::with_capacity(self.n, 2 * self.edge_count());
+        let mut weights = WeightWriter::with_capacity(2 * self.edge_count());
         offsets.push(0);
         for u in self.nodes() {
-            let (out, inc) = (self.out_neighbors(u), reversed.out_neighbors(u));
-            let out_w = |i: usize| self.weight(self.offsets[u.index()] + i);
-            let inc_w = |j: usize| reversed.weight(reversed.offsets[u.index()] + j);
-            let (mut i, mut j) = (0, 0);
-            while i < out.len() || j < inc.len() {
-                let order = match (out.get(i), inc.get(j)) {
-                    (Some(a), Some(b)) => a.cmp(b),
-                    (Some(_), None) => Ordering::Less,
+            // Out-edges at `i`, in-edges at `j`, both CSR positions.
+            let ((mut i, out_end), (mut j, inc_end)) = (self.row(u), reversed.row(u));
+            let (out, inc) = (&self.targets, &reversed.targets);
+            while i < out_end || j < inc_end {
+                let order = match (i < out_end, j < inc_end) {
+                    (true, true) => out.get(i).cmp(&inc.get(j)),
+                    (true, false) => Ordering::Less,
                     _ => Ordering::Greater,
                 };
                 let (v, w) = match order {
-                    Ordering::Less => (out[i], out_w(i)),
-                    Ordering::Greater => (inc[j], inc_w(j)),
+                    Ordering::Less => (out.get(i), self.weight(i)),
+                    Ordering::Greater => (inc.get(j), reversed.weight(j)),
                     // A self-loop is its own reverse and is kept once.
-                    Ordering::Equal if out[i] == u => (u, out_w(i)),
-                    Ordering::Equal => (out[i], out_w(i) + inc_w(j)),
+                    Ordering::Equal if out.get(i) == u => (u, self.weight(i)),
+                    Ordering::Equal => (out.get(i), self.weight(i) + reversed.weight(j)),
                 };
                 i += usize::from(order != Ordering::Greater);
                 j += usize::from(order != Ordering::Less);
@@ -292,20 +417,22 @@ impl DiGraph {
 
     /// Wraps CSR arrays whose rows are already sorted by target and free
     /// of repeats — what [`GraphBuilder::build`] establishes by sorting —
-    /// with each edge's weight an index into `weight_values`, a table of
+    /// with the targets at the width `n` takes ([`Targets::with_capacity`])
+    /// and each edge's weight an index into `weight_values`, a table of
     /// distinct bit patterns (what a [`WeightWriter`] builds).
     pub(crate) fn from_sorted_rows(
         n: usize,
         offsets: Vec<usize>,
-        targets: Vec<NodeId>,
+        targets: Targets,
         weight_ids: WeightIds,
         weight_values: Vec<f64>,
     ) -> DiGraph {
         debug_assert_eq!(offsets.len(), n + 1);
         debug_assert_eq!(offsets[n], targets.len());
+        debug_assert_eq!(matches!(targets, Targets::Narrow(_)), n <= NARROW_NODES);
         debug_assert!(offsets.windows(2).all(|o| {
-            let row = &targets[o[0]..o[1]];
-            row.windows(2).all(|t| t[0] < t[1]) && row.iter().all(|t| t.index() < n)
+            (o[0]..o[1]).all(|s| targets.get(s).index() < n)
+                && (o[0]..o[1].saturating_sub(1)).all(|s| targets.get(s) < targets.get(s + 1))
         }));
         let table = weight_values.len();
         debug_assert!(match &weight_ids {
@@ -506,7 +633,7 @@ impl GraphBuilder {
         self.edges.clear();
 
         let mut offsets = Vec::with_capacity(self.n + 1);
-        let mut targets = Vec::with_capacity(slots.len());
+        let mut targets = Targets::with_capacity(self.n, slots.len());
         let mut weights = WeightWriter::with_capacity(slots.len());
         offsets.push(0);
         for i in 0..self.n {
@@ -563,8 +690,8 @@ mod tests {
         }
         let g = b.build();
         assert_eq!(
-            g.out_neighbors(NodeId(0)),
-            &[NodeId(1), NodeId(2), NodeId(3), NodeId(4)]
+            g.out_neighbors(NodeId(0)).collect::<Vec<_>>(),
+            [NodeId(1), NodeId(2), NodeId(3), NodeId(4)]
         );
     }
 
@@ -621,7 +748,7 @@ mod tests {
         let g = DiGraph::empty(3);
         assert_eq!(g.node_count(), 3);
         assert_eq!(g.edge_count(), 0);
-        assert!(g.out_neighbors(NodeId(2)).is_empty());
+        assert_eq!(g.out_neighbors(NodeId(2)).len(), 0);
         assert_eq!(g.total_weight(), 0.0);
     }
 
@@ -698,12 +825,12 @@ mod proptests {
             }
             let g = b.build();
             for u in g.nodes() {
-                let row = g.out_neighbors(u);
+                let row: Vec<NodeId> = g.out_neighbors(u).collect();
                 assert!(
                     row.windows(2).all(|w| w[0] < w[1]),
                     "case {case}: row {u:?} unsorted"
                 );
-                for &v in row {
+                for v in row {
                     assert!(g.has_edge(u, v), "case {case}: {u:?}->{v:?}");
                 }
             }
@@ -767,8 +894,9 @@ mod proptests {
             for h in [&t, &und] {
                 assert_eq!(h.node_count(), g.node_count(), "case {case}");
                 for u in h.nodes() {
+                    let row: Vec<NodeId> = h.out_neighbors(u).collect();
                     assert!(
-                        h.out_neighbors(u).windows(2).all(|w| w[0] < w[1]),
+                        row.windows(2).all(|w| w[0] < w[1]),
                         "case {case}: row {u:?} unsorted or repeated"
                     );
                 }
@@ -918,6 +1046,24 @@ mod proptests {
                 .collect(),
         };
         assert_eq!(rows, want_w, "case {case}: {what}: row_weights");
+        assert_targets(g, case, what);
+    }
+
+    /// The targets are 16-bit iff the graph has at most 65 536 nodes, and
+    /// `row_targets` reads the rows `out_neighbors` reads.
+    fn assert_targets(g: &DiGraph, case: u64, what: &str) {
+        assert_eq!(
+            matches!(g.targets, Targets::Narrow(_)),
+            g.node_count() <= NARROW_NODES,
+            "case {case}: {what}: targets of the wrong width for {} nodes",
+            g.node_count()
+        );
+        let want: Vec<NodeId> = g.nodes().flat_map(|u| g.out_neighbors(u)).collect();
+        let rows: Vec<NodeId> = match g.row_targets() {
+            TargetRows::Narrow(rows) => g.nodes().flat_map(|u| rows.of(u)).collect(),
+            TargetRows::Wide(rows) => g.nodes().flat_map(|u| rows.of(u)).collect(),
+        };
+        assert_eq!(rows, want, "case {case}: {what}: row_targets");
     }
 
     /// Interned graphs read back the plain `f64` CSR bit for bit: built
@@ -1029,6 +1175,96 @@ mod proptests {
             ] {
                 // `assert_one_table` then checks the width.
                 assert_eq!(got.distinct_weights(), distinct, "case {case}: {what}");
+                assert_reads(&got, &want, case, what);
+                assert_one_table(&got, case, what);
+            }
+        }
+    }
+
+    /// Graphs of 65 536 nodes, the most 16-bit targets hold, and of
+    /// 65 537, the fewest that take 32-bit ones, read the plain `f64` CSR
+    /// bit for bit through every constructor: the builder,
+    /// `from_sorted_rows` over arrays written directly, `transpose`,
+    /// `to_undirected`, and the co-occurrence count directed and in one
+    /// symmetric pass. Every edge and every cascade touches the four
+    /// highest ids, where a target cut to 16 bits would land on another
+    /// node.
+    #[test]
+    fn target_widths_match_plain_csr_at_the_boundary() {
+        for (case, n) in [(258, NARROW_NODES), (259, NARROW_NODES + 1)] {
+            let mut rng = StdRng::seed_from_u64(case);
+            let high = |rng: &mut StdRng| NodeId::new(n - 1 - rng.gen_range(0..4usize));
+            let edges: Vec<(NodeId, NodeId, f64)> = (0..2_000)
+                .map(|i| {
+                    let (a, b) = (high(&mut rng), NodeId::new(rng.gen_range(0..n)));
+                    let w = [0.25, 0.5, 1.0][rng.gen_range(0..3usize)];
+                    if i % 2 == 0 {
+                        (a, b, w)
+                    } else {
+                        (b, a, w)
+                    }
+                })
+                .collect();
+            let mut b = GraphBuilder::new(n);
+            for &(u, v, w) in &edges {
+                b.add_edge(u, v, w);
+            }
+            let g = b.build();
+            let plain = PlainCsr::build(n, &edges);
+            let direct = {
+                let mut offsets = vec![0];
+                let mut targets = Targets::with_capacity(n, g.edge_count());
+                let mut weights = WeightWriter::with_capacity(g.edge_count());
+                for row in &plain.0 {
+                    for &(v, w) in row {
+                        targets.push(v);
+                        weights.push(w);
+                    }
+                    offsets.push(targets.len());
+                }
+                let (weight_ids, weight_values) = weights.finish();
+                DiGraph::from_sorted_rows(n, offsets, targets, weight_ids, weight_values)
+            };
+            for (what, got, want) in [
+                ("build", g.clone(), plain.bits()),
+                ("from_sorted_rows", direct, plain.bits()),
+                ("transpose", g.transpose(), plain.transpose().bits()),
+                (
+                    "to_undirected",
+                    g.to_undirected(),
+                    plain.to_undirected().bits(),
+                ),
+            ] {
+                assert_reads(&got, &want, case, what);
+                assert_one_table(&got, case, what);
+            }
+
+            // Distinct nodes per cascade: a rotation of two low and four
+            // high ids, cut to a random length.
+            let pool: Vec<NodeId> = [0, 1, n - 4, n - 3, n - 2, n - 1]
+                .into_iter()
+                .map(NodeId::new)
+                .collect();
+            let sequences: Vec<Vec<NodeId>> = (0..200)
+                .map(|_| {
+                    let at = rng.gen_range(0..pool.len());
+                    let len = rng.gen_range(2..=pool.len());
+                    pool.iter().cycle().skip(at).take(len).copied().collect()
+                })
+                .collect();
+            let options = CooccurrenceOptions::default();
+            let directed = CooccurrenceGraph::build(n, &sequences, options);
+            assert_targets(directed.graph(), case, "count");
+            let directed_edges: Vec<_> = directed.graph().edges().collect();
+            let want = PlainCsr::build(n, &directed_edges).to_undirected().bits();
+            assert!(want.len() > 20, "case {case}: {} entries", want.len());
+            for (what, got) in [
+                (
+                    "build_undirected",
+                    CooccurrenceGraph::build_undirected(n, &sequences, options),
+                ),
+                ("build().undirected()", directed.undirected()),
+            ] {
                 assert_reads(&got, &want, case, what);
                 assert_one_table(&got, case, what);
             }

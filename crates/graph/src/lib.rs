@@ -31,6 +31,6 @@ pub mod sbm;
 
 pub use backbone::BackboneGraph;
 pub use cooccurrence::CooccurrenceGraph;
-pub use digraph::{DiGraph, GraphBuilder, RowWeights, WeightRows};
+pub use digraph::{DiGraph, GraphBuilder, RowTargets, RowWeights, TargetRows, WeightRows};
 pub use node::NodeId;
 pub use sbm::SbmConfig;

@@ -83,9 +83,24 @@ impl NetInfBackend {
     /// The backend id recorded in manifests.
     pub const ID: &'static str = "netinf";
 
+    /// The most nodes a netinf universe holds. A model keeps one out-edge
+    /// row per node, 24 bytes before it holds an edge, and every ranking
+    /// scores a dense row of 8 bytes a node; a checkpoint declares the
+    /// count in 4 bytes, so without a cap a 32-byte payload could ask for
+    /// ≈ 96 GiB of rows. At the cap a model's empty rows take 24 MiB.
+    pub const MAX_NODES: usize = 1 << 20;
+
     /// Fits the diffusion graph on a training corpus.
+    ///
+    /// # Panics
+    /// Panics if the corpus covers more than [`Self::MAX_NODES`] nodes.
     pub fn fit(cascades: &CascadeSet, config: NetInfConfig) -> NetInfBackend {
         let n = cascades.node_count();
+        assert!(
+            n <= Self::MAX_NODES,
+            "a netinf universe holds at most {} nodes; this corpus covers {n}",
+            Self::MAX_NODES
+        );
         // Candidate edges: every (earlier adopter, later adopter) pair
         // observed in some cascade, with the per-observation evidence
         // (cascade index, transmission log-likelihood, delay).
@@ -202,7 +217,10 @@ impl NetInfBackend {
         let eps = f64_of(take(8)?);
         let max_history = u32_of(take(4)?) as usize;
         let total = u32_of(take(4)?) as usize;
-        let mut edges: Vec<Vec<(NodeId, f64)>> = vec![Vec::new(); node_count];
+        // The edge list is read and checked before anything is sized by
+        // `node_count`: an edge is 16 bytes, so the list holds at most
+        // `payload.len() / 16` of them whatever `total` declares.
+        let mut list = Vec::with_capacity(total.min(payload.len() / 16));
         for _ in 0..total {
             let u = u32_of(take(4)?) as usize;
             let v = u32_of(take(4)?);
@@ -212,10 +230,20 @@ impl NetInfBackend {
                     "netinf edge {u} -> {v} outside the {node_count}-node universe"
                 ));
             }
-            edges[u].push((NodeId(v), w));
+            list.push((u, NodeId(v), w));
         }
         if at != payload.len() {
             return Err("trailing bytes after the netinf edge list".into());
+        }
+        if node_count > Self::MAX_NODES {
+            return Err(format!(
+                "netinf payload declares {node_count} nodes, past the cap of {}",
+                Self::MAX_NODES
+            ));
+        }
+        let mut edges: Vec<Vec<(NodeId, f64)>> = vec![Vec::new(); node_count];
+        for (u, v, w) in list {
+            edges[u].push((v, w));
         }
         for out in &mut edges {
             out.sort_by_key(|&(v, _)| v);
@@ -456,6 +484,15 @@ mod tests {
         let mut trailing = good.clone();
         trailing.push(0);
         assert!(NetInfBackend::decode(&trailing).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 1048576 nodes")]
+    fn fit_refuses_a_universe_past_the_cap() {
+        NetInfBackend::fit(
+            &CascadeSet::new(NetInfBackend::MAX_NODES + 1, Vec::new()),
+            NetInfConfig::default(),
+        );
     }
 
     #[test]

@@ -149,7 +149,7 @@ impl<'g, P: RateProvider> Simulator<'g, P> {
             if infections.len() >= cap {
                 break;
             }
-            for &v in self.graph.out_neighbors(node) {
+            for v in self.graph.out_neighbors(node) {
                 if infected[v.index()] {
                     continue;
                 }
@@ -505,8 +505,7 @@ mod proptests {
             for inf in &c.infections()[1..] {
                 let has_source = t
                     .out_neighbors(inf.node)
-                    .iter()
-                    .any(|&p| c.time_of(p).is_some_and(|tp| tp < inf.time));
+                    .any(|p| c.time_of(p).is_some_and(|tp| tp < inf.time));
                 assert!(has_source, "case {case}: orphan infection {:?}", inf.node);
             }
         }

@@ -522,7 +522,8 @@ smoke_ablations() {
 
 # Nothing else CI runs drives the timing harnesses behind EXPERIMENTS.md's
 # Figures 10, 11 and 13 (they time the optimiser alone): each must run
-# to completion on its --quick sizes, fig10 must print Figure 13's
+# to completion on its --quick sizes, fig10 must print its time table
+# with a non-negative spread beside each best time and Figure 13's
 # speedup/efficiency table with every speedup equal to t1/tn of the
 # seconds it printed, and where there are two CPUs fig10 must not flag
 # its 2-core rows as oversubscribed.
@@ -533,13 +534,15 @@ smoke_timing_figures() {
         echo "a timing figure harness failed" >&2
         return 1
     fi
-    if ! grep -qE '^ +cascades +cores +speedup +efficiency$' <<<"$out" \
-        || ! awk '$2 ~ /^[0-9]+\*?$/ && NF == 3 { t[$1, $2] = $3 }
-                  $2 ~ /^[0-9]+\*?$/ && NF == 4 { rows++
-                      want = sprintf("%.2f", t[$1, 1] / t[$1, $2])
-                      if ($3 != want) bad++ }
-                  END { exit !(rows > 0 && !bad) }' <<<"$out"; then
-        echo "fig10 printed no speedup table matching its own times" >&2
+    if ! awk '/^ +cascades +cores +seconds +spread$/ { table = "time"; next }
+              /^ +cascades +cores +speedup +efficiency$/ { table = "speedup"; next }
+              $2 !~ /^[0-9]+\*?$/ || NF != 4 { next }
+              table == "time" { times++; t[$1, $2] = $3; if ($4 < 0) bad++ }
+              table == "speedup" { rows++
+                  want = sprintf("%.2f", t[$1, 1] / t[$1, $2])
+                  if ($3 != want) bad++ }
+              END { exit !(times > 0 && rows == times && !bad) }' <<<"$out"; then
+        echo "fig10 printed no time table with spreads, or no speedup table matching its own times" >&2
         echo "$out" >&2
         return 1
     fi
