@@ -14,14 +14,11 @@
 //! hierarchical optimisation is timed. Core counts beyond the machine's
 //! physical parallelism are still measured but flagged — a laptop
 //! cannot reproduce the 64-core end of the x-axis, only the shape up to
-//! its own core count. Each point is the best of `--repeats` runs, printed
-//! beside the spread from the fastest to the slowest run, so a point
-//! whose runs disagree shows it; on a small shared host one run does not
-//! resolve a 2-core speedup. Each time is kept at the millisecond it is
-//! printed at, so every speedup is the quotient of two printed times.
+//! its own core count. Each point is a [`Timing`]: the best of
+//! [`REPEATS`] runs with its spread beside it, so every speedup is the
+//! quotient of two printed times.
 //!
-//! Flags: `--nodes`, `--max-cores`, `--repeats` (best of, default 5),
-//! `--seed` and `--quick` (C = 250 / 500).
+//! Flags: `--nodes`, `--max-cores`, `--seed` and `--quick` (C = 250 / 500).
 //!
 //! ```text
 //! cargo run --release -p viralcast-bench --bin fig10_time_vs_cores -- \
@@ -30,7 +27,7 @@
 
 use viralcast::prelude::*;
 use viralcast_bench::{
-    core_sweep, print_table, standard_sbm_local as standard_sbm, time_inference, Flags,
+    core_sweep, print_table, standard_sbm_local, time_inference, Flags, Timing, REPEATS,
 };
 
 fn main() {
@@ -40,7 +37,6 @@ fn main() {
         "max-cores",
         std::thread::available_parallelism().map_or(8, |n| n.get()),
     );
-    let repeats = flags.usize("repeats", 5).max(1);
     let seed = flags.u64("seed", 1);
     let corpus_sizes: Vec<usize> = if flags.has("quick") {
         vec![250, 500]
@@ -58,26 +54,19 @@ fn main() {
         topics: InferOptions::default().topics,
         ..InferOptions::default().hierarchical
     };
-    // Per corpus size, the best-of-`repeats` seconds at each core count
-    // and the slowest run's.
-    let mut times: Vec<Vec<(f64, f64)>> = Vec::new();
+    // Per corpus size, one timing at each core count.
+    let mut times: Vec<Vec<Timing>> = Vec::new();
     for &c in &corpus_sizes {
         // Fresh corpus of C cascades; SLPA once.
-        let experiment = standard_sbm(nodes, c, seed);
+        let experiment = standard_sbm_local(nodes, c, seed);
         let partition = infer_embeddings(experiment.train(), &InferOptions::default()).partition;
         let row = cores
             .iter()
             .map(|&p| {
-                let runs: Vec<f64> = (0..repeats)
-                    .map(|_| time_inference(experiment.train(), &partition, &hier, p))
-                    .collect();
-                let millis = |t: f64| (t * 1e3).round() / 1e3;
-                let best = millis(runs.iter().copied().fold(f64::INFINITY, f64::min));
-                let slowest = millis(runs.iter().copied().fold(0.0, f64::max));
-                println!(
-                    "C = {c:>5}, cores = {p:>3}: {best:.3}s (slowest of {repeats}: {slowest:.3}s)"
-                );
-                (best, slowest)
+                let t =
+                    Timing::best_of(|| time_inference(experiment.train(), &partition, &hier, p));
+                println!("C = {c:>5}, cores = {p:>3}: {t}");
+                t
             })
             .collect();
         times.push(row);
@@ -87,14 +76,10 @@ fn main() {
     let mut time_rows = Vec::new();
     let mut speedup_rows = Vec::new();
     for (&c, row) in corpus_sizes.iter().zip(&times) {
-        for (&p, &(t, slowest)) in cores.iter().zip(row) {
-            let speedup = row[0].0 / t;
-            time_rows.push(vec![
-                format!("{c}"),
-                mark(p),
-                format!("{t:.3}"),
-                format!("{:.3}", slowest - t),
-            ]);
+        for (&p, t) in cores.iter().zip(row) {
+            let speedup = row[0].best / t.best;
+            let [seconds, spread] = t.cells();
+            time_rows.push(vec![format!("{c}"), mark(p), seconds, spread]);
             speedup_rows.push(vec![
                 format!("{c}"),
                 mark(p),
@@ -105,7 +90,7 @@ fn main() {
     }
 
     println!(
-        "\nFigure 10, time: best of {repeats} runs, and the slowest run's excess over it\n\
+        "\nFigure 10, time: best of {REPEATS} runs, and the slowest run's excess over it\n\
          (cores marked * exceed physical parallelism):"
     );
     print_table(&["cascades", "cores", "seconds", "spread"], &time_rows);
@@ -114,7 +99,7 @@ fn main() {
     if corpus_sizes.len() >= 2 {
         println!("\ntime vs corpus size at 1 core (paper: \"generally linear\"):");
         for (&c, row) in corpus_sizes.iter().zip(&times) {
-            let t = row[0].0;
+            let t = row[0].best;
             println!(
                 "  C = {c:>5}: {t:.3}s  ({:.2} ms/cascade)",
                 1000.0 * t / c as f64

@@ -6,6 +6,12 @@
 //! not increase significantly even if more nodes are involved" (the
 //! differences are 10–20 s on their testbed).
 //!
+//! Each point is a [`Timing`], as in Figure 10: the best of [`REPEATS`]
+//! runs with its spread beside it.
+//!
+//! Flags: `--cascades`, `--max-cores`, `--seed` and `--quick`
+//! (C = 500, N = 500 / 1 000).
+//!
 //! ```text
 //! cargo run --release -p viralcast-bench --bin fig11_time_vs_nodes -- \
 //!     --cascades 2000 --max-cores 8
@@ -13,7 +19,7 @@
 
 use viralcast::prelude::*;
 use viralcast_bench::{
-    core_sweep, print_table, standard_sbm_local as standard_sbm, time_inference, Flags,
+    core_sweep, print_table, standard_sbm_local, time_inference, Flags, Timing, REPEATS,
 };
 
 fn main() {
@@ -33,38 +39,40 @@ fn main() {
 
     println!("== Figure 11: processing time vs #cores across graph sizes (C = {cascades}) ==");
     let cores = core_sweep(max_cores);
-    // Per graph size, the seconds at each core count.
-    let mut times: Vec<Vec<f64>> = Vec::new();
+    let hier = HierarchicalConfig {
+        topics: InferOptions::default().topics,
+        ..InferOptions::default().hierarchical
+    };
+    // Per graph size, one timing at each core count.
+    let mut times: Vec<Vec<Timing>> = Vec::new();
     let mut rows = Vec::new();
 
     for &n in &node_sizes {
-        let experiment = standard_sbm(n, cascades, seed);
-        let outcome = infer_embeddings(experiment.train(), &InferOptions::default());
-        let hier = HierarchicalConfig {
-            topics: InferOptions::default().topics,
-            ..InferOptions::default().hierarchical
-        };
+        let experiment = standard_sbm_local(n, cascades, seed);
+        let partition = infer_embeddings(experiment.train(), &InferOptions::default()).partition;
         let mut row = Vec::new();
         for &p in &cores {
-            let secs = time_inference(experiment.train(), &outcome.partition, &hier, p);
-            row.push(secs);
-            rows.push(vec![format!("{n}"), format!("{p}"), format!("{secs:.2}")]);
-            println!("N = {n:>5}, cores = {p:>3}: {secs:.2}s");
+            let t = Timing::best_of(|| time_inference(experiment.train(), &partition, &hier, p));
+            println!("N = {n:>5}, cores = {p:>3}: {t}");
+            let [seconds, spread] = t.cells();
+            rows.push(vec![format!("{n}"), format!("{p}"), seconds, spread]);
+            row.push(t);
         }
         times.push(row);
     }
 
-    println!("\nsummary:");
-    print_table(&["nodes", "cores", "seconds"], &rows);
+    println!("\nFigure 11, time: best of {REPEATS} runs, and the slowest run's excess over it:");
+    print_table(&["nodes", "cores", "seconds", "spread"], &rows);
 
-    // The headline comparison: spread across N at each core count.
-    println!("\nspread across graph sizes (paper: curves nearly coincide):");
+    // The headline comparison: how far apart the graph sizes are at each
+    // core count.
+    println!("\nacross graph sizes (paper: curves nearly coincide):");
     for (i, &p) in cores.iter().enumerate() {
-        let at_p = times.iter().map(|row| row[i]);
+        let at_p = times.iter().map(|row| row[i].best);
         let min = at_p.clone().fold(f64::INFINITY, f64::min);
         let max = at_p.fold(0.0, f64::max);
         println!(
-            "  cores = {p:>3}: min {min:.2}s, max {max:.2}s, spread {:.0}%",
+            "  cores = {p:>3}: min {min:.3}s, max {max:.3}s, max/min − 1 = {:.0}%",
             100.0 * (max - min) / min
         );
     }

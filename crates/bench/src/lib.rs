@@ -75,9 +75,7 @@ pub fn standard_sbm(nodes: usize, cascades: usize, seed: u64) -> SbmExperiment {
         &SbmExperimentConfig {
             sbm: SbmConfig {
                 nodes,
-                community_size: 40,
-                intra_prob: 0.2,
-                inter_prob: 0.001,
+                ..SbmConfig::paper_default()
             },
             cascades,
             ..SbmExperimentConfig::default()
@@ -96,16 +94,10 @@ pub fn standard_sbm_local(nodes: usize, cascades: usize, seed: u64) -> SbmExperi
         &SbmExperimentConfig {
             sbm: SbmConfig {
                 nodes,
-                community_size: 40,
-                intra_prob: 0.2,
-                inter_prob: 0.001,
+                ..SbmConfig::paper_default()
             },
             cascades,
-            planted: PlantedConfig {
-                on_topic: 1.2,
-                off_topic: 0.02,
-                jitter: 0.3,
-            },
+            planted: PlantedConfig::local(),
             ..SbmExperimentConfig::default()
         },
         seed,
@@ -142,6 +134,55 @@ pub fn core_sweep(max: usize) -> Vec<usize> {
         c *= 2;
     }
     cores
+}
+
+/// Runs behind each point of the timing figures (10, 11).
+pub const REPEATS: usize = 5;
+
+/// One point of the timing figures (10, 11): the best of [`REPEATS`]
+/// runs and the slowest of them. On a small shared host one run does not
+/// resolve a 2-core speedup, so each point is the fastest run and its
+/// spread (the slowest run's excess over it) is printed beside it. Both
+/// ends are kept at the millisecond they are printed at, so a quotient
+/// of two points is the quotient of two printed times.
+#[derive(Clone, Copy, Debug)]
+pub struct Timing {
+    /// Fastest run, in seconds.
+    pub best: f64,
+    /// Slowest run, in seconds.
+    slowest: f64,
+}
+
+impl Timing {
+    /// Runs `time` (which returns seconds) [`REPEATS`] times.
+    pub fn best_of(mut time: impl FnMut() -> f64) -> Timing {
+        let runs: Vec<f64> = (0..REPEATS).map(|_| time()).collect();
+        let millis = |t: f64| (t * 1e3).round() / 1e3;
+        Timing {
+            best: millis(runs.iter().copied().fold(f64::INFINITY, f64::min)),
+            slowest: millis(runs.iter().copied().fold(0.0, f64::max)),
+        }
+    }
+
+    /// The `seconds` and `spread` cells of a timing table; the spread is
+    /// the slowest run's excess over the best, never negative.
+    pub fn cells(&self) -> [String; 2] {
+        [
+            format!("{:.3}", self.best),
+            format!("{:.3}", self.slowest - self.best),
+        ]
+    }
+}
+
+impl std::fmt::Display for Timing {
+    /// `0.416s (slowest of 5: 0.502s)`.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{:.3}s (slowest of {REPEATS}: {:.3}s)",
+            self.best, self.slowest
+        )
+    }
 }
 
 /// Pearson correlation (used by the feature figures).
@@ -212,6 +253,15 @@ mod tests {
             assert!(w[1].0 > w[0].0);
             assert!(w[1].1 > w[0].1);
         }
+    }
+
+    #[test]
+    fn timing_keeps_the_best_and_slowest_at_the_millisecond() {
+        let mut runs = [0.5004, 0.52, 0.4996, 0.61, 0.55].into_iter();
+        let t = Timing::best_of(|| runs.next().unwrap());
+        assert_eq!((t.best, t.slowest), (0.5, 0.61));
+        assert_eq!(t.cells(), ["0.500".to_string(), "0.110".to_string()]);
+        assert_eq!(t.to_string(), "0.500s (slowest of 5: 0.610s)");
     }
 
     #[test]

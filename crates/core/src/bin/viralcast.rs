@@ -347,19 +347,13 @@ fn simulate_sbm(flags: &Flags) -> Result<Attrs, CliError> {
     let mut config = SbmExperimentConfig {
         sbm: SbmConfig {
             nodes,
-            community_size: 40,
-            intra_prob: 0.2,
-            inter_prob: 0.001,
+            ..SbmConfig::paper_default()
         },
         cascades,
         ..SbmExperimentConfig::default()
     };
     if flags.has("local") {
-        config.planted = PlantedConfig {
-            on_topic: 1.2,
-            off_topic: 0.02,
-            jitter: 0.3,
-        };
+        config.planted = PlantedConfig::local();
     }
     let experiment = {
         let _span = Span::enter("simulate");

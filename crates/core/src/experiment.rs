@@ -230,11 +230,7 @@ mod tests {
         // regime of Figures 6–9; with weak cross-topic rates the
         // Section II locality property must hold.
         let config = SbmExperimentConfig {
-            planted: viralcast_propagation::PlantedConfig {
-                on_topic: 1.2,
-                off_topic: 0.02,
-                jitter: 0.3,
-            },
+            planted: viralcast_propagation::PlantedConfig::local(),
             ..small()
         };
         let e = SbmExperiment::build(&config, 7);

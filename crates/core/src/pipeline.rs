@@ -117,11 +117,7 @@ mod tests {
                     inter_prob: 0.003,
                 },
                 cascades: 300,
-                planted: viralcast_propagation::PlantedConfig {
-                    on_topic: 1.2,
-                    off_topic: 0.02,
-                    jitter: 0.3,
-                },
+                planted: viralcast_propagation::PlantedConfig::local(),
                 ..SbmExperimentConfig::default()
             },
             seed,
@@ -158,11 +154,7 @@ mod tests {
                     inter_prob: 0.003,
                 },
                 cascades: 300,
-                planted: viralcast_propagation::PlantedConfig {
-                    on_topic: 1.2,
-                    off_topic: 0.02,
-                    jitter: 0.3,
-                },
+                planted: viralcast_propagation::PlantedConfig::local(),
                 ..SbmExperimentConfig::default()
             },
             2,
@@ -265,17 +257,11 @@ mod tests {
             &SbmExperimentConfig {
                 sbm: SbmConfig {
                     nodes: 1000,
-                    community_size: 40,
-                    intra_prob: 0.2,
-                    inter_prob: 0.001,
+                    ..SbmConfig::paper_default()
                 },
                 cascades: 800,
                 train_fraction: 0.5,
-                planted: viralcast_propagation::PlantedConfig {
-                    on_topic: 1.2,
-                    off_topic: 0.02,
-                    jitter: 0.3,
-                },
+                planted: viralcast_propagation::PlantedConfig::local(),
                 ..SbmExperimentConfig::default()
             },
             1,

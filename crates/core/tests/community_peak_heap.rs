@@ -6,11 +6,11 @@
 //! weight id, 4 bytes, while the graph has at most 65 536 nodes and holds
 //! at most 65 536 distinct weights (as every shape here does); each
 //! distinct weight is stored once. The chain it replaced — the directed
-//! graph, its transpose, then their merge — held all three at once, about
-//! 2.3–2.6× the undirected CSR; arrays grown by doubling left up to 2×
-//! and, on every retrain of a serving daemon, a trail of freed blocks that
-//! fragments the heap. A counting global allocator measures the peak and
-//! counts every growing `realloc` of a large block, on a
+//! graph, its transpose, then their merge — held all three at once
+//! (CHANGES.md, PR 27); arrays grown by doubling left up to 2× and, on
+//! every retrain of a serving daemon, a trail of freed blocks that
+//! fragments the heap (PR 35). A counting global allocator measures the
+//! peak and counts every growing `realloc` of a large block, on a
 //! `train_sbm`-shaped corpus, a served-fit-shaped corpus and one drain
 //! batch of that served world. This binary holds one test, so nothing
 //! else allocates while it measures.
@@ -120,15 +120,9 @@ fn world(nodes: usize, train: usize, held_out: usize) -> SbmExperiment {
         &SbmExperimentConfig {
             sbm: SbmConfig {
                 nodes,
-                community_size: 40,
-                intra_prob: 0.2,
-                inter_prob: 0.001,
+                ..SbmConfig::paper_default()
             },
-            planted: PlantedConfig {
-                on_topic: 1.2,
-                off_topic: 0.02,
-                jitter: 0.3,
-            },
+            planted: PlantedConfig::local(),
             cascades: train + held_out,
             train_fraction: train as f64 / (train + held_out) as f64,
             ..SbmExperimentConfig::default()
@@ -189,13 +183,9 @@ fn communities_allocate_the_graph_once_near_its_size() {
         let offsets = (train.node_count() + 1) * size_of::<usize>();
         let csr =
             offsets + edges * (size_of::<u16>() + size_of::<u16>()) + distinct * size_of::<f64>();
-        // Exact sizing leaves only the per-call scratch beyond the CSR:
-        // 1.35× (train_sbm job), 1.22× (served fit) and 1.28× (drain
-        // batch). 32-bit targets or 32-bit ids would read 1.72–1.85×.
-        // The bound, 1 524 396 / 7 722 744 / 1 863 936 B on those shapes,
-        // is 0.80× the 1.25 times the 6-byte-an-entry CSR it replaced.
-        // Arrays grown by doubling reached 1.71× (served fit) and 1.81×
-        // (drain batch) of the 12-byte-an-entry CSR of the time.
+        // Exact sizing leaves only the per-call scratch beyond the CSR;
+        // 32-bit targets or 32-bit ids, and arrays grown by doubling,
+        // go over the bound (CHANGES.md, PRs 35 and 49 have the ratios).
         let bound = csr * 3 / 2;
         assert!(
             heap.peak <= bound,
@@ -209,8 +199,8 @@ fn communities_allocate_the_graph_once_near_its_size() {
             reference.peak
         );
         // With one `f64` per entry the CSR alone took `edges · 12` bytes;
-        // narrow targets and interned weights bring the whole call to
-        // 0.41–0.46× of that.
+        // narrow targets and interned weights bring the whole call well
+        // under that.
         let per_edge_f64 = offsets + edges * (size_of::<NodeId>() + size_of::<f64>());
         assert!(
             heap.peak < per_edge_f64,
@@ -219,7 +209,7 @@ fn communities_allocate_the_graph_once_near_its_size() {
         );
         // Each growing realloc of a large block leaves a freed block of
         // its old size behind; a drain that left them on every batch
-        // fragmented a serving daemon's heap by ≈ 0.6 MiB per retrain.
+        // fragmented a serving daemon's heap on every retrain (PR 35).
         assert_eq!(
             heap.regrown, 0,
             "{name}: {} large blocks grown by realloc; size the arrays before filling them",

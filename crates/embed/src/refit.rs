@@ -39,8 +39,8 @@ impl Default for InferOptions {
         // that never co-occur receive no data gradient, so without
         // shrinkage their modelled rate is frozen at the random init;
         // the penalty drives signal-free components to zero and lets
-        // communities occupy disjoint topic subspaces (measured: ~3×
-        // better intra/inter rate contrast on SBM worlds). Set
+        // communities occupy disjoint topic subspaces (the intra/inter
+        // rate contrast `ablation_regularizers` measures; EXPERIMENTS.md). Set
         // `hierarchical.pgd.l1_penalty = 0.0` for the exact eq. 9
         // objective.
         hierarchical.pgd.l1_penalty = 5.0;

@@ -45,17 +45,16 @@ use crate::{rank_order, RowBlock};
 const CHUNK: usize = 256;
 
 /// Multiply-adds (rows × score width) from which a scan takes a helper
-/// thread: about 0.15 ms of scoring on a 2-vCPU Xeon (≈ 0.58 ns per
-/// multiply-add there), well above the ≈ 36 µs of CPU a scoped spawn
-/// and join cost. A 60 000 × 16 model's predict scan qualifies; a
-/// 2 000-row model's never does.
+/// thread: well above the CPU a scoped spawn and join cost (CHANGES.md,
+/// PR 45). A 60 000 × 16 model's predict scan qualifies; a 2 000-row
+/// model's never does.
 const SPLIT_WORK: usize = 1 << 18;
 
 /// Threads running a large scan right now, helpers included.
 static SCANNING: AtomicUsize = AtomicUsize::new(0);
 
 /// The cores this process may run on, asked once: the standard library
-/// reads cgroup files on every call (≈ 18 µs on a 2-vCPU Xeon).
+/// reads cgroup files on every call (CHANGES.md, PR 45).
 fn cores() -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
     *CORES.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()))

@@ -5,8 +5,8 @@
 //! bounded selection, so on a model with n ≫ |infected| and n ≫ top
 //! neither 64 sources instead of one nor `top` 100 instead of 1 may cost
 //! a multiple. (Scoring every candidate against every source separately
-//! and sorting all n reads 11× in release and 23× in debug on the first
-//! ratio.)
+//! and sorting all n fails the first ratio by a wide margin; CHANGES.md,
+//! PR 17.)
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};

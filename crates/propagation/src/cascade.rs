@@ -127,7 +127,7 @@ impl Cascade {
 
     /// The prefix of infections with `time ≤ cutoff` — the "early
     /// adopters" fed to the prediction features. May be empty.
-    pub fn prefix_until(&self, cutoff: f64) -> &[Infection] {
+    fn prefix_until(&self, cutoff: f64) -> &[Infection] {
         let end = self.infections.partition_point(|i| i.time <= cutoff);
         &self.infections[..end]
     }

@@ -88,6 +88,20 @@ impl Default for PlantedConfig {
     }
 }
 
+impl PlantedConfig {
+    /// The local regime: strong on-topic and weak cross-topic rates, so
+    /// "most cascades occur in local communities" — the premise of
+    /// Algorithms 1–2, and the world of the timing figures (10, 11, 13),
+    /// the rate-recovery tests and the served models.
+    pub fn local() -> Self {
+        PlantedConfig {
+            on_topic: 1.2,
+            off_topic: 0.02,
+            jitter: 0.3,
+        }
+    }
+}
+
 /// Generates planted embeddings with one topic per community: node `u` in
 /// community `c` has an elevated `A_{u,c}` and `B_{u,c}` and small values
 /// elsewhere, so intra-community links are fast (`≈ on_topic²`) and

@@ -28,11 +28,7 @@ fn main() {
                 inter_prob: 0.003,
             },
             cascades: 200,
-            planted: PlantedConfig {
-                on_topic: 1.2,
-                off_topic: 0.02,
-                jitter: 0.3,
-            },
+            planted: PlantedConfig::local(),
             ..SbmExperimentConfig::default()
         },
         seed,

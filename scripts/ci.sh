@@ -176,6 +176,31 @@ source_rules() {
     [ "$failed" -eq 0 ] && echo "$((${#RULES[@]} / 6)) source rules OK"
 }
 
+# The docs describe the system as it stands, not its history: DESIGN.md
+# stays within 650 lines and the verify notes within 200, and DESIGN.md
+# §4, the experiment index, names every harness in crates/bench/src/bin/,
+# so a rewrite cannot drop a figure without failing here.
+doc_budget() {
+    local doc limit lines index bin failed=0
+    for doc in DESIGN.md:650 .claude/skills/verify/SKILL.md:200; do
+        limit="${doc#*:}" doc="${doc%:*}"
+        lines=$(wc -l <"$doc")
+        if [ "$lines" -gt "$limit" ]; then
+            echo "$doc is $lines lines, over its budget of $limit" >&2
+            failed=1
+        fi
+    done
+    index="$(sed -n '/^## 4\./,/^## 5\./p' DESIGN.md)"
+    for bin in crates/bench/src/bin/*.rs; do
+        bin="$(basename "$bin" .rs)"
+        if ! grep -qw -- "$bin" <<<"$index"; then
+            echo "DESIGN.md §4 does not name the harness $bin" >&2
+            failed=1
+        fi
+    done
+    [ "$failed" -eq 0 ] && echo "doc budget OK"
+}
+
 # Every `pub fn` under crates/ and src/ is called from some other file:
 # its name appears as a word in another .rs file of the workspace or of
 # benchmark/src. An item only its own file uses is private (or, if only
@@ -522,16 +547,23 @@ smoke_ablations() {
 
 # Nothing else CI runs drives the timing harnesses behind EXPERIMENTS.md's
 # Figures 10, 11 and 13 (they time the optimiser alone): each must run
-# to completion on its --quick sizes, fig10 must print its time table
-# with a non-negative spread beside each best time and Figure 13's
-# speedup/efficiency table with every speedup equal to t1/tn of the
-# seconds it printed, and where there are two CPUs fig10 must not flag
-# its 2-core rows as oversubscribed.
+# to completion on its --quick sizes, fig10 and fig11 must each print
+# their time table with a non-negative spread beside each best time,
+# fig10 also Figure 13's speedup/efficiency table with every speedup
+# equal to t1/tn of the seconds it printed, and where there are two CPUs
+# fig10 must not flag its 2-core rows as oversubscribed.
 smoke_timing_figures() {
-    local out
+    local out nodes
     if ! out="$(target/release/fig10_time_vs_cores --quick --max-cores 2)" \
-        || ! target/release/fig11_time_vs_nodes --quick >/dev/null; then
+        || ! nodes="$(target/release/fig11_time_vs_nodes --quick)"; then
         echo "a timing figure harness failed" >&2
+        return 1
+    fi
+    if ! awk '/^ +nodes +cores +seconds +spread$/ { table = 1; next }
+              table && NF == 4 && $2 ~ /^[0-9]+$/ { rows++; if ($4 !~ /^[0-9]+\.[0-9]+$/) bad++ }
+              END { exit !(rows > 0 && !bad) }' <<<"$nodes"; then
+        echo "fig11 printed no time table with a non-negative spread beside each time" >&2
+        echo "$nodes" >&2
         return 1
     fi
     if ! awk '/^ +cascades +cores +seconds +spread$/ { table = "time"; next }
@@ -550,10 +582,11 @@ smoke_timing_figures() {
         echo "fig10 flags 2 cores as oversubscribed on a $(nproc)-CPU box" >&2
         return 1
     fi
-    echo "timing figures smoke test OK (fig10 with Figure 13's table, fig11 --quick)"
+    echo "timing figures smoke test OK (fig10 with Figure 13's table, fig11 with spreads)"
 }
 
 run source_rules
+run doc_budget
 run every_pub_fn_has_a_caller
 run cargo fmt --all --check
 run cargo clippy --workspace --all-targets -- -D warnings

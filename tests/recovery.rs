@@ -14,11 +14,7 @@ fn local_world(seed: u64) -> SbmExperiment {
                 inter_prob: 0.003,
             },
             cascades: 400,
-            planted: PlantedConfig {
-                on_topic: 1.2,
-                off_topic: 0.02,
-                jitter: 0.3,
-            },
+            planted: PlantedConfig::local(),
             ..SbmExperimentConfig::default()
         },
         seed,

@@ -21,11 +21,7 @@ fn trained_world(seed: u64) -> (SbmExperiment, Embeddings) {
                 inter_prob: 0.003,
             },
             cascades: 120,
-            planted: PlantedConfig {
-                on_topic: 1.2,
-                off_topic: 0.02,
-                jitter: 0.3,
-            },
+            planted: PlantedConfig::local(),
             ..SbmExperimentConfig::default()
         },
         seed,
